@@ -13,12 +13,12 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats
 
 from . import families
 from .env import DomainError, replace_on_strip, sample_environment, with_seed
 from .game import GameHamiltonian, certify_constants, shift_momentum
-from .pde import SolveConfig, solve_sl, solve_effective, zero_datum
+from .pde import (SolveConfig, sl_plan, sl_step_cost, solve_effective, solve_sl,
+                  solve_sl_batch)
 from .rng import derive_seed
 
 #: sum_{k>=1} 2^{-k/2} sqrt(k+1); converts the per-pair defect constant into
@@ -99,6 +99,10 @@ class EffectiveEstimate:
 # ---------------------------------------------------------------------------
 # sampling
 
+#: largest stacked cost table one batched solve may hold; more realizations
+#: than fit are solved in several batches
+BATCH_COST_BYTES = 64 * 2**20
+
 
 def solve_box_for(gh: GameHamiltonian, t_max: float, dx: float,
                   report_radius: float = 0.0, margin: float | None = None):
@@ -115,27 +119,44 @@ def solve_box_for(gh: GameHamiltonian, t_max: float, dx: float,
     return tuple(lo), tuple(hi)
 
 
-def _one_sample(gh_shifted: GameHamiltonian, env, times, dx: float, dt: float,
-                box) -> np.ndarray:
-    cfg = SolveConfig(
-        scheme="semi-lagrangian", dt=dt, dx=dx, T=max(times),
-        box_lo=box[0], box_hi=box[1], record_times=tuple(times),
-    )
-    res = solve_sl(gh_shifted, env, cfg, zero_datum)
-    origin = np.zeros(gh_shifted.dim)
-    return np.array([res.at_time(t).value_at(origin) for t in times])
+def _bind(gh: GameHamiltonian, env) -> GameHamiltonian:
+    """The game with its cost certificates taken from env unless already set."""
+    return families.bind_env_constants(gh, env) if np.isnan(gh.lip_l) else gh
 
 
-def _pool_worker(args) -> list:
-    (family_name, family_params, spec, theta, times, dx, dt, box, seeds) = args
-    gh = families.build(family_name, family_params, spec.dimension)
-    out = []
-    for seed in seeds:
-        env = sample_environment(with_seed(spec, seed))
-        gh_b = families.bind_env_constants(gh, env)
-        gh_th = shift_momentum(gh_b, theta)
-        out.append(_one_sample(gh_th, env, times, dx, dt, box))
-    return out
+def _solve_batches(gh: GameHamiltonian, envs, theta, cfg: SolveConfig, read) -> np.ndarray:
+    """read(result) of batched SL solves of u_theta, one per environment.
+
+    The realizations share the stencil, so they are solved together, in
+    batches whose stacked cost table fits BATCH_COST_BYTES.  read() maps a
+    batch's result to an array whose last axis runs over the batch; the
+    batches are joined along it.
+    """
+    plan = sl_plan(gh, cfg)
+    per = max(1, BATCH_COST_BYTES // plan.cost_bytes)
+    parts = []
+    for lo in range(0, len(envs), per):
+        batch = envs[lo:lo + per]
+        cost = np.empty((len(plan.corners), len(batch)) + plan.grid.shape)
+        for m, env in enumerate(batch):
+            sl_step_cost(shift_momentum(_bind(gh, env), theta), env, plan, out=cost[:, m])
+        parts.append(read(solve_sl_batch(plan, cost)))
+    return np.concatenate(parts, axis=-1)
+
+
+def _campaign_chunk(args) -> np.ndarray:
+    """u_theta(t, 0) at each recorded time for the given seeds: (n_times, seeds).
+
+    ``game`` is a GameHamiltonian, or (family, params) to rebuild it by name
+    in a pool worker.
+    """
+    game, env_spec, theta, cfg, seeds = args
+    if not isinstance(game, GameHamiltonian):
+        game = families.build(game[0], game[1], env_spec.dimension)
+    envs = [sample_environment(with_seed(env_spec, seed)) for seed in seeds]
+    origin = np.zeros(game.dim)
+    return _solve_batches(game, envs, theta, cfg, lambda res: np.stack(
+        [res.at_time(t).value_at(origin) for t in cfg.record_times]))
 
 
 def estimate_U(gh: GameHamiltonian, env_spec, theta, times, M: int,
@@ -144,41 +165,38 @@ def estimate_U(gh: GameHamiltonian, env_spec, theta, times, M: int,
                box=None) -> UTable:
     """Monte-Carlo table of u_theta(t, 0, .) over M independent realizations.
 
-    Sample i uses the derived seed mix(base_seed, i); aggregation is done in
-    sample-index order so results do not depend on worker scheduling.
+    Sample i uses the derived seed mix(base_seed, i).  The realizations are
+    solved as batches; with workers > 1 each pool worker takes one
+    contiguous chunk and rebuilds the game from ``family_desc`` = (family,
+    params).  Every sample is its own realization's number, so the table
+    does not depend on the worker count.
     """
+    if workers > 1 and family_desc is None:
+        raise ValueError(
+            f"workers={workers} needs family_desc=(family, params) so that pool "
+            f"workers can rebuild the game; pass it, or use workers=1"
+        )
     theta = np.atleast_1d(np.asarray(theta, dtype=np.float64))
     times = sorted(float(t) for t in times)
     probe_env = sample_environment(with_seed(env_spec, derive_seed(base_seed, 0)))
-    gh_b = families.bind_env_constants(gh, probe_env) if np.isnan(gh.lip_l) else gh
+    gh_b = _bind(gh, probe_env)
     consts = certify_constants(gh_b)
     consts.require_oriented()
     if box is None:
         box = solve_box_for(gh_b, max(times), dx)
     _check_env_covers(env_spec, box, probe_env.spec.bump_radius)
+    cfg = SolveConfig(scheme="semi-lagrangian", dt=dt, dx=dx, T=max(times),
+                      box_lo=box[0], box_hi=box[1], record_times=tuple(times))
 
     seeds = [derive_seed(base_seed, i) for i in range(M)]
-    rows: list[np.ndarray] = [None] * M  # type: ignore[list-item]
-    if workers > 1 and family_desc is not None:
-        chunks = np.array_split(np.arange(M), workers * 4)
-        tasks = [
-            (family_desc[0], family_desc[1], env_spec, theta, times, dx, dt, box,
-             [seeds[i] for i in chunk])
-            for chunk in chunks if len(chunk)
-        ]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for chunk, res in zip([c for c in chunks if len(c)],
-                                  pool.map(_pool_worker, tasks)):
-                for i, val in zip(chunk, res):
-                    rows[i] = val
+    if workers > 1:
+        chunks = [c for c in np.array_split(np.arange(M), workers) if len(c)]
+        tasks = [(family_desc, env_spec, theta, cfg, [seeds[i] for i in c]) for c in chunks]
+        with ProcessPoolExecutor(max_workers=len(tasks)) as pool:
+            samples = np.concatenate(list(pool.map(_campaign_chunk, tasks)), axis=1)
     else:
-        for i, seed in enumerate(seeds):
-            env = sample_environment(with_seed(env_spec, seed))
-            gh_i = families.bind_env_constants(gh, env) if np.isnan(gh.lip_l) else gh
-            gh_th = shift_momentum(gh_i, theta)
-            rows[i] = _one_sample(gh_th, env, times, dx, dt, box)
+        samples = _campaign_chunk((gh, env_spec, theta, cfg, seeds))
 
-    samples = np.stack(rows, axis=1)               # (n_times, M)
     bound = consts.beta * (1.0 + np.linalg.norm(theta))
     for k, t in enumerate(times):
         bad = np.abs(samples[k]) > bound * t + 1e-9
@@ -201,6 +219,30 @@ def _check_env_covers(spec, box, r) -> None:
             f"environment box [{spec.box_lo}, {spec.box_hi}] does not cover the "
             f"required solve box [{tuple(blo)}, {tuple(bhi)}]; enlarge it"
         )
+
+
+def _ols(x, y) -> tuple[float, float, float]:
+    """Least-squares line through (x, y): (slope, its standard error, r^2).
+
+    The arithmetic is that of scipy.stats.linregress, so the results match
+    it to the bit.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    if len(x) > 1 and np.amax(x) == np.amin(x):
+        raise ValueError("cannot fit a line when all x values are identical")
+    ssxm, ssxym, _, ssym = np.cov(x, y, bias=1).flat
+    if ssxm == 0.0 or ssym == 0.0:
+        r = np.float64(np.nan if ssxym == 0 else 0.0)
+    else:
+        r = ssxym / np.sqrt(ssxm * ssym)
+        if r > 1.0:
+            r = 1.0
+        elif r < -1.0:
+            r = -1.0
+    df = len(x) - 2
+    stderr = 0.0 if df == 0 else np.sqrt((1 - r**2) * ssym / ssxm / df)
+    return float(ssxym / ssxm), float(stderr), float(r**2)
 
 
 # ---------------------------------------------------------------------------
@@ -239,8 +281,7 @@ def check_concentration(table: UTable, t: float, M_grid) -> dict:
     if len(pos) >= 2:
         xs = np.array([m**2 for m, _ in pos])
         ys = np.log([f for _, f in pos])
-        slope = stats.linregress(xs, ys).slope
-        c_hat = -float(slope)
+        c_hat = -_ols(xs, ys)[0]
 
     monotone = all(f1 >= f2 - 1e-12 for f1, f2 in zip(freqs, freqs[1:]))
     logs = [math.log(f) for f in freqs if f > 0]
@@ -277,14 +318,14 @@ def additive_surrogate_tails(t: int, n_samples: int, M_grid, seed: int = 0) -> d
     pos = [(m, f) for m, f in zip(M_grid, freqs) if f > 0]
     xs = np.array([m**2 for m, _ in pos])
     ys = np.log([f for _, f in pos])
-    reg = stats.linregress(xs, ys)
+    slope, _, r2 = _ols(xs, ys)
     return {
         "t": t,
         "M_grid": M_grid,
         "tail_freqs": freqs,
-        "slope": float(reg.slope),
-        "r2": float(reg.rvalue**2),
-        "c_hat": -float(reg.slope),
+        "slope": slope,
+        "r2": r2,
+        "c_hat": -slope,
     }
 
 
@@ -300,7 +341,7 @@ def strip_experiment(gh: GameHamiltonian, env, lo: float, hi: float, shift,
     bound = (hi - lo) / delta * sup|l - l_hat|, the crossing-time estimate
     for oriented dynamics; sup is estimated by dense probing in the strip.
     """
-    gh_b = families.bind_env_constants(gh, env) if np.isnan(gh.lip_l) else gh
+    gh_b = _bind(gh, env)
     consts = certify_constants(gh_b, e=e)
     consts.require_oriented()
     if lo >= hi:
@@ -308,14 +349,11 @@ def strip_experiment(gh: GameHamiltonian, env, lo: float, hi: float, shift,
     shift = np.atleast_1d(np.asarray(shift, dtype=np.float64))
     env_hat = replace_on_strip(env, lo, hi, consts.e, shift)
 
-    gh_th = shift_momentum(gh_b, np.atleast_1d(theta))
     cfg = SolveConfig(scheme="semi-lagrangian", dt=dt, dx=dx, T=t,
                       box_lo=box[0], box_hi=box[1])
-    res = solve_sl(gh_th, env, cfg, zero_datum)
-    res_hat = solve_sl(gh_th, env_hat, cfg, zero_datum)
-    sl = tuple(slice(max(a0[0], a1[0]), min(a0[1], a1[1]))
-               for a0, a1 in zip(res.final.active, res_hat.final.active))
-    observed = float(np.max(np.abs(res.final.values[sl] - res_hat.final.values[sl])))
+    u = _solve_batches(gh_b, [env, env_hat], np.atleast_1d(theta), cfg,
+                       lambda res: np.moveaxis(res.final.active_values(), 0, -1))
+    observed = float(np.max(np.abs(u[..., 0] - u[..., 1])))
 
     d = gh.dim
     rng = np.random.default_rng(12345)
@@ -418,8 +456,7 @@ def extract_effective_H(table: UTable, K_hat: float | None = None) -> EffectiveE
     pos = [(t, e) for t, e in zip(ts, errs) if e > 0]
     slope = None
     if len(pos) >= 2:
-        slope = float(stats.linregress(np.log([t for t, _ in pos]),
-                                       np.log([e for _, e in pos])).slope)
+        slope = _ols(np.log([t for t, _ in pos]), np.log([e for _, e in pos]))[0]
     return EffectiveEstimate(
         theta=table.theta,
         H_hat=H_hat,
@@ -480,17 +517,16 @@ def effective_H_properties(estimates: list[EffectiveEstimate], beta: float) -> d
 # epsilon-rate
 
 
-def _sup_error_one_sample(gh_th: GameHamiltonian, env, eps: float, R: float,
-                          T: float, H_bar: float, dx: float, dt: float,
-                          n_t: int = 8, n_x: int = 9) -> float:
-    """sup over a [0,T] x B_R grid of |eps u(t/eps, x/eps) + t H_bar|."""
-    d = gh_th.dim
+def _sup_errors(gh: GameHamiltonian, envs, theta, eps: float, R: float,
+                T: float, H_bar: float, dx: float, dt: float,
+                n_t: int = 8, n_x: int = 9) -> np.ndarray:
+    """Per realization, sup over a [0,T] x B_R grid of |eps u(t/eps, x/eps) + t H_bar|."""
+    d = gh.dim
     t_top = T / eps
     times = [t_top * j / n_t for j in range(1, n_t + 1)]
-    box = solve_box_for(gh_th, t_top, dx, report_radius=R / eps)
+    box = solve_box_for(gh, t_top, dx, report_radius=R / eps)
     cfg = SolveConfig(scheme="semi-lagrangian", dt=dt, dx=dx, T=t_top,
                       box_lo=box[0], box_hi=box[1], record_times=tuple(times))
-    res = solve_sl(gh_th, env, cfg, zero_datum)
     if d == 1:
         xg = np.linspace(-R, R, n_x).reshape(-1, 1)
     else:
@@ -498,13 +534,15 @@ def _sup_error_one_sample(gh_th: GameHamiltonian, env, eps: float, R: float,
         mesh = np.meshgrid(*([ax] * d), indexing="ij")
         xg = np.stack([m.ravel() for m in mesh], axis=1)
         xg = xg[np.linalg.norm(xg, axis=1) <= R + 1e-12]
-    worst = 0.0
-    for tj, t_un in zip([T * j / n_t for j in range(1, n_t + 1)], times):
-        fld = res.at_time(t_un)
-        for x in xg:
-            val = eps * fld.value_at(x / eps) + tj * H_bar
-            worst = max(worst, abs(val))
-    return worst
+
+    def read(res) -> np.ndarray:
+        worst = 0.0
+        for tj, t_un in zip([T * j / n_t for j in range(1, n_t + 1)], times):
+            val = eps * res.at_time(t_un).value_at(xg / eps) + tj * H_bar
+            worst = np.maximum(worst, np.abs(val).max(axis=-1))
+        return worst
+
+    return _solve_batches(gh, envs, theta, cfg, read)
 
 
 def rate_experiment(gh: GameHamiltonian, env_spec, theta, eps_list, R: float,
@@ -527,15 +565,9 @@ def rate_experiment(gh: GameHamiltonian, env_spec, theta, eps_list, R: float,
     def bank(tag: int, count: int) -> dict[float, np.ndarray]:
         per_eps = {}
         for ei, eps in enumerate(eps_list):
-            errs = []
-            for i in range(count):
-                seed = derive_seed(base_seed, tag, ei, i)
-                env = sample_environment(with_seed(env_spec, seed))
-                gh_b = families.bind_env_constants(gh, env) if np.isnan(gh.lip_l) else gh
-                gh_th = shift_momentum(gh_b, theta)
-                errs.append(_sup_error_one_sample(
-                    gh_th, env, eps, R, T, H_bar, dx, dt))
-            per_eps[eps] = np.array(errs)
+            envs = [sample_environment(with_seed(env_spec, derive_seed(base_seed, tag, ei, i)))
+                    for i in range(count)]
+            per_eps[eps] = _sup_errors(gh, envs, theta, eps, R, T, H_bar, dx, dt)
         return per_eps
 
     m_cal = max(4, int(M * calibration_fraction))
@@ -560,9 +592,8 @@ def rate_experiment(gh: GameHamiltonian, env_spec, theta, eps_list, R: float,
     if not degenerate and all(medians[eps] > 0 for eps in eps_list):
         xs = np.log(eps_list)
         ys = np.log([medians[e] for e in eps_list])
-        reg = stats.linregress(xs, ys)
-        slope = float(reg.slope)
-        slope_se = float(reg.stderr) if not math.isnan(reg.stderr) else None
+        slope, stderr, _ = _ols(xs, ys)
+        slope_se = stderr if not math.isnan(stderr) else None
         # bootstrap the medians for an honest slope uncertainty
         rng = np.random.default_rng(base_seed)
         boots = []
@@ -572,7 +603,7 @@ def rate_experiment(gh: GameHamiltonian, env_spec, theta, eps_list, R: float,
                 samp = rng.choice(test[eps], size=len(test[eps]), replace=True)
                 med = np.median(samp)
                 ys_b.append(math.log(max(med, 1e-300)))
-            boots.append(stats.linregress(xs, ys_b).slope)
+            boots.append(_ols(xs, ys_b)[0])
         slope_se = float(np.std(boots))
         in_band = slope_band[0] <= slope <= slope_band[1]
         conclusive = in_band or slope_se < 0.1
@@ -624,7 +655,7 @@ def general_datum_homogenization(gh: GameHamiltonian, env, H_bar_grid,
             )
         return np.interp(p, H_bar_grid, H_bar_vals)
 
-    gh_b = families.bind_env_constants(gh, env) if np.isnan(gh.lip_l) else gh
+    gh_b = _bind(gh, env)
     d = gh_b.dim
     f_reach = gh_b.f_inf * T + 1.0
     box_lo = tuple([-R - f_reach] * d)
@@ -649,13 +680,9 @@ def general_datum_homogenization(gh: GameHamiltonian, env, H_bar_grid,
                           T=T, box_lo=box_lo, box_hi=box_hi, epsilon=eps,
                           record_times=(T,))
         res = solve_sl(gh_b, env, cfg, g)
-        xg = np.linspace(-R, R, 17)
-        worst = 0.0
-        for x in xg:
-            xx = np.full(d, 0.0)
-            xx[0] = x
-            worst = max(worst, abs(res.final.value_at(xx) - eff.final.value_at(xx)))
-        dists[eps] = worst
+        xx = np.zeros((17, d))
+        xx[:, 0] = np.linspace(-R, R, 17)
+        dists[eps] = float(np.max(np.abs(res.final.value_at(xx) - eff.final.value_at(xx))))
     eps_sorted = sorted(dists, reverse=True)
     # a single realization fluctuates, so strict per-step monotonicity is not
     # expected; the trend check compares the endpoints and flags the rest

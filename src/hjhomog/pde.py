@@ -70,7 +70,11 @@ class Grid:
 
 @dataclass
 class Field:
-    """Grid function at one time, valid only on the active index window."""
+    """Grid function at one time, valid only on the active index window.
+
+    ``values`` is (*grid.shape) for one realization, or (M, *grid.shape)
+    for a batch of realizations solved together.
+    """
 
     grid: Grid
     t: float
@@ -81,7 +85,7 @@ class Field:
         return tuple(slice(lo, hi) for lo, hi in self.active)
 
     def active_values(self) -> np.ndarray:
-        return self.values[self.active_slices()]
+        return self.values[(Ellipsis,) + self.active_slices()]
 
     def active_box(self) -> tuple[np.ndarray, np.ndarray]:
         lo = np.array([self.grid.lo[i] + self.grid.dx * self.active[i][0]
@@ -90,38 +94,59 @@ class Field:
                        for i in range(self.grid.dim)])
         return lo, hi
 
-    def value_at(self, x) -> float:
-        """Multilinear interpolation; refuses to read outside the active box."""
-        x = np.atleast_1d(np.asarray(x, dtype=np.float64))
+    def value_at(self, x):
+        """Multilinear interpolation; refuses to read outside the active box.
+
+        ``x`` is one point (d,), giving a float, or points (n, d), giving
+        (n,); a batched field puts its realization axis first.  Each value
+        is accumulated from 0.0 over the cell corners in order.
+        """
         g = self.grid
+        x = np.asarray(x, dtype=np.float64)
+        pts = x.reshape(-1, g.dim)
         idx = []
         wts = []
         for i in range(g.dim):
-            s = (x[i] - g.lo[i]) / g.dx
-            k = int(math.floor(s))
-            w = s - k
-            if w < 1e-12:
-                w = 0.0
-            elif w > 1 - 1e-12:
-                k += 1
-                w = 0.0
+            k, w = _cell_and_weight((pts[:, i] - g.lo[i]) / g.dx)
             lo, hi = self.active[i]
-            top = k + (1 if w > 0.0 else 0)
-            if k < lo or top > hi - 1:
+            bad = (k < lo) | (k + (w > 0.0) > hi - 1)
+            if np.any(bad):
                 alo, ahi = self.active_box()
                 raise DomainError(
-                    f"probe {x} outside active box [{alo}, {ahi}] at t={self.t}; "
+                    f"probe {pts[bad][0]} outside active box [{alo}, {ahi}] at t={self.t}; "
                     f"enlarge the solve box margin"
                 )
             idx.append(k)
             wts.append(w)
+        # a corner that steps along an axis where the point sits on a node
+        # (w = 0) is skipped: it adds +0.0, which leaves the sum unchanged,
+        # and reads node k so that its index stays in bounds
         out = 0.0
-        for corner in itertools.product(*[(0, 1) if w > 0 else (0,) for w in wts]):
+        for corner in itertools.product((0, 1), repeat=g.dim):
             weight = 1.0
+            live = True
             for i, c in enumerate(corner):
-                weight *= wts[i] if c else (1.0 - wts[i])
-            out += weight * float(self.values[tuple(idx[i] + corner[i] for i in range(g.dim))])
+                weight = weight * (wts[i] if c else 1.0 - wts[i])
+                if c:
+                    live = live & (wts[i] > 0.0)
+            node = tuple(idx[i] + (corner[i] & live) for i in range(g.dim))
+            out = out + np.where(live, weight * self.values[(Ellipsis,) + node], 0.0)
+        if x.ndim <= 1:
+            out = out[..., 0]
+            return float(out) if out.ndim == 0 else out
         return out
+
+
+def _cell_and_weight(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Cell index and in-cell weight of positions s given in cells.
+
+    Positions within 1e-12 of a node snap onto it (weight 0).
+    """
+    k = np.floor(s)
+    w = s - k
+    w = np.where(w < 1e-12, 0.0, w)
+    top = w > 1 - 1e-12
+    return np.where(top, k + 1, k).astype(np.intp), np.where(top, 0.0, w)
 
 
 def linear_datum(theta) -> Callable[[np.ndarray], np.ndarray]:
@@ -207,30 +232,46 @@ def _snapshot(grid: Grid, t: float, v: np.ndarray, active) -> Field:
 # semi-Lagrangian
 
 
-def solve_sl(gh: GameHamiltonian, env, cfg: SolveConfig,
-             g: Callable[[np.ndarray], np.ndarray] = zero_datum) -> SolveResult:
+@dataclass(frozen=True)
+class SLPlan:
+    """The SL stencil of one game and config, shared by all realizations.
+
+    Foot-point offsets, and so the cells the active box sheds per step,
+    depend only on (f, dt, dx) (the scheme's domain of dependence); the
+    realizations of a campaign differ only in their cost tables.
+    """
+
+    cfg: SolveConfig
+    grid: Grid
+    n_steps: int
+    records: dict[int, float]
+    n_a: int
+    n_b: int
+    # per action pair, the interpolation corners in order: (weight, offset),
+    # the offset in cells from a node of the next window to its source in
+    # the current one
+    corners: tuple[tuple[tuple[float, tuple[int, ...]], ...], ...]
+    shrink_lo: tuple[int, ...]
+    shrink_hi: tuple[int, ...]
+
+    @property
+    def cost_bytes(self) -> int:
+        """Bytes of one realization's cost table."""
+        return 8 * len(self.corners) * math.prod(self.grid.shape)
+
+
+def sl_plan(gh: GameHamiltonian, cfg: SolveConfig) -> SLPlan:
+    """The stencil for cfg; refuses a box the active window would exhaust."""
     cfg.validate()
     grid = Grid.from_box(cfg.box_lo, cfg.box_hi, cfg.dx)
     d = grid.dim
     n_steps, records = _steps_and_records(cfg)
 
     f_full = np.broadcast_to(gh.f_table, (gh.n_a, gh.n_b, d)).reshape(-1, d)
-    pairs = []
-    shrink_lo = np.zeros(d, dtype=int)
-    shrink_hi = np.zeros(d, dtype=int)
-    for fv in f_full:
-        s = cfg.dt * fv / cfg.dx
-        k = np.floor(s).astype(int)
-        w = s - k
-        snap = w < 1e-12
-        w = np.where(snap, 0.0, w)
-        snap_hi = w > 1 - 1e-12
-        k = np.where(snap_hi, k + 1, k)
-        w = np.where(snap_hi, 0.0, w)
-        taps = (w > 0.0).astype(int)
-        pairs.append((k, w, taps))
-        shrink_lo = np.maximum(shrink_lo, np.maximum(0, -k))
-        shrink_hi = np.maximum(shrink_hi, np.maximum(0, k + taps))
+    k, w = _cell_and_weight(cfg.dt * f_full / cfg.dx)    # foot-point offsets per pair
+    taps = (w > 0.0).astype(int)
+    shrink_lo = np.maximum(0, -k).max(axis=0)
+    shrink_hi = np.maximum(0, k + taps).max(axis=0)
 
     total_lo = shrink_lo * n_steps
     total_hi = shrink_hi * n_steps
@@ -244,57 +285,87 @@ def solve_sl(gh: GameHamiltonian, env, cfg: SolveConfig,
                 f">= {need - span:.4g}"
             )
 
-    cost = _precompute_cost(gh, env, grid, cfg.epsilon).reshape(-1, *grid.shape)
-    v = np.asarray(g(grid.nodes()), dtype=np.float64).reshape(grid.shape)
-    active = [(0, grid.shape[i]) for i in range(d)]
+    corners = []
+    for kp, wp, tp in zip(k, w, taps):
+        terms = []
+        for corner in itertools.product(*[(0, 1) if tp[i] else (0,) for i in range(d)]):
+            weight = 1.0
+            for i, c in enumerate(corner):
+                weight *= wp[i] if c else (1.0 - wp[i]) if tp[i] else 1.0
+            terms.append((weight, tuple(int(shrink_lo[i] + kp[i] + c)
+                                        for i, c in enumerate(corner))))
+        corners.append(tuple(terms))
+    return SLPlan(cfg=cfg, grid=grid, n_steps=n_steps, records=records,
+                  n_a=gh.n_a, n_b=gh.n_b, corners=tuple(corners),
+                  shrink_lo=tuple(int(v) for v in shrink_lo),
+                  shrink_hi=tuple(int(v) for v in shrink_hi))
+
+
+def sl_step_cost(gh: GameHamiltonian, env, plan: SLPlan, out=None) -> np.ndarray:
+    """Cost one SL step accrues at each node, dt * cost: (pairs, *shape)."""
+    cost = _precompute_cost(gh, env, plan.grid, plan.cfg.epsilon)
+    return np.multiply(cost.reshape(-1, *plan.grid.shape), plan.cfg.dt, out=out)
+
+
+def solve_sl_batch(plan: SLPlan, step_cost: np.ndarray,
+                   g: Callable[[np.ndarray], np.ndarray] = zero_datum) -> SolveResult:
+    """The SL recursion for M realizations at once.
+
+    ``step_cost`` stacks the realizations' ``sl_step_cost`` tables as
+    (pairs, M, *shape); all start from the datum g.  Every Field of the
+    result carries the realization axis first.  Each realization's numbers
+    are those of its own solve: the recursion is elementwise along M.
+    """
+    grid = plan.grid
+    M = step_cost.shape[1]
+    v = np.broadcast_to(
+        np.asarray(g(grid.nodes()), dtype=np.float64).reshape(grid.shape),
+        (M,) + grid.shape)
+    active = [(0, n) for n in grid.shape]       # v holds only the active window
+
+    def snapshot(step: int) -> Field:
+        values = np.full((M,) + grid.shape, np.nan)
+        values[(slice(None),) + tuple(slice(lo, hi) for lo, hi in active)] = v
+        return Field(grid=grid, t=step * plan.cfg.dt, values=values, active=tuple(active))
 
     result = SolveResult(final=None)  # type: ignore[arg-type]
-    if 0 in records:
-        result.snapshots[records[0]] = _snapshot(grid, 0.0, v, active)
+    if 0 in plan.records:
+        result.snapshots[plan.records[0]] = snapshot(0)
 
-    for step in range(1, n_steps + 1):
-        new_active = [(active[i][0] + int(shrink_lo[i]),
-                       active[i][1] - int(shrink_hi[i])) for i in range(d)]
-        out_sl = tuple(slice(lo, hi) for lo, hi in new_active)
-        cand = np.empty((len(pairs),) + tuple(hi - lo for lo, hi in new_active))
-        for j, (k, w, taps) in enumerate(pairs):
-            interp = _shifted_interp(v, new_active, k, w, taps)
-            cand[j] = cfg.dt * cost[j][out_sl] + interp
-        cand = cand.reshape(gh.n_a, gh.n_b, *cand.shape[1:])
-        stepped = cand.max(axis=0).min(axis=0)
-        v = np.full(grid.shape, np.nan)
-        v[out_sl] = stepped
-        active = new_active
-        if step in records:
-            result.snapshots[records[step]] = _snapshot(grid, step * cfg.dt, v, active)
+    for step in range(1, plan.n_steps + 1):
+        active = [(lo + s_lo, hi - s_hi) for (lo, hi), s_lo, s_hi
+                  in zip(active, plan.shrink_lo, plan.shrink_hi)]
+        out_sl = (slice(None),) + tuple(slice(lo, hi) for lo, hi in active)
+        size = tuple(hi - lo for lo, hi in active)
+        cand = np.empty((len(plan.corners), M) + size)
+        for j, terms in enumerate(plan.corners):
+            interp = None
+            for weight, off in terms:
+                src = (slice(None),) + tuple(slice(o, o + n) for o, n in zip(off, size))
+                term = v[src] if weight == 1.0 else weight * v[src]
+                interp = term if interp is None else interp + term
+            np.add(step_cost[j][out_sl], interp, out=cand[j])
+        v = cand.reshape(plan.n_a, plan.n_b, M, *size).max(axis=0).min(axis=0)
+        if step in plan.records:
+            result.snapshots[plan.records[step]] = snapshot(step)
 
-    result.final = _snapshot(grid, n_steps * cfg.dt, v, active)
+    result.final = snapshot(plan.n_steps)
     result.telemetry.append({
         "scheme": "semi-lagrangian",
-        "steps": n_steps,
+        "steps": plan.n_steps,
         "active_cells": [list(a) for a in active],
     })
     return result
 
 
-def _shifted_interp(v: np.ndarray, out_active, k: np.ndarray, w: np.ndarray,
-                    taps: np.ndarray) -> np.ndarray:
-    """Multilinear interpolation of v at (node + constant offset).
-
-    The offset is k + w grid cells per axis; the output window out_active is
-    assumed small enough that every tap reads inside v's valid region.
-    """
-    d = len(out_active)
-    out = None
-    for corner in itertools.product(*[(0, 1) if taps[i] else (0,) for i in range(d)]):
-        weight = 1.0
-        for i, c in enumerate(corner):
-            weight *= w[i] if c else (1.0 - w[i]) if taps[i] else 1.0
-        src = tuple(slice(lo + int(k[i]) + corner[i], hi + int(k[i]) + corner[i])
-                    for i, (lo, hi) in enumerate(out_active))
-        term = v[src] if weight == 1.0 else weight * v[src]
-        out = term if out is None else out + term
-    return out
+def solve_sl(gh: GameHamiltonian, env, cfg: SolveConfig,
+             g: Callable[[np.ndarray], np.ndarray] = zero_datum) -> SolveResult:
+    """One realization: a batch of one."""
+    plan = sl_plan(gh, cfg)
+    res = solve_sl_batch(plan, sl_step_cost(gh, env, plan)[:, None], g)
+    for f in [res.final, *res.snapshots.values()]:
+        f.values = f.values[0]
+    return res
 
 
 # ---------------------------------------------------------------------------
