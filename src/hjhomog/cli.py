@@ -7,8 +7,8 @@ fully-resolved config and the library version, and the resolved config
 itself (defaults included) is echoed to config.echo.json so no silent
 default survives a run.
 
-Exit codes: 0 all assertions passed, 1 configuration error, 2 assertion
-failure.
+Exit codes: 0 all assertions passed, 1 configuration error or library
+refusal (domain, orientation or CFL error), 2 assertion failure.
 """
 from __future__ import annotations
 
@@ -24,9 +24,10 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, families, homog
-from .env import EnvSpec, replace_on_strip, sample_environment, with_seed
-from .game import certify_constants, eval_H, localize, shift_momentum, verify_localization
-from .pde import (SolveConfig, check_comparison, check_lipschitz, check_scaling,
+from .env import DomainError, EnvSpec, sample_environment
+from .game import (OrientationError, certify_constants, eval_H, localize, shift_momentum,
+                   verify_localization)
+from .pde import (CFLError, SolveConfig, check_comparison, check_lipschitz, check_scaling,
                   linear_datum, solve, zero_datum)
 
 
@@ -142,7 +143,7 @@ def validate_config(cfg: dict) -> None:
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"environment: {exc}")
     fam = cfg["hamiltonian"]["family"]
-    if fam not in ("transport", "two-speed-control", "saddle-game", "localized"):
+    if fam not in families.FAMILIES:
         raise ConfigError(f"hamiltonian.family: unknown family {fam!r}")
     try:
         solve_config_from(cfg).validate()
@@ -198,6 +199,11 @@ def hamiltonian_from(cfg: dict):
                           int(cfg["environment"]["dimension"]))
 
 
+def bound_hamiltonian(cfg: dict, env):
+    """The config's game with its cost certificates taken from env."""
+    return families.bind_env_constants(hamiltonian_from(cfg), env)
+
+
 def _stamp(cfg: dict, payload: dict) -> dict:
     payload["config_hash"] = config_hash(cfg)
     payload["version"] = __version__
@@ -251,7 +257,7 @@ def cmd_sample_env(cfg: dict, out: Path) -> int:
 def cmd_solve(cfg: dict, out: Path) -> int:
     spec = env_spec_from(cfg)
     env = sample_environment(spec)
-    gh = families.bind_env_constants(hamiltonian_from(cfg), env)
+    gh = bound_hamiltonian(cfg, env)
     scfg = solve_config_from(cfg)
     scfg = SolveConfig(**{**scfg.__dict__,
                           "record_times": tuple(sorted(set(scfg.record_times) | {scfg.T}))})
@@ -310,9 +316,7 @@ def cmd_effective(cfg: dict, out: Path, workers: int) -> int:
     for theta in cfg["campaign"]["thetas"]:
         table = _campaign_table(cfg, theta, workers)
         estimates.append(homog.extract_effective_H(table))
-    beta = certify_constants(families.bind_env_constants(
-        hamiltonian_from(cfg),
-        sample_environment(env_spec_from(cfg)))).beta
+    beta = certify_constants(bound_hamiltonian(cfg, sample_environment(env_spec_from(cfg)))).beta
     props = homog.effective_H_properties(estimates, beta)
     _write_json(out, "effective.json", _stamp(cfg, {
         "estimates": [e.to_dict() for e in estimates],
@@ -357,7 +361,7 @@ def cmd_rate(cfg: dict, out: Path, workers: int) -> int:
 def cmd_verify(cfg: dict, out: Path) -> int:
     spec = env_spec_from(cfg)
     env = sample_environment(spec)
-    gh = families.bind_env_constants(hamiltonian_from(cfg), env)
+    gh = bound_hamiltonian(cfg, env)
     consts = certify_constants(gh)
     report: dict = {"checks": {}}
     ok = True
@@ -505,6 +509,10 @@ def main(argv: list[str] | None = None) -> int:
     except AssertionError as exc:
         print(f"assertion failure: {exc}", file=sys.stderr)
         return 2
+    except (DomainError, OrientationError, CFLError) as exc:
+        label = {DomainError: "domain", OrientationError: "orientation", CFLError: "CFL"}
+        print(f"{label[type(exc)]} error: {exc}", file=sys.stderr)
+        return 1
     except (ValueError, KeyError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

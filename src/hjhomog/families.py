@@ -91,16 +91,9 @@ def _axis_dir(dim: int, sign: float) -> np.ndarray:
 
 def build(name: str, params: dict, dim: int) -> GameHamiltonian:
     """Construct a family by config name."""
-    if name == "transport":
-        return transport(speed=params.get("speed", 1.0), dim=dim)
-    if name == "two-speed-control":
-        return two_speed_control(speeds=params.get("speeds", (0.5, 1.5)), dim=dim)
-    if name == "saddle-game":
-        return saddle_game(base_speed=params.get("base_speed", 1.0),
-                           coupling=params.get("coupling", 0.25), dim=dim)
-    if name == "localized":
-        return _build_localized(params, dim)
-    raise ValueError(f"unknown hamiltonian family {name!r}")
+    if name not in FAMILIES:
+        raise ValueError(f"unknown hamiltonian family {name!r}")
+    return FAMILIES[name](params, dim)
 
 
 def _build_localized(params: dict, dim: int) -> GameHamiltonian:
@@ -132,3 +125,15 @@ def _build_localized(params: dict, dim: int) -> GameHamiltonian:
         n_a=int(params.get("n_a", 16)),
         n_b=int(params.get("n_b", 16)),
     )
+
+
+#: config name -> builder(params, dim)
+FAMILIES = {
+    "transport": lambda params, dim: transport(speed=params.get("speed", 1.0), dim=dim),
+    "two-speed-control": lambda params, dim: two_speed_control(
+        speeds=params.get("speeds", (0.5, 1.5)), dim=dim),
+    "saddle-game": lambda params, dim: saddle_game(
+        base_speed=params.get("base_speed", 1.0), coupling=params.get("coupling", 0.25),
+        dim=dim),
+    "localized": _build_localized,
+}

@@ -74,6 +74,11 @@ class GameHamiltonian:
         return self.actions_b.shape[0]
 
     @property
+    def f_pairs(self) -> np.ndarray:
+        """Velocity of every action pair: (n_a * n_b, d)."""
+        return np.broadcast_to(self.f_table, (self.n_a, self.n_b, self.dim)).reshape(-1, self.dim)
+
+    @property
     def f_inf(self) -> float:
         return float(np.max(np.linalg.norm(self.f_table, axis=-1)))
 
@@ -170,8 +175,7 @@ def certify_constants(
     nonpositive value marks the game as not oriented (callers that need
     orientation must refuse to run).
     """
-    f_full = np.broadcast_to(gh.f_table, (gh.n_a, gh.n_b, gh.dim))
-    f_flat = f_full.reshape(-1, gh.dim)
+    f_flat = gh.f_pairs
     if e is None:
         e = gh.orientation_hint
     if e is None:

@@ -17,7 +17,7 @@ import numpy as np
 from . import families
 from .env import DomainError, replace_on_strip, sample_environment, with_seed
 from .game import GameHamiltonian, certify_constants, shift_momentum
-from .pde import (SolveConfig, sl_plan, sl_step_cost, solve_effective, solve_sl,
+from .pde import (SolveConfig, reach, sl_plan, sl_step_cost, solve_effective, solve_sl,
                   solve_sl_batch)
 from .rng import derive_seed
 
@@ -104,19 +104,17 @@ class EffectiveEstimate:
 BATCH_COST_BYTES = 64 * 2**20
 
 
-def solve_box_for(gh: GameHamiltonian, t_max: float, dx: float,
-                  report_radius: float = 0.0, margin: float | None = None):
-    """Box whose domain of dependence covers B(report_radius) up to t_max."""
-    d = gh.dim
-    f_full = np.broadcast_to(gh.f_table, (gh.n_a, gh.n_b, d)).reshape(-1, d)
-    lo, hi = [], []
-    m = 4 * dx if margin is None else margin
-    for i in range(d):
-        fmax = max(0.0, float(f_full[:, i].max()))
-        fmin = min(0.0, float(f_full[:, i].min()))
-        lo.append(-report_radius + t_max * fmin - m)
-        hi.append(report_radius + t_max * fmax + m)
-    return tuple(lo), tuple(hi)
+def solve_box_for(f: np.ndarray, scheme: str, T: float, dt: float, dx: float,
+                  report_radius: float = 0.0):
+    """Box whose active window still covers B(report_radius) at time T.
+
+    The window sheds ``pde.reach`` cells per step for the velocities f
+    (pairs, d); the box keeps 4 dx to spare on each side.
+    """
+    steps = round(T / dt)
+    below, above = reach(f, scheme, dt, dx)
+    return (tuple(float(-report_radius - steps * b * dx - 4 * dx) for b in below),
+            tuple(float(report_radius + steps * a * dx + 4 * dx) for a in above))
 
 
 def _bind(gh: GameHamiltonian, env) -> GameHamiltonian:
@@ -183,8 +181,8 @@ def estimate_U(gh: GameHamiltonian, env_spec, theta, times, M: int,
     consts = certify_constants(gh_b)
     consts.require_oriented()
     if box is None:
-        box = solve_box_for(gh_b, max(times), dx)
-    _check_env_covers(env_spec, box, probe_env.spec.bump_radius)
+        box = solve_box_for(gh_b.f_pairs, "semi-lagrangian", max(times), dt, dx)
+    _check_env_covers(env_spec, box)
     cfg = SolveConfig(scheme="semi-lagrangian", dt=dt, dx=dx, T=max(times),
                       box_lo=box[0], box_hi=box[1], record_times=tuple(times))
 
@@ -209,15 +207,12 @@ def estimate_U(gh: GameHamiltonian, env_spec, theta, times, M: int,
                   base_seed=base_seed, beta=consts.beta)
 
 
-def _check_env_covers(spec, box, r) -> None:
-    lo = np.asarray(spec.box_lo)
-    hi = np.asarray(spec.box_hi)
-    blo = np.asarray(box[0])
-    bhi = np.asarray(box[1])
-    if np.any(blo < lo - 1e-9) or np.any(bhi > hi + 1e-9):
+def _check_env_covers(spec, box) -> None:
+    lo, hi = (tuple(float(v) for v in b) for b in box)
+    if np.any(np.subtract(spec.box_lo, lo) > 1e-9) or np.any(np.subtract(hi, spec.box_hi) > 1e-9):
         raise DomainError(
             f"environment box [{spec.box_lo}, {spec.box_hi}] does not cover the "
-            f"required solve box [{tuple(blo)}, {tuple(bhi)}]; enlarge it"
+            f"required solve box [{lo}, {hi}]; enlarge it"
         )
 
 
@@ -524,7 +519,7 @@ def _sup_errors(gh: GameHamiltonian, envs, theta, eps: float, R: float,
     d = gh.dim
     t_top = T / eps
     times = [t_top * j / n_t for j in range(1, n_t + 1)]
-    box = solve_box_for(gh, t_top, dx, report_radius=R / eps)
+    box = solve_box_for(gh.f_pairs, "semi-lagrangian", t_top, dt, dx, report_radius=R / eps)
     cfg = SolveConfig(scheme="semi-lagrangian", dt=dt, dx=dx, T=t_top,
                       box_lo=box[0], box_hi=box[1], record_times=tuple(times))
     if d == 1:
@@ -657,27 +652,20 @@ def general_datum_homogenization(gh: GameHamiltonian, env, H_bar_grid,
 
     gh_b = _bind(gh, env)
     d = gh_b.dim
-    f_reach = gh_b.f_inf * T + 1.0
-    box_lo = tuple([-R - f_reach] * d)
-    box_hi = tuple([R + f_reach] * d)
 
     # the effective solve is refined relative to the scaled runs so that its
-    # own scheme error does not mask the epsilon-trend being measured; the
-    # LF stencil sheds one ring per substep, so its box is sized from the
-    # substep count rather than the physical speed of propagation
+    # own scheme error does not mask the epsilon-trend being measured
     dx_eff = dx0 / 4.0
-    n_sub = max(1, math.ceil(dt0 * 2.0 * speed_bound * d / (0.9 * dx_eff)))
-    lf_margin = (T / dt0) * n_sub * dx_eff + dx_eff
+    box = solve_box_for(np.full((1, d), speed_bound), "lax-friedrichs", T, dt0, dx_eff, R)
     eff_cfg = SolveConfig(scheme="lax-friedrichs", dt=dt0, dx=dx_eff, T=T,
-                          box_lo=tuple([-R - lf_margin] * d),
-                          box_hi=tuple([R + lf_margin] * d),
-                          record_times=(T,))
+                          box_lo=box[0], box_hi=box[1], record_times=(T,))
     eff = solve_effective(H_of_p, speed_bound, eff_cfg, g)
 
     dists = {}
     for eps in sorted(eps_list, reverse=True):
+        box = solve_box_for(gh_b.f_pairs, "semi-lagrangian", T, dt0 * eps, dx0 * eps, R)
         cfg = SolveConfig(scheme="semi-lagrangian", dt=dt0 * eps, dx=dx0 * eps,
-                          T=T, box_lo=box_lo, box_hi=box_hi, epsilon=eps,
+                          T=T, box_lo=box[0], box_hi=box[1], epsilon=eps,
                           record_times=(T,))
         res = solve_sl(gh_b, env, cfg, g)
         xx = np.zeros((17, d))

@@ -84,6 +84,11 @@ class Field:
     def active_slices(self) -> tuple[slice, ...]:
         return tuple(slice(lo, hi) for lo, hi in self.active)
 
+    def common_slices(self, other: "Field") -> tuple[slice, ...]:
+        """Index slices of the nodes active in both this field and other."""
+        return tuple(slice(max(a[0], b[0]), min(a[1], b[1]))
+                     for a, b in zip(self.active, other.active))
+
     def active_values(self) -> np.ndarray:
         return self.values[(Ellipsis,) + self.active_slices()]
 
@@ -223,9 +228,81 @@ def _steps_and_records(cfg: SolveConfig) -> tuple[int, dict[int, float]]:
     return n_steps, records
 
 
-def _snapshot(grid: Grid, t: float, v: np.ndarray, active) -> Field:
-    f = Field(grid=grid, t=t, values=v.copy(), active=tuple(active))
-    return f
+def reach(f: np.ndarray, scheme: str, dt: float, dx: float,
+          cfl_limit: float = SolveConfig.cfl_limit) -> tuple[np.ndarray, np.ndarray]:
+    """Cells the active window sheds per step, (below, above) on each axis.
+
+    This is the scheme's discrete domain of dependence for the velocities
+    f (pairs, d): an SL step reads its foot points up to ceil(dt f / dx)
+    cells away, an LF step one stencil ring per substep.
+    """
+    if scheme == "semi-lagrangian":
+        k, w = _cell_and_weight(dt * f / dx)
+        return np.maximum(0, -k).max(axis=0), np.maximum(0, k + (w > 0.0)).max(axis=0)
+    rings = np.full(f.shape[1], lf_substeps(np.abs(f).max(axis=0), dt, dx, cfl_limit))
+    return rings, rings
+
+
+@dataclass(frozen=True)
+class _Window:
+    """The time grid of a solve and how its active window shrinks."""
+
+    cfg: SolveConfig
+    scheme: str
+    grid: Grid
+    n_steps: int
+    records: dict[int, float]
+    shed_lo: tuple[int, ...]
+    shed_hi: tuple[int, ...]
+
+
+def _plan_window(cfg: SolveConfig, f: np.ndarray, scheme: str) -> _Window:
+    """The window of a solve of cfg; refuses a box it would exhaust before T."""
+    grid = Grid.from_box(cfg.box_lo, cfg.box_hi, cfg.dx)
+    n_steps, records = _steps_and_records(cfg)
+    below, above = reach(f, scheme, cfg.dt, cfg.dx, cfg.cfl_limit)
+    for i in range(grid.dim):
+        total = n_steps * int(below[i] + above[i])
+        if total >= grid.shape[i] - 1:
+            need = (total + 2) * cfg.dx
+            span = (grid.shape[i] - 1) * cfg.dx
+            raise DomainError(
+                f"active box exhausted before T={cfg.T} along axis {i}: "
+                f"box span {span:.4g} < required {need:.4g} ({below[i]} + {above[i]} "
+                f"cells shed per step); add margin >= {need - span:.4g}"
+            )
+    return _Window(cfg=cfg, scheme=scheme, grid=grid, n_steps=n_steps, records=records,
+                   shed_lo=tuple(int(v) for v in below), shed_hi=tuple(int(v) for v in above))
+
+
+def _march(win: _Window, v: np.ndarray, step, **telemetry) -> SolveResult:
+    """Run the time steps of win, shrinking the active window each step.
+
+    v holds the datum on the whole grid, after any leading realization axes.
+    step(v, active) maps the values on the current window to those on the
+    next one, whose [lo, hi) index bounds are ``active``.
+    """
+    grid = win.grid
+    active = [(0, n) for n in grid.shape]
+
+    def snapshot(k: int) -> Field:
+        values = np.full(v.shape[:v.ndim - grid.dim] + grid.shape, np.nan)
+        values[(Ellipsis,) + tuple(slice(lo, hi) for lo, hi in active)] = v
+        return Field(grid=grid, t=k * win.cfg.dt, values=values, active=tuple(active))
+
+    result = SolveResult(final=None)  # type: ignore[arg-type]
+    if 0 in win.records:
+        result.snapshots[win.records[0]] = snapshot(0)
+    for k in range(1, win.n_steps + 1):
+        active = [(lo + s_lo, hi - s_hi) for (lo, hi), s_lo, s_hi
+                  in zip(active, win.shed_lo, win.shed_hi)]
+        v = step(v, active)
+        if k in win.records:
+            result.snapshots[win.records[k]] = snapshot(k)
+    result.final = snapshot(win.n_steps)
+    result.telemetry.append({"scheme": win.scheme, "steps": win.n_steps, **telemetry,
+                             "active_cells": [list(a) for a in active]})
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -233,7 +310,7 @@ def _snapshot(grid: Grid, t: float, v: np.ndarray, active) -> Field:
 
 
 @dataclass(frozen=True)
-class SLPlan:
+class SLPlan(_Window):
     """The SL stencil of one game and config, shared by all realizations.
 
     Foot-point offsets, and so the cells the active box sheds per step,
@@ -241,18 +318,12 @@ class SLPlan:
     realizations of a campaign differ only in their cost tables.
     """
 
-    cfg: SolveConfig
-    grid: Grid
-    n_steps: int
-    records: dict[int, float]
     n_a: int
     n_b: int
     # per action pair, the interpolation corners in order: (weight, offset),
     # the offset in cells from a node of the next window to its source in
     # the current one
     corners: tuple[tuple[tuple[float, tuple[int, ...]], ...], ...]
-    shrink_lo: tuple[int, ...]
-    shrink_hi: tuple[int, ...]
 
     @property
     def cost_bytes(self) -> int:
@@ -263,42 +334,20 @@ class SLPlan:
 def sl_plan(gh: GameHamiltonian, cfg: SolveConfig) -> SLPlan:
     """The stencil for cfg; refuses a box the active window would exhaust."""
     cfg.validate()
-    grid = Grid.from_box(cfg.box_lo, cfg.box_hi, cfg.dx)
-    d = grid.dim
-    n_steps, records = _steps_and_records(cfg)
-
-    f_full = np.broadcast_to(gh.f_table, (gh.n_a, gh.n_b, d)).reshape(-1, d)
-    k, w = _cell_and_weight(cfg.dt * f_full / cfg.dx)    # foot-point offsets per pair
-    taps = (w > 0.0).astype(int)
-    shrink_lo = np.maximum(0, -k).max(axis=0)
-    shrink_hi = np.maximum(0, k + taps).max(axis=0)
-
-    total_lo = shrink_lo * n_steps
-    total_hi = shrink_hi * n_steps
-    for i in range(d):
-        if total_lo[i] + total_hi[i] >= grid.shape[i] - 1:
-            need = (total_lo[i] + total_hi[i] + 2) * cfg.dx
-            span = (grid.shape[i] - 1) * cfg.dx
-            raise DomainError(
-                f"active box exhausted before T={cfg.T} along axis {i}: "
-                f"box span {span:.4g} < required {need:.4g}; add margin "
-                f">= {need - span:.4g}"
-            )
-
+    win = _plan_window(cfg, gh.f_pairs, "semi-lagrangian")
+    d = win.grid.dim
+    k, w = _cell_and_weight(cfg.dt * gh.f_pairs / cfg.dx)    # foot-point offsets per pair
     corners = []
-    for kp, wp, tp in zip(k, w, taps):
+    for kp, wp in zip(k, w):
         terms = []
-        for corner in itertools.product(*[(0, 1) if tp[i] else (0,) for i in range(d)]):
+        for corner in itertools.product(*[(0, 1) if wp[i] > 0.0 else (0,) for i in range(d)]):
             weight = 1.0
             for i, c in enumerate(corner):
-                weight *= wp[i] if c else (1.0 - wp[i]) if tp[i] else 1.0
-            terms.append((weight, tuple(int(shrink_lo[i] + kp[i] + c)
+                weight *= wp[i] if c else (1.0 - wp[i]) if wp[i] > 0.0 else 1.0
+            terms.append((weight, tuple(int(win.shed_lo[i] + kp[i] + c)
                                         for i, c in enumerate(corner))))
         corners.append(tuple(terms))
-    return SLPlan(cfg=cfg, grid=grid, n_steps=n_steps, records=records,
-                  n_a=gh.n_a, n_b=gh.n_b, corners=tuple(corners),
-                  shrink_lo=tuple(int(v) for v in shrink_lo),
-                  shrink_hi=tuple(int(v) for v in shrink_hi))
+    return SLPlan(**vars(win), n_a=gh.n_a, n_b=gh.n_b, corners=tuple(corners))
 
 
 def sl_step_cost(gh: GameHamiltonian, env, plan: SLPlan, out=None) -> np.ndarray:
@@ -318,23 +367,8 @@ def solve_sl_batch(plan: SLPlan, step_cost: np.ndarray,
     """
     grid = plan.grid
     M = step_cost.shape[1]
-    v = np.broadcast_to(
-        np.asarray(g(grid.nodes()), dtype=np.float64).reshape(grid.shape),
-        (M,) + grid.shape)
-    active = [(0, n) for n in grid.shape]       # v holds only the active window
 
-    def snapshot(step: int) -> Field:
-        values = np.full((M,) + grid.shape, np.nan)
-        values[(slice(None),) + tuple(slice(lo, hi) for lo, hi in active)] = v
-        return Field(grid=grid, t=step * plan.cfg.dt, values=values, active=tuple(active))
-
-    result = SolveResult(final=None)  # type: ignore[arg-type]
-    if 0 in plan.records:
-        result.snapshots[plan.records[0]] = snapshot(0)
-
-    for step in range(1, plan.n_steps + 1):
-        active = [(lo + s_lo, hi - s_hi) for (lo, hi), s_lo, s_hi
-                  in zip(active, plan.shrink_lo, plan.shrink_hi)]
+    def step(v: np.ndarray, active) -> np.ndarray:
         out_sl = (slice(None),) + tuple(slice(lo, hi) for lo, hi in active)
         size = tuple(hi - lo for lo, hi in active)
         cand = np.empty((len(plan.corners), M) + size)
@@ -345,17 +379,12 @@ def solve_sl_batch(plan: SLPlan, step_cost: np.ndarray,
                 term = v[src] if weight == 1.0 else weight * v[src]
                 interp = term if interp is None else interp + term
             np.add(step_cost[j][out_sl], interp, out=cand[j])
-        v = cand.reshape(plan.n_a, plan.n_b, M, *size).max(axis=0).min(axis=0)
-        if step in plan.records:
-            result.snapshots[plan.records[step]] = snapshot(step)
+        return cand.reshape(plan.n_a, plan.n_b, M, *size).max(axis=0).min(axis=0)
 
-    result.final = snapshot(plan.n_steps)
-    result.telemetry.append({
-        "scheme": "semi-lagrangian",
-        "steps": plan.n_steps,
-        "active_cells": [list(a) for a in active],
-    })
-    return result
+    v = np.broadcast_to(
+        np.asarray(g(grid.nodes()), dtype=np.float64).reshape(grid.shape),
+        (M,) + grid.shape)
+    return _march(plan, v, step)
 
 
 def solve_sl(gh: GameHamiltonian, env, cfg: SolveConfig,
@@ -372,41 +401,33 @@ def solve_sl(gh: GameHamiltonian, env, cfg: SolveConfig,
 # Lax-Friedrichs
 
 
-def lf_substeps(gh_speed_per_axis: np.ndarray, cfg: SolveConfig) -> int:
-    """Number of substeps needed so dt_sub meets the CFL bound."""
-    speed = float(np.sum(2.0 * gh_speed_per_axis))  # |H_p| + viscosity speed
+def lf_substeps(sigma: np.ndarray, dt: float, dx: float, cfl_limit: float) -> int:
+    """Number of substeps needed so dt_sub meets the CFL bound; sigma bounds |f| per axis."""
+    speed = float(np.sum(2.0 * sigma))  # |H_p| + viscosity speed
     if speed == 0.0:
         return 1
-    return max(1, int(math.ceil(cfg.dt * speed / (cfg.cfl_limit * cfg.dx))))
+    return max(1, int(math.ceil(dt * speed / (cfl_limit * dx))))
 
 
 def solve_lf(gh: GameHamiltonian, env, cfg: SolveConfig,
              g: Callable[[np.ndarray], np.ndarray] = zero_datum) -> SolveResult:
     cfg.validate()
-    grid = Grid.from_box(cfg.box_lo, cfg.box_hi, cfg.dx)
-    d = grid.dim
-    n_steps, records = _steps_and_records(cfg)
-
-    f_full = np.broadcast_to(gh.f_table, (gh.n_a, gh.n_b, d)).reshape(-1, d)
-    sigma = np.abs(f_full).max(axis=0)            # per-axis viscosity speed
-
-    n_sub = lf_substeps(sigma, cfg)
-    if n_sub > 1 and not cfg.lf_substep:
+    sigma = np.abs(gh.f_pairs).max(axis=0)            # per-axis viscosity speed
+    if lf_substeps(sigma, cfg.dt, cfg.dx, cfg.cfl_limit) > 1 and not cfg.lf_substep:
         raise CFLError(
             f"CFL violated: dt*({np.sum(2 * sigma)})/dx = "
             f"{cfg.dt * np.sum(2 * sigma) / cfg.dx:.3g} > {cfg.cfl_limit}; "
             f"enable substepping or reduce dt"
         )
-    dt_sub = cfg.dt / n_sub
+    win = _plan_window(cfg, gh.f_pairs, "lax-friedrichs")
+    cost_flat = _precompute_cost(gh, env, win.grid, cfg.epsilon)   # (n_a, n_b, *shape)
 
-    cost_flat = _precompute_cost(gh, env, grid, cfg.epsilon)   # (n_a, n_b, *shape)
-
-    def ham(active_sl: tuple[slice, ...], P: np.ndarray) -> np.ndarray:
-        c = cost_flat[(slice(None), slice(None)) + active_sl]
+    def ham(window: tuple[slice, ...], P: np.ndarray) -> np.ndarray:
+        c = cost_flat[(slice(None), slice(None)) + window]
         c2 = c.reshape(gh.n_a, gh.n_b, -1)
         return eval_H_nodes(gh, np.moveaxis(c2, -1, 0), P)
 
-    return _lf_core(ham, sigma, grid, cfg, g, n_steps, records, n_sub, dt_sub)
+    return _lf_core(ham, sigma, win, g)
 
 
 def solve_effective(H_of_p: Callable[[np.ndarray], np.ndarray], speed: float,
@@ -416,71 +437,39 @@ def solve_effective(H_of_p: Callable[[np.ndarray], np.ndarray], speed: float,
 
     ``speed`` must bound |dHbar/dp| per axis.
     """
-    grid = Grid.from_box(cfg.box_lo, cfg.box_hi, cfg.dx)
-    d = grid.dim
-    n_steps, records = _steps_and_records(cfg)
-    sigma = np.full(d, float(speed))
-    n_sub = lf_substeps(sigma, cfg)
-    dt_sub = cfg.dt / n_sub
+    sigma = np.full(len(cfg.box_lo), float(speed))
+    win = _plan_window(cfg, sigma[None, :], "lax-friedrichs")
 
-    def ham(active_sl, P):
+    def ham(window, P):
         return np.asarray(H_of_p(P), dtype=np.float64)
 
-    return _lf_core(ham, sigma, grid, cfg, g, n_steps, records, n_sub, dt_sub)
+    return _lf_core(ham, sigma, win, g)
 
 
-def _lf_core(ham, sigma, grid: Grid, cfg: SolveConfig, g, n_steps, records,
-             n_sub: int, dt_sub: float) -> SolveResult:
+def _lf_core(ham, sigma, win: _Window, g) -> SolveResult:
+    grid = win.grid
     d = grid.dim
-    total_rings = n_steps * n_sub
-    for i in range(d):
-        if 2 * total_rings >= grid.shape[i] - 1:
-            need = (2 * total_rings + 2) * cfg.dx
-            span = (grid.shape[i] - 1) * cfg.dx
-            raise DomainError(
-                f"active box exhausted before T={cfg.T} along axis {i}: "
-                f"box span {span:.4g} < required {need:.4g} (one stencil ring "
-                f"per substep, {n_sub} substeps/step); add margin "
-                f">= {need - span:.4g}"
-            )
+    n_sub = win.shed_lo[0]                 # one stencil ring per substep
+    dt_sub = win.cfg.dt / n_sub
+    nu = sigma * grid.dx / 2.0    # artificial viscosity coefficient per axis
+    inner = (slice(1, -1),) * d
+
+    def step(v: np.ndarray, active) -> np.ndarray:
+        for rings_left in range(n_sub - 1, -1, -1):
+            P = np.empty(tuple(n - 2 for n in v.shape) + (d,))
+            visc = np.zeros(P.shape[:-1])
+            for i in range(d):
+                up = inner[:i] + (slice(2, None),) + inner[i + 1:]
+                dn = inner[:i] + (slice(None, -2),) + inner[i + 1:]
+                P[..., i] = (v[up] - v[dn]) / (2.0 * grid.dx)
+                visc += nu[i] * (v[up] - 2.0 * v[inner] + v[dn]) / grid.dx**2
+            window = tuple(slice(lo - rings_left, hi + rings_left) for lo, hi in active)
+            H = ham(window, P.reshape(-1, d)).reshape(P.shape[:-1])
+            v = v[inner] - dt_sub * H + dt_sub * visc
+        return v
 
     v = np.asarray(g(grid.nodes()), dtype=np.float64).reshape(grid.shape)
-    active = [(0, grid.shape[i]) for i in range(d)]
-    result = SolveResult(final=None)  # type: ignore[arg-type]
-    if 0 in records:
-        result.snapshots[records[0]] = _snapshot(grid, 0.0, v, active)
-
-    nu = sigma * grid.dx / 2.0    # artificial viscosity coefficient per axis
-    for step in range(1, n_steps + 1):
-        for _ in range(n_sub):
-            new_active = [(lo + 1, hi - 1) for lo, hi in active]
-            out_sl = tuple(slice(lo, hi) for lo, hi in new_active)
-            P = np.empty(tuple(hi - lo for lo, hi in new_active) + (d,))
-            visc = np.zeros(tuple(hi - lo for lo, hi in new_active))
-            for i in range(d):
-                up = tuple(slice(lo + (2 if j == i else 1), hi - (0 if j == i else 1))
-                           for j, (lo, hi) in enumerate(active))
-                dn = tuple(slice(lo + (0 if j == i else 1), hi - (2 if j == i else 1))
-                           for j, (lo, hi) in enumerate(active))
-                P[..., i] = (v[up] - v[dn]) / (2.0 * grid.dx)
-                visc += nu[i] * (v[up] - 2.0 * v[out_sl] + v[dn]) / grid.dx**2
-            H = ham(out_sl, P.reshape(-1, d)).reshape(P.shape[:-1])
-            stepped = v[out_sl] - dt_sub * H + dt_sub * visc
-            vn = np.full(grid.shape, np.nan)
-            vn[out_sl] = stepped
-            v = vn
-            active = new_active
-        if step in records:
-            result.snapshots[records[step]] = _snapshot(grid, step * cfg.dt, v, active)
-
-    result.final = _snapshot(grid, n_steps * cfg.dt, v, active)
-    result.telemetry.append({
-        "scheme": "lax-friedrichs",
-        "steps": n_steps,
-        "substeps_per_step": n_sub,
-        "active_cells": [list(a) for a in active],
-    })
-    return result
+    return _march(win, v, step, substeps_per_step=n_sub)
 
 
 def solve(gh: GameHamiltonian, env, cfg: SolveConfig,
@@ -521,8 +510,7 @@ def check_lipschitz(snapshots: list[Field], beta1: float, beta3: float,
     time_ok = True
     tbound = beta1 * (1.0 + lip_g)
     for f0, f1 in zip(snaps, snaps[1:]):
-        sl = tuple(slice(max(a0[0], a1[0]), min(a0[1], a1[1]))
-                   for a0, a1 in zip(f0.active, f1.active))
+        sl = f0.common_slices(f1)
         q = np.abs(f1.values[sl] - f0.values[sl]) / (f1.t - f0.t)
         mq = float(q.max()) if q.size else 0.0
         max_time = max(max_time, mq)
@@ -554,8 +542,7 @@ def check_comparison(gh: GameHamiltonian, env, cfg: SolveConfig,
     worst = -np.inf
     for t in times:
         fu, fv = ru.at_time(t), rv.at_time(t)
-        sl = tuple(slice(max(a0[0], a1[0]), min(a0[1], a1[1]))
-                   for a0, a1 in zip(fu.active, fv.active))
+        sl = fu.common_slices(fv)
         gap = float(np.max(fu.values[sl] - fv.values[sl]))
         worst = max(worst, gap)
         if gap > gap0 + tol:
@@ -589,7 +576,6 @@ def check_scaling(gh: GameHamiltonian, env, theta, eps: float,
 
     scaled = solve(gh, env, cfg_eps, g_eps)
     fb, fs = base.final, scaled.final
-    sl = tuple(slice(max(a0[0], a1[0]), min(a0[1], a1[1]))
-               for a0, a1 in zip(fb.active, fs.active))
+    sl = fb.common_slices(fs)
     diff = np.abs(fs.values[sl] - eps * fb.values[sl])
     return {"max_error": float(diff.max()), "nodes_compared": int(diff.size)}

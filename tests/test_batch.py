@@ -10,7 +10,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from hjhomog import homog
@@ -142,20 +142,22 @@ def test_strip_experiment_matches_two_separate_solves():
 
 
 @settings(max_examples=10, deadline=None)
-@given(speed=st.sampled_from([1.0, 2.0]), eps=st.sampled_from([0.5, 0.25]),
+@given(speed=st.sampled_from([1.0, 1.25, 2.0]), eps=st.sampled_from([0.5, 0.25]),
+       dt=st.sampled_from([0.0625, 0.125, 0.25]),
        count=st.integers(1, 4), seed=st.integers(0, 2**31 - 1))
-def test_rate_sup_errors_match_pointwise_probes(speed, eps, count, seed):
-    # dt * speed = dx: solve_box_for's physical reach is then the discrete one
+# the SL box sheds ceil(dt f / dx) = 2 cells per step here, more than the
+# physical reach dt f of 1.25 cells; a box sized from the latter runs out
+@example(speed=1.25, eps=0.5, dt=0.125, count=1, seed=0)
+def test_rate_sup_errors_match_pointwise_probes(speed, eps, dt, count, seed):
     game = build("transport", {"speed": speed}, 1)
     R, T, H_bar, dx = 0.5, 1.0, -0.6, 0.125
-    dt = dx / speed
     spec = EnvSpec(dimension=1, rho=1.0, bump_radius=0.5, amp_lo=0.0, amp_hi=1.0,
                    channels=1, box_lo=(-8.0,), box_hi=(12.0,), seed=0)
     envs = [sample_environment(with_seed(spec, derive_seed(seed, i))) for i in range(count)]
     got = homog._sup_errors(game, envs, np.zeros(1), eps, R, T, H_bar, dx, dt)
 
     t_top = T / eps
-    box = homog.solve_box_for(game, t_top, dx, report_radius=R / eps)
+    box = homog.solve_box_for(game.f_pairs, "semi-lagrangian", t_top, dt, dx, R / eps)
     times = [t_top * j / 8 for j in range(1, 9)]
     cfg = SolveConfig(scheme="semi-lagrangian", dt=dt, dx=dx, T=t_top,
                       box_lo=box[0], box_hi=box[1], record_times=tuple(times))

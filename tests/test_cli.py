@@ -140,3 +140,17 @@ def test_rate_small_run(tmp_path):
     assert [r["eps"] for r in rows] == ["0.125", "0.25"]
     summary = json.loads((out / "rate.summary.json").read_text())
     assert "H_bar_used" in summary
+
+
+def test_library_refusals_keep_their_label(tmp_path, capsys):
+    # the saddle game sheds ceil(1.25) = 2 cells per SL step, so its solve box
+    # to T = 32 reaches x = 65, past the default field's box_hi = 48
+    saddle = ["estimate", "--set", "hamiltonian.family=saddle-game"]
+    assert main(saddle + ["--out", str(tmp_path / "a")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("domain error:") and "does not cover" in err
+    assert main(saddle + ["--set", "environment.box_hi=[66.0]",
+                          "--out", str(tmp_path / "b")]) == 0
+    assert main(["estimate", "--set", 'hamiltonian.params={"speed": 0.0}',
+                 "--out", str(tmp_path / "c")]) == 1
+    assert capsys.readouterr().err.startswith("orientation error:")

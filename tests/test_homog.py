@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hjhomog.env import DomainError, EnvSpec, sample_environment, with_seed
-from hjhomog.families import bind_env_constants, transport
+from hjhomog.env import ConstantEnvironment, DomainError, EnvSpec, sample_environment, with_seed
+from hjhomog.families import bind_env_constants, build, transport
 from hjhomog.game import shift_momentum
 from hjhomog.homog import (A_OVER_KHAT, UTable, additive_surrogate_tails,
                            azuma_bound, check_concentration,
@@ -13,6 +15,7 @@ from hjhomog.homog import (A_OVER_KHAT, UTable, additive_surrogate_tails,
                            general_datum_homogenization, rate_experiment,
                            solve_box_for, strip_experiment,
                            subadditivity_defects, synthetic_table)
+from hjhomog.pde import SolveConfig, solve
 
 DX = DT = 0.25
 
@@ -85,11 +88,39 @@ def test_env_box_must_cover_solve_box():
 
 
 def test_solve_box_for_covers_drift():
-    lo, hi = solve_box_for(bind_env_constants(transport(1.5),
-                                              sample_environment(spec())),
-                           t_max=4.0, dx=0.25, report_radius=1.0)
+    # an SL step at dt f / dx = 1.5 sheds 2 cells, so 16 steps shed 8.0
+    lo, hi = solve_box_for(transport(1.5).f_pairs, "semi-lagrangian",
+                           T=4.0, dt=0.25, dx=0.25, report_radius=1.0)
     assert lo[0] <= -1.0
-    assert hi[0] >= 1.0 + 4.0 * 1.5
+    assert hi[0] >= 1.0 + 16 * 2 * 0.25
+
+
+SPEEDS = st.floats(0.1, 2.0)
+ORIENTED = st.one_of(
+    st.tuples(st.just("transport"), st.builds(lambda s, sign: {"speed": sign * s},
+                                              SPEEDS, st.sampled_from([1.0, -1.0]))),
+    st.tuples(st.just("two-speed-control"),
+              st.builds(lambda a, b: {"speeds": (a, b)}, SPEEDS, SPEEDS)),
+    st.tuples(st.just("saddle-game"),
+              st.builds(lambda base, c: {"base_speed": base, "coupling": c * base},
+                        SPEEDS, st.floats(-0.9, 0.9))),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(family=ORIENTED, dim=st.sampled_from([1, 2]),
+       scheme=st.sampled_from(["semi-lagrangian", "lax-friedrichs"]),
+       dt=st.sampled_from([0.1, 0.125, 0.25]), dx=st.sampled_from([0.1, 0.125, 0.25]),
+       steps=st.integers(1, 4), R=st.sampled_from([0.0, 0.3, 1.0]))
+def test_reach_box_never_runs_out_and_covers_radius(family, dim, scheme, dt, dx, steps, R):
+    env = ConstantEnvironment(0.5)
+    game = bind_env_constants(build(*family, dim), env)
+    T = steps * dt
+    box = solve_box_for(game.f_pairs, scheme, T, dt, dx, R)
+    res = solve(game, env, SolveConfig(scheme=scheme, dt=dt, dx=dx, T=T,
+                                       box_lo=box[0], box_hi=box[1]))
+    lo, hi = res.final.active_box()
+    assert np.all(lo <= -R) and np.all(hi >= R)
 
 
 # ---------------------------------------------------------------------------

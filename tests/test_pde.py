@@ -117,8 +117,7 @@ def test_cross_solver_agreement():
     h = 0.05
     r1 = solve_sl(gh, env, cfg("semi-lagrangian", h, h, 1.0, -5.0, 7.0))
     r2 = solve_lf(gh, env, cfg("lax-friedrichs", h, h, 1.0, -5.0, 7.0))
-    sl = tuple(slice(max(a[0], b[0]), min(a[1], b[1]))
-               for a, b in zip(r1.final.active, r2.final.active))
+    sl = r1.final.common_slices(r2.final)
     diff = np.max(np.abs(r1.final.values[sl] - r2.final.values[sl]))
     assert diff <= 5 * np.sqrt(h)
 
