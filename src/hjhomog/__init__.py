@@ -15,7 +15,6 @@ from .env import (
     DomainError,
     EnvSpec,
     Environment,
-    eval_cost,
     replace_on_strip,
     sample_environment,
     shift_view,

@@ -442,9 +442,8 @@ def cmd_verify(cfg: dict, out: Path) -> int:
         pi = np.zeros((d, d))
         pi[1, 1] = 1.0
 
-    def G(pts, q):
-        pts = np.atleast_2d(pts)
-        return np.full(pts.shape[0], beta_loc * float(np.linalg.norm(q)))
+    def G(pts, Q):
+        return beta_loc * np.linalg.norm(Q, axis=1)
 
     loc = localize(G, beta=beta_loc, R=1.0, v=v, pi=pi, n_a=32, n_b=32)
     rep = verify_localization(loc, G, R=1.0, v=v, pi=pi)

@@ -138,19 +138,26 @@ class Environment:
         self.check_inside(pts)
         return self._raw_values(pts)
 
-    def _raw_values(self, pts: np.ndarray) -> np.ndarray:
+    def _bumps(self, pts: np.ndarray):
+        """Walk the 2^d bumps covering each point, one lattice corner at a time.
+
+        Yields (cells (N, d), live (N,), weights (N,)): the corner's cell
+        index for every point, whether that bump reaches the point, and the
+        bump profile there (zero where it does not).
+        """
         s = self.spec
-        n, d = pts.shape
-        out = np.zeros((n, s.channels))
-        q = (pts - self.offset) / s.bump_radius
-        base = np.floor(q).astype(np.int64)
-        chans = np.arange(s.channels, dtype=np.int64)
-        for corner in itertools.product((0, 1), repeat=d):
+        base = np.floor((pts - self.offset) / s.bump_radius).astype(np.int64)
+        for corner in itertools.product((0, 1), repeat=pts.shape[1]):
             z = base + np.array(corner, dtype=np.int64)
             centers = z * s.bump_radius + self.offset
             s2 = ((pts - centers) ** 2).sum(axis=1) / s.bump_radius**2
             w = np.where(s2 < 1.0, (1.0 - np.minimum(s2, 1.0)) ** 2, 0.0)
-            live = w > 0.0
+            yield z, w > 0.0, w
+
+    def _raw_values(self, pts: np.ndarray) -> np.ndarray:
+        out = np.zeros((pts.shape[0], self.spec.channels))
+        chans = np.arange(self.spec.channels, dtype=np.int64)
+        for z, live, w in self._bumps(pts):
             if not np.any(live):
                 continue
             amp = self._cell_amplitudes(z[live], chans)
@@ -167,70 +174,32 @@ class Environment:
         """Lattice cells whose amplitude keys the given probes consume.
 
         Instrumentation for the dependence-range certificate: probe sets at
-        Hausdorff distance > rho must return disjoint cell sets.
+        Hausdorff distance > rho must return disjoint cell sets.  It walks
+        the same bumps as the evaluation, so it names exactly the cells
+        ``values`` hashes.
         """
         pts = np.atleast_2d(np.asarray(pts, dtype=np.float64))
-        s = self.spec
-        q = (pts - self.offset) / s.bump_radius
-        base = np.floor(q).astype(np.int64)
         touched: set[tuple[int, ...]] = set()
-        for corner in itertools.product((0, 1), repeat=s.dimension):
-            z = base + np.array(corner, dtype=np.int64)
-            centers = z * s.bump_radius + self.offset
-            s2 = ((pts - centers) ** 2).sum(axis=1) / s.bump_radius**2
-            for row in z[s2 < 1.0]:
-                touched.add(tuple(int(v) for v in row))
+        for z, live, _ in self._bumps(pts):
+            touched.update(map(tuple, z[live].tolist()))
         return touched
 
 
-class ShiftedEnvironment:
-    """View of a base environment translated by ``y`` (the shift operator)."""
+class EnvironmentView:
+    """A base environment read at moved points.
 
-    def __init__(self, base, y: np.ndarray):
-        self.base = base
-        self.y = np.asarray(y, dtype=np.float64)
-        self.spec = base.spec
-
-    @property
-    def dimension(self):
-        return self.base.dimension
-
-    @property
-    def rho(self):
-        return self.base.rho
-
-    @property
-    def sup_bound(self):
-        return self.base.sup_bound
-
-    @property
-    def lip_bound(self):
-        return self.base.lip_bound
-
-    def values(self, pts: np.ndarray) -> np.ndarray:
-        pts = np.atleast_2d(np.asarray(pts, dtype=np.float64))
-        return self.base.values(pts + self.y)
-
-
-class StripPatchedEnvironment:
-    """Base field outside a slab, shifted field inside it.
-
-    The slab is { x : <x, e> in [lo, hi] }; inside it values are read at
-    ``x - shift``.  The patched field is discontinuous at the slab faces,
-    which the value-function machinery tolerates (costs only need to be
-    measurable and bounded).
+    A point x is read at x - shift: everywhere, or only inside the slab
+    { x : <x, e> in [lo, hi] } when ``slab`` = (lo, hi, e) is given, with e
+    a unit vector.  Every point is read from the base exactly once.  The
+    patched field is discontinuous at the slab faces, which the
+    value-function machinery tolerates (costs only need to be measurable
+    and bounded).
     """
 
-    def __init__(self, base, lo: float, hi: float, e: np.ndarray, shift: np.ndarray):
-        if lo >= hi:
-            raise ValueError(f"degenerate strip: lo={lo} >= hi={hi}")
+    def __init__(self, base, shift: np.ndarray, slab: tuple | None = None):
         self.base = base
-        self.lo = float(lo)
-        self.hi = float(hi)
-        self.e = np.asarray(e, dtype=np.float64)
-        self.e = self.e / np.linalg.norm(self.e)
         self.shift = np.asarray(shift, dtype=np.float64)
-        self.spec = base.spec
+        self.slab = slab
 
     @property
     def dimension(self):
@@ -250,12 +219,14 @@ class StripPatchedEnvironment:
 
     def values(self, pts: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(pts, dtype=np.float64))
-        proj = pts @ self.e
-        inside = (proj >= self.lo) & (proj <= self.hi)
-        out = self.base.values(pts)
-        if np.any(inside):
-            out[inside] = self.base.values(pts[inside] - self.shift)
-        return out
+        if self.slab is None:
+            return self.base.values(pts - self.shift)
+        lo, hi, e = self.slab
+        proj = pts @ e
+        inside = (proj >= lo) & (proj <= hi)
+        moved = pts.copy()
+        moved[inside] -= self.shift
+        return self.base.values(moved)
 
 
 class ConstantEnvironment:
@@ -292,32 +263,24 @@ def sample_environment(spec: EnvSpec) -> Environment:
     return Environment(spec)
 
 
-def eval_cost(env, x: np.ndarray, a: int, b: int, n_b: int | None = None) -> float:
-    """Cost at point ``x`` for action pair (a, b).
+def shift_view(env, y: np.ndarray) -> EnvironmentView:
+    """The translated view: values(view, x) == values(env, x + y).
 
-    ``n_b`` is required when the environment carries one channel per action
-    pair; channel index is then ``a * n_b + b``.
+    The view reads x - (-y), which equals x + y exactly in floating point.
     """
-    x = np.asarray(x, dtype=np.float64).reshape(1, -1)
-    vals = env.values(x)
-    nchan = vals.shape[1]
-    if nchan == 1:
-        ch = 0
-    else:
-        if n_b is None:
-            raise ValueError("n_b required for per-action-pair channels")
-        ch = a * n_b + b
-    return float(vals[0, ch])
+    return EnvironmentView(env, -np.asarray(y, dtype=np.float64))
 
 
-def shift_view(env, y: np.ndarray) -> ShiftedEnvironment:
-    """The translated view: values(view, x) == values(env, x + y)."""
-    return ShiftedEnvironment(env, y)
+def replace_on_strip(env, lo: float, hi: float, e: np.ndarray, shift: np.ndarray) -> EnvironmentView:
+    """Replace the field on a slab orthogonal to ``e`` by its shifted copy.
 
-
-def replace_on_strip(env, lo: float, hi: float, e: np.ndarray, shift: np.ndarray) -> StripPatchedEnvironment:
-    """Replace the field on a slab orthogonal to ``e`` by its shifted copy."""
-    return StripPatchedEnvironment(env, lo, hi, e, shift)
+    Inside the slab { x : <x, e> in [lo, hi] } values are read at
+    ``x - shift``; outside it they are the base field's.
+    """
+    if lo >= hi:
+        raise ValueError(f"degenerate strip: lo={lo} >= hi={hi}")
+    e = np.asarray(e, dtype=np.float64)
+    return EnvironmentView(env, shift, (float(lo), float(hi), e / np.linalg.norm(e)))
 
 
 def with_seed(spec: EnvSpec, seed: int) -> EnvSpec:

@@ -103,16 +103,14 @@ def _build_localized(params: dict, dim: int) -> GameHamiltonian:
         q = np.asarray(params.get("slope", [0.0] * dim), dtype=np.float64)
         c = float(params.get("offset", 0.0))
 
-        def G(pts, p):
-            pts = np.atleast_2d(pts)
-            return np.full(pts.shape[0], c + float(np.dot(q, np.atleast_1d(p))))
+        def G(pts, Q):
+            return c + Q @ q
 
     elif kind == "norm":
         scale = float(params.get("scale", beta))
 
-        def G(pts, p):
-            pts = np.atleast_2d(pts)
-            return np.full(pts.shape[0], scale * float(np.linalg.norm(p)))
+        def G(pts, Q):
+            return scale * np.linalg.norm(Q, axis=1)
 
     else:
         raise ValueError(f"unknown localized base hamiltonian {kind!r}")

@@ -214,7 +214,9 @@ def localize(
 ) -> GameHamiltonian:
     """Finite-action max-min representation of H(x,p) = G(x, pi p) + <p, v>.
 
-    ``G(points, q) -> (N,)`` must satisfy (H1)-(H3) with the supplied beta;
+    ``G(points (N, d), Q (K, d))`` returns the table of G(x_n, q_k), shaped
+    (N, K) or broadcastable to it; it must satisfy (H1)-(H3) with the
+    supplied beta.  The cost reads G over the whole b-grid in one call.
     ``pi`` is a linear map with pi(v) = 0.  The returned game uses
     cost(x, a, b) = -G(x, b) + beta <a, b> on ball grids A = B1, B = B_R and
     drift f(a) = pi^T(-beta a) - v.  The minus sign on v (and orientation
@@ -237,7 +239,7 @@ def localize(
 
     def cost(pts: np.ndarray, env) -> np.ndarray:
         pts = np.atleast_2d(pts)
-        gb = np.stack([np.asarray(G(pts, b), dtype=np.float64) for b in B], axis=1)
+        gb = np.broadcast_to(np.asarray(G(pts, B), dtype=np.float64), (len(pts), len(B)))
         return -gb[:, None, :] + inner[None, :, :]
 
     if g_inf is None:
@@ -267,7 +269,9 @@ def verify_localization(
     """Sup over random probes of |eval_H - (G(x, pi p) + <p, v>)|.
 
     The probe set always includes a momentum with |p| = R exactly (the
-    representation holds on the closed ball).
+    representation holds on the closed ball).  Each probe is its own
+    eval_H call: the game's cost table over all probes at once would hold
+    probes x n_a x n_b entries.
     """
     rng = np.random.default_rng(seed)
     v = np.asarray(v, dtype=np.float64)
@@ -280,7 +284,8 @@ def verify_localization(
     ps[0] = ps[0] / max(np.linalg.norm(ps[0]), 1e-300) * R   # boundary probe
     errs = []
     for x, p in zip(xs, ps):
-        target = float(G(x.reshape(1, -1), pi @ p)[0]) + float(p @ v)
+        g = np.broadcast_to(G(x.reshape(1, -1), (pi @ p).reshape(1, -1)), (1, 1))
+        target = float(g[0, 0]) + float(p @ v)
         got = eval_H(gh, x, p, env=None)
         errs.append(abs(got - target))
     errs = np.asarray(errs)

@@ -166,8 +166,8 @@ def estimate_U(gh: GameHamiltonian, env_spec, theta, times, M: int,
     Sample i uses the derived seed mix(base_seed, i).  The realizations are
     solved as batches; with workers > 1 each pool worker takes one
     contiguous chunk and rebuilds the game from ``family_desc`` = (family,
-    params).  Every sample is its own realization's number, so the table
-    does not depend on the worker count.
+    params), which must rebuild ``gh`` itself.  Every sample is its own
+    realization's number, so the table does not depend on the worker count.
     """
     if workers > 1 and family_desc is None:
         raise ValueError(
@@ -188,6 +188,7 @@ def estimate_U(gh: GameHamiltonian, env_spec, theta, times, M: int,
 
     seeds = [derive_seed(base_seed, i) for i in range(M)]
     if workers > 1:
+        _check_rebuilds(gh, family_desc, probe_env)
         chunks = [c for c in np.array_split(np.arange(M), workers) if len(c)]
         tasks = [(family_desc, env_spec, theta, cfg, [seeds[i] for i in c]) for c in chunks]
         with ProcessPoolExecutor(max_workers=len(tasks)) as pool:
@@ -205,6 +206,23 @@ def estimate_U(gh: GameHamiltonian, env_spec, theta, times, M: int,
             )
     return UTable(theta=theta, times=times, samples=samples,
                   base_seed=base_seed, beta=consts.beta)
+
+
+def _check_rebuilds(gh: GameHamiltonian, family_desc, env) -> None:
+    """Refuse a family_desc whose game is not gh, bit for bit, on env."""
+    game = families.build(family_desc[0], family_desc[1], env.dimension)
+    origin = np.zeros((1, gh.dim))
+
+    def bits(g):
+        arrays = (g.f_table, g.actions_a, g.actions_b, g.shift_table, g.cost(origin, env))
+        return [None if a is None else (np.shape(a), np.asarray(a).tobytes()) for a in arrays]
+
+    if bits(game) != bits(gh):
+        raise ValueError(
+            f"family_desc={family_desc!r} does not rebuild the given game (dynamics, "
+            f"actions, momentum shift or cost at the origin differ), so pool workers "
+            f"would solve another game; pass the matching family_desc, or use workers=1"
+        )
 
 
 def _check_env_covers(spec, box) -> None:

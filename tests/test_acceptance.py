@@ -237,9 +237,8 @@ def test_criterion_10_localization():
     v = np.array([0.75, 0.0])
     pi = np.array([[0.0, 0.0], [0.0, 1.0]])
 
-    def G(pts, q):
-        return np.full(np.atleast_2d(pts).shape[0],
-                       beta * float(np.linalg.norm(q)))
+    def G(pts, Q):
+        return beta * np.linalg.norm(Q, axis=1)
 
     errs = []
     delta_exact = True

@@ -119,6 +119,20 @@ def test_pool_without_family_desc_is_refused():
                          workers=2)
 
 
+@pytest.mark.parametrize("game", [shift_momentum(build("transport", {"speed": 1.0}, 1), [0.5]),
+                                  build("transport", {"speed": 1.25}, 1)])
+def test_pool_with_mismatched_family_desc_is_refused(game):
+    # pool workers rebuild the game by name; a name that does not rebuild
+    # `game` would make the worker count change the numbers
+    spec = EnvSpec(dimension=1, rho=1.0, bump_radius=0.5, amp_lo=0.0, amp_hi=1.0,
+                   channels=1, box_lo=(-2.0,), box_hi=(20.0,), seed=0)
+    kw = dict(M=4, base_seed=1, dx=0.25, dt=0.25)
+    homog.estimate_U(game, spec, [0.0], [8.0], **kw)
+    with pytest.raises(ValueError, match="family_desc"):
+        homog.estimate_U(game, spec, [0.0], [8.0], workers=2,
+                         family_desc=("transport", {"speed": 1.0}), **kw)
+
+
 # ---------------------------------------------------------------------------
 # the other batched callers
 

@@ -154,3 +154,14 @@ def test_library_refusals_keep_their_label(tmp_path, capsys):
     assert main(["estimate", "--set", 'hamiltonian.params={"speed": 0.0}',
                  "--out", str(tmp_path / "c")]) == 1
     assert capsys.readouterr().err.startswith("orientation error:")
+
+
+def test_lax_friedrichs_solve_needs_the_documented_box(tmp_path, capsys):
+    # LF takes 3 substeps per step at dt = dx, so its window sheds 3 cells a
+    # side per step; the default solver box [-1, 10] only suits SL at T = 8
+    lf = ["solve", "--set", "solver.scheme=lax-friedrichs"]
+    assert main(lf + ["--out", str(tmp_path / "a")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("domain error:") and "active box exhausted" in err
+    assert main(lf + ["--set", "solver.box_lo=[-8.0]", "--set", "solver.box_hi=[41.0]",
+                      "--out", str(tmp_path / "b")]) == 0

@@ -2,11 +2,14 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from hjhomog.env import (BUMP_LIP, BUMP_MASS_1D, DomainError, EnvSpec,
-                         eval_cost, replace_on_strip, sample_environment,
-                         shift_view, with_seed)
+                         replace_on_strip, sample_environment, shift_view,
+                         with_seed)
+from hjhomog.families import saddle_game
 from hjhomog.rng import derive_seed
 
 
@@ -113,6 +116,46 @@ def test_frd_certificate_disjoint_cells():
     assert not env.cells_touched(left).isdisjoint(env.cells_touched(near))
 
 
+@st.composite
+def frd_cases(draw):
+    """A 1-D or 2-D field law with r <= rho/2, and two probe sets more than rho apart."""
+    d = draw(st.sampled_from([1, 2]))
+    rho = draw(st.sampled_from([0.5, 1.0, 2.0]))
+    r = rho * draw(st.floats(0.05, 0.5))
+    spec = EnvSpec(dimension=d, rho=rho, bump_radius=r, amp_lo=0.0, amp_hi=1.0,
+                   channels=draw(st.sampled_from([1, 4])), box_lo=(-12.0,) * d,
+                   box_hi=(12.0,) * d, seed=draw(st.integers(0, 2**31 - 1)))
+    coords = st.floats(-4.0, 4.0, allow_nan=False)
+    probes = st.lists(st.lists(coords, min_size=d, max_size=d), min_size=1, max_size=12)
+    left = np.array(draw(probes))
+    right = np.array(draw(probes))
+    right = right[np.min(np.linalg.norm(right[:, None] - left[None], axis=-1), axis=1) > rho]
+    # one point guaranteed past rho along the first axis
+    far = left[0].copy()
+    far[0] = left[:, 0].max() + rho * (1.0 + draw(st.floats(1e-6, 1.0)))
+    return spec, left, np.vstack([right, far])
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=frd_cases())
+def test_frd_certificate_property(case):
+    spec, left, right = case
+    env = sample_environment(spec)
+    assert env.cells_touched(left).isdisjoint(env.cells_touched(right))
+    # the certificate names exactly the cells whose amplitudes values() hashes
+    pts = np.vstack([left, right])
+    hashed = set()
+    amplitudes = env._cell_amplitudes
+
+    def recording(z, chans):
+        hashed.update(map(tuple, z.tolist()))
+        return amplitudes(z, chans)
+
+    env._cell_amplitudes = recording
+    env.values(pts)
+    assert hashed == env.cells_touched(pts)
+
+
 def test_domain_error_outside_box():
     env = sample_environment(spec1d())
     with pytest.raises(DomainError):
@@ -122,15 +165,16 @@ def test_domain_error_outside_box():
 
 
 def test_eval_cost_channels():
-    s = spec1d(channels=4, seed=8)
-    env = sample_environment(s)
-    x = np.array([0.3])
-    vals = env.values(x.reshape(1, -1))[0]
+    # a per-pair environment feeds channel a * n_b + b to action pair (a, b)
+    env = sample_environment(spec1d(channels=4, seed=8))
+    x = np.array([[0.3]])
+    vals = env.values(x)[0]
+    cost = saddle_game().cost(x, env)
     for a in range(2):
         for b in range(2):
-            assert eval_cost(env, x, a, b, n_b=2) == vals[a * 2 + b]
-    with pytest.raises(ValueError):
-        eval_cost(env, x, 0, 1)   # n_b required for multi-channel
+            assert cost[0, a, b] == vals[a * 2 + b]
+    with pytest.raises(ValueError, match="3 channels, game needs 4"):
+        saddle_game().cost(x, sample_environment(spec1d(channels=3, seed=8)))
 
 
 def test_shift_view_identity_and_group_law():
@@ -171,6 +215,22 @@ def test_replace_on_strip_contract():
     assert np.array_equal(zero.values(pts), env.values(pts))
     with pytest.raises(ValueError):
         replace_on_strip(env, 1.0, 1.0, e=[1.0], shift=[0.1])
+
+
+def test_strip_reads_each_point_once():
+    # the field is defined on [-6.5, 6.5] (box inflated by r = 0.5)
+    env = sample_environment(spec1d(seed=13))
+    reads = []
+    base_values = env.values
+    env.values = lambda pts: reads.append(len(pts)) or base_values(pts)
+    patched = replace_on_strip(env, 6.0, 7.0, e=[1.0], shift=[1.0])
+    pts = np.array([[-2.0], [6.2], [6.8]])
+    got = patched.values(pts)
+    assert reads == [3]
+    # 6.8 lies outside the box, but only its moved position 5.8 is read
+    assert np.array_equal(got, base_values(np.array([[-2.0], [5.2], [5.8]])))
+    with pytest.raises(DomainError):
+        replace_on_strip(env, 6.0, 7.0, e=[1.0], shift=[-0.4]).values([[6.2]])
 
 
 def test_mean_value_1d():

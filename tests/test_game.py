@@ -152,15 +152,21 @@ def test_ball_grid():
 
 def test_localize_constant_G_1d():
     # pi = 0, v = 1: H(x, p) = c + p exactly once 0 is in the b-grid
+    # G fills the whole (N, K) table, read once per cost call
     c0 = 0.37
+    calls = []
 
-    def G(pts, q):
-        return np.full(np.atleast_2d(pts).shape[0], c0)
+    def G(pts, Q):
+        calls.append((pts.shape, Q.shape))
+        return np.full((len(pts), len(Q)), c0)
 
     gh = localize(G, beta=1.0, R=2.0, v=np.array([1.0]),
                   pi=np.zeros((1, 1)), n_a=9, n_b=9)
     for p in (-1.5, 0.0, 0.3, 2.0):
         assert eval_H(gh, [0.0], [p]) == pytest.approx(c0 + p, abs=1e-12)
+    assert calls == [((1, 1), (9, 1))] * 4
+    assert gh.cost(np.zeros((5, 1)), None).shape == (5, 9, 9)
+    assert len(calls) == 5
 
 
 def test_inner_representation_surrogate():
@@ -173,8 +179,8 @@ def test_inner_representation_surrogate():
 
 
 def test_localize_rejects_bad_inputs():
-    def G(pts, q):
-        return np.zeros(np.atleast_2d(pts).shape[0])
+    def G(pts, Q):
+        return np.zeros((len(pts), len(Q)))
 
     with pytest.raises(ValueError):
         localize(G, 1.0, 1.0, v=np.zeros(2), pi=np.zeros((2, 2)), n_a=4, n_b=4)
@@ -188,9 +194,8 @@ def test_localize_delta_equals_v_norm_exactly():
     v = np.array([0.8, 0.0])
     pi = np.array([[0.0, 0.0], [0.0, 1.0]])
 
-    def G(pts, q):
-        return np.full(np.atleast_2d(pts).shape[0],
-                       0.5 * float(np.linalg.norm(q)))
+    def G(pts, Q):
+        return 0.5 * np.linalg.norm(Q, axis=1)
 
     gh = localize(G, beta=0.5, R=1.0, v=v, pi=pi, n_a=8, n_b=8)
     c = certify_constants(gh)
@@ -202,9 +207,8 @@ def test_verify_localization_refinement():
     v = np.array([0.75, 0.0])
     pi = np.array([[0.0, 0.0], [0.0, 1.0]])
 
-    def G(pts, q):
-        return np.full(np.atleast_2d(pts).shape[0],
-                       beta * float(np.linalg.norm(q)))
+    def G(pts, Q):
+        return beta * np.linalg.norm(Q, axis=1)
 
     errs = []
     for n in (16, 32):
@@ -219,9 +223,8 @@ def test_verify_includes_boundary_probe():
     # affine G representable exactly; also exercises the |p| = R probe
     q0 = np.array([0.0, 0.4])
 
-    def G(pts, q):
-        return np.full(np.atleast_2d(pts).shape[0],
-                       0.1 + float(np.dot(q0, np.atleast_1d(q))))
+    def G(pts, Q):
+        return 0.1 + Q @ q0
 
     v = np.array([0.75, 0.0])
     pi = np.array([[0.0, 0.0], [0.0, 1.0]])
