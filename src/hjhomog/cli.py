@@ -150,6 +150,8 @@ def validate_config(cfg: dict) -> None:
     except ValueError as exc:
         raise ConfigError(f"solver: {exc}")
     camp = cfg["campaign"]
+    if not camp["thetas"]:
+        raise ConfigError("campaign.thetas: must hold at least one theta")
     times = camp["times"]
     if any(t <= 0 for t in times) or sorted(times) != list(times):
         raise ConfigError("campaign.times: must be positive and increasing")
@@ -197,11 +199,6 @@ def hamiltonian_from(cfg: dict):
     h = cfg["hamiltonian"]
     return families.build(h["family"], h.get("params", {}),
                           int(cfg["environment"]["dimension"]))
-
-
-def bound_hamiltonian(cfg: dict, env):
-    """The config's game with its cost certificates taken from env."""
-    return families.bind_env_constants(hamiltonian_from(cfg), env)
 
 
 def _stamp(cfg: dict, payload: dict) -> dict:
@@ -257,7 +254,7 @@ def cmd_sample_env(cfg: dict, out: Path) -> int:
 def cmd_solve(cfg: dict, out: Path) -> int:
     spec = env_spec_from(cfg)
     env = sample_environment(spec)
-    gh = bound_hamiltonian(cfg, env)
+    gh = hamiltonian_from(cfg)
     scfg = solve_config_from(cfg)
     scfg = SolveConfig(**{**scfg.__dict__,
                           "record_times": tuple(sorted(set(scfg.record_times) | {scfg.T}))})
@@ -316,7 +313,7 @@ def cmd_effective(cfg: dict, out: Path, workers: int) -> int:
     for theta in cfg["campaign"]["thetas"]:
         table = _campaign_table(cfg, theta, workers)
         estimates.append(homog.extract_effective_H(table))
-    beta = certify_constants(bound_hamiltonian(cfg, sample_environment(env_spec_from(cfg)))).beta
+    beta = table.beta          # certified for the unshifted game, so the same for every theta
     props = homog.effective_H_properties(estimates, beta)
     _write_json(out, "effective.json", _stamp(cfg, {
         "estimates": [e.to_dict() for e in estimates],
@@ -361,7 +358,7 @@ def cmd_rate(cfg: dict, out: Path, workers: int) -> int:
 def cmd_verify(cfg: dict, out: Path) -> int:
     spec = env_spec_from(cfg)
     env = sample_environment(spec)
-    gh = bound_hamiltonian(cfg, env)
+    gh = families.bind_env_constants(hamiltonian_from(cfg), env)
     consts = certify_constants(gh)
     report: dict = {"checks": {}}
     ok = True

@@ -1,6 +1,8 @@
 """Named game-Hamiltonian families used by configs and experiments."""
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from .game import GameHamiltonian, localize
@@ -78,9 +80,14 @@ def saddle_game(base_speed: float = 1.0, coupling: float = 0.25,
 
 
 def bind_env_constants(gh: GameHamiltonian, env) -> GameHamiltonian:
-    """Fill the cost certificates (Lip, sup) from the environment's."""
-    from dataclasses import replace as _r
-    return _r(gh, lip_l=float(env.lip_bound), l_inf=float(env.sup_bound))
+    """The game with its cost certificates (Lip, sup) taken from the environment's.
+
+    A game that carries its own certificates (its ``lip_l`` is not NaN) is
+    returned as it is.
+    """
+    if not np.isnan(gh.lip_l):
+        return gh
+    return replace(gh, lip_l=float(env.lip_bound), l_inf=float(env.sup_bound))
 
 
 def _axis_dir(dim: int, sign: float) -> np.ndarray:

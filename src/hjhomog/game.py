@@ -104,22 +104,17 @@ class GameHamiltonian:
 def eval_H(gh: GameHamiltonian, x: np.ndarray, p: np.ndarray, env=None) -> float:
     """Exact max-min Hamiltonian value at a single (x, p)."""
     x = np.asarray(x, dtype=np.float64).reshape(1, -1)
-    p = np.asarray(p, dtype=np.float64)
-    cost = gh.cost(x, env)[0]                      # (n_a, n_b) broadcastable
-    drift = gh.f_table @ p                         # (n_a, n_b) or (n_a, 1)
-    s = np.broadcast_arrays(-cost - drift, np.zeros((gh.n_a, gh.n_b)))[0]
-    return float(s.min(axis=0).max())
+    p = np.asarray(p, dtype=np.float64).reshape(1, -1)
+    return float(eval_H_nodes(gh, gh.cost(x, env)[0][..., None], p)[0])
 
 
-def eval_H_nodes(gh: GameHamiltonian, cost_table: np.ndarray, P: np.ndarray) -> np.ndarray:
-    """Vectorized H over many nodes with a precomputed cost table.
+def eval_H_nodes(gh: GameHamiltonian, cost: np.ndarray, P: np.ndarray) -> np.ndarray:
+    """H at N nodes: max over b of min over a of { -cost - <f, p> }.
 
-    cost_table: (N, n_a, n_b) broadcastable; P: (N, d) gradients.
+    cost: (n_a, n_b, N) broadcastable; P: (N, d) gradients.  Returns (N,).
     """
-    drift = np.einsum("abd,nd->nab", np.broadcast_to(
-        gh.f_table, (gh.n_a, gh.n_b, gh.dim)), P)
-    s = -cost_table - drift
-    return s.min(axis=1).max(axis=1)
+    drift = gh.f_table @ P.T                       # (n_a, n_b, N) or (n_a, 1, N)
+    return (-cost - drift).min(axis=0).max(axis=0)
 
 
 def shift_momentum(gh: GameHamiltonian, theta: np.ndarray) -> GameHamiltonian:

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import families
 from .env import DomainError, replace_on_strip, sample_environment, with_seed
-from .game import GameHamiltonian, certify_constants, shift_momentum
+from .game import GameHamiltonian, ball_grid, certify_constants, shift_momentum
 from .pde import (SolveConfig, reach, sl_plan, sl_step_cost, solve_effective, solve_sl,
                   solve_sl_batch)
 from .rng import derive_seed
@@ -117,11 +117,6 @@ def solve_box_for(f: np.ndarray, scheme: str, T: float, dt: float, dx: float,
             tuple(float(report_radius + steps * a * dx + 4 * dx) for a in above))
 
 
-def _bind(gh: GameHamiltonian, env) -> GameHamiltonian:
-    """The game with its cost certificates taken from env unless already set."""
-    return families.bind_env_constants(gh, env) if np.isnan(gh.lip_l) else gh
-
-
 def _solve_batches(gh: GameHamiltonian, envs, theta, cfg: SolveConfig, read) -> np.ndarray:
     """read(result) of batched SL solves of u_theta, one per environment.
 
@@ -131,13 +126,14 @@ def _solve_batches(gh: GameHamiltonian, envs, theta, cfg: SolveConfig, read) -> 
     batches are joined along it.
     """
     plan = sl_plan(gh, cfg)
+    shifted = shift_momentum(gh, theta)
     per = max(1, BATCH_COST_BYTES // plan.cost_bytes)
     parts = []
     for lo in range(0, len(envs), per):
         batch = envs[lo:lo + per]
         cost = np.empty((len(plan.corners), len(batch)) + plan.grid.shape)
         for m, env in enumerate(batch):
-            sl_step_cost(shift_momentum(_bind(gh, env), theta), env, plan, out=cost[:, m])
+            sl_step_cost(shifted, env, plan, out=cost[:, m])
         parts.append(read(solve_sl_batch(plan, cost)))
     return np.concatenate(parts, axis=-1)
 
@@ -177,7 +173,7 @@ def estimate_U(gh: GameHamiltonian, env_spec, theta, times, M: int,
     theta = np.atleast_1d(np.asarray(theta, dtype=np.float64))
     times = sorted(float(t) for t in times)
     probe_env = sample_environment(with_seed(env_spec, derive_seed(base_seed, 0)))
-    gh_b = _bind(gh, probe_env)
+    gh_b = families.bind_env_constants(gh, probe_env)
     consts = certify_constants(gh_b)
     consts.require_oriented()
     if box is None:
@@ -354,7 +350,7 @@ def strip_experiment(gh: GameHamiltonian, env, lo: float, hi: float, shift,
     bound = (hi - lo) / delta * sup|l - l_hat|, the crossing-time estimate
     for oriented dynamics; sup is estimated by dense probing in the strip.
     """
-    gh_b = _bind(gh, env)
+    gh_b = families.bind_env_constants(gh, env)
     consts = certify_constants(gh_b, e=e)
     consts.require_oriented()
     if lo >= hi:
@@ -534,19 +530,12 @@ def _sup_errors(gh: GameHamiltonian, envs, theta, eps: float, R: float,
                 T: float, H_bar: float, dx: float, dt: float,
                 n_t: int = 8, n_x: int = 9) -> np.ndarray:
     """Per realization, sup over a [0,T] x B_R grid of |eps u(t/eps, x/eps) + t H_bar|."""
-    d = gh.dim
     t_top = T / eps
     times = [t_top * j / n_t for j in range(1, n_t + 1)]
     box = solve_box_for(gh.f_pairs, "semi-lagrangian", t_top, dt, dx, report_radius=R / eps)
     cfg = SolveConfig(scheme="semi-lagrangian", dt=dt, dx=dx, T=t_top,
                       box_lo=box[0], box_hi=box[1], record_times=tuple(times))
-    if d == 1:
-        xg = np.linspace(-R, R, n_x).reshape(-1, 1)
-    else:
-        ax = np.linspace(-R, R, n_x)
-        mesh = np.meshgrid(*([ax] * d), indexing="ij")
-        xg = np.stack([m.ravel() for m in mesh], axis=1)
-        xg = xg[np.linalg.norm(xg, axis=1) <= R + 1e-12]
+    xg = ball_grid(R, n_x, gh.dim)
 
     def read(res) -> np.ndarray:
         worst = 0.0
@@ -668,7 +657,7 @@ def general_datum_homogenization(gh: GameHamiltonian, env, H_bar_grid,
             )
         return np.interp(p, H_bar_grid, H_bar_vals)
 
-    gh_b = _bind(gh, env)
+    gh_b = families.bind_env_constants(gh, env)
     d = gh_b.dim
 
     # the effective solve is refined relative to the scaled runs so that its

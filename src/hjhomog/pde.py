@@ -207,12 +207,13 @@ class SolveResult:
 
 
 def _precompute_cost(gh: GameHamiltonian, env, grid: Grid, eps: float) -> np.ndarray:
-    """Cost table over all grid nodes: (n_a, n_b, *shape)."""
+    """Cost table over all grid nodes, pair-major: (n_a * n_b, *shape).
+
+    A transposed view of the accessor's (N, n_a, n_b) table, not a copy.
+    """
     pts = grid.nodes()
-    c = gh.cost(pts / eps, env)                   # (N, n_a, n_b) broadcastable
-    c = np.broadcast_to(c, (pts.shape[0], gh.n_a, gh.n_b))
-    return np.ascontiguousarray(np.moveaxis(c, 0, -1)).reshape(
-        gh.n_a, gh.n_b, *grid.shape)
+    c = np.broadcast_to(gh.cost(pts / eps, env), (len(pts), gh.n_a, gh.n_b))
+    return c.reshape(len(pts), -1).T.reshape(-1, *grid.shape)
 
 
 def _steps_and_records(cfg: SolveConfig) -> tuple[int, dict[int, float]]:
@@ -353,7 +354,8 @@ def sl_plan(gh: GameHamiltonian, cfg: SolveConfig) -> SLPlan:
 def sl_step_cost(gh: GameHamiltonian, env, plan: SLPlan, out=None) -> np.ndarray:
     """Cost one SL step accrues at each node, dt * cost: (pairs, *shape)."""
     cost = _precompute_cost(gh, env, plan.grid, plan.cfg.epsilon)
-    return np.multiply(cost.reshape(-1, *plan.grid.shape), plan.cfg.dt, out=out)
+    # C order: the view is pair-fastest, but the step loop reads one pair's plane at a time
+    return np.multiply(cost, plan.cfg.dt, out=out, order="C")
 
 
 def solve_sl_batch(plan: SLPlan, step_cost: np.ndarray,
@@ -420,12 +422,10 @@ def solve_lf(gh: GameHamiltonian, env, cfg: SolveConfig,
             f"enable substepping or reduce dt"
         )
     win = _plan_window(cfg, gh.f_pairs, "lax-friedrichs")
-    cost_flat = _precompute_cost(gh, env, win.grid, cfg.epsilon)   # (n_a, n_b, *shape)
+    cost = np.ascontiguousarray(_precompute_cost(gh, env, win.grid, cfg.epsilon))
 
     def ham(window: tuple[slice, ...], P: np.ndarray) -> np.ndarray:
-        c = cost_flat[(slice(None), slice(None)) + window]
-        c2 = c.reshape(gh.n_a, gh.n_b, -1)
-        return eval_H_nodes(gh, np.moveaxis(c2, -1, 0), P)
+        return eval_H_nodes(gh, cost[(slice(None),) + window].reshape(gh.n_a, gh.n_b, -1), P)
 
     return _lf_core(ham, sigma, win, g)
 

@@ -5,7 +5,8 @@ import pytest
 
 from hjhomog import __version__
 from hjhomog.cli import (ConfigError, DEFAULTS, apply_override, config_hash,
-                         env_spec_from, load_config, main)
+                         env_spec_from, hamiltonian_from, load_config, main)
+from hjhomog.game import certify_constants
 
 
 def test_defaults_load_and_validate():
@@ -50,6 +51,8 @@ def test_validation_errors_carry_field_paths():
         load_config(None, ["campaign.M=0"])
     with pytest.raises(ConfigError, match="eps_list"):
         load_config(None, ["campaign.eps_list=[0.75]"])
+    with pytest.raises(ConfigError, match="campaign.thetas"):
+        load_config(None, ["campaign.thetas=[]"])
 
 
 def test_config_hash_is_stable_and_sensitive():
@@ -114,6 +117,22 @@ def test_effective_small_run(tmp_path):
     payload = json.loads((out / "effective.json").read_text())
     assert len(payload["estimates"]) == 2
     assert payload["properties"]["growth_ok"]
+
+
+def test_localized_game_keeps_its_own_certificates(tmp_path):
+    # the localized family certifies its own cost (beta, R, g0); binding the
+    # field's constants over them gave effective.json a beta of 6.158 against
+    # the 6.0 that utable.json reports for the same config
+    localized = ["--set", "hamiltonian.family=localized",
+                 "--set", 'hamiltonian.params={"beta": 2.0, "v": [0.75], "pi": [[0.0]], '
+                          '"n_a": 8, "n_b": 8, "g0": "norm"}',
+                 "--set", "environment.box_lo=[-40.0]", "--set", "campaign.M=8"]
+    assert main(["effective", "--out", str(tmp_path / "e")] + localized) == 0
+    assert main(["estimate", "--out", str(tmp_path / "u")] + localized) == 0
+    effective = json.loads((tmp_path / "e" / "effective.json").read_text())
+    utable = json.loads((tmp_path / "u" / "utable.json").read_text())
+    own = certify_constants(hamiltonian_from(load_config(None, localized[1::2]))).beta
+    assert effective["beta"] == utable["utable"]["beta"] == own == 6.0
 
 
 def test_verify_default_config(tmp_path):

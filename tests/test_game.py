@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hjhomog.env import ConstantEnvironment, EnvSpec, sample_environment
 from hjhomog.game import (GameHamiltonian, OrientationError, ball_grid,
-                          certify_constants, eval_H, localize, shift_momentum,
-                          verify_localization)
-from hjhomog.families import (bind_env_constants, saddle_game, transport,
+                          certify_constants, eval_H, eval_H_nodes, localize,
+                          shift_momentum, verify_localization)
+from hjhomog.families import (FAMILIES, bind_env_constants, build, saddle_game, transport,
                               two_speed_control)
 
 
@@ -42,6 +44,83 @@ def test_eval_H_saddle_enumeration():
                          f_table=np.ones((2, 2, 1)), base_cost=cost,
                          lip_l=0.0, l_inf=1.0, orientation_hint=np.array([1.0]))
     assert eval_H(gh, [0.0], [0.7]) == pytest.approx(-1.7, abs=1e-15)
+
+
+SPEED = st.floats(-2.0, 2.0)
+
+
+@st.composite
+def localized_params(draw, dim):
+    """v along the first axis and pi onto the others, so that pi(v) = 0 exactly."""
+    pi = np.zeros((dim, dim))
+    pi[1:, 1:] = draw(st.floats(-1.0, 1.0)) * np.eye(dim - 1)
+    v = [draw(st.floats(0.1, 2.0)) * draw(st.sampled_from([1.0, -1.0]))] + [0.0] * (dim - 1)
+    if draw(st.booleans()):
+        g0 = {"g0": "affine", "slope": draw(st.lists(SPEED, min_size=dim, max_size=dim)),
+              "offset": draw(SPEED)}
+    else:
+        g0 = {"g0": "norm", "scale": draw(st.floats(0.0, 2.0))}
+    # an axis of n < 3 points puts every 2-D grid point outside the unit ball
+    return {"beta": draw(st.floats(0.1, 2.0)), "R": draw(st.floats(0.5, 2.0)), "v": v,
+            "pi": pi.tolist(), "n_a": draw(st.integers(3, 6)), "n_b": draw(st.integers(3, 6)),
+            **g0}
+
+
+PARAMS = {
+    "transport": lambda dim: st.fixed_dictionaries({"speed": SPEED}),
+    "two-speed-control": lambda dim: st.fixed_dictionaries(
+        {"speeds": st.lists(SPEED, min_size=1, max_size=3)}),
+    "saddle-game": lambda dim: st.fixed_dictionaries(
+        {"base_speed": SPEED, "coupling": SPEED}),
+    "localized": localized_params,
+}
+
+
+@st.composite
+def drawn_games(draw):
+    """A game of any registered family, 1-D or 2-D, possibly momentum-shifted, and its field."""
+    dim = draw(st.sampled_from([1, 2]))
+    name = draw(st.sampled_from(sorted(FAMILIES)))
+    gh = build(name, draw(PARAMS[name](dim)), dim)
+    if draw(st.booleans()):
+        gh = shift_momentum(gh, draw(st.lists(SPEED, min_size=dim, max_size=dim)))
+    spec = EnvSpec(dimension=dim, rho=1.0, bump_radius=0.5, amp_lo=0.0, amp_hi=1.0,
+                   channels=draw(st.sampled_from([1, gh.n_a * gh.n_b])),
+                   box_lo=(-8.0,) * dim, box_hi=(8.0,) * dim, seed=draw(st.integers(0, 99)))
+    return gh, sample_environment(spec)
+
+
+def brute_force_H(gh, x, p, env):
+    """max over b of min over a, one action pair at a time."""
+    cost = np.broadcast_to(gh.cost(x, env)[0], (gh.n_a, gh.n_b))
+    f = np.broadcast_to(gh.f_table, (gh.n_a, gh.n_b, gh.dim))
+    return max(min(-cost[a, b] - sum(f[a, b, i] * p[i] for i in range(gh.dim))
+                   for a in range(gh.n_a))
+               for b in range(gh.n_b))
+
+
+@settings(max_examples=80, deadline=None)
+@given(game=drawn_games(), data=st.data())
+def test_eval_H_nodes_is_eval_H_at_each_node(game, data):
+    gh, env = game
+    n = data.draw(st.integers(1, 6))
+    X = np.array(data.draw(st.lists(st.lists(st.floats(-6.0, 6.0), min_size=gh.dim,
+                                             max_size=gh.dim), min_size=n, max_size=n)))
+    P = np.array(data.draw(st.lists(st.lists(st.floats(-3.0, 3.0), min_size=gh.dim,
+                                             max_size=gh.dim), min_size=n, max_size=n)))
+    nodes = eval_H_nodes(gh, np.moveaxis(gh.cost(X, env), 0, -1), P)
+    single = np.array([eval_H(gh, x, p, env) for x, p in zip(X, P)])
+    brute = np.array([brute_force_H(gh, x, p, env) for x, p in zip(X, P)])
+    assert nodes.shape == (n,)
+    if np.count_nonzero(gh.f_pairs, axis=1).max() <= 1:
+        # each drift <f, p> is one product: the same bits however it is summed
+        assert np.array_equal(nodes, single)
+        assert np.array_equal(nodes, brute)
+    else:
+        # BLAS may sum the two products of a 2-D drift in another order, or
+        # fused, for one node than for n; the max-min itself is exact
+        np.testing.assert_allclose(nodes, single, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(nodes, brute, rtol=0, atol=1e-12)
 
 
 def test_non_coercivity_direction():

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hjhomog.env import ConstantEnvironment, DomainError, EnvSpec, sample_environment
 from hjhomog.game import GameHamiltonian
-from hjhomog.families import bind_env_constants, saddle_game, transport
+from hjhomog.families import bind_env_constants, build, saddle_game, transport
+from hjhomog.homog import solve_box_for
 from hjhomog.pde import (CFLError, Grid, SolveConfig, check_comparison,
                          check_lipschitz, check_scaling, linear_datum, solve,
                          solve_effective, solve_lf, solve_sl, zero_datum)
@@ -122,31 +125,66 @@ def test_cross_solver_agreement():
     assert diff <= 5 * np.sqrt(h)
 
 
+SPEEDS = st.floats(0.1, 2.0)
+ORIENTED = st.one_of(
+    st.tuples(st.just("transport"), st.builds(lambda s, sign: {"speed": sign * s},
+                                              SPEEDS, st.sampled_from([1.0, -1.0]))),
+    st.tuples(st.just("two-speed-control"),
+              st.builds(lambda a, b: {"speeds": (a, b)}, SPEEDS, SPEEDS)),
+    st.tuples(st.just("saddle-game"),
+              st.builds(lambda base, c: {"base_speed": base, "coupling": c * base},
+                        SPEEDS, st.floats(-0.9, 0.9))),
+)
+SCHEME_CASE = dict(family=ORIENTED, dim=st.sampled_from([1, 2]),
+                   dt=st.sampled_from([0.1, 0.125, 0.25]), dx=st.sampled_from([0.1, 0.125, 0.25]),
+                   steps=st.integers(1, 3), seed=st.integers(0, 99),
+                   theta=st.floats(-1.0, 1.0))
+# always checked as well: the saddle game at dt = dx = 0.1 over ten steps
+SADDLE_CASE = dict(family=("saddle-game", {"base_speed": 1.0, "coupling": 0.25}), dim=1,
+                   dt=0.1, dx=0.1, steps=10, theta=0.0)
+
+
+def scheme_case(scheme, family, dim, dt, dx, steps, seed):
+    """A drawn oriented game on a field, and a config whose box covers B(1) at T."""
+    game = build(*family, dim)
+    T = steps * dt
+    lo, hi = solve_box_for(game.f_pairs, scheme, T, dt, dx, report_radius=1.0)
+    env = sample_environment(EnvSpec(
+        dimension=dim, rho=1.0, bump_radius=0.5, amp_lo=0.0, amp_hi=1.0, channels=1,
+        box_lo=tuple(v - 1.0 for v in lo), box_hi=tuple(v + 1.0 for v in hi), seed=seed))
+    c = SolveConfig(scheme=scheme, dt=dt, dx=dx, T=T, box_lo=lo, box_hi=hi)
+    return game, env, c
+
+
 @pytest.mark.parametrize("scheme", ["semi-lagrangian", "lax-friedrichs"])
-def test_monotone_in_datum(scheme):
-    env = sample_environment(field_spec(seed=2))
-    gh = bind_env_constants(saddle_game(1.0, 0.25), env)
+@settings(max_examples=40, deadline=None)
+@given(**SCHEME_CASE)
+@example(**SADDLE_CASE, seed=2)
+def test_monotone_in_datum(scheme, family, dim, dt, dx, steps, seed, theta):
+    gh, env, c = scheme_case(scheme, family, dim, dt, dx, steps, seed)
+    g0 = linear_datum(np.full(dim, theta))
 
-    def bump(pts):
-        x = np.atleast_2d(pts)[:, 0]
-        return np.maximum(0.0, 1.0 - x**2)
+    def g1(pts):
+        pts = np.atleast_2d(pts)
+        return g0(pts) + np.maximum(0.0, 1.0 - np.sum(pts**2, axis=1))
 
-    c = cfg(scheme, 0.1, 0.1, 1.0, -5.0, 7.0)
-    r0 = solve(gh, env, c, zero_datum)
-    r1 = solve(gh, env, c, bump)
+    r0 = solve(gh, env, c, g0)
+    r1 = solve(gh, env, c, g1)
     sl = r0.final.active_slices()
     assert np.all(r1.final.values[sl] >= r0.final.values[sl] - 1e-12)
 
 
 @pytest.mark.parametrize("scheme", ["semi-lagrangian", "lax-friedrichs"])
-def test_constant_shift_commutes(scheme):
-    env = sample_environment(field_spec(seed=5))
-    gh = bind_env_constants(saddle_game(1.0, 0.25), env)
-    c = cfg(scheme, 0.1, 0.1, 1.0, -5.0, 7.0)
-    r0 = solve(gh, env, c, zero_datum)
-    r5 = solve(gh, env, c, lambda pts: np.full(np.atleast_2d(pts).shape[0], 5.0))
+@settings(max_examples=40, deadline=None)
+@given(**SCHEME_CASE, shift=st.floats(-5.0, 5.0))
+@example(**SADDLE_CASE, seed=5, shift=5.0)
+def test_constant_shift_commutes(scheme, family, dim, dt, dx, steps, seed, theta, shift):
+    gh, env, c = scheme_case(scheme, family, dim, dt, dx, steps, seed)
+    g0 = linear_datum(np.full(dim, theta))
+    r0 = solve(gh, env, c, g0)
+    r1 = solve(gh, env, c, lambda pts: g0(pts) + shift)
     sl = r0.final.active_slices()
-    assert np.max(np.abs(r5.final.values[sl] - r0.final.values[sl] - 5.0)) < 1e-12
+    assert np.max(np.abs(r1.final.values[sl] - r0.final.values[sl] - shift)) < 1e-12
 
 
 def test_comparison_preserved():
