@@ -155,13 +155,37 @@ class Environment:
             yield z, w > 0.0, w
 
     def _raw_values(self, pts: np.ndarray) -> np.ndarray:
+        """Sum of the covering bumps, each live lattice cell hashed once.
+
+        The corners' live cells are marked over the cell bounding box of
+        the points and hashed in one call.  Every point then adds
+        ``w * amp`` for every corner, in corner order: a bump that does not
+        reach the point has w = 0 and adds +0.0 (amplitudes are finite and
+        nonnegative), so each value is the sum over its live bumps.
+        """
         out = np.zeros((pts.shape[0], self.spec.channels))
-        chans = np.arange(self.spec.channels, dtype=np.int64)
-        for z, live, w in self._bumps(pts):
-            if not np.any(live):
-                continue
-            amp = self._cell_amplitudes(z[live], chans)
-            out[live] += w[live, None] * amp
+        if len(pts) == 0:
+            return out
+        bumps = list(self._bumps(pts))
+        z0 = bumps[0][0]
+        lo = z0.min(axis=0)                             # corner (0, ..., 0) holds the minima
+        shape = tuple(bumps[-1][0].max(axis=0) - lo + 1)   # corner (1, ..., 1) the maxima
+        # a corner's cells are the base cells moved by the corner, and the
+        # flat index is linear in the cell
+        base = np.ravel_multi_index(tuple((z0 - lo).T), shape)
+        flat = [base + np.ravel_multi_index(tuple(z[0] - z0[0]), shape) for z, _, _ in bumps]
+        marked = np.zeros(math.prod(shape), dtype=bool)
+        for f, (_, live, _) in zip(flat, bumps):
+            marked[f[live]] = True
+        # never empty: a point's nearest corner lies within r sqrt(d) / 2 < r
+        cells = np.flatnonzero(marked)
+        z = np.stack(np.unravel_index(cells, shape), axis=1) + lo
+        amp = self._cell_amplitudes(z, np.arange(self.spec.channels, dtype=np.int64))
+        row = np.cumsum(marked) - 1                     # marked cell -> its row of amp
+        term = np.empty_like(out)
+        for f, (_, _, w) in zip(flat, bumps):
+            np.multiply(w[:, None], np.take(amp, row[f], axis=0), out=term)
+            out += term
         return out
 
     def _cell_amplitudes(self, z: np.ndarray, chans: np.ndarray) -> np.ndarray:

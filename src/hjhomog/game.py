@@ -9,9 +9,8 @@ Lipschitz Hamiltonian.
 """
 from __future__ import annotations
 
-import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -111,10 +110,16 @@ def eval_H(gh: GameHamiltonian, x: np.ndarray, p: np.ndarray, env=None) -> float
 def eval_H_nodes(gh: GameHamiltonian, cost: np.ndarray, P: np.ndarray) -> np.ndarray:
     """H at N nodes: max over b of min over a of { -cost - <f, p> }.
 
-    cost: (n_a, n_b, N) broadcastable; P: (N, d) gradients.  Returns (N,).
+    cost: (n_a, n_b, *nodes) broadcastable over the actions, its trailing
+    axes holding the N nodes in C order (a strided window of a grid table
+    is read as it is); P: (N, d) gradients.  Returns (N,).
     """
     drift = gh.f_table @ P.T                       # (n_a, n_b, N) or (n_a, 1, N)
-    return (-cost - drift).min(axis=0).max(axis=0)
+    neg = np.empty(np.broadcast_shapes(cost.shape[:2], drift.shape[:2]) + cost.shape[2:])
+    np.negative(cost, out=neg)
+    neg = neg.reshape(neg.shape[:2] + (-1,))
+    np.subtract(neg, drift, out=neg)
+    return neg.min(axis=0).max(axis=0)
 
 
 def shift_momentum(gh: GameHamiltonian, theta: np.ndarray) -> GameHamiltonian:
@@ -228,6 +233,11 @@ def localize(
         raise ValueError(f"pi(v) must vanish, got {pi @ v} (orientation certificate would fail)")
     A = ball_grid(1.0, n_a, d)
     B = ball_grid(R, n_b, d)
+    for name, n, grid in (("n_a", n_a, A), ("n_b", n_b, B)):
+        if len(grid) == 0:
+            raise ValueError(
+                f"{name}={n} leaves the {d}-D action grid empty: none of its {n}^{d} "
+                f"points lies in the ball; use {name} >= 3")
     f = (-beta * A) @ pi - v            # row a: pi^T(-beta a) - v
     f_table = f[:, None, :]             # independent of b
     inner = beta * (A @ B.T)            # (n_a, n_b)

@@ -131,7 +131,7 @@ def _solve_batches(gh: GameHamiltonian, envs, theta, cfg: SolveConfig, read) -> 
     parts = []
     for lo in range(0, len(envs), per):
         batch = envs[lo:lo + per]
-        cost = np.empty((len(plan.corners), len(batch)) + plan.grid.shape)
+        cost = np.empty((len(plan.stencil), len(batch)) + plan.grid.shape)
         for m, env in enumerate(batch):
             sl_step_cost(shifted, env, plan, out=cost[:, m])
         parts.append(read(solve_sl_batch(plan, cost)))

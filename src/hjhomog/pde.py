@@ -321,24 +321,31 @@ class SLPlan(_Window):
 
     n_a: int
     n_b: int
-    # per action pair, the interpolation corners in order: (weight, offset),
-    # the offset in cells from a node of the next window to its source in
-    # the current one
+    # the distinct interpolation stencils, each its corners in order:
+    # (weight, offset), the offset in cells from a node of the next window
+    # to its source in the current one
     corners: tuple[tuple[tuple[float, tuple[int, ...]], ...], ...]
+    # per action pair, the index of its stencil in ``corners``
+    stencil: tuple[int, ...]
 
     @property
     def cost_bytes(self) -> int:
         """Bytes of one realization's cost table."""
-        return 8 * len(self.corners) * math.prod(self.grid.shape)
+        return 8 * len(self.stencil) * math.prod(self.grid.shape)
 
 
 def sl_plan(gh: GameHamiltonian, cfg: SolveConfig) -> SLPlan:
-    """The stencil for cfg; refuses a box the active window would exhaust."""
+    """The stencil for cfg; refuses a box the active window would exhaust.
+
+    Pairs with equal velocities share one stencil (saddle games repeat
+    velocities, a localized game's do not depend on b).
+    """
     cfg.validate()
     win = _plan_window(cfg, gh.f_pairs, "semi-lagrangian")
     d = win.grid.dim
     k, w = _cell_and_weight(cfg.dt * gh.f_pairs / cfg.dx)    # foot-point offsets per pair
-    corners = []
+    index: dict[tuple, int] = {}
+    stencil = []
     for kp, wp in zip(k, w):
         terms = []
         for corner in itertools.product(*[(0, 1) if wp[i] > 0.0 else (0,) for i in range(d)]):
@@ -347,8 +354,9 @@ def sl_plan(gh: GameHamiltonian, cfg: SolveConfig) -> SLPlan:
                 weight *= wp[i] if c else (1.0 - wp[i]) if wp[i] > 0.0 else 1.0
             terms.append((weight, tuple(int(win.shed_lo[i] + kp[i] + c)
                                         for i, c in enumerate(corner))))
-        corners.append(tuple(terms))
-    return SLPlan(**vars(win), n_a=gh.n_a, n_b=gh.n_b, corners=tuple(corners))
+        stencil.append(index.setdefault(tuple(terms), len(index)))
+    return SLPlan(**vars(win), n_a=gh.n_a, n_b=gh.n_b, corners=tuple(index),
+                  stencil=tuple(stencil))
 
 
 def sl_step_cost(gh: GameHamiltonian, env, plan: SLPlan, out=None) -> np.ndarray:
@@ -369,24 +377,28 @@ def solve_sl_batch(plan: SLPlan, step_cost: np.ndarray,
     """
     grid = plan.grid
     M = step_cost.shape[1]
+    users = [[] for _ in plan.corners]              # the pairs that read each stencil
+    for j, s in enumerate(plan.stencil):
+        users[s].append(j)
 
     def step(v: np.ndarray, active) -> np.ndarray:
         out_sl = (slice(None),) + tuple(slice(lo, hi) for lo, hi in active)
         size = tuple(hi - lo for lo, hi in active)
-        cand = np.empty((len(plan.corners), M) + size)
-        for j, terms in enumerate(plan.corners):
+        cand = np.empty((len(plan.stencil), M) + size)
+        for terms, pairs in zip(plan.corners, users):
             interp = None
             for weight, off in terms:
                 src = (slice(None),) + tuple(slice(o, o + n) for o, n in zip(off, size))
                 term = v[src] if weight == 1.0 else weight * v[src]
                 interp = term if interp is None else interp + term
-            np.add(step_cost[j][out_sl], interp, out=cand[j])
+            for j in pairs:
+                np.add(step_cost[j][out_sl], interp, out=cand[j])
         return cand.reshape(plan.n_a, plan.n_b, M, *size).max(axis=0).min(axis=0)
 
     v = np.broadcast_to(
         np.asarray(g(grid.nodes()), dtype=np.float64).reshape(grid.shape),
         (M,) + grid.shape)
-    return _march(plan, v, step)
+    return _march(plan, v, step, stencils=len(plan.corners))
 
 
 def solve_sl(gh: GameHamiltonian, env, cfg: SolveConfig,
@@ -423,9 +435,10 @@ def solve_lf(gh: GameHamiltonian, env, cfg: SolveConfig,
         )
     win = _plan_window(cfg, gh.f_pairs, "lax-friedrichs")
     cost = np.ascontiguousarray(_precompute_cost(gh, env, win.grid, cfg.epsilon))
+    cost = cost.reshape(gh.n_a, gh.n_b, *win.grid.shape)
 
     def ham(window: tuple[slice, ...], P: np.ndarray) -> np.ndarray:
-        return eval_H_nodes(gh, cost[(slice(None),) + window].reshape(gh.n_a, gh.n_b, -1), P)
+        return eval_H_nodes(gh, cost[(slice(None), slice(None)) + window], P)
 
     return _lf_core(ham, sigma, win, g)
 
@@ -447,25 +460,50 @@ def solve_effective(H_of_p: Callable[[np.ndarray], np.ndarray], speed: float,
 
 
 def _lf_core(ham, sigma, win: _Window, g) -> SolveResult:
+    """The LF steps of win; ham(window, P) gives H at the gradients P (N, d).
+
+    Each substep writes P, the viscosity term and the new values into
+    buffers sized for the first substep, whose leading parts shrink with
+    the window.
+    """
     grid = win.grid
     d = grid.dim
     n_sub = win.shed_lo[0]                 # one stencil ring per substep
     dt_sub = win.cfg.dt / n_sub
     nu = sigma * grid.dx / 2.0    # artificial viscosity coefficient per axis
     inner = (slice(1, -1),) * d
+    n_max = math.prod(n - 2 for n in grid.shape)
+    P_buf, visc_buf, term_buf = np.empty(n_max * d), np.empty(n_max), np.empty(n_max)
+    v_bufs = [np.empty(n_max), np.empty(n_max)]   # a substep reads one and writes the other
 
     def step(v: np.ndarray, active) -> np.ndarray:
         for rings_left in range(n_sub - 1, -1, -1):
-            P = np.empty(tuple(n - 2 for n in v.shape) + (d,))
-            visc = np.zeros(P.shape[:-1])
+            shape = tuple(n - 2 for n in v.shape)
+            size = math.prod(shape)
+            P = P_buf[:size * d].reshape(shape + (d,))
+            visc = visc_buf[:size].reshape(shape)
+            term = term_buf[:size].reshape(shape)
+            visc[...] = 0.0
             for i in range(d):
                 up = inner[:i] + (slice(2, None),) + inner[i + 1:]
                 dn = inner[:i] + (slice(None, -2),) + inner[i + 1:]
-                P[..., i] = (v[up] - v[dn]) / (2.0 * grid.dx)
-                visc += nu[i] * (v[up] - 2.0 * v[inner] + v[dn]) / grid.dx**2
+                np.subtract(v[up], v[dn], out=P[..., i])
+                np.divide(P[..., i], 2.0 * grid.dx, out=P[..., i])
+                np.multiply(v[inner], 2.0, out=term)
+                np.subtract(v[up], term, out=term)
+                np.add(term, v[dn], out=term)
+                np.multiply(term, nu[i], out=term)
+                np.divide(term, grid.dx**2, out=term)
+                np.add(visc, term, out=visc)
             window = tuple(slice(lo - rings_left, hi + rings_left) for lo, hi in active)
-            H = ham(window, P.reshape(-1, d)).reshape(P.shape[:-1])
-            v = v[inner] - dt_sub * H + dt_sub * visc
+            H = ham(window, P.reshape(-1, d)).reshape(shape)
+            new = v_bufs[0][:size].reshape(shape)
+            np.multiply(H, dt_sub, out=new)
+            np.subtract(v[inner], new, out=new)
+            np.multiply(visc, dt_sub, out=visc)
+            np.add(new, visc, out=new)
+            v_bufs.reverse()
+            v = new
         return v
 
     v = np.asarray(g(grid.nodes()), dtype=np.float64).reshape(grid.shape)

@@ -184,3 +184,16 @@ def test_lax_friedrichs_solve_needs_the_documented_box(tmp_path, capsys):
     assert err.startswith("domain error:") and "active box exhausted" in err
     assert main(lf + ["--set", "solver.box_lo=[-8.0]", "--set", "solver.box_hi=[41.0]",
                       "--out", str(tmp_path / "b")]) == 0
+
+
+def test_empty_localized_action_grid_is_a_named_config_error(tmp_path, capsys):
+    # a 2-point axis keeps none of the 2-D grid's corners inside the unit ball
+    params = ('hamiltonian.params={"beta": 1.0, "v": [0.75, 0.0], '
+              '"pi": [[0.0, 0.0], [0.0, 1.0]], "n_a": 2, "n_b": 4, "g0": "norm"}')
+    assert main(["verify", "--set", "hamiltonian.family=localized", "--set", params,
+                 "--set", "environment.dimension=2",
+                 "--set", "environment.box_lo=[-8.0, -8.0]",
+                 "--set", "environment.box_hi=[48.0, 8.0]",
+                 "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "n_a=2" in err

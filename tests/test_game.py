@@ -3,11 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import drawn_games
 from hjhomog.env import ConstantEnvironment, EnvSpec, sample_environment
 from hjhomog.game import (GameHamiltonian, OrientationError, ball_grid,
                           certify_constants, eval_H, eval_H_nodes, localize,
                           shift_momentum, verify_localization)
-from hjhomog.families import (FAMILIES, bind_env_constants, build, saddle_game, transport,
+from hjhomog.families import (bind_env_constants, saddle_game, transport,
                               two_speed_control)
 
 
@@ -44,50 +45,6 @@ def test_eval_H_saddle_enumeration():
                          f_table=np.ones((2, 2, 1)), base_cost=cost,
                          lip_l=0.0, l_inf=1.0, orientation_hint=np.array([1.0]))
     assert eval_H(gh, [0.0], [0.7]) == pytest.approx(-1.7, abs=1e-15)
-
-
-SPEED = st.floats(-2.0, 2.0)
-
-
-@st.composite
-def localized_params(draw, dim):
-    """v along the first axis and pi onto the others, so that pi(v) = 0 exactly."""
-    pi = np.zeros((dim, dim))
-    pi[1:, 1:] = draw(st.floats(-1.0, 1.0)) * np.eye(dim - 1)
-    v = [draw(st.floats(0.1, 2.0)) * draw(st.sampled_from([1.0, -1.0]))] + [0.0] * (dim - 1)
-    if draw(st.booleans()):
-        g0 = {"g0": "affine", "slope": draw(st.lists(SPEED, min_size=dim, max_size=dim)),
-              "offset": draw(SPEED)}
-    else:
-        g0 = {"g0": "norm", "scale": draw(st.floats(0.0, 2.0))}
-    # an axis of n < 3 points puts every 2-D grid point outside the unit ball
-    return {"beta": draw(st.floats(0.1, 2.0)), "R": draw(st.floats(0.5, 2.0)), "v": v,
-            "pi": pi.tolist(), "n_a": draw(st.integers(3, 6)), "n_b": draw(st.integers(3, 6)),
-            **g0}
-
-
-PARAMS = {
-    "transport": lambda dim: st.fixed_dictionaries({"speed": SPEED}),
-    "two-speed-control": lambda dim: st.fixed_dictionaries(
-        {"speeds": st.lists(SPEED, min_size=1, max_size=3)}),
-    "saddle-game": lambda dim: st.fixed_dictionaries(
-        {"base_speed": SPEED, "coupling": SPEED}),
-    "localized": localized_params,
-}
-
-
-@st.composite
-def drawn_games(draw):
-    """A game of any registered family, 1-D or 2-D, possibly momentum-shifted, and its field."""
-    dim = draw(st.sampled_from([1, 2]))
-    name = draw(st.sampled_from(sorted(FAMILIES)))
-    gh = build(name, draw(PARAMS[name](dim)), dim)
-    if draw(st.booleans()):
-        gh = shift_momentum(gh, draw(st.lists(SPEED, min_size=dim, max_size=dim)))
-    spec = EnvSpec(dimension=dim, rho=1.0, bump_radius=0.5, amp_lo=0.0, amp_hi=1.0,
-                   channels=draw(st.sampled_from([1, gh.n_a * gh.n_b])),
-                   box_lo=(-8.0,) * dim, box_hi=(8.0,) * dim, seed=draw(st.integers(0, 99)))
-    return gh, sample_environment(spec)
 
 
 def brute_force_H(gh, x, p, env):
@@ -266,6 +223,10 @@ def test_localize_rejects_bad_inputs():
     pi = np.eye(2)   # pi(v) != 0
     with pytest.raises(ValueError):
         localize(G, 1.0, 1.0, v=np.array([1.0, 0.0]), pi=pi, n_a=4, n_b=4)
+    # a 2-point axis keeps none of the 2-D grid's corners inside the ball
+    pi = np.array([[0.0, 0.0], [0.0, 1.0]])
+    with pytest.raises(ValueError, match="n_b=2"):
+        localize(G, 1.0, 1.0, v=np.array([1.0, 0.0]), pi=pi, n_a=4, n_b=2)
 
 
 def test_localize_delta_equals_v_norm_exactly():

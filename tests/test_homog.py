@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import ORIENTED
 from hjhomog.env import ConstantEnvironment, DomainError, EnvSpec, sample_environment, with_seed
 from hjhomog.families import bind_env_constants, build, transport
 from hjhomog.game import shift_momentum
@@ -93,18 +94,6 @@ def test_solve_box_for_covers_drift():
                            T=4.0, dt=0.25, dx=0.25, report_radius=1.0)
     assert lo[0] <= -1.0
     assert hi[0] >= 1.0 + 16 * 2 * 0.25
-
-
-SPEEDS = st.floats(0.1, 2.0)
-ORIENTED = st.one_of(
-    st.tuples(st.just("transport"), st.builds(lambda s, sign: {"speed": sign * s},
-                                              SPEEDS, st.sampled_from([1.0, -1.0]))),
-    st.tuples(st.just("two-speed-control"),
-              st.builds(lambda a, b: {"speeds": (a, b)}, SPEEDS, SPEEDS)),
-    st.tuples(st.just("saddle-game"),
-              st.builds(lambda base, c: {"base_speed": base, "coupling": c * base},
-                        SPEEDS, st.floats(-0.9, 0.9))),
-)
 
 
 @settings(max_examples=40, deadline=None)
