@@ -159,6 +159,9 @@ def validate_config(cfg: dict) -> None:
         raise ConfigError(f"campaign.M: must be >= 1, got {camp['M']}")
     if any(e <= 0 or e > 0.5 for e in camp["eps_list"]):
         raise ConfigError("campaign.eps_list: entries must lie in (0, 1/2]")
+    if len(set(camp["eps_list"])) < 2:
+        raise ConfigError("campaign.eps_list: needs at least two distinct epsilons "
+                          "to fit a rate")
 
 
 def config_hash(cfg: dict) -> str:

@@ -150,7 +150,11 @@ class Environment:
         for corner in itertools.product((0, 1), repeat=pts.shape[1]):
             z = base + np.array(corner, dtype=np.int64)
             centers = z * s.bump_radius + self.offset
-            s2 = ((pts - centers) ** 2).sum(axis=1) / s.bump_radius**2
+            # summed column by column, from the first: the bits of .sum(axis=1)
+            sq = np.square(pts[:, 0] - centers[:, 0])
+            for i in range(1, pts.shape[1]):
+                sq += np.square(pts[:, i] - centers[:, i])
+            s2 = sq / s.bump_radius**2
             w = np.where(s2 < 1.0, (1.0 - np.minimum(s2, 1.0)) ** 2, 0.0)
             yield z, w > 0.0, w
 

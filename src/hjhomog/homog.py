@@ -562,19 +562,20 @@ def rate_experiment(gh: GameHamiltonian, env_spec, theta, eps_list, R: float,
     eps_list = sorted(float(e) for e in eps_list)
     if any(e > 0.5 for e in eps_list):
         raise ValueError("epsilon must be <= 1/2 (outside the valid range)")
+    if len(set(eps_list)) < 2:
+        raise ValueError(f"eps_list needs at least two distinct epsilons to fit a rate, "
+                         f"got {eps_list}")
     theta = np.atleast_1d(np.asarray(theta, dtype=np.float64))
 
-    def bank(tag: int, count: int) -> dict[float, np.ndarray]:
-        per_eps = {}
-        for ei, eps in enumerate(eps_list):
-            envs = [sample_environment(with_seed(env_spec, derive_seed(base_seed, tag, ei, i)))
-                    for i in range(count)]
-            per_eps[eps] = _sup_errors(gh, envs, theta, eps, R, T, H_bar, dx, dt)
-        return per_eps
-
-    m_cal = max(4, int(M * calibration_fraction))
-    cal = bank(1, m_cal) if K_hat is None else None
-    test = bank(2, M)
+    # one batch per epsilon: the calibration samples, then the test samples
+    m_cal = max(4, int(M * calibration_fraction)) if K_hat is None else 0
+    cal, test = {}, {}
+    for ei, eps in enumerate(eps_list):
+        seeds = ([derive_seed(base_seed, 1, ei, i) for i in range(m_cal)]
+                 + [derive_seed(base_seed, 2, ei, i) for i in range(M)])
+        envs = [sample_environment(with_seed(env_spec, seed)) for seed in seeds]
+        cal[eps], test[eps] = np.split(_sup_errors(gh, envs, theta, eps, R, T, H_bar, dx, dt),
+                                       [m_cal])
 
     if K_hat is None:
         ratios = np.concatenate([
@@ -594,18 +595,15 @@ def rate_experiment(gh: GameHamiltonian, env_spec, theta, eps_list, R: float,
     if not degenerate and all(medians[eps] > 0 for eps in eps_list):
         xs = np.log(eps_list)
         ys = np.log([medians[e] for e in eps_list])
-        slope, stderr, _ = _ols(xs, ys)
-        slope_se = stderr if not math.isnan(stderr) else None
-        # bootstrap the medians for an honest slope uncertainty
+        slope = _ols(xs, ys)[0]
+        # bootstrap the medians for an honest slope uncertainty; one
+        # integers() call draws the indices, in the same order, of 200 rounds
+        # of one choice(test[eps], M, replace=True) call per epsilon
         rng = np.random.default_rng(base_seed)
-        boots = []
-        for _ in range(200):
-            ys_b = []
-            for eps in eps_list:
-                samp = rng.choice(test[eps], size=len(test[eps]), replace=True)
-                med = np.median(samp)
-                ys_b.append(math.log(max(med, 1e-300)))
-            boots.append(_ols(xs, ys_b)[0])
+        banks = np.stack([test[eps] for eps in eps_list])
+        idx = rng.integers(0, M, size=(200,) + banks.shape)
+        meds = np.median(np.take_along_axis(banks[None], idx, axis=-1), axis=-1)
+        boots = [_ols(xs, [math.log(max(m, 1e-300)) for m in row])[0] for row in meds]
         slope_se = float(np.std(boots))
         in_band = slope_band[0] <= slope <= slope_band[1]
         conclusive = in_band or slope_se < 0.1

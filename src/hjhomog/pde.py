@@ -30,7 +30,7 @@ from typing import Callable
 import numpy as np
 
 from .env import DomainError
-from .game import GameHamiltonian, eval_H_nodes
+from .game import GameHamiltonian, eval_H_nodes, shift_momentum
 
 
 class CFLError(ValueError):
@@ -591,12 +591,15 @@ def check_comparison(gh: GameHamiltonian, env, cfg: SolveConfig,
 def check_scaling(gh: GameHamiltonian, env, theta, eps: float,
                   cfg: SolveConfig,
                   g: Callable[[np.ndarray], np.ndarray] = zero_datum) -> dict:
-    """u_eps(eps t, eps x) == eps * u(t, x) on matched grids.
+    """u_eps(eps t, eps x) == eps * u(t, x) on matched grids, for u_theta.
+
+    Both solves run the game shifted by theta (``shift_momentum``).
 
     The eps-grid is the unit grid scaled by eps, so both runs traverse the
     same discrete recursion; for eps a power of two the identity is exact
     to rounding.
     """
+    gh = shift_momentum(gh, theta)
     base = solve(gh, env, replace(cfg, record_times=(cfg.T,)), g)
     cfg_eps = replace(
         cfg,

@@ -161,6 +161,16 @@ def test_rate_small_run(tmp_path):
     assert "H_bar_used" in summary
 
 
+@pytest.mark.parametrize("eps_list", ["[]", "[0.25]", "[0.25, 0.25]"])
+def test_rate_refuses_fewer_than_two_epsilons(tmp_path, capsys, eps_list):
+    # one distinct epsilon leaves no line to fit: the slope would be NaN
+    out = tmp_path / "o"
+    assert main(["rate", "--out", str(out), "--set", f"campaign.eps_list={eps_list}"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: campaign.eps_list:") and "two distinct" in err
+    assert not out.exists()
+
+
 def test_library_refusals_keep_their_label(tmp_path, capsys):
     # the saddle game sheds ceil(1.25) = 2 cells per SL step, so its solve box
     # to T = 32 reaches x = 65, past the default field's box_hi = 48

@@ -274,6 +274,14 @@ def test_rate_rejects_large_epsilon():
                         base_seed=0)
 
 
+@pytest.mark.parametrize("eps_list", [[], [0.25], [0.25, 0.25]])
+def test_rate_needs_two_distinct_epsilons(eps_list):
+    with pytest.raises(ValueError, match="eps_list"):
+        rate_experiment(transport(1.0), spec(), theta=[0.0], eps_list=eps_list,
+                        R=1.0, T=2.0, M=2, H_bar=-0.5, dx=DX, dt=DT,
+                        base_seed=0)
+
+
 def test_rate_degenerate_on_constant_field():
     s = spec(lo=-12.0, hi=28.0, amp=(0.0, 0.0))
     rep = rate_experiment(transport(1.0), s, theta=[0.0],

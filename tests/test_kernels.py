@@ -2,26 +2,30 @@
 
 Each reference below is the plain form of a kernel: field values summed
 through boolean masks with one hash call per lattice corner, an SL step
-that interpolates every action pair's stencil itself, and an LF substep and
-max-min evaluator built from whole-window temporaries.  The library's
-kernels do the same floating-point operations in the same order with fewer
-array passes, so every value must match to the last bit, the sign of zero
-included.
+that interpolates every action pair's stencil itself, an LF substep and a
+max-min evaluator built from whole-window temporaries, and a rate
+experiment that solves each sample bank on its own and bootstraps with one
+choice() call per epsilon and round.  The library's kernels do the same
+floating-point operations in the same order with fewer array passes, so
+every value must match to the last bit, the sign of zero included.
 """
+import math
 from dataclasses import replace
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import drawn_games
+from conftest import ORIENTED, drawn_games
 from hjhomog import pde
 from hjhomog.env import EnvSpec, sample_environment, with_seed
 from hjhomog.families import build
 from hjhomog.game import eval_H_nodes, shift_momentum
-from hjhomog.homog import solve_box_for
+from hjhomog.homog import _ols, _sup_errors, rate_experiment, solve_box_for
 from hjhomog.pde import (SolveConfig, _march, _plan_window, _precompute_cost, linear_datum,
                          sl_plan, sl_step_cost, solve_lf, solve_sl_batch)
+from hjhomog.rng import derive_seed
 
 # ---------------------------------------------------------------------------
 # reference kernels
@@ -98,6 +102,80 @@ def ref_solve_lf(gh, env, cfg, g):
 
     v = np.asarray(g(grid.nodes()), dtype=np.float64).reshape(grid.shape)
     return _march(win, v, step, substeps_per_step=n_sub)
+
+
+def ref_rate_experiment(gh, env_spec, theta, eps_list, R, T, M, H_bar, dx, dt, base_seed,
+                        K_hat=None, calibration_fraction=1.0, slope_band=(0.35, 0.65)):
+    eps_list = sorted(float(e) for e in eps_list)
+    if any(e > 0.5 for e in eps_list):
+        raise ValueError("epsilon must be <= 1/2 (outside the valid range)")
+    theta = np.atleast_1d(np.asarray(theta, dtype=np.float64))
+
+    def bank(tag: int, count: int) -> dict[float, np.ndarray]:
+        per_eps = {}
+        for ei, eps in enumerate(eps_list):
+            envs = [sample_environment(with_seed(env_spec, derive_seed(base_seed, tag, ei, i)))
+                    for i in range(count)]
+            per_eps[eps] = _sup_errors(gh, envs, theta, eps, R, T, H_bar, dx, dt)
+        return per_eps
+
+    m_cal = max(4, int(M * calibration_fraction))
+    cal = bank(1, m_cal) if K_hat is None else None
+    test = bank(2, M)
+
+    if K_hat is None:
+        ratios = np.concatenate([
+            cal[eps] / math.sqrt(-eps * math.log(eps)) for eps in eps_list
+        ])
+        K_hat = 1.25 * float(ratios.max())
+
+    medians = {eps: float(np.median(test[eps])) for eps in eps_list}
+    spread = all(np.std(test[eps]) > 1e-12 or medians[eps] > 1e-12
+                 for eps in eps_list)
+    degenerate = not spread
+
+    slope = None
+    slope_se = None
+    conclusive = False
+    in_band = False
+    if not degenerate and all(medians[eps] > 0 for eps in eps_list):
+        xs = np.log(eps_list)
+        ys = np.log([medians[e] for e in eps_list])
+        slope, stderr, _ = _ols(xs, ys)
+        slope_se = stderr if not math.isnan(stderr) else None
+        # bootstrap the medians for an honest slope uncertainty
+        rng = np.random.default_rng(base_seed)
+        boots = []
+        for _ in range(200):
+            ys_b = []
+            for eps in eps_list:
+                samp = rng.choice(test[eps], size=len(test[eps]), replace=True)
+                med = np.median(samp)
+                ys_b.append(math.log(max(med, 1e-300)))
+            boots.append(_ols(xs, ys_b)[0])
+        slope_se = float(np.std(boots))
+        in_band = slope_band[0] <= slope <= slope_band[1]
+        conclusive = in_band or slope_se < 0.1
+
+    exceedance = {
+        eps: float(np.mean(test[eps] > K_hat * math.sqrt(-eps * math.log(eps))))
+        for eps in eps_list
+    }
+    exceedance_ok = all(exceedance[eps] <= 5.0 * eps**2 + 1e-12 for eps in eps_list)
+    return {
+        "eps_list": eps_list,
+        "medians": medians,
+        "quantiles": {eps: [float(np.quantile(test[eps], q))
+                            for q in (0.1, 0.5, 0.9)] for eps in eps_list},
+        "slope": slope,
+        "slope_se": slope_se,
+        "in_band": in_band,
+        "conclusive": conclusive,
+        "degenerate": degenerate,
+        "K_hat": float(K_hat),
+        "exceedance": exceedance,
+        "exceedance_ok": exceedance_ok,
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -242,3 +320,37 @@ def test_eval_H_nodes_equals_whole_table_form(game, data):
     # one node at a time, as eval_H calls it
     one = gh.cost(X[:1], env)[0][..., None]
     assert same_bits(eval_H_nodes(gh, one, P[:1]), ref_eval_H_nodes(gh, one, P[:1]))
+
+
+# ---------------------------------------------------------------------------
+# rate experiment
+
+
+@settings(max_examples=25, deadline=None)
+@given(game=ORIENTED, M=st.integers(1, 7), fraction=st.sampled_from([0.25, 0.5, 1.0]),
+       K_hat=st.sampled_from([None, 0.5]),
+       eps_list=st.sampled_from([[0.5, 0.25], [0.25, 0.125], [0.5, 0.25, 0.125]]),
+       base_seed=st.integers(0, 2**31 - 1))
+@example(game=("saddle-game", {"base_speed": 1.0, "coupling": 0.25}), M=6, fraction=0.5,
+         K_hat=None, eps_list=[0.5, 0.25, 0.125], base_seed=11)
+def test_rate_experiment_equals_bank_by_bank_form(game, M, fraction, K_hat, eps_list, base_seed):
+    # M < 4 gives a calibration bank larger than the test bank
+    gh = build(*game, 1)
+    spec = EnvSpec(dimension=1, rho=1.0, bump_radius=0.5, amp_lo=0.0, amp_hi=1.0, channels=1,
+                   box_lo=(-48.0,), box_hi=(48.0,), seed=0)
+    args = (gh, spec, [0.2], eps_list)
+    kw = dict(R=1.0, T=1.0, M=M, H_bar=-0.5, dx=0.25, dt=0.25, base_seed=base_seed,
+              K_hat=K_hat, calibration_fraction=fraction)
+    assert repr(rate_experiment(*args, **kw)) == repr(ref_rate_experiment(*args, **kw))
+
+
+@pytest.mark.parametrize("n", range(1, 18))
+def test_one_integers_call_draws_the_sequential_choices(n):
+    # the rate bootstrap relies on this identity of numpy's Generator
+    bank = np.arange(n)
+    batched, sequential = np.random.default_rng(n), np.random.default_rng(n)
+    idx = batched.integers(0, n, size=(5, 3, n))
+    drawn = [[sequential.choice(bank, size=n, replace=True) for _ in range(3)]
+             for _ in range(5)]
+    assert np.array_equal(idx, np.array(drawn))
+    assert batched.bit_generator.state == sequential.bit_generator.state
