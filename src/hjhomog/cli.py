@@ -146,12 +146,25 @@ def validate_config(cfg: dict) -> None:
     if fam not in families.FAMILIES:
         raise ConfigError(f"hamiltonian.family: unknown family {fam!r}")
     try:
+        hamiltonian_from(cfg)
+    except (ValueError, TypeError, KeyError) as exc:
+        raise ConfigError(f"hamiltonian.params: {exc}")
+    try:
         solve_config_from(cfg).validate()
     except ValueError as exc:
         raise ConfigError(f"solver: {exc}")
     camp = cfg["campaign"]
     if not camp["thetas"]:
         raise ConfigError("campaign.thetas: must hold at least one theta")
+    dim = int(cfg["environment"]["dimension"])
+    for theta in camp["thetas"]:
+        if np.shape(np.atleast_1d(theta)) != (dim,):
+            raise ConfigError(f"campaign.thetas: entry {theta} needs environment.dimension "
+                              f"= {dim} components")
+    for key in ("box_lo", "box_hi"):
+        if len(cfg["solver"][key]) != dim:
+            raise ConfigError(f"solver.{key}: needs environment.dimension = {dim} "
+                              f"components, got {cfg['solver'][key]}")
     times = camp["times"]
     if any(t <= 0 for t in times) or sorted(times) != list(times):
         raise ConfigError("campaign.times: must be positive and increasing")

@@ -71,23 +71,33 @@ class EnvSpec:
         return 2 ** self.dimension
 
 
-class Environment:
-    """A fixed realization of the cost field; immutable after construction.
+#: most probes (realizations x points) one hashing pass takes: a batch is
+#: hashed a group of realizations at a time, and a single realization with
+#: more points is hashed on its own
+HASH_POINTS = 2**16
 
-    Values are a pure function of the spec (seed included): the amplitude of
+
+class Environment:
+    """Fixed realizations of the cost field; immutable after construction.
+
+    Values are a pure function of the spec and the seed: the amplitude of
     the bump in lattice cell ``z`` for channel ``c`` is
-    ``uniform01(seed, z..., c)`` rescaled to [amp_lo, amp_hi], generated on
-    demand.
+    ``uniform01(seed, 0, z..., c)`` rescaled to [amp_lo, amp_hi], generated
+    on demand.  Given ``seeds``, the object holds one realization per seed
+    (``spec.seed`` is then unused) and every value carries a leading
+    realization axis; without, it is the single realization ``spec.seed``,
+    held as a batch of one.
     """
 
-    def __init__(self, spec: EnvSpec):
+    def __init__(self, spec: EnvSpec, seeds=None):
         spec.validate()
         self.spec = spec
-        d = spec.dimension
-        # per-realization stationarity offset, uniform over one lattice cell;
-        # the leading tag word keeps this stream disjoint from cell amplitudes
-        off = np.array([uniform01(spec.seed, 1, ax) for ax in range(d)])
-        self.offset = off * spec.bump_radius
+        self.batch_shape = () if seeds is None else (len(seeds),)
+        self.seeds = np.asarray([spec.seed] if seeds is None else seeds, dtype=np.int64)
+        # per-realization stationarity offset (M, d), uniform over one lattice
+        # cell; the leading tag word keeps this stream disjoint from cell amplitudes
+        axes = np.arange(spec.dimension, dtype=np.int64)
+        self.offset = uniform01(self.seeds[:, None], 1, axes) * spec.bump_radius
 
     # -- certified constants ------------------------------------------------
 
@@ -133,84 +143,104 @@ class Environment:
             )
 
     def values(self, pts: np.ndarray) -> np.ndarray:
-        """Field values at points ``pts`` (N, d) for all channels -> (N, C)."""
+        """Field values at points ``pts`` (N, d) for all channels.
+
+        (N, C) for a single realization, (M, N, C) for a batch.
+        """
         pts = np.atleast_2d(np.asarray(pts, dtype=np.float64))
         self.check_inside(pts)
-        return self._raw_values(pts)
+        out = self._raw_values(pts)
+        return out if self.batch_shape else out[0]
 
-    def _bumps(self, pts: np.ndarray):
+    def _bumps(self, pts: np.ndarray, group: slice):
         """Walk the 2^d bumps covering each point, one lattice corner at a time.
 
-        Yields (cells (N, d), live (N,), weights (N,)): the corner's cell
-        index for every point, whether that bump reaches the point, and the
-        bump profile there (zero where it does not).
+        For the realizations in ``group`` (G of them), yields (cells
+        (G, N, d), live (G, N), weights (G, N)): the corner's cell index for
+        every point, whether that bump reaches the point, and the bump
+        profile there (zero where it does not).
         """
-        s = self.spec
-        base = np.floor((pts - self.offset) / s.bump_radius).astype(np.int64)
+        r = self.spec.bump_radius
+        off = self.offset[group, None, :]
+        base = np.floor((pts - off) / r).astype(np.int64)
         for corner in itertools.product((0, 1), repeat=pts.shape[1]):
             z = base + np.array(corner, dtype=np.int64)
-            centers = z * s.bump_radius + self.offset
-            # summed column by column, from the first: the bits of .sum(axis=1)
-            sq = np.square(pts[:, 0] - centers[:, 0])
+            centers = z * r + off
+            # summed column by column, from the first: the bits of .sum(axis=-1)
+            sq = np.square(pts[:, 0] - centers[..., 0])
             for i in range(1, pts.shape[1]):
-                sq += np.square(pts[:, i] - centers[:, i])
-            s2 = sq / s.bump_radius**2
+                sq += np.square(pts[:, i] - centers[..., i])
+            s2 = sq / r**2
             w = np.where(s2 < 1.0, (1.0 - np.minimum(s2, 1.0)) ** 2, 0.0)
             yield z, w > 0.0, w
 
     def _raw_values(self, pts: np.ndarray) -> np.ndarray:
-        """Sum of the covering bumps, each live lattice cell hashed once.
-
-        The corners' live cells are marked over the cell bounding box of
-        the points and hashed in one call.  Every point then adds
-        ``w * amp`` for every corner, in corner order: a bump that does not
-        reach the point has w = 0 and adds +0.0 (amplitudes are finite and
-        nonnegative), so each value is the sum over its live bumps.
-        """
-        out = np.zeros((pts.shape[0], self.spec.channels))
+        """(M, N, C) values, hashed in groups of at most HASH_POINTS probes."""
+        M = len(self.seeds)
+        out = np.zeros((M, pts.shape[0], self.spec.channels))
         if len(pts) == 0:
             return out
-        bumps = list(self._bumps(pts))
+        per = max(1, HASH_POINTS // len(pts))
+        for lo in range(0, M, per):
+            self._add_bumps(pts, slice(lo, lo + per), out[lo:lo + per])
+        return out
+
+    def _add_bumps(self, pts: np.ndarray, group: slice, out: np.ndarray) -> None:
+        """Add the covering bumps of a group's realizations into out (G, N, C).
+
+        The corners' live (realization, cell) pairs are marked over the
+        cell bounding box of the points, stacked per realization, and
+        hashed in one call, each once.  Every point then adds ``w * amp``
+        for every corner, in corner order: a bump that does not reach the
+        point has w = 0 and adds +0.0 (amplitudes are finite and
+        nonnegative), so each value is the sum over its live bumps.
+        """
+        bumps = list(self._bumps(pts, group))
         z0 = bumps[0][0]
-        lo = z0.min(axis=0)                             # corner (0, ..., 0) holds the minima
-        shape = tuple(bumps[-1][0].max(axis=0) - lo + 1)   # corner (1, ..., 1) the maxima
+        G = z0.shape[0]
+        lo = z0.min(axis=(0, 1))                        # corner (0, ..., 0) holds the minima
+        hi = bumps[-1][0].max(axis=(0, 1))              # corner (1, ..., 1) the maxima
+        shape = (G,) + tuple(hi - lo + 1)
         # a corner's cells are the base cells moved by the corner, and the
         # flat index is linear in the cell
-        base = np.ravel_multi_index(tuple((z0 - lo).T), shape)
-        flat = [base + np.ravel_multi_index(tuple(z[0] - z0[0]), shape) for z, _, _ in bumps]
+        base = np.ravel_multi_index((np.arange(G)[:, None], *np.moveaxis(z0 - lo, -1, 0)), shape)
+        flat = [base + np.ravel_multi_index((0, *(z[0, 0] - z0[0, 0])), shape)
+                for z, _, _ in bumps]
         marked = np.zeros(math.prod(shape), dtype=bool)
         for f, (_, live, _) in zip(flat, bumps):
             marked[f[live]] = True
         # never empty: a point's nearest corner lies within r sqrt(d) / 2 < r
-        cells = np.flatnonzero(marked)
-        z = np.stack(np.unravel_index(cells, shape), axis=1) + lo
-        amp = self._cell_amplitudes(z, np.arange(self.spec.channels, dtype=np.int64))
-        row = np.cumsum(marked) - 1                     # marked cell -> its row of amp
+        m, *z = np.unravel_index(np.flatnonzero(marked), shape)
+        amp = self._cell_amplitudes(self.seeds[group][m], np.stack(z, axis=1) + lo,
+                                    np.arange(self.spec.channels, dtype=np.int64))
+        row = np.cumsum(marked) - 1                     # marked pair -> its row of amp
         term = np.empty_like(out)
         for f, (_, _, w) in zip(flat, bumps):
-            np.multiply(w[:, None], np.take(amp, row[f], axis=0), out=term)
+            np.multiply(w[..., None], np.take(amp, row[f], axis=0), out=term)
             out += term
-        return out
 
-    def _cell_amplitudes(self, z: np.ndarray, chans: np.ndarray) -> np.ndarray:
+    def _cell_amplitudes(self, seeds: np.ndarray, z: np.ndarray, chans: np.ndarray) -> np.ndarray:
+        """Amplitudes (K, C) of the cells z (K, d) of the realizations seeded ``seeds`` (K,)."""
         s = self.spec
         parts = [z[:, ax, None] for ax in range(z.shape[1])]
-        u = uniform01(s.seed, 0, *parts, chans[None, :])
+        u = uniform01(seeds[:, None], 0, *parts, chans[None, :])
         return s.amp_lo + (s.amp_hi - s.amp_lo) * u
 
-    def cells_touched(self, pts: np.ndarray) -> set[tuple[int, ...]]:
+    def cells_touched(self, pts: np.ndarray) -> set[tuple[int, ...]] | list[set[tuple[int, ...]]]:
         """Lattice cells whose amplitude keys the given probes consume.
 
         Instrumentation for the dependence-range certificate: probe sets at
         Hausdorff distance > rho must return disjoint cell sets.  It walks
         the same bumps as the evaluation, so it names exactly the cells
-        ``values`` hashes.
+        ``values`` hashes.  A set of cells per realization: one set, or a
+        list of M sets for a batch.
         """
         pts = np.atleast_2d(np.asarray(pts, dtype=np.float64))
-        touched: set[tuple[int, ...]] = set()
-        for z, live, _ in self._bumps(pts):
-            touched.update(map(tuple, z[live].tolist()))
-        return touched
+        touched: list[set[tuple[int, ...]]] = [set() for _ in self.seeds]
+        for z, live, _ in self._bumps(pts, slice(None)):
+            for cells, zm, lm in zip(touched, z, live):
+                cells.update(map(tuple, zm[lm].tolist()))
+        return touched if self.batch_shape else touched[0]
 
 
 class EnvironmentView:
@@ -244,6 +274,10 @@ class EnvironmentView:
     @property
     def lip_bound(self):
         return self.base.lip_bound
+
+    @property
+    def batch_shape(self):
+        return self.base.batch_shape
 
     def values(self, pts: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(pts, dtype=np.float64))
@@ -281,14 +315,23 @@ class ConstantEnvironment:
     def lip_bound(self):
         return 0.0
 
+    @property
+    def batch_shape(self):
+        return ()
+
     def values(self, pts: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(pts, dtype=np.float64))
         return np.full((pts.shape[0], self.channels), self.value)
 
 
-def sample_environment(spec: EnvSpec) -> Environment:
-    """Materialize (lazily) the field realization determined by ``spec``."""
-    return Environment(spec)
+def sample_environment(spec: EnvSpec, seeds=None) -> Environment:
+    """Materialize (lazily) the field realization determined by ``spec``.
+
+    With ``seeds``, one environment holds ``len(seeds)`` realizations of
+    ``spec``'s law: row m of its values is the realization
+    ``with_seed(spec, seeds[m])``, bit for bit.
+    """
+    return Environment(spec, seeds)
 
 
 def shift_view(env, y: np.ndarray) -> EnvironmentView:

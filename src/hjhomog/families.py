@@ -9,18 +9,20 @@ from .game import GameHamiltonian, localize
 
 
 def _env_cost(n_a: int, n_b: int):
-    """Cost accessor reading environment channels (shared or per-pair)."""
+    """Cost accessor reading environment channels (shared or per-pair).
+
+    Any leading realization axes of the environment's values are kept.
+    """
 
     def cost(pts: np.ndarray, env) -> np.ndarray:
-        vals = env.values(pts)                    # (N, C)
-        n = vals.shape[0]
-        if vals.shape[1] == 1:
-            return vals[:, :, None]               # broadcasts over (a, b)
-        if vals.shape[1] != n_a * n_b:
+        vals = env.values(pts)                    # (..., N, C)
+        if vals.shape[-1] == 1:
+            return vals[..., None]                # broadcasts over (a, b)
+        if vals.shape[-1] != n_a * n_b:
             raise ValueError(
-                f"environment has {vals.shape[1]} channels, game needs {n_a * n_b}"
+                f"environment has {vals.shape[-1]} channels, game needs {n_a * n_b}"
             )
-        return vals.reshape(n, n_a, n_b)
+        return vals.reshape(vals.shape[:-1] + (n_a, n_b))
 
     return cost
 

@@ -19,7 +19,7 @@ from .env import DomainError, replace_on_strip, sample_environment, with_seed
 from .game import GameHamiltonian, ball_grid, certify_constants, shift_momentum
 from .pde import (SolveConfig, reach, sl_plan, sl_step_cost, solve_effective, solve_sl,
                   solve_sl_batch)
-from .rng import derive_seed
+from .rng import derive_seeds
 
 #: sum_{k>=1} 2^{-k/2} sqrt(k+1); converts the per-pair defect constant into
 #: the bias-band constant of the doubling argument
@@ -117,11 +117,13 @@ def solve_box_for(f: np.ndarray, scheme: str, T: float, dt: float, dx: float,
             tuple(float(report_radius + steps * a * dx + 4 * dx) for a in above))
 
 
-def _solve_batches(gh: GameHamiltonian, envs, theta, cfg: SolveConfig, read) -> np.ndarray:
-    """read(result) of batched SL solves of u_theta, one per environment.
+def _solve_batches(gh: GameHamiltonian, env_spec, seeds, theta, cfg: SolveConfig,
+                   read) -> np.ndarray:
+    """read(result) of batched SL solves of u_theta, one per seed of env_spec's law.
 
     The realizations share the stencil, so they are solved together, in
-    batches whose stacked cost table fits BATCH_COST_BYTES.  read() maps a
+    batches whose stacked cost table fits BATCH_COST_BYTES; each batch is
+    one seed-batched environment and one cost-table call.  read() maps a
     batch's result to an array whose last axis runs over the batch; the
     batches are joined along it.
     """
@@ -129,12 +131,9 @@ def _solve_batches(gh: GameHamiltonian, envs, theta, cfg: SolveConfig, read) -> 
     shifted = shift_momentum(gh, theta)
     per = max(1, BATCH_COST_BYTES // plan.cost_bytes)
     parts = []
-    for lo in range(0, len(envs), per):
-        batch = envs[lo:lo + per]
-        cost = np.empty((len(plan.stencil), len(batch)) + plan.grid.shape)
-        for m, env in enumerate(batch):
-            sl_step_cost(shifted, env, plan, out=cost[:, m])
-        parts.append(read(solve_sl_batch(plan, cost)))
+    for lo in range(0, len(seeds), per):
+        env = sample_environment(env_spec, seeds[lo:lo + per])
+        parts.append(read(solve_sl_batch(plan, sl_step_cost(shifted, env, plan))))
     return np.concatenate(parts, axis=-1)
 
 
@@ -147,9 +146,8 @@ def _campaign_chunk(args) -> np.ndarray:
     game, env_spec, theta, cfg, seeds = args
     if not isinstance(game, GameHamiltonian):
         game = families.build(game[0], game[1], env_spec.dimension)
-    envs = [sample_environment(with_seed(env_spec, seed)) for seed in seeds]
     origin = np.zeros(game.dim)
-    return _solve_batches(game, envs, theta, cfg, lambda res: np.stack(
+    return _solve_batches(game, env_spec, seeds, theta, cfg, lambda res: np.stack(
         [res.at_time(t).value_at(origin) for t in cfg.record_times]))
 
 
@@ -172,7 +170,8 @@ def estimate_U(gh: GameHamiltonian, env_spec, theta, times, M: int,
         )
     theta = np.atleast_1d(np.asarray(theta, dtype=np.float64))
     times = sorted(float(t) for t in times)
-    probe_env = sample_environment(with_seed(env_spec, derive_seed(base_seed, 0)))
+    seeds = derive_seeds(base_seed, np.arange(M))
+    probe_env = sample_environment(with_seed(env_spec, int(seeds[0])))
     gh_b = families.bind_env_constants(gh, probe_env)
     consts = certify_constants(gh_b)
     consts.require_oriented()
@@ -182,11 +181,10 @@ def estimate_U(gh: GameHamiltonian, env_spec, theta, times, M: int,
     cfg = SolveConfig(scheme="semi-lagrangian", dt=dt, dx=dx, T=max(times),
                       box_lo=box[0], box_hi=box[1], record_times=tuple(times))
 
-    seeds = [derive_seed(base_seed, i) for i in range(M)]
     if workers > 1:
         _check_rebuilds(gh, family_desc, probe_env)
         chunks = [c for c in np.array_split(np.arange(M), workers) if len(c)]
-        tasks = [(family_desc, env_spec, theta, cfg, [seeds[i] for i in c]) for c in chunks]
+        tasks = [(family_desc, env_spec, theta, cfg, seeds[c]) for c in chunks]
         with ProcessPoolExecutor(max_workers=len(tasks)) as pool:
             samples = np.concatenate(list(pool.map(_campaign_chunk, tasks)), axis=1)
     else:
@@ -360,9 +358,9 @@ def strip_experiment(gh: GameHamiltonian, env, lo: float, hi: float, shift,
 
     cfg = SolveConfig(scheme="semi-lagrangian", dt=dt, dx=dx, T=t,
                       box_lo=box[0], box_hi=box[1])
-    u = _solve_batches(gh_b, [env, env_hat], np.atleast_1d(theta), cfg,
-                       lambda res: np.moveaxis(res.final.active_values(), 0, -1))
-    observed = float(np.max(np.abs(u[..., 0] - u[..., 1])))
+    shifted = shift_momentum(gh_b, np.atleast_1d(theta))
+    u, u_hat = (solve_sl(shifted, field, cfg).final.active_values() for field in (env, env_hat))
+    observed = float(np.max(np.abs(u - u_hat)))
 
     d = gh.dim
     rng = np.random.default_rng(12345)
@@ -526,10 +524,11 @@ def effective_H_properties(estimates: list[EffectiveEstimate], beta: float) -> d
 # epsilon-rate
 
 
-def _sup_errors(gh: GameHamiltonian, envs, theta, eps: float, R: float,
+def _sup_errors(gh: GameHamiltonian, env_spec, seeds, theta, eps: float, R: float,
                 T: float, H_bar: float, dx: float, dt: float,
                 n_t: int = 8, n_x: int = 9) -> np.ndarray:
-    """Per realization, sup over a [0,T] x B_R grid of |eps u(t/eps, x/eps) + t H_bar|."""
+    """Per seed of env_spec's law, sup over a [0,T] x B_R grid of
+    |eps u(t/eps, x/eps) + t H_bar|."""
     t_top = T / eps
     times = [t_top * j / n_t for j in range(1, n_t + 1)]
     box = solve_box_for(gh.f_pairs, "semi-lagrangian", t_top, dt, dx, report_radius=R / eps)
@@ -544,7 +543,7 @@ def _sup_errors(gh: GameHamiltonian, envs, theta, eps: float, R: float,
             worst = np.maximum(worst, np.abs(val).max(axis=-1))
         return worst
 
-    return _solve_batches(gh, envs, theta, cfg, read)
+    return _solve_batches(gh, env_spec, seeds, theta, cfg, read)
 
 
 def rate_experiment(gh: GameHamiltonian, env_spec, theta, eps_list, R: float,
@@ -567,15 +566,16 @@ def rate_experiment(gh: GameHamiltonian, env_spec, theta, eps_list, R: float,
                          f"got {eps_list}")
     theta = np.atleast_1d(np.asarray(theta, dtype=np.float64))
 
-    # one batch per epsilon: the calibration samples, then the test samples
+    # one batch per epsilon: the calibration samples (tag 1), then the test
+    # samples (tag 2); every epsilon's seeds come from one call
     m_cal = max(4, int(M * calibration_fraction)) if K_hat is None else 0
+    tags = np.repeat([1, 2], [m_cal, M])
+    index = np.concatenate([np.arange(m_cal), np.arange(M)])
+    seeds = derive_seeds(base_seed, tags, np.arange(len(eps_list))[:, None], index)
     cal, test = {}, {}
-    for ei, eps in enumerate(eps_list):
-        seeds = ([derive_seed(base_seed, 1, ei, i) for i in range(m_cal)]
-                 + [derive_seed(base_seed, 2, ei, i) for i in range(M)])
-        envs = [sample_environment(with_seed(env_spec, seed)) for seed in seeds]
-        cal[eps], test[eps] = np.split(_sup_errors(gh, envs, theta, eps, R, T, H_bar, dx, dt),
-                                       [m_cal])
+    for eps, bank in zip(eps_list, seeds):
+        cal[eps], test[eps] = np.split(
+            _sup_errors(gh, env_spec, bank, theta, eps, R, T, H_bar, dx, dt), [m_cal])
 
     if K_hat is None:
         ratios = np.concatenate([

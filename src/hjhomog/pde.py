@@ -209,11 +209,15 @@ class SolveResult:
 def _precompute_cost(gh: GameHamiltonian, env, grid: Grid, eps: float) -> np.ndarray:
     """Cost table over all grid nodes, pair-major: (n_a * n_b, *shape).
 
-    A transposed view of the accessor's (N, n_a, n_b) table, not a copy.
+    A batched environment puts its realization axis after the pairs:
+    (n_a * n_b, M, *shape).  A transposed view of the accessor's
+    (..., N, n_a, n_b) table, not a copy.
     """
     pts = grid.nodes()
-    c = np.broadcast_to(gh.cost(pts / eps, env), (len(pts), gh.n_a, gh.n_b))
-    return c.reshape(len(pts), -1).T.reshape(-1, *grid.shape)
+    lead = () if env is None else env.batch_shape
+    c = np.broadcast_to(gh.cost(pts / eps, env), lead + (len(pts), gh.n_a, gh.n_b))
+    c = c.reshape(lead + (len(pts), -1))
+    return np.moveaxis(c, -1, 0).reshape((-1,) + lead + grid.shape)
 
 
 def _steps_and_records(cfg: SolveConfig) -> tuple[int, dict[int, float]]:
@@ -359,21 +363,26 @@ def sl_plan(gh: GameHamiltonian, cfg: SolveConfig) -> SLPlan:
                   stencil=tuple(stencil))
 
 
-def sl_step_cost(gh: GameHamiltonian, env, plan: SLPlan, out=None) -> np.ndarray:
-    """Cost one SL step accrues at each node, dt * cost: (pairs, *shape)."""
+def sl_step_cost(gh: GameHamiltonian, env, plan: SLPlan) -> np.ndarray:
+    """Cost one SL step accrues at each node, dt * cost.
+
+    (pairs, *shape) for one realization, (pairs, M, *shape) for a batched
+    environment: the stacked table ``solve_sl_batch`` takes.
+    """
     cost = _precompute_cost(gh, env, plan.grid, plan.cfg.epsilon)
     # C order: the view is pair-fastest, but the step loop reads one pair's plane at a time
-    return np.multiply(cost, plan.cfg.dt, out=out, order="C")
+    return np.multiply(cost, plan.cfg.dt, order="C")
 
 
 def solve_sl_batch(plan: SLPlan, step_cost: np.ndarray,
                    g: Callable[[np.ndarray], np.ndarray] = zero_datum) -> SolveResult:
     """The SL recursion for M realizations at once.
 
-    ``step_cost`` stacks the realizations' ``sl_step_cost`` tables as
-    (pairs, M, *shape); all start from the datum g.  Every Field of the
-    result carries the realization axis first.  Each realization's numbers
-    are those of its own solve: the recursion is elementwise along M.
+    ``step_cost`` is the (pairs, M, *shape) ``sl_step_cost`` table of a
+    batched environment; all realizations start from the datum g.  Every
+    Field of the result carries the realization axis first.  Each
+    realization's numbers are those of its own solve: the recursion is
+    elementwise along M.
     """
     grid = plan.grid
     M = step_cost.shape[1]

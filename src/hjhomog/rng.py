@@ -25,25 +25,34 @@ def splitmix64(x: np.ndarray | int) -> np.ndarray:
         return z ^ (z >> np.uint64(31))
 
 
-def mix(seed: int, *parts: np.ndarray | int) -> np.ndarray:
+def mix(seed: np.ndarray | int, *parts: np.ndarray | int) -> np.ndarray:
     """Fold integer words into a single well-mixed uint64 (vectorized).
 
-    Negative integers are allowed; they are reinterpreted as two's
-    complement uint64.
+    The seed broadcasts against the parts like any other word, so one call
+    can key many seeds.  Negative integers are allowed; they are
+    reinterpreted as two's complement uint64.
     """
     with np.errstate(over="ignore"):
-        h = splitmix64(np.uint64(np.int64(seed).view(np.uint64)))
+        h = splitmix64(np.asarray(seed, dtype=np.int64).view(np.uint64))
         for p in parts:
             w = np.asarray(p, dtype=np.int64).view(np.uint64)
             h = splitmix64(h ^ splitmix64(w))
     return h
 
 
-def uniform01(seed: int, *parts: np.ndarray | int) -> np.ndarray:
+def uniform01(seed: np.ndarray | int, *parts: np.ndarray | int) -> np.ndarray:
     """Deterministic uniform draw in [0, 1) keyed on (seed, parts)."""
     return (mix(seed, *parts) >> np.uint64(11)).astype(np.float64) / _U53
 
 
+def derive_seeds(base_seed: int, *indices: np.ndarray | int) -> np.ndarray:
+    """Child seeds for independent streams (sample fan-out), as int64.
+
+    The indices broadcast, so one call derives a whole bank of seeds.
+    """
+    return (mix(base_seed, *indices) & np.uint64(0x7FFFFFFFFFFFFFFF)).astype(np.int64)
+
+
 def derive_seed(base_seed: int, *indices: int) -> int:
-    """Child seed for an independent stream (sample fan-out)."""
-    return int(mix(base_seed, *indices) & np.uint64(0x7FFFFFFFFFFFFFFF))
+    """The child seed of one index tuple."""
+    return int(derive_seeds(base_seed, *indices))

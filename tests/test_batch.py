@@ -167,8 +167,8 @@ def test_rate_sup_errors_match_pointwise_probes(speed, eps, dt, count, seed):
     R, T, H_bar, dx = 0.5, 1.0, -0.6, 0.125
     spec = EnvSpec(dimension=1, rho=1.0, bump_radius=0.5, amp_lo=0.0, amp_hi=1.0,
                    channels=1, box_lo=(-8.0,), box_hi=(12.0,), seed=0)
-    envs = [sample_environment(with_seed(spec, derive_seed(seed, i))) for i in range(count)]
-    got = homog._sup_errors(game, envs, np.zeros(1), eps, R, T, H_bar, dx, dt)
+    seeds = [derive_seed(seed, i) for i in range(count)]
+    got = homog._sup_errors(game, spec, seeds, np.zeros(1), eps, R, T, H_bar, dx, dt)
 
     t_top = T / eps
     box = homog.solve_box_for(game.f_pairs, "semi-lagrangian", t_top, dt, dx, R / eps)
@@ -176,7 +176,7 @@ def test_rate_sup_errors_match_pointwise_probes(speed, eps, dt, count, seed):
     cfg = SolveConfig(scheme="semi-lagrangian", dt=dt, dx=dx, T=t_top,
                       box_lo=box[0], box_hi=box[1], record_times=tuple(times))
     want = []
-    for env in envs:
+    for env in (sample_environment(with_seed(spec, s)) for s in seeds):
         res = solve_sl(shift_momentum(bind_env_constants(game, env), np.zeros(1)), env, cfg)
         worst = 0.0
         for tj, t_un in zip([T * j / 8 for j in range(1, 9)], times):

@@ -207,3 +207,21 @@ def test_empty_localized_action_grid_is_a_named_config_error(tmp_path, capsys):
                  "--out", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("config error:") and "n_a=2" in err
+
+
+def test_theta_and_box_dimensions_are_named_config_errors(tmp_path, capsys):
+    # a 2-D localized game under the default 1-D thetas and solver box
+    game = ["verify", "--set", "environment.dimension=2",
+            "--set", "environment.box_lo=[-8.0,-8.0]", "--set", "environment.box_hi=[48.0,8.0]",
+            "--set", "hamiltonian.family=localized",
+            "--set", 'hamiltonian.params={"beta":1.0,"v":[0.75,0.0],'
+                     '"pi":[[0.0,0.0],[0.0,1.0]],"n_a":4,"n_b":4,"g0":"norm"}',
+            "--out", str(tmp_path / "o")]
+    for extra, field in (([], "campaign.thetas"),
+                         (["--set", "campaign.thetas=[[0.0,0.0]]"], "solver.box_lo"),
+                         (["--set", "campaign.thetas=[[0.0,0.0]]",
+                           "--set", "solver.box_lo=[-1.0,-1.0]"], "solver.box_hi")):
+        assert main(game + extra) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {field}:") and "environment.dimension" in err
+        assert not (tmp_path / "o").exists()       # refused before anything runs

@@ -28,7 +28,7 @@ def brute_force_field(env, pts):
     cells = range(-30, 31)
     for z in itertools.product(cells, repeat=s.dimension):
         center = np.array(z) * s.bump_radius + env.offset
-        amp = env._cell_amplitudes(np.array([z]), np.array([0]))[0, 0]
+        amp = env._cell_amplitudes(env.seeds, np.array([z]), np.array([0]))[0, 0]
         s2 = ((pts - center) ** 2).sum(axis=1) / s.bump_radius**2
         out += np.where(s2 < 1, (1 - np.minimum(s2, 1)) ** 2, 0.0) * amp
     return out
@@ -147,9 +147,9 @@ def test_frd_certificate_property(case):
     hashed = set()
     amplitudes = env._cell_amplitudes
 
-    def recording(z, chans):
+    def recording(seeds, z, chans):
         hashed.update(map(tuple, z.tolist()))
-        return amplitudes(z, chans)
+        return amplitudes(seeds, z, chans)
 
     env._cell_amplitudes = recording
     env.values(pts)

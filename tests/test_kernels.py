@@ -11,6 +11,7 @@ every value must match to the last bit, the sign of zero included.
 """
 import math
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import ORIENTED, drawn_games
+from hjhomog import env as env_module
 from hjhomog import pde
 from hjhomog.env import EnvSpec, sample_environment, with_seed
 from hjhomog.families import build
@@ -32,14 +34,29 @@ from hjhomog.rng import derive_seed
 
 
 def ref_raw_values(env, pts):
-    out = np.zeros((pts.shape[0], env.spec.channels))
+    out = np.zeros((len(env.seeds), pts.shape[0], env.spec.channels))
     chans = np.arange(env.spec.channels, dtype=np.int64)
-    for z, live, w in env._bumps(pts):
-        if not np.any(live):
-            continue
-        amp = env._cell_amplitudes(z[live], chans)
-        out[live] += w[live, None] * amp
+    for z, live, w in env._bumps(pts, slice(None)):
+        for m, seed in enumerate(env.seeds):
+            if not np.any(live[m]):
+                continue
+            amp = env._cell_amplitudes(np.full(live[m].sum(), seed), z[m][live[m]], chans)
+            out[m][live[m]] += w[m][live[m], None] * amp
     return out
+
+
+def ref_sl_step_cost(gh, env, plan, out=None):
+    pts = plan.grid.nodes()
+    c = np.broadcast_to(gh.cost(pts / plan.cfg.epsilon, env), (len(pts), gh.n_a, gh.n_b))
+    cost = c.reshape(len(pts), -1).T.reshape(-1, *plan.grid.shape)
+    return np.multiply(cost, plan.cfg.dt, out=out, order="C")
+
+
+def ref_step_costs(gh, spec, seeds, plan):
+    cost = np.empty((len(plan.stencil), len(seeds)) + plan.grid.shape)
+    for m, seed in enumerate(seeds):
+        ref_sl_step_cost(gh, sample_environment(with_seed(spec, seed)), plan, out=cost[:, m])
+    return cost
 
 
 def ref_solve_sl_batch(plan, step_cost, g):
@@ -114,9 +131,8 @@ def ref_rate_experiment(gh, env_spec, theta, eps_list, R, T, M, H_bar, dx, dt, b
     def bank(tag: int, count: int) -> dict[float, np.ndarray]:
         per_eps = {}
         for ei, eps in enumerate(eps_list):
-            envs = [sample_environment(with_seed(env_spec, derive_seed(base_seed, tag, ei, i)))
-                    for i in range(count)]
-            per_eps[eps] = _sup_errors(gh, envs, theta, eps, R, T, H_bar, dx, dt)
+            seeds = [derive_seed(base_seed, tag, ei, i) for i in range(count)]
+            per_eps[eps] = _sup_errors(gh, env_spec, seeds, theta, eps, R, T, H_bar, dx, dt)
         return per_eps
 
     m_cal = max(4, int(M * calibration_fraction))
@@ -225,17 +241,98 @@ def test_values_hash_each_live_cell_once(game, data):
     calls = []
     amplitudes = env._cell_amplitudes
 
-    def recording(z, chans):
+    def recording(seeds, z, chans):
         calls.append(z.tolist())
-        return amplitudes(z, chans)
+        return amplitudes(seeds, z, chans)
 
     env._cell_amplitudes = recording
     got = env.values(pts)
     env._cell_amplitudes = amplitudes
-    assert same_bits(got, ref_raw_values(env, pts))
+    assert same_bits(got, ref_raw_values(env, pts)[0])
     hashed = [tuple(z) for call in calls for z in call]
     assert len(calls) <= 1 and len(hashed) == len(set(hashed))
     assert set(hashed) == env.cells_touched(pts)
+
+
+@st.composite
+def seed_batches(draw):
+    """A field law, M distinct seeds, and points with lattice nodes and bump edges among them."""
+    d = draw(st.sampled_from([1, 2]))
+    M = draw(st.integers(1, 6))
+    seeds = draw(st.lists(st.integers(-2**63, 2**63 - 1), min_size=M, max_size=M, unique=True))
+    spec = EnvSpec(dimension=d, rho=1.0, bump_radius=0.5, amp_lo=0.0, amp_hi=1.0,
+                   channels=draw(st.integers(1, 4)), box_lo=(-4.0,) * d, box_hi=(4.0,) * d,
+                   seed=0)
+    env = sample_environment(spec, seeds)
+    pts = draw(st.lists(st.lists(st.floats(-4.0, 4.0), min_size=d, max_size=d),
+                        min_size=1, max_size=20))
+    # a realization's lattice node, or that node moved by r along one axis
+    for m, z, edge, axis in draw(st.lists(st.tuples(
+            st.integers(0, M - 1), st.lists(st.integers(-6, 6), min_size=d, max_size=d),
+            st.sampled_from([0.0, 1.0, -1.0]), st.integers(0, d - 1)), max_size=8)):
+        p = np.array(z) * spec.bump_radius + env.offset[m]
+        p[axis] += edge * spec.bump_radius
+        pts.append(p.tolist())
+    return spec, seeds, env, np.array(pts)
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=seed_batches(), cap=st.integers(1, 80))
+def test_seed_axis_environment_equals_per_realization_fields(case, cap):
+    spec, seeds, env, pts = case
+    singles = [sample_environment(with_seed(spec, s)) for s in seeds]
+    calls = []
+    amplitudes = env._cell_amplitudes
+
+    def recording(seeds, z, chans):
+        calls.append(list(zip(seeds.tolist(), map(tuple, z.tolist()))))
+        return amplitudes(seeds, z, chans)
+
+    want = ref_raw_values(env, pts)
+    env._cell_amplitudes = recording
+    got = env.values(pts)
+    assert got.shape == (len(seeds), len(pts), spec.channels)
+    assert same_bits(got, np.stack([one.values(pts) for one in singles]))
+    assert same_bits(got, want)
+    # every live (seed, cell) pair is hashed exactly once
+    hashed = [pair for call in calls for pair in call]
+    assert len(hashed) == len(set(hashed))
+    touched = env.cells_touched(pts)
+    for m, (seed, one) in enumerate(zip(seeds, singles)):
+        assert {z for s, z in hashed if s == seed} == one.cells_touched(pts) == touched[m]
+    # hashing groups: under the cap, or one realization
+    calls.clear()
+    with mock.patch.object(env_module, "HASH_POINTS", cap):
+        assert same_bits(env.values(pts), got)
+    assert sum(len(call) for call in calls) == len(hashed)
+    for call in calls:
+        covered = len({s for s, _ in call})
+        assert covered * len(pts) <= cap or covered == 1
+
+
+# ---------------------------------------------------------------------------
+# cost table
+
+
+@settings(max_examples=40, deadline=None)
+@given(game=drawn_games(), M=st.integers(1, 4), dt=st.sampled_from([0.125, 0.25]),
+       seed=st.integers(-2**62, 2**62))
+@example(game=LOCALIZED_2D_CASE, M=3, dt=0.25, seed=1)
+@example(game=SADDLE_CASE, M=2, dt=0.125, seed=-7)
+def test_batched_cost_table_equals_per_realization_build(game, M, dt, seed):
+    gh, env = game
+    dx = 0.25
+    box = solve_box_for(gh.f_pairs, "semi-lagrangian", 2 * dt, dt, dx, report_radius=0.5)
+    plan = sl_plan(gh, SolveConfig(scheme="semi-lagrangian", dt=dt, dx=dx, T=2 * dt,
+                                   box_lo=box[0], box_hi=box[1]))
+    spec = covering_env(env, box).spec
+    seeds = [seed + 3 * m for m in range(M)]
+    got = sl_step_cost(gh, sample_environment(spec, seeds), plan)
+    assert got.shape == (len(plan.stencil), M) + plan.grid.shape
+    assert same_bits(got, ref_step_costs(gh, spec, seeds, plan))
+    # one realization: the table without the realization axis
+    single = sample_environment(with_seed(spec, seeds[0]))
+    assert same_bits(sl_step_cost(gh, single, plan), ref_sl_step_cost(gh, single, plan))
 
 
 # ---------------------------------------------------------------------------
@@ -255,10 +352,7 @@ def test_sl_step_equals_pair_by_pair_step(game, M, dt, steps, theta):
                       box_lo=box[0], box_hi=box[1], record_times=(dt,))
     plan = sl_plan(gh, cfg)
     base = covering_env(env, box)
-    cost = np.empty((len(plan.stencil), M) + plan.grid.shape)
-    for m in range(M):
-        sl_step_cost(gh, sample_environment(with_seed(base.spec, base.spec.seed + m)), plan,
-                     out=cost[:, m])
+    cost = sl_step_cost(gh, sample_environment(base.spec, base.spec.seed + np.arange(M)), plan)
     g = linear_datum(np.full(gh.dim, theta))
     got, want = solve_sl_batch(plan, cost, g), ref_solve_sl_batch(plan, cost, g)
     assert same_bits(got.final.values, want.final.values)
