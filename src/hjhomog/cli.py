@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import copy
 import csv
+import dataclasses
 import hashlib
 import json
 import os
@@ -230,6 +231,15 @@ def _write_json(out: Path, name: str, payload: dict) -> None:
         fh.write("\n")
 
 
+def _write_csv(out: Path, name: str, cfg: dict, header: list, rows) -> None:
+    out.mkdir(parents=True, exist_ok=True)
+    with open(out / name, "w", newline="") as fh:
+        fh.write(f"# config_hash={config_hash(cfg)} version={__version__}\n")
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def _echo_config(cfg: dict, out: Path) -> None:
     _write_json(out, "config.echo.json", _stamp(cfg, {"config": cfg}))
 
@@ -248,16 +258,11 @@ def cmd_sample_env(cfg: dict, out: Path) -> int:
     pts = np.stack([m.ravel() for m in mesh], axis=1)
     vals = env.values(pts)
     gh = hamiltonian_from(cfg)
-    n_b = gh.n_b
-    out.mkdir(parents=True, exist_ok=True)
-    with open(out / "env.csv", "w", newline="") as fh:
-        fh.write(f"# config_hash={config_hash(cfg)} version={__version__}\n")
-        writer = csv.writer(fh)
-        writer.writerow([f"x{i}" for i in range(d)] + ["a", "b", "value"])
-        for row, v in zip(pts, vals):
-            for ch in range(vals.shape[1]):
-                a, b = (ch // n_b, ch % n_b) if vals.shape[1] > 1 else (0, 0)
-                writer.writerow(list(row) + [a, b, v[ch]])
+    pairs = [divmod(ch, gh.n_b) if vals.shape[1] > 1 else (0, 0)
+             for ch in range(vals.shape[1])]
+    _write_csv(out, "env.csv", cfg, [f"x{i}" for i in range(d)] + ["a", "b", "value"],
+               (list(row) + [a, b, v[ch]]
+                for row, v in zip(pts, vals) for ch, (a, b) in enumerate(pairs)))
     _write_json(out, "env.summary.json", _stamp(cfg, {
         "sup_bound": env.sup_bound,
         "lip_bound": env.lip_bound,
@@ -272,24 +277,21 @@ def cmd_solve(cfg: dict, out: Path) -> int:
     env = sample_environment(spec)
     gh = hamiltonian_from(cfg)
     scfg = solve_config_from(cfg)
-    scfg = SolveConfig(**{**scfg.__dict__,
-                          "record_times": tuple(sorted(set(scfg.record_times) | {scfg.T}))})
+    scfg = dataclasses.replace(
+        scfg, record_times=tuple(sorted(set(scfg.record_times) | {scfg.T})))
     theta = np.asarray(cfg["campaign"]["thetas"][0], dtype=np.float64)
     res = solve(shift_momentum(gh, theta), env, scfg, zero_datum)
     d = gh.dim
-    out.mkdir(parents=True, exist_ok=True)
-    with open(out / "solution.csv", "w", newline="") as fh:
-        fh.write(f"# config_hash={config_hash(cfg)} version={__version__}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["t"] + [f"x{i}" for i in range(d)] + ["u"])
+
+    def rows():
         for t in sorted(res.snapshots):
             fld = res.snapshots[t]
             pts = fld.grid.nodes().reshape(*fld.grid.shape, d)
             sl = fld.active_slices()
-            coords = pts[sl].reshape(-1, d)
-            vals = fld.values[sl].ravel()
-            for x, u in zip(coords, vals):
-                writer.writerow([t] + list(x) + [u])
+            for x, u in zip(pts[sl].reshape(-1, d), fld.values[sl].ravel()):
+                yield [t] + list(x) + [u]
+
+    _write_csv(out, "solution.csv", cfg, ["t"] + [f"x{i}" for i in range(d)] + ["u"], rows())
     _write_json(out, "solve.summary.json", _stamp(cfg, {
         "telemetry": res.telemetry,
         "t_final": res.final.t,
@@ -314,13 +316,9 @@ def cmd_estimate(cfg: dict, out: Path, workers: int) -> int:
     table = _campaign_table(cfg, theta, workers)
     _write_json(out, "utable.json", _stamp(cfg, {"utable": table.to_dict()}))
     if "csv" in cfg["output"]["formats"]:
-        with open(out / "utable.csv", "w", newline="") as fh:
-            fh.write(f"# config_hash={config_hash(cfg)} version={__version__}\n")
-            writer = csv.writer(fh)
-            writer.writerow(["t", "sample_index", "value"])
-            for k, t in enumerate(table.times):
-                for i, v in enumerate(table.samples[k]):
-                    writer.writerow([t, i, v])
+        _write_csv(out, "utable.csv", cfg, ["t", "sample_index", "value"],
+                   ([t, i, v] for t, row in zip(table.times, table.samples)
+                    for i, v in enumerate(row)))
     return 0
 
 
@@ -353,14 +351,9 @@ def cmd_rate(cfg: dict, out: Path, workers: int) -> int:
         dx=float(camp["rate_dx"]), dt=float(camp["rate_dt"]),
         base_seed=int(camp["base_seed"]),
     )
-    out.mkdir(parents=True, exist_ok=True)
-    with open(out / "rate.csv", "w", newline="") as fh:
-        fh.write(f"# config_hash={config_hash(cfg)} version={__version__}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["eps", "q10", "median", "q90", "exceedance"])
-        for eps in report["eps_list"]:
-            q = report["quantiles"][eps]
-            writer.writerow([eps, q[0], q[1], q[2], report["exceedance"][eps]])
+    _write_csv(out, "rate.csv", cfg, ["eps", "q10", "median", "q90", "exceedance"],
+               ([eps, *report["quantiles"][eps], report["exceedance"][eps]]
+                for eps in report["eps_list"]))
     _write_json(out, "rate.summary.json", _stamp(cfg, {
         "report": {k: v for k, v in report.items()
                    if k not in ("quantiles", "medians", "exceedance")},
@@ -414,7 +407,7 @@ def cmd_verify(cfg: dict, out: Path) -> int:
     scfg = solve_config_from(cfg)
     n_rec = 4
     recs = tuple(scfg.T * k / n_rec for k in range(1, n_rec + 1))
-    scfg = SolveConfig(**{**scfg.__dict__, "record_times": recs})
+    scfg = dataclasses.replace(scfg, record_times=recs)
 
     # strip perturbation bound
     try:

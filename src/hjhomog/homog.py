@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -117,38 +118,46 @@ def solve_box_for(f: np.ndarray, scheme: str, T: float, dt: float, dx: float,
             tuple(float(report_radius + steps * a * dx + 4 * dx) for a in above))
 
 
-def _solve_batches(gh: GameHamiltonian, env_spec, seeds, theta, cfg: SolveConfig,
-                   read) -> np.ndarray:
-    """read(result) of batched SL solves of u_theta, one per seed of env_spec's law.
+def _solve_batches(game, env_spec, seeds, theta, cfg: SolveConfig, probes,
+                   workers: int = 1) -> np.ndarray:
+    """u_theta at the probes (n, d) at each record time, per seed of env_spec's law.
 
-    The realizations share the stencil, so they are solved together, in
-    batches whose stacked cost table fits BATCH_COST_BYTES; each batch is
-    one seed-batched environment and one cost-table call.  read() maps a
-    batch's result to an array whose last axis runs over the batch; the
-    batches are joined along it.
+    Returns (n_times, n, len(seeds)); column m is realization seeds[m]'s own
+    number.  ``game`` is a GameHamiltonian, or (family, params) to rebuild it
+    by name; with workers > 1 it must be the latter, and each pool worker
+    runs one contiguous chunk of the seeds.  The realizations share the
+    stencil, so they are solved together, in batches whose stacked cost
+    table fits BATCH_COST_BYTES; each batch is one seed-batched environment
+    and one cost-table call.
     """
-    plan = sl_plan(gh, cfg)
-    shifted = shift_momentum(gh, theta)
+    if workers > 1:
+        chunks = [c for c in np.array_split(seeds, workers) if len(c)]
+        run = partial(_solve_batches, game, env_spec, theta=theta, cfg=cfg, probes=probes)
+        with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
+            return np.concatenate(list(pool.map(run, chunks)), axis=-1)
+    if not isinstance(game, GameHamiltonian):
+        game = families.build(game[0], game[1], env_spec.dimension)
+    plan = sl_plan(game, cfg)
+    shifted = shift_momentum(game, theta)
     per = max(1, BATCH_COST_BYTES // plan.cost_bytes)
     parts = []
     for lo in range(0, len(seeds), per):
         env = sample_environment(env_spec, seeds[lo:lo + per])
-        parts.append(read(solve_sl_batch(plan, sl_step_cost(shifted, env, plan))))
+        res = solve_sl_batch(plan, sl_step_cost(shifted, env, plan))
+        parts.append(np.stack([res.at_time(t).value_at(probes).T for t in cfg.record_times]))
     return np.concatenate(parts, axis=-1)
 
 
-def _campaign_chunk(args) -> np.ndarray:
-    """u_theta(t, 0) at each recorded time for the given seeds: (n_times, seeds).
+def _certified(gh: GameHamiltonian, env, e=None):
+    """gh with env's cost certificates bound, and its constants.
 
-    ``game`` is a GameHamiltonian, or (family, params) to rebuild it by name
-    in a pool worker.
+    Refuses (OrientationError) a game that is not oriented along e, or
+    along its best direction when e is None.
     """
-    game, env_spec, theta, cfg, seeds = args
-    if not isinstance(game, GameHamiltonian):
-        game = families.build(game[0], game[1], env_spec.dimension)
-    origin = np.zeros(game.dim)
-    return _solve_batches(game, env_spec, seeds, theta, cfg, lambda res: np.stack(
-        [res.at_time(t).value_at(origin) for t in cfg.record_times]))
+    gh_b = families.bind_env_constants(gh, env)
+    consts = certify_constants(gh_b, e=e)
+    consts.require_oriented()
+    return gh_b, consts
 
 
 def estimate_U(gh: GameHamiltonian, env_spec, theta, times, M: int,
@@ -172,23 +181,18 @@ def estimate_U(gh: GameHamiltonian, env_spec, theta, times, M: int,
     times = sorted(float(t) for t in times)
     seeds = derive_seeds(base_seed, np.arange(M))
     probe_env = sample_environment(with_seed(env_spec, int(seeds[0])))
-    gh_b = families.bind_env_constants(gh, probe_env)
-    consts = certify_constants(gh_b)
-    consts.require_oriented()
+    gh_b, consts = _certified(gh, probe_env)
     if box is None:
         box = solve_box_for(gh_b.f_pairs, "semi-lagrangian", max(times), dt, dx)
     _check_env_covers(env_spec, box)
     cfg = SolveConfig(scheme="semi-lagrangian", dt=dt, dx=dx, T=max(times),
                       box_lo=box[0], box_hi=box[1], record_times=tuple(times))
-
+    game = gh
     if workers > 1:
         _check_rebuilds(gh, family_desc, probe_env)
-        chunks = [c for c in np.array_split(np.arange(M), workers) if len(c)]
-        tasks = [(family_desc, env_spec, theta, cfg, seeds[c]) for c in chunks]
-        with ProcessPoolExecutor(max_workers=len(tasks)) as pool:
-            samples = np.concatenate(list(pool.map(_campaign_chunk, tasks)), axis=1)
-    else:
-        samples = _campaign_chunk((gh, env_spec, theta, cfg, seeds))
+        game = family_desc
+    samples = _solve_batches(game, env_spec, seeds, theta, cfg, np.zeros((1, gh.dim)),
+                             workers)[:, 0]
 
     bound = consts.beta * (1.0 + np.linalg.norm(theta))
     for k, t in enumerate(times):
@@ -267,6 +271,15 @@ def azuma_bound(increments, M: float) -> float:
     return 2.0 * math.exp(-(M**2) / (2.0 * s))
 
 
+def _tail_fit(dev: np.ndarray, t: float, M_grid):
+    """Sorted M-grid, tail frequencies P(dev >= M sqrt(t)) on it, and the
+    (M^2, log f) points of the positive frequencies, for a log-tail fit."""
+    M_grid = sorted(float(m) for m in M_grid)
+    freqs = [float(np.mean(dev >= m * math.sqrt(t))) for m in M_grid]
+    pos = [(m, f) for m, f in zip(M_grid, freqs) if f > 0]
+    return M_grid, freqs, np.array([m**2 for m, _ in pos]), np.log([f for _, f in pos])
+
+
 def check_concentration(table: UTable, t: float, M_grid) -> dict:
     """Empirical tail frequencies P(|u - mean| >= M sqrt(t)) over an M-grid.
 
@@ -277,18 +290,10 @@ def check_concentration(table: UTable, t: float, M_grid) -> dict:
     k = table.times.index(t)
     u = table.samples[k]
     mu = table.means()[k]
-    dev = np.abs(u - mu)
-    M_grid = sorted(float(m) for m in M_grid)
-    freqs = [float(np.mean(dev >= m * math.sqrt(t))) for m in M_grid]
+    M_grid, freqs, xs, ys = _tail_fit(np.abs(u - mu), t, M_grid)
     n = len(u)
     under_powered = n * freqs[-1] < 10 if freqs else True
-
-    pos = [(m, f) for m, f in zip(M_grid, freqs) if f > 0]
-    c_hat = None
-    if len(pos) >= 2:
-        xs = np.array([m**2 for m, _ in pos])
-        ys = np.log([f for _, f in pos])
-        c_hat = -_ols(xs, ys)[0]
+    c_hat = -_ols(xs, ys)[0] if len(xs) >= 2 else None
 
     monotone = all(f1 >= f2 - 1e-12 for f1, f2 in zip(freqs, freqs[1:]))
     logs = [math.log(f) for f in freqs if f > 0]
@@ -319,12 +324,7 @@ def additive_surrogate_tails(t: int, n_samples: int, M_grid, seed: int = 0) -> d
     """Direct simulation of the i.i.d.-increment surrogate (sums of uniforms)."""
     rng = np.random.default_rng(seed)
     u = rng.uniform(0.0, 1.0, size=(n_samples, int(t))).sum(axis=1)
-    dev = np.abs(u - u.mean())
-    M_grid = sorted(float(m) for m in M_grid)
-    freqs = [float(np.mean(dev >= m * math.sqrt(t))) for m in M_grid]
-    pos = [(m, f) for m, f in zip(M_grid, freqs) if f > 0]
-    xs = np.array([m**2 for m, _ in pos])
-    ys = np.log([f for _, f in pos])
+    M_grid, freqs, xs, ys = _tail_fit(np.abs(u - u.mean()), t, M_grid)
     slope, _, r2 = _ols(xs, ys)
     return {
         "t": t,
@@ -348,11 +348,7 @@ def strip_experiment(gh: GameHamiltonian, env, lo: float, hi: float, shift,
     bound = (hi - lo) / delta * sup|l - l_hat|, the crossing-time estimate
     for oriented dynamics; sup is estimated by dense probing in the strip.
     """
-    gh_b = families.bind_env_constants(gh, env)
-    consts = certify_constants(gh_b, e=e)
-    consts.require_oriented()
-    if lo >= hi:
-        raise ValueError(f"degenerate strip: lo={lo} >= hi={hi}")
+    gh_b, consts = _certified(gh, env, e)
     shift = np.atleast_1d(np.asarray(shift, dtype=np.float64))
     env_hat = replace_on_strip(env, lo, hi, consts.e, shift)
 
@@ -534,16 +530,9 @@ def _sup_errors(gh: GameHamiltonian, env_spec, seeds, theta, eps: float, R: floa
     box = solve_box_for(gh.f_pairs, "semi-lagrangian", t_top, dt, dx, report_radius=R / eps)
     cfg = SolveConfig(scheme="semi-lagrangian", dt=dt, dx=dx, T=t_top,
                       box_lo=box[0], box_hi=box[1], record_times=tuple(times))
-    xg = ball_grid(R, n_x, gh.dim)
-
-    def read(res) -> np.ndarray:
-        worst = 0.0
-        for tj, t_un in zip([T * j / n_t for j in range(1, n_t + 1)], times):
-            val = eps * res.at_time(t_un).value_at(xg / eps) + tj * H_bar
-            worst = np.maximum(worst, np.abs(val).max(axis=-1))
-        return worst
-
-    return _solve_batches(gh, env_spec, seeds, theta, cfg, read)
+    u = _solve_batches(gh, env_spec, seeds, theta, cfg, ball_grid(R, n_x, gh.dim) / eps)
+    tj = np.array([T * j / n_t for j in range(1, n_t + 1)])
+    return np.abs(eps * u + tj[:, None, None] * H_bar).max(axis=(0, 1))
 
 
 def rate_experiment(gh: GameHamiltonian, env_spec, theta, eps_list, R: float,
@@ -565,6 +554,7 @@ def rate_experiment(gh: GameHamiltonian, env_spec, theta, eps_list, R: float,
         raise ValueError(f"eps_list needs at least two distinct epsilons to fit a rate, "
                          f"got {eps_list}")
     theta = np.atleast_1d(np.asarray(theta, dtype=np.float64))
+    _certified(gh, sample_environment(env_spec))
 
     # one batch per epsilon: the calibration samples (tag 1), then the test
     # samples (tag 2); every epsilon's seeds come from one call
@@ -655,7 +645,7 @@ def general_datum_homogenization(gh: GameHamiltonian, env, H_bar_grid,
             )
         return np.interp(p, H_bar_grid, H_bar_vals)
 
-    gh_b = families.bind_env_constants(gh, env)
+    gh_b, _ = _certified(gh, env)
     d = gh_b.dim
 
     # the effective solve is refined relative to the scaled runs so that its

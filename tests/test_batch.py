@@ -19,7 +19,7 @@ from hjhomog.env import (DomainError, EnvSpec, replace_on_strip, sample_environm
 from hjhomog.families import bind_env_constants, build
 from hjhomog.game import shift_momentum
 from hjhomog.pde import Field, Grid, SolveConfig, sl_plan, solve_sl
-from hjhomog.rng import derive_seed
+from hjhomog.rng import derive_seed, derive_seeds
 
 SNAP = 1e-12          # the SL solver's foot-point snapping tolerance
 
@@ -36,7 +36,9 @@ FAMILIES = {
 
 @st.composite
 def campaigns(draw, max_M=5):
-    """A game, an environment law, theta, a time schedule, M and a base seed."""
+    """A game, an environment law, theta, a time schedule, M, a base seed, a
+    worker count, and the origin followed by n > 1 probes off the nodes,
+    some of them near the edge of the final active window."""
     dim = draw(st.sampled_from([1, 2]))
     name = draw(st.sampled_from(sorted(FAMILIES)))
     params = draw(FAMILIES[name])
@@ -44,15 +46,26 @@ def campaigns(draw, max_M=5):
     dx = 0.25
     dt = draw(st.sampled_from([0.125, 0.25]))
     times = sorted(draw(st.sets(st.sampled_from([0.5, 1.0, 1.5, 2.0]), min_size=1, max_size=3)))
-    box = sl_box(game, max(times), dt, dx, margin=2 * dx)
+    margin = 2 * dx
+    box = sl_box(game, max(times), dt, dx, margin=margin)
     channels = draw(st.sampled_from([1, game.n_a * game.n_b]))
     spec = EnvSpec(dimension=dim, rho=1.0, bump_radius=0.5, amp_lo=0.0, amp_hi=1.0,
                    channels=channels, box_lo=box[0], box_hi=box[1], seed=0)
     theta = draw(st.lists(st.floats(-1.0, 1.0), min_size=dim, max_size=dim))
     M = draw(st.integers(1, max_M))
     base_seed = draw(st.integers(0, 2**31 - 1))
+    # the active window ends as [-margin, margin]^d; an inset of 1e-13 snaps
+    # onto the edge node, the others stay between nodes
+    inset = st.sampled_from([1e-13, 0.01, 0.1])
+    coord = st.one_of(st.floats(-margin, margin).filter(lambda x: x % dx != 0.0),
+                      st.builds(lambda side, i: side * (margin - i), st.sampled_from([-1, 1]),
+                                inset))
+    probes = draw(st.lists(st.lists(coord, min_size=dim, max_size=dim), min_size=2,
+                           max_size=5))
     return {"game": game, "family_desc": (name, params), "spec": spec, "theta": theta,
-            "times": times, "M": M, "base_seed": base_seed, "dx": dx, "dt": dt, "box": box}
+            "times": times, "M": M, "base_seed": base_seed, "dx": dx, "dt": dt, "box": box,
+            "workers": draw(st.sampled_from([1, 2])),
+            "probes": np.concatenate([np.zeros((1, dim)), probes])}
 
 
 def sl_box(game, T, dt, dx, margin):
@@ -67,7 +80,8 @@ def sl_box(game, T, dt, dx, margin):
 
 
 def per_realization(c) -> np.ndarray:
-    """The campaign's table built one realization at a time."""
+    """u_theta at the campaign's probes, one realization and one point at a
+    time: (n_times, n_probes, M)."""
     game, spec, theta = c["game"], c["spec"], np.asarray(c["theta"])
     cfg = SolveConfig(scheme="semi-lagrangian", dt=c["dt"], dx=c["dx"], T=max(c["times"]),
                       box_lo=c["box"][0], box_hi=c["box"][1], record_times=tuple(c["times"]))
@@ -76,8 +90,8 @@ def per_realization(c) -> np.ndarray:
         env = sample_environment(with_seed(spec, derive_seed(c["base_seed"], i)))
         gh = bind_env_constants(game, env) if np.isnan(game.lip_l) else game
         res = solve_sl(shift_momentum(gh, theta), env, cfg)
-        rows.append([res.at_time(t).value_at(np.zeros(game.dim)) for t in c["times"]])
-    return np.array(rows).T
+        rows.append([[res.at_time(t).value_at(x) for x in c["probes"]] for t in c["times"]])
+    return np.moveaxis(np.array(rows), 0, -1)
 
 
 def batched(c, workers=1) -> np.ndarray:
@@ -90,24 +104,31 @@ def batched(c, workers=1) -> np.ndarray:
 # estimate_U
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(c=campaigns(), split=st.integers(1, 5))
 def test_batched_campaign_equals_per_realization_solves(c, split):
-    # cap the stacked cost table at `split` realizations to force sub-batches
+    # cap the stacked cost table at `split` realizations to force sub-batches;
+    # pool workers are forked after the patch, so they see the cap too
     cfg = SolveConfig(scheme="semi-lagrangian", dt=c["dt"], dx=c["dx"], T=max(c["times"]),
-                      box_lo=c["box"][0], box_hi=c["box"][1])
+                      box_lo=c["box"][0], box_hi=c["box"][1], record_times=tuple(c["times"]))
     cap = split * sl_plan(c["game"], cfg).cost_bytes
+    seeds = derive_seeds(c["base_seed"], np.arange(c["M"]))
+    game = c["family_desc"] if c["workers"] > 1 else c["game"]
     with mock.patch.object(homog, "BATCH_COST_BYTES", cap):
-        got = batched(c)
+        table = batched(c, c["workers"])
+        got = homog._solve_batches(game, c["spec"], seeds, np.asarray(c["theta"]), cfg,
+                                   c["probes"], c["workers"])
     want = per_realization(c)
-    assert got.shape == (len(c["times"]), c["M"])
+    assert got.shape == (len(c["times"]), len(c["probes"]), c["M"])
     assert got.tobytes() == want.tobytes()
+    assert table.shape == (len(c["times"]), c["M"])
+    assert table.tobytes() == want[:, 0].tobytes()
 
 
 @settings(max_examples=6, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(c=campaigns(max_M=6))
 def test_pool_campaign_equals_per_realization_solves(c):
-    assert batched(c, workers=2).tobytes() == per_realization(c).tobytes()
+    assert batched(c, workers=2).tobytes() == per_realization(c)[:, 0].tobytes()
 
 
 def test_pool_without_family_desc_is_refused():

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 
 import pytest
@@ -104,6 +105,28 @@ def test_estimate_deterministic_across_workers(tmp_path):
     assert main(common + ["--out", str(o2), "--workers", "3"]) == 0
     assert (o1 / "utable.json").read_bytes() == (o2 / "utable.json").read_bytes()
     assert (o1 / "utable.csv").read_bytes() == (o2 / "utable.csv").read_bytes()
+
+
+#: sha256 of the default-config artifacts.  A change that moves one of these
+#: on purpose re-records it and says why in CHANGES.md.
+PINNED_ARTIFACTS = {
+    ("estimate", "utable.json"): "c48b45be5aec786ff5f140f62b80244a814bde907197391c99328a95ff1254a2",
+    ("estimate", "utable.csv"): "01fa0bef8713caefd3a7a0ba50b574c16af7e41d0fe4315288ac1fb2773d557a",
+    ("effective", "effective.json"): "0a5c94aa2fa5a1dfd105525425e8b441cee5e5e73992404f0c958360969f6312",
+    ("rate", "rate.summary.json"): "87c5b895a86cfc3fb2c528302cc82f96317d9a928215cf66fa166252dc104831",
+    ("rate", "rate.csv"): "5bf96965b9769c552865d7499166ebf16b0620560cb3ec5ab7150d6abae4fa0f",
+}
+
+
+def test_artifact_bytes_are_pinned(tmp_path):
+    # estimate and effective at M=8, rate at the defaults
+    args = {"estimate": ["--set", "campaign.M=8"], "effective": ["--set", "campaign.M=8"],
+            "rate": []}
+    for command, extra in args.items():
+        assert main([command, "--out", str(tmp_path / command)] + extra) == 0
+    got = {(command, name): hashlib.sha256((tmp_path / command / name).read_bytes()).hexdigest()
+           for command, name in PINNED_ARTIFACTS}
+    assert got == PINNED_ARTIFACTS
 
 
 def test_effective_small_run(tmp_path):

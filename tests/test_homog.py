@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -6,9 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import ORIENTED
+from hjhomog import homog
 from hjhomog.env import ConstantEnvironment, DomainError, EnvSpec, sample_environment, with_seed
-from hjhomog.families import bind_env_constants, build, transport
-from hjhomog.game import shift_momentum
+from hjhomog.families import bind_env_constants, build, saddle_game, transport
+from hjhomog.game import OrientationError, shift_momentum
 from hjhomog.homog import (A_OVER_KHAT, UTable, additive_surrogate_tails,
                            azuma_bound, check_concentration,
                            check_subadditivity, effective_H_properties,
@@ -325,3 +327,36 @@ def test_general_datum_distance_shrinks():
         dx0=DX, dt0=DT)
     assert set(rep["distances"]) == {0.25, 0.0625}
     assert rep["decreasing"]
+
+
+# ---------------------------------------------------------------------------
+# refusals
+
+
+NOT_ORIENTED = saddle_game(base_speed=0.5, coupling=1.0)      # f in {-0.5, 1.5}: delta = -0.5
+SADDLE_SPEC = EnvSpec(dimension=1, rho=1.0, bump_radius=0.5, amp_lo=0.0, amp_hi=1.0,
+                      channels=4, box_lo=(-16.0,), box_hi=(24.0,), seed=3)
+
+
+@pytest.mark.parametrize("experiment", [
+    lambda gh: estimate_U(gh, SADDLE_SPEC, theta=[0.0], times=[2.0, 4.0], M=4,
+                          base_seed=1, dx=DX, dt=DT),
+    lambda gh: rate_experiment(gh, SADDLE_SPEC, theta=[0.0], eps_list=[0.25, 0.125],
+                               R=0.5, T=1.0, M=4, H_bar=-0.5, dx=DX, dt=DT, base_seed=1),
+    lambda gh: strip_experiment(gh, sample_environment(SADDLE_SPEC), lo=1.0, hi=2.5,
+                                shift=[0.8], theta=[0.0], t=2.0, dx=DX, dt=DT,
+                                box=((-1.0,), (6.0,))),
+    lambda gh: general_datum_homogenization(
+        gh, sample_environment(SADDLE_SPEC), H_bar_grid=[-2.0, 2.0], H_bar_vals=[0.0, 0.0],
+        g=lambda pts: np.zeros(len(np.atleast_2d(pts))), speed_bound=1.5,
+        eps_list=[0.25, 0.125], R=1.0, T=1.0, dx0=DX, dt0=DT),
+], ids=["estimate_U", "rate_experiment", "strip_experiment", "general_datum_homogenization"])
+def test_every_experiment_refuses_a_non_oriented_game(experiment):
+    # the theory covers oriented games only; an experiment must refuse the
+    # game before it solves anything, not report numbers for it
+    solved = AssertionError("a solve ran before the orientation check")
+    with mock.patch.object(homog, "solve_sl_batch", side_effect=solved), \
+            mock.patch.object(homog, "solve_sl", side_effect=solved), \
+            mock.patch.object(homog, "solve_effective", side_effect=solved):
+        with pytest.raises(OrientationError, match="not oriented"):
+            experiment(NOT_ORIENTED)
