@@ -171,11 +171,23 @@ def validate_config(cfg: dict) -> None:
         raise ConfigError("campaign.times: must be positive and increasing")
     if camp["M"] < 1:
         raise ConfigError(f"campaign.M: must be >= 1, got {camp['M']}")
+    _worker_count(camp["workers"], "campaign.workers")
     if any(e <= 0 or e > 0.5 for e in camp["eps_list"]):
         raise ConfigError("campaign.eps_list: entries must lie in (0, 1/2]")
     if len(set(camp["eps_list"])) < 2:
         raise ConfigError("campaign.eps_list: needs at least two distinct epsilons "
                           "to fit a rate")
+
+
+def _worker_count(raw, source: str) -> int:
+    """raw as a campaign pool size, or a ConfigError naming its source."""
+    try:
+        n = int(str(raw))
+    except ValueError:
+        n = 0
+    if n < 1:
+        raise ConfigError(f"{source}: worker count must be an integer >= 1, got {raw!r}")
+    return n
 
 
 def config_hash(cfg: dict) -> str:
@@ -478,7 +490,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--set", dest="overrides", action="append", default=[],
                         metavar="KEY=VALUE", help="dotted-path override")
     parser.add_argument("--workers", type=int, default=None,
-                        help="worker pool size (default $HJHOMOG_WORKERS or 1)")
+                        help="size of the Monte-Carlo campaign pool (default "
+                             "$HJHOMOG_WORKERS, then campaign.workers)")
     parser.add_argument("--out", default=None, help="output directory")
     return parser
 
@@ -487,15 +500,18 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config, args.overrides)
+        # the worker count never changes a number; --workers and
+        # $HJHOMOG_WORKERS stay out of the hashed config, while
+        # campaign.workers is hashed like every config field
+        if args.workers is not None:
+            workers = _worker_count(args.workers, "--workers")
+        elif "HJHOMOG_WORKERS" in os.environ:
+            workers = _worker_count(os.environ["HJHOMOG_WORKERS"], "$HJHOMOG_WORKERS")
+        else:
+            workers = _worker_count(cfg["campaign"]["workers"], "campaign.workers")
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    # worker count deliberately stays out of the hashed config: results are
-    # required to be identical across pool sizes
-    workers = args.workers
-    if workers is None:
-        workers = int(os.environ.get("HJHOMOG_WORKERS",
-                                     str(cfg["campaign"]["workers"])))
     out = Path(args.out if args.out is not None else cfg["output"]["directory"])
     _echo_config(cfg, out)
     try:

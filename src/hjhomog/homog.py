@@ -9,7 +9,9 @@ convergence to the homogenized limit.
 from __future__ import annotations
 
 import math
+import threading
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -118,28 +120,64 @@ def solve_box_for(f: np.ndarray, scheme: str, T: float, dt: float, dx: float,
             tuple(float(report_radius + steps * a * dx + 4 * dx) for a in above))
 
 
+#: the process's campaign pool, (worker count, executor).  The first pooled
+#: call starts it, a call at another worker count replaces it, and a call in
+#: which a worker dies drops it; concurrent.futures shuts it down at
+#: interpreter exit.  A pooled call holds _POOL_LOCK from look-up to result,
+#: so that no other thread replaces the pool under it.
+_POOL: tuple[int, ProcessPoolExecutor] | None = None
+_POOL_LOCK = threading.Lock()
+
+
+def _pool(workers: int) -> ProcessPoolExecutor:
+    """The campaign pool of `workers` processes; call it holding _POOL_LOCK."""
+    global _POOL
+    if _POOL is None or _POOL[0] != workers:
+        _shutdown_pool()
+        _POOL = (workers, ProcessPoolExecutor(max_workers=workers))
+    return _POOL[1]
+
+
+def _shutdown_pool() -> None:
+    """Stop the campaign pool's workers, if any; the next pooled call starts a new pool."""
+    global _POOL
+    if _POOL is not None:
+        pool, _POOL = _POOL[1], None
+        pool.shutdown()
+
+
 def _solve_batches(game, env_spec, seeds, theta, cfg: SolveConfig, probes,
-                   workers: int = 1) -> np.ndarray:
+                   workers: int = 1, cap_bytes: int | None = None) -> np.ndarray:
     """u_theta at the probes (n, d) at each record time, per seed of env_spec's law.
 
     Returns (n_times, n, len(seeds)); column m is realization seeds[m]'s own
     number.  ``game`` is a GameHamiltonian, or (family, params) to rebuild it
-    by name; with workers > 1 it must be the latter, and each pool worker
-    runs one contiguous chunk of the seeds.  The realizations share the
-    stencil, so they are solved together, in batches whose stacked cost
-    table fits BATCH_COST_BYTES; each batch is one seed-batched environment
-    and one cost-table call.
+    by name; with workers > 1 it must be the latter, and each worker of the
+    process's campaign pool runs one contiguous chunk of the seeds.  The
+    realizations share the stencil, so they are solved together, in batches
+    whose stacked cost table fits ``cap_bytes`` (BATCH_COST_BYTES when None,
+    read here, so that every pool task carries the caller's cap); each batch
+    is one seed-batched environment and one cost-table call.
     """
+    if cap_bytes is None:
+        cap_bytes = BATCH_COST_BYTES
     if workers > 1:
         chunks = [c for c in np.array_split(seeds, workers) if len(c)]
-        run = partial(_solve_batches, game, env_spec, theta=theta, cfg=cfg, probes=probes)
-        with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
-            return np.concatenate(list(pool.map(run, chunks)), axis=-1)
+        run = partial(_solve_batches, game, env_spec, theta=theta, cfg=cfg, probes=probes,
+                      cap_bytes=cap_bytes)
+        with _POOL_LOCK:
+            try:
+                parts = list(_pool(workers).map(run, chunks))
+            except BrokenProcessPool:
+                # a worker died; its pool refuses all further work
+                _shutdown_pool()
+                raise
+        return np.concatenate(parts, axis=-1)
     if not isinstance(game, GameHamiltonian):
         game = families.build(game[0], game[1], env_spec.dimension)
     plan = sl_plan(game, cfg)
     shifted = shift_momentum(game, theta)
-    per = max(1, BATCH_COST_BYTES // plan.cost_bytes)
+    per = max(1, cap_bytes // plan.cost_bytes)
     parts = []
     for lo in range(0, len(seeds), per):
         env = sample_environment(env_spec, seeds[lo:lo + per])

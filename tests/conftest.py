@@ -1,10 +1,23 @@
-"""Hypothesis strategies shared by the test modules."""
+"""Hypothesis strategies and session fixtures shared by the test modules."""
+import multiprocessing
+
 import numpy as np
+import pytest
 from hypothesis import strategies as st
 
+from hjhomog import homog
 from hjhomog.env import EnvSpec, sample_environment
 from hjhomog.families import FAMILIES, build
 from hjhomog.game import shift_momentum
+
+
+@pytest.fixture(scope="session", autouse=True)
+def no_leaked_workers():
+    """Shut the campaign pool down after the last test; no worker may outlive it."""
+    yield
+    homog._shutdown_pool()
+    assert multiprocessing.active_children() == []
+
 
 SPEEDS = st.floats(0.1, 2.0)
 #: (family, params) of an oriented field game

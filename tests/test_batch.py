@@ -108,7 +108,8 @@ def batched(c, workers=1) -> np.ndarray:
 @given(c=campaigns(), split=st.integers(1, 5))
 def test_batched_campaign_equals_per_realization_solves(c, split):
     # cap the stacked cost table at `split` realizations to force sub-batches;
-    # pool workers are forked after the patch, so they see the cap too
+    # the runner takes the cap as an argument, and estimate_U's default cap is
+    # read in this process and carried in every pool task
     cfg = SolveConfig(scheme="semi-lagrangian", dt=c["dt"], dx=c["dx"], T=max(c["times"]),
                       box_lo=c["box"][0], box_hi=c["box"][1], record_times=tuple(c["times"]))
     cap = split * sl_plan(c["game"], cfg).cost_bytes
@@ -116,8 +117,8 @@ def test_batched_campaign_equals_per_realization_solves(c, split):
     game = c["family_desc"] if c["workers"] > 1 else c["game"]
     with mock.patch.object(homog, "BATCH_COST_BYTES", cap):
         table = batched(c, c["workers"])
-        got = homog._solve_batches(game, c["spec"], seeds, np.asarray(c["theta"]), cfg,
-                                   c["probes"], c["workers"])
+    got = homog._solve_batches(game, c["spec"], seeds, np.asarray(c["theta"]), cfg,
+                               c["probes"], c["workers"], cap_bytes=cap)
     want = per_realization(c)
     assert got.shape == (len(c["times"]), len(c["probes"]), c["M"])
     assert got.tobytes() == want.tobytes()

@@ -248,3 +248,24 @@ def test_theta_and_box_dimensions_are_named_config_errors(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith(f"config error: {field}:") and "environment.dimension" in err
         assert not (tmp_path / "o").exists()       # refused before anything runs
+
+
+@pytest.mark.parametrize("args, env, source", [
+    (["--workers", "0"], None, "--workers"),
+    (["--workers", "-3"], None, "--workers"),
+    ([], "two", "$HJHOMOG_WORKERS"),
+    ([], "0", "$HJHOMOG_WORKERS"),
+    (["--set", "campaign.workers=-2"], None, "campaign.workers"),
+])
+def test_bad_worker_counts_are_named_config_errors(tmp_path, capsys, monkeypatch,
+                                                   args, env, source):
+    # a count below one must not run serially without a word, and a
+    # non-integer one must not end in a traceback
+    monkeypatch.delenv("HJHOMOG_WORKERS", raising=False)
+    if env is not None:
+        monkeypatch.setenv("HJHOMOG_WORKERS", env)
+    out = tmp_path / "o"
+    assert main(["estimate", "--out", str(out)] + args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {source}: worker count must be an integer >= 1")
+    assert not out.exists()
