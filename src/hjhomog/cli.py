@@ -147,9 +147,14 @@ def validate_config(cfg: dict) -> None:
     if fam not in families.FAMILIES:
         raise ConfigError(f"hamiltonian.family: unknown family {fam!r}")
     try:
-        hamiltonian_from(cfg)
+        gh = hamiltonian_from(cfg)
     except (ValueError, TypeError, KeyError) as exc:
         raise ConfigError(f"hamiltonian.params: {exc}")
+    channels, pairs = int(cfg["environment"]["channels"]), gh.n_a * gh.n_b
+    if channels not in (1, pairs):
+        raise ConfigError(
+            f"environment.channels: the {fam} game reads 1 channel shared by its action "
+            f"pairs or n_a*n_b = {pairs}, one per pair; got {channels}")
     try:
         solve_config_from(cfg).validate()
     except ValueError as exc:

@@ -25,6 +25,9 @@ BUMP_LIP = 8.0 / (3.0 * math.sqrt(3.0))
 #: integral of (1 - s^2)^2 over [-1, 1]
 BUMP_MASS_1D = 16.0 / 15.0
 
+#: integral of (1 - |s|^2)^2 over the unit disc: 2 pi int_0^1 (1 - u^2)^2 u du
+BUMP_MASS_2D = math.pi / 3.0
+
 
 class DomainError(ValueError):
     """Probe outside the materialized box (never silently extrapolated)."""
@@ -106,10 +109,6 @@ class Environment:
         return self.spec.dimension
 
     @property
-    def rho(self) -> float:
-        return self.spec.rho
-
-    @property
     def sup_bound(self) -> float:
         return self.spec.amp_hi * self.spec.kernel_overlap
 
@@ -125,7 +124,7 @@ class Environment:
         factor is 1, leaving mean amplitude times the bump mass.
         """
         s = self.spec
-        mass = BUMP_MASS_1D if s.dimension == 1 else _bump_mass_2d()
+        mass = BUMP_MASS_1D if s.dimension == 1 else BUMP_MASS_2D
         return 0.5 * (s.amp_lo + s.amp_hi) * mass
 
     # -- evaluation ---------------------------------------------------------
@@ -264,10 +263,6 @@ class EnvironmentView:
         return self.base.dimension
 
     @property
-    def rho(self):
-        return self.base.rho
-
-    @property
     def sup_bound(self):
         return self.base.sup_bound
 
@@ -302,10 +297,6 @@ class ConstantEnvironment:
     @property
     def dimension(self):
         return self._dimension
-
-    @property
-    def rho(self):
-        return 1.0
 
     @property
     def sup_bound(self):
@@ -356,8 +347,3 @@ def replace_on_strip(env, lo: float, hi: float, e: np.ndarray, shift: np.ndarray
 
 def with_seed(spec: EnvSpec, seed: int) -> EnvSpec:
     return replace(spec, seed=seed)
-
-
-def _bump_mass_2d() -> float:
-    # integral of (1 - |s|^2)^2 over the unit disc: 2*pi * int_0^1 (1-u^2)^2 u du
-    return math.pi / 3.0

@@ -27,36 +27,38 @@ def _env_cost(n_a: int, n_b: int):
     return cost
 
 
+def _axis_game(speeds, actions_a, actions_b, dim: int, sign: float = 1.0) -> GameHamiltonian:
+    """A field game driven along axis 0 at ``speeds[a, b]`` (n_a, n_b), oriented by ``sign``.
+
+    Its cost certificates are NaN until ``bind_env_constants`` fills them
+    from the environment.
+    """
+    speeds = np.asarray(speeds)
+    f = np.zeros(speeds.shape + (dim,))
+    f[..., 0] = speeds
+    hint = np.zeros(dim)
+    hint[0] = sign
+    return GameHamiltonian(
+        actions_a=actions_a,
+        actions_b=actions_b,
+        f_table=f,
+        base_cost=_env_cost(*speeds.shape),
+        lip_l=np.nan,
+        l_inf=np.nan,
+        orientation_hint=hint,
+    )
+
+
 def transport(speed: float = 1.0, dim: int = 1) -> GameHamiltonian:
     """Singleton actions: pure transport at constant velocity over the field."""
-    f = np.zeros((1, 1, dim))
-    f[0, 0, 0] = speed
-    return GameHamiltonian(
-        actions_a=np.zeros((1, 1)),
-        actions_b=np.zeros((1, 1)),
-        f_table=f,
-        base_cost=_env_cost(1, 1),
-        lip_l=np.nan,       # filled from the environment by bind_env_constants
-        l_inf=np.nan,
-        orientation_hint=_axis_dir(dim, np.sign(speed) or 1.0),
-    )
+    return _axis_game([[speed]], np.zeros((1, 1)), np.zeros((1, 1)), dim,
+                      np.sign(speed) or 1.0)
 
 
 def two_speed_control(speeds=(0.5, 1.5), dim: int = 1) -> GameHamiltonian:
     """One controller (player 1) choosing among forward speeds; no adversary."""
-    speeds = list(speeds)
-    f = np.zeros((len(speeds), 1, dim))
-    for i, s in enumerate(speeds):
-        f[i, 0, 0] = s
-    return GameHamiltonian(
-        actions_a=np.array([[s] for s in speeds]),
-        actions_b=np.zeros((1, 1)),
-        f_table=f,
-        base_cost=_env_cost(len(speeds), 1),
-        lip_l=np.nan,
-        l_inf=np.nan,
-        orientation_hint=_axis_dir(dim, 1.0),
-    )
+    return _axis_game(np.reshape(speeds, (-1, 1)), np.array([[s] for s in speeds]),
+                      np.zeros((1, 1)), dim)
 
 
 def saddle_game(base_speed: float = 1.0, coupling: float = 0.25,
@@ -66,19 +68,7 @@ def saddle_game(base_speed: float = 1.0, coupling: float = 0.25,
     Oriented as long as |coupling| < base_speed.
     """
     acts = np.array([[-1.0], [1.0]])
-    f = np.zeros((2, 2, dim))
-    for i, a in enumerate((-1.0, 1.0)):
-        for j, b in enumerate((-1.0, 1.0)):
-            f[i, j, 0] = base_speed + coupling * a * b
-    return GameHamiltonian(
-        actions_a=acts,
-        actions_b=acts,
-        f_table=f,
-        base_cost=_env_cost(2, 2),
-        lip_l=np.nan,
-        l_inf=np.nan,
-        orientation_hint=_axis_dir(dim, 1.0),
-    )
+    return _axis_game(base_speed + (coupling * acts) * acts.T, acts, acts, dim)
 
 
 def bind_env_constants(gh: GameHamiltonian, env) -> GameHamiltonian:
@@ -90,12 +80,6 @@ def bind_env_constants(gh: GameHamiltonian, env) -> GameHamiltonian:
     if not np.isnan(gh.lip_l):
         return gh
     return replace(gh, lip_l=float(env.lip_bound), l_inf=float(env.sup_bound))
-
-
-def _axis_dir(dim: int, sign: float) -> np.ndarray:
-    e = np.zeros(dim)
-    e[0] = sign
-    return e
 
 
 def build(name: str, params: dict, dim: int) -> GameHamiltonian:

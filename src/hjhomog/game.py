@@ -9,8 +9,7 @@ Lipschitz Hamiltonian.
 """
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -130,65 +129,32 @@ def shift_momentum(gh: GameHamiltonian, theta: np.ndarray) -> GameHamiltonian:
     theta = np.asarray(theta, dtype=np.float64)
     add = gh.f_table @ theta                       # (n_a, n_b) or (n_a, 1)
     table = add if gh.shift_table is None else gh.shift_table + add
-    new_theta = gh.theta_vec + theta
-    return GameHamiltonian(
-        actions_a=gh.actions_a,
-        actions_b=gh.actions_b,
-        f_table=gh.f_table,
-        base_cost=gh.base_cost,
-        lip_l=gh.lip_l,
-        l_inf=gh.l_inf,
-        theta=new_theta,
-        orientation_hint=gh.orientation_hint,
-        shift_table=table,
-    )
+    return replace(gh, theta=gh.theta_vec + theta, shift_table=table)
 
 
-def _best_direction(f_flat: np.ndarray, d: int) -> np.ndarray:
-    """Unit vector maximizing the worst-case drift projection."""
-    if d == 1:
-        plus = float(np.min(f_flat[:, 0]))
-        minus = float(np.min(-f_flat[:, 0]))
-        return np.array([1.0]) if plus >= minus else np.array([-1.0])
-    # coarse angular sweep then local refinement
-    angles = np.linspace(0.0, 2 * math.pi, 720, endpoint=False)
-    dirs = np.stack([np.cos(angles), np.sin(angles)], axis=1)
-    worst = (f_flat @ dirs.T).min(axis=0)
-    k = int(np.argmax(worst))
-    lo, hi = angles[k] - 0.02, angles[k] + 0.02
-    fine = np.linspace(lo, hi, 400)
-    dirs = np.stack([np.cos(fine), np.sin(fine)], axis=1)
-    worst = (f_flat @ dirs.T).min(axis=0)
-    k = int(np.argmax(worst))
-    return dirs[k]
-
-
-def certify_constants(
-    gh: GameHamiltonian,
-    e: np.ndarray | None = None,
-    lip_l: float | None = None,
-    l_inf: float | None = None,
-) -> HamiltonianConstants:
+def certify_constants(gh: GameHamiltonian, e: np.ndarray | None = None) -> HamiltonianConstants:
     """Compute (beta, delta, e, ...) making (H1)-(H3) hold for eval_H.
 
-    ``delta`` is the achieved margin min <f(a,b), e>, reported as-is; a
-    nonpositive value marks the game as not oriented (callers that need
-    orientation must refuse to run).
+    The direction is ``e`` or else the game's ``orientation_hint``; the cost
+    certificates are the game's own, so a field game must first have them
+    bound from its environment.  ``delta`` is the achieved margin
+    min <f(a,b), e>, reported as-is; a nonpositive value marks the game as
+    not oriented (callers that need orientation must refuse to run).
     """
-    f_flat = gh.f_pairs
+    if np.isnan(gh.lip_l) or np.isnan(gh.l_inf):
+        raise ValueError("the game's cost certificates (lip_l, l_inf) are unset; "
+                         "bind them from the environment with families.bind_env_constants")
     if e is None:
         e = gh.orientation_hint
     if e is None:
-        e = _best_direction(f_flat, gh.dim)
+        raise ValueError("no orientation direction: pass e or set the game's orientation_hint")
     e = np.asarray(e, dtype=np.float64)
     e = e / np.linalg.norm(e)
-    delta = float(np.min(f_flat @ e))
-    f_inf = float(np.max(np.linalg.norm(f_flat, axis=1)))
-    lip = gh.lip_l if lip_l is None else lip_l
-    linf = gh.l_inf_shifted if l_inf is None else l_inf
-    beta = max(linf, f_inf, lip)
+    delta = float(np.min(gh.f_pairs @ e))
+    f_inf, l_inf = gh.f_inf, gh.l_inf_shifted
     return HamiltonianConstants(
-        beta=beta, delta=delta, e=e, f_inf=f_inf, lip_l=lip, l_inf=linf
+        beta=max(l_inf, f_inf, gh.lip_l), delta=delta, e=e, f_inf=f_inf, lip_l=gh.lip_l,
+        l_inf=l_inf,
     )
 
 
@@ -210,7 +176,6 @@ def localize(
     pi: np.ndarray,
     n_a: int,
     n_b: int,
-    g_inf: float | None = None,
 ) -> GameHamiltonian:
     """Finite-action max-min representation of H(x,p) = G(x, pi p) + <p, v>.
 
@@ -247,8 +212,6 @@ def localize(
         gb = np.broadcast_to(np.asarray(G(pts, B), dtype=np.float64), (len(pts), len(B)))
         return -gb[:, None, :] + inner[None, :, :]
 
-    if g_inf is None:
-        g_inf = beta * (1.0 + R)        # from (H1)
     e = -v / np.linalg.norm(v)
     return GameHamiltonian(
         actions_a=A,
@@ -256,7 +219,7 @@ def localize(
         f_table=f_table,
         base_cost=cost,
         lip_l=beta,
-        l_inf=g_inf + beta * R,
+        l_inf=beta * (1.0 + R) + beta * R,     # sup|G| <= beta (1 + R) by (H1)
         orientation_hint=e,
     )
 

@@ -190,7 +190,7 @@ def _certified(gh: GameHamiltonian, env, e=None):
     """gh with env's cost certificates bound, and its constants.
 
     Refuses (OrientationError) a game that is not oriented along e, or
-    along its best direction when e is None.
+    along its orientation hint when e is None.
     """
     gh_b = families.bind_env_constants(gh, env)
     consts = certify_constants(gh_b, e=e)

@@ -1,9 +1,14 @@
 import csv
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import hjhomog
 from hjhomog import __version__
 from hjhomog.cli import (ConfigError, DEFAULTS, apply_override, config_hash,
                          env_spec_from, hamiltonian_from, load_config, main)
@@ -269,3 +274,34 @@ def test_bad_worker_counts_are_named_config_errors(tmp_path, capsys, monkeypatch
     err = capsys.readouterr().err
     assert err.startswith(f"config error: {source}: worker count must be an integer >= 1")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command, family, channels, allowed", [
+    ("sample-env", "transport", 3, "n_a*n_b = 1"),
+    ("verify", "transport", 3, "n_a*n_b = 1"),
+    ("sample-env", "saddle-game", 2, "n_a*n_b = 4"),
+    ("verify", "saddle-game", 3, "n_a*n_b = 4"),
+])
+def test_channel_counts_the_game_cannot_read_are_config_errors(tmp_path, capsys, command,
+                                                               family, channels, allowed):
+    # sample-env used to label channels with action pairs the game does not
+    # have, and verify failed only at solve time, after writing its echo
+    out = tmp_path / "o"
+    assert main([command, "--set", f"hamiltonian.family={family}",
+                 "--set", f"environment.channels={channels}", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: environment.channels:")
+    assert f"reads 1 channel shared by its action pairs or {allowed}" in err
+    assert f"got {channels}" in err
+    assert not out.exists()
+
+
+def test_cli_import_loads_no_test_or_scipy_module():
+    # the runtime depends on numpy alone
+    src = str(Path(hjhomog.__file__).resolve().parents[1])
+    code = "import sys, hjhomog.cli; print(' '.join(sys.modules))"
+    mods = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": src}).stdout.split()
+    assert "numpy" in mods
+    assert not [m for m in mods if m.split(".")[0] in ("scipy", "hypothesis", "pytest")]

@@ -10,7 +10,7 @@ from hjhomog.env import (BUMP_LIP, BUMP_MASS_1D, DomainError, EnvSpec,
                          replace_on_strip, sample_environment, shift_view,
                          with_seed)
 from hjhomog.families import saddle_game
-from hjhomog.rng import derive_seed
+from hjhomog.rng import derive_seed, derive_seeds
 
 
 def spec1d(seed=0, **kw):
@@ -18,6 +18,12 @@ def spec1d(seed=0, **kw):
                 channels=1, box_lo=(-6.0,), box_hi=(6.0,), seed=seed)
     base.update(kw)
     return EnvSpec(**base)
+
+
+def seed_bank(spec, base_seed, idx, pts, shift=None):
+    """Channel-0 values at pts of the realizations derive_seed(base_seed, i), i in idx: (n, N)."""
+    env = sample_environment(spec, derive_seeds(base_seed, idx))
+    return (env if shift is None else shift_view(env, shift)).values(pts)[..., 0]
 
 
 def brute_force_field(env, pts):
@@ -98,10 +104,7 @@ def test_decorrelation_beyond_range():
     # cov(l(0), l(1.5)) over seeds should vanish (1.5 > rho = 1)
     n = 4000
     pts = np.array([[0.0], [1.5]])
-    vals = np.array([
-        sample_environment(spec1d(seed=derive_seed(1234, i))).values(pts)[:, 0]
-        for i in range(n)
-    ])
+    vals = seed_bank(spec1d(), 1234, np.arange(n), pts)
     c = np.cov(vals[:, 0], vals[:, 1])
     mc_std = np.sqrt(c[0, 0] * c[1, 1] / n)
     assert abs(c[0, 1]) < 3 * mc_std
@@ -191,15 +194,8 @@ def test_shift_view_identity_and_group_law():
 def test_stationarity_in_law_under_shift():
     # distribution of l(0) matches distribution of l(0) of the shifted view
     n = 2000
-    base = np.array([
-        sample_environment(spec1d(seed=derive_seed(7, i))).values([[0.0]])[0, 0]
-        for i in range(n)
-    ])
-    shifted = np.array([
-        shift_view(sample_environment(spec1d(seed=derive_seed(7, n + i))),
-                   [0.37]).values([[0.0]])[0, 0]
-        for i in range(n)
-    ])
+    base = seed_bank(spec1d(), 7, np.arange(n), [[0.0]])[:, 0]
+    shifted = seed_bank(spec1d(), 7, n + np.arange(n), [[0.0]], shift=[0.37])[:, 0]
     assert stats.ks_2samp(base, shifted).pvalue > 0.01
 
 
@@ -238,10 +234,7 @@ def test_mean_value_1d():
     env = sample_environment(s)
     assert abs(env.mean_value - 0.5 * 1.0 * BUMP_MASS_1D) < 1e-15
     n = 3000
-    samples = np.array([
-        sample_environment(with_seed(s, derive_seed(55, i))).values([[0.0]])[0, 0]
-        for i in range(n)
-    ])
+    samples = seed_bank(s, 55, np.arange(n), [[0.0]])[:, 0]
     se = samples.std(ddof=1) / np.sqrt(n)
     assert abs(samples.mean() - env.mean_value) < 3 * se
 
@@ -253,9 +246,21 @@ def test_mean_value_2d():
     want = 0.5 * (0.2 + 0.8) * (np.pi / 3.0)
     assert abs(env.mean_value - want) < 1e-14
     n = 2000
-    samples = np.array([
-        sample_environment(with_seed(s, derive_seed(56, i))).values([[0.1, -0.2]])[0, 0]
-        for i in range(n)
-    ])
+    samples = seed_bank(s, 56, np.arange(n), [[0.1, -0.2]])[:, 0]
     se = samples.std(ddof=1) / np.sqrt(n)
     assert abs(samples.mean() - env.mean_value) < 3 * se
+
+
+def test_seed_banks_equal_the_per_seed_loop():
+    # the Monte-Carlo tests above draw their banks in one seed-batched call
+    s2 = EnvSpec(dimension=2, rho=1.0, bump_radius=0.5, amp_lo=0.2, amp_hi=0.8,
+                 channels=1, box_lo=(-3.0, -3.0), box_hi=(3.0, 3.0), seed=0)
+    idx = np.arange(1900, 2100)
+    for spec, base_seed, pts, shift in ((spec1d(), 1234, [[0.0], [1.5]], None),
+                                        (spec1d(), 7, [[0.0]], [0.37]),
+                                        (s2, 56, [[0.1, -0.2]], None)):
+        loop = []
+        for i in idx:
+            env = sample_environment(with_seed(spec, derive_seed(base_seed, i)))
+            loop.append((env if shift is None else shift_view(env, shift)).values(pts)[:, 0])
+        assert np.array_equal(seed_bank(spec, base_seed, idx, pts, shift), np.array(loop))

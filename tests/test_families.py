@@ -1,0 +1,142 @@
+"""The game layer's single paths: the field-game constructor, the momentum
+shift and the certificate step."""
+from dataclasses import fields, replace
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import drawn_games
+from hjhomog.env import EnvSpec, sample_environment
+from hjhomog.families import (_env_cost, bind_env_constants, saddle_game, transport,
+                              two_speed_control)
+from hjhomog.game import GameHamiltonian, certify_constants, shift_momentum
+
+
+# -- the three field-game constructors as they were written out by hand ------
+
+def ref_transport(speed: float = 1.0, dim: int = 1) -> GameHamiltonian:
+    f = np.zeros((1, 1, dim))
+    f[0, 0, 0] = speed
+    return GameHamiltonian(
+        actions_a=np.zeros((1, 1)),
+        actions_b=np.zeros((1, 1)),
+        f_table=f,
+        base_cost=_env_cost(1, 1),
+        lip_l=np.nan,
+        l_inf=np.nan,
+        orientation_hint=_axis_dir(dim, np.sign(speed) or 1.0),
+    )
+
+
+def ref_two_speed_control(speeds=(0.5, 1.5), dim: int = 1) -> GameHamiltonian:
+    speeds = list(speeds)
+    f = np.zeros((len(speeds), 1, dim))
+    for i, s in enumerate(speeds):
+        f[i, 0, 0] = s
+    return GameHamiltonian(
+        actions_a=np.array([[s] for s in speeds]),
+        actions_b=np.zeros((1, 1)),
+        f_table=f,
+        base_cost=_env_cost(len(speeds), 1),
+        lip_l=np.nan,
+        l_inf=np.nan,
+        orientation_hint=_axis_dir(dim, 1.0),
+    )
+
+
+def ref_saddle_game(base_speed: float = 1.0, coupling: float = 0.25,
+                    dim: int = 1) -> GameHamiltonian:
+    acts = np.array([[-1.0], [1.0]])
+    f = np.zeros((2, 2, dim))
+    for i, a in enumerate((-1.0, 1.0)):
+        for j, b in enumerate((-1.0, 1.0)):
+            f[i, j, 0] = base_speed + coupling * a * b
+    return GameHamiltonian(
+        actions_a=acts,
+        actions_b=acts,
+        f_table=f,
+        base_cost=_env_cost(2, 2),
+        lip_l=np.nan,
+        l_inf=np.nan,
+        orientation_hint=_axis_dir(dim, 1.0),
+    )
+
+
+def _axis_dir(dim: int, sign: float) -> np.ndarray:
+    e = np.zeros(dim)
+    e[0] = sign
+    return e
+
+
+def same_bits(x, y) -> bool:
+    x, y = np.asarray(x), np.asarray(y)
+    return x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+SPEED = st.one_of(st.floats(-3.0, 3.0), st.integers(-3, 3))
+
+
+@st.composite
+def constructor_cases(draw):
+    """(constructor, reference, kwargs, dim), integer and negative speeds included."""
+    dim = draw(st.sampled_from([1, 2]))
+    return draw(st.sampled_from([
+        (transport, ref_transport, {"speed": draw(SPEED)}),
+        (two_speed_control, ref_two_speed_control,
+         {"speeds": draw(st.lists(SPEED, min_size=1, max_size=3))}),
+        (saddle_game, ref_saddle_game,
+         {"base_speed": draw(SPEED), "coupling": draw(SPEED)}),
+    ])) + (dim,)
+
+
+@settings(max_examples=120, deadline=None)
+@given(constructor_cases(), st.booleans(), st.integers(0, 99))
+def test_field_games_equal_the_hand_written_constructors(case, per_pair, seed):
+    build, ref, kwargs, dim = case
+    got, want = build(dim=dim, **kwargs), ref(dim=dim, **kwargs)
+    for fld in fields(GameHamiltonian):
+        if fld.name == "base_cost":
+            continue
+        a, b = getattr(got, fld.name), getattr(want, fld.name)
+        assert (a is None and b is None) or same_bits(a, b), fld.name
+    spec = EnvSpec(dimension=dim, rho=1.0, bump_radius=0.5, amp_lo=0.0, amp_hi=1.0,
+                   channels=want.n_a * want.n_b if per_pair else 1,
+                   box_lo=(-4.0,) * dim, box_hi=(4.0,) * dim, seed=seed)
+    env = sample_environment(spec)
+    pts = np.random.default_rng(seed).uniform(-4.0, 4.0, size=(17, dim))
+    assert same_bits(got.cost(pts, env), want.cost(pts, env))
+
+
+@settings(max_examples=40, deadline=None)
+@given(drawn_games(), st.lists(st.floats(-2.0, 2.0), min_size=2, max_size=2))
+def test_shift_momentum_keeps_every_other_field(game_env, theta):
+    gh, _ = game_env
+    theta = np.asarray(theta[:gh.dim])
+    shifted = shift_momentum(gh, theta)
+    for fld in fields(GameHamiltonian):
+        if fld.name not in ("theta", "shift_table"):
+            assert getattr(shifted, fld.name) is getattr(gh, fld.name), fld.name
+    assert same_bits(shifted.theta, gh.theta_vec + theta)
+    add = gh.f_table @ theta
+    assert same_bits(shifted.shift_table,
+                     add if gh.shift_table is None else gh.shift_table + add)
+
+
+def test_certify_refuses_unset_cost_certificates():
+    gh = saddle_game(1.0, 0.25)
+    for unbound in (gh, replace(gh, lip_l=0.0), replace(gh, l_inf=0.0)):
+        with pytest.raises(ValueError, match="bind_env_constants"):
+            certify_constants(unbound)
+    spec = EnvSpec(dimension=1, rho=1.0, bump_radius=0.5, amp_lo=0.0, amp_hi=1.0,
+                   channels=1, box_lo=(-4.0,), box_hi=(4.0,), seed=0)
+    c = certify_constants(bind_env_constants(gh, sample_environment(spec)))
+    assert np.isfinite(c.beta) and c.oriented
+
+
+def test_certify_refuses_a_game_without_a_direction():
+    gh = replace(transport(-1.0), lip_l=0.0, l_inf=0.0, orientation_hint=None)
+    with pytest.raises(ValueError, match="pass e or set the game's orientation_hint"):
+        certify_constants(gh)
+    assert certify_constants(gh, e=[-2.0]).delta == 1.0

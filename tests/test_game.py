@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -95,7 +97,7 @@ def test_non_coercivity_direction():
 
 def test_certify_examples():
     gh = two_speed_control((1.0,), dim=2)
-    c = certify_constants(gh, e=[1.0, 0.0], lip_l=0.0, l_inf=0.0)
+    c = certify_constants(replace(gh, lip_l=0.0, l_inf=0.0), e=[1.0, 0.0])
     assert c.delta == 1.0
 
     f = np.array([[[1.0, 0.5]], [[1.0, -0.5]]])
@@ -122,7 +124,7 @@ def test_certified_delta_is_exact_min():
 def test_orientation_refusal():
     # a-controlled sign makes the drift straddle zero: never oriented
     gh = two_speed_control((-1.0, 1.0))
-    c = certify_constants(gh, e=[1.0], lip_l=0.0, l_inf=0.0)
+    c = certify_constants(replace(gh, lip_l=0.0, l_inf=0.0), e=[1.0])
     assert not c.oriented
     with pytest.raises(OrientationError):
         c.require_oriented()
