@@ -84,6 +84,10 @@ DEFAULTS: dict = {
 # ---------------------------------------------------------------------------
 # config plumbing
 
+#: the one config object whose keys are free: a config file replaces it
+#: whole, and only an override below it may add a key
+FREE_KEYS = "hamiltonian.params"
+
 
 def _deep_merge(base: dict, override: dict, path: str = "") -> dict:
     out = copy.deepcopy(base)
@@ -91,7 +95,7 @@ def _deep_merge(base: dict, override: dict, path: str = "") -> dict:
         here = f"{path}.{key}" if path else key
         if key not in base:
             raise ConfigError(f"unknown config field {here!r}")
-        if isinstance(base[key], dict) and key != "params":
+        if isinstance(base[key], dict) and here != FREE_KEYS:
             if not isinstance(val, dict):
                 raise ConfigError(f"{here!r} must be an object")
             out[key] = _deep_merge(base[key], val, here)
@@ -111,7 +115,7 @@ def apply_override(cfg: dict, item: str) -> None:
             raise ConfigError(f"invalid override path {path!r} (at {k!r})")
         node = node[k]
     leaf = keys[-1]
-    if not isinstance(node, dict) or (leaf not in node and keys[0] != "hamiltonian"):
+    if not isinstance(node, dict) or (leaf not in node and ".".join(keys[:-1]) != FREE_KEYS):
         raise ConfigError(f"invalid override path {path!r} (at {leaf!r})")
     try:
         node[leaf] = json.loads(raw)

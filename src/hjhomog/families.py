@@ -34,6 +34,9 @@ def _axis_game(speeds, actions_a, actions_b, dim: int, sign: float = 1.0) -> Gam
     from the environment.
     """
     speeds = np.asarray(speeds)
+    if speeds.size == 0:
+        raise ValueError(f"the game needs at least one action pair; got speeds of "
+                         f"shape {speeds.shape}")
     f = np.zeros(speeds.shape + (dim,))
     f[..., 0] = speeds
     hint = np.zeros(dim)

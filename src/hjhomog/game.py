@@ -231,21 +231,20 @@ def verify_localization(
     v: np.ndarray,
     pi: np.ndarray,
     n_probes: int = 40,
-    seed: int = 0,
-    x_radius: float = 1.0,
 ) -> dict:
-    """Sup over random probes of |eval_H - (G(x, pi p) + <p, v>)|.
+    """Sup over seeded random probes (x in [-1, 1]^d, |p| <= R) of
+    |eval_H - (G(x, pi p) + <p, v>)|.
 
     The probe set always includes a momentum with |p| = R exactly (the
     representation holds on the closed ball).  Each probe is its own
     eval_H call: the game's cost table over all probes at once would hold
     probes x n_a x n_b entries.
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     v = np.asarray(v, dtype=np.float64)
     pi = np.asarray(pi, dtype=np.float64)
     d = v.shape[0]
-    xs = rng.uniform(-x_radius, x_radius, size=(n_probes, d))
+    xs = rng.uniform(-1.0, 1.0, size=(n_probes, d))
     ps = rng.normal(size=(n_probes, d))
     ps /= np.linalg.norm(ps, axis=1, keepdims=True)
     ps *= R * rng.uniform(0, 1, size=(n_probes, 1)) ** (1.0 / d)

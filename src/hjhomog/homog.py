@@ -12,7 +12,7 @@ import math
 import threading
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import partial
 
 import numpy as np
@@ -28,6 +28,10 @@ from .rng import derive_seeds
 #: the bias-band constant of the doubling argument
 A_OVER_KHAT = float(sum(2.0 ** (-k / 2.0) * math.sqrt(k + 1.0)
                         for k in range(1, 200)))
+
+#: slopes of log median error against log epsilon that confirm the
+#: eps^{1/2} rate, up to its log factor
+SLOPE_BAND = (0.35, 0.65)
 
 
 @dataclass
@@ -84,19 +88,7 @@ class EffectiveEstimate:
     defects: list[dict] = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {
-            "theta": list(np.atleast_1d(self.theta)),
-            "H_hat": self.H_hat,
-            "ci_halfwidth": self.ci_halfwidth,
-            "bias_band": self.bias_band,
-            "mc_stderr": self.mc_stderr,
-            "times": list(self.times),
-            "ratio_sequence": self.ratio_sequence,
-            "rate_slope": self.rate_slope,
-            "log_correction": self.log_correction,
-            "K_hat_implied": self.K_hat_implied,
-            "defects": self.defects,
-        }
+        return {**asdict(self), "theta": list(np.atleast_1d(self.theta))}
 
 
 # ---------------------------------------------------------------------------
@@ -186,14 +178,14 @@ def _solve_batches(game, env_spec, seeds, theta, cfg: SolveConfig, probes,
     return np.concatenate(parts, axis=-1)
 
 
-def _certified(gh: GameHamiltonian, env, e=None):
+def _certified(gh: GameHamiltonian, env):
     """gh with env's cost certificates bound, and its constants.
 
-    Refuses (OrientationError) a game that is not oriented along e, or
-    along its orientation hint when e is None.
+    Refuses (OrientationError) a game that is not oriented along its
+    orientation hint.
     """
     gh_b = families.bind_env_constants(gh, env)
-    consts = certify_constants(gh_b, e=e)
+    consts = certify_constants(gh_b)
     consts.require_oriented()
     return gh_b, consts
 
@@ -379,14 +371,15 @@ def additive_surrogate_tails(t: int, n_samples: int, M_grid, seed: int = 0) -> d
 
 
 def strip_experiment(gh: GameHamiltonian, env, lo: float, hi: float, shift,
-                     theta, t: float, dx: float, dt: float, box,
-                     e=None) -> dict:
+                     theta, t: float, dx: float, dt: float, box) -> dict:
     """Observed vs analytic bound for a strip-localized cost perturbation.
 
-    bound = (hi - lo) / delta * sup|l - l_hat|, the crossing-time estimate
-    for oriented dynamics; sup is estimated by dense probing in the strip.
+    The strip {lo <= <x, e> <= hi} is taken along the game's orientation
+    hint e.  bound = (hi - lo) / delta * sup|l - l_hat|, the crossing-time
+    estimate for oriented dynamics; sup is estimated by dense probing in
+    the strip.
     """
-    gh_b, consts = _certified(gh, env, e)
+    gh_b, consts = _certified(gh, env)
     shift = np.atleast_1d(np.asarray(shift, dtype=np.float64))
     env_hat = replace_on_strip(env, lo, hi, consts.e, shift)
 
@@ -559,10 +552,10 @@ def effective_H_properties(estimates: list[EffectiveEstimate], beta: float) -> d
 
 
 def _sup_errors(gh: GameHamiltonian, env_spec, seeds, theta, eps: float, R: float,
-                T: float, H_bar: float, dx: float, dt: float,
-                n_t: int = 8, n_x: int = 9) -> np.ndarray:
+                T: float, H_bar: float, dx: float, dt: float) -> np.ndarray:
     """Per seed of env_spec's law, sup over a [0,T] x B_R grid of
-    |eps u(t/eps, x/eps) + t H_bar|."""
+    |eps u(t/eps, x/eps) + t H_bar|: 8 times, 9 points per axis."""
+    n_t, n_x = 8, 9
     t_top = T / eps
     times = [t_top * j / n_t for j in range(1, n_t + 1)]
     box = solve_box_for(gh.f_pairs, "semi-lagrangian", t_top, dt, dx, report_radius=R / eps)
@@ -576,14 +569,14 @@ def _sup_errors(gh: GameHamiltonian, env_spec, seeds, theta, eps: float, R: floa
 def rate_experiment(gh: GameHamiltonian, env_spec, theta, eps_list, R: float,
                     T: float, M: int, H_bar: float, dx: float, dt: float,
                     base_seed: int, K_hat: float | None = None,
-                    calibration_fraction: float = 1.0,
-                    slope_band=(0.35, 0.65)) -> dict:
+                    calibration_fraction: float = 1.0) -> dict:
     """Convergence-rate study for linear data.
 
     Per epsilon, per sample: sup over [0,T] x B_R of the distance between
     the scaled solution and its homogenized limit; reports quantiles, the
-    log-log slope of the median against epsilon, and the exceedance of the
-    split-sample calibrated threshold K_hat sqrt(-eps ln eps).
+    log-log slope of the median against epsilon (in SLOPE_BAND or not), and
+    the exceedance of the split-sample calibrated threshold
+    K_hat sqrt(-eps ln eps).
     """
     eps_list = sorted(float(e) for e in eps_list)
     if any(e > 0.5 for e in eps_list):
@@ -633,7 +626,7 @@ def rate_experiment(gh: GameHamiltonian, env_spec, theta, eps_list, R: float,
         meds = np.median(np.take_along_axis(banks[None], idx, axis=-1), axis=-1)
         boots = [_ols(xs, [math.log(max(m, 1e-300)) for m in row])[0] for row in meds]
         slope_se = float(np.std(boots))
-        in_band = slope_band[0] <= slope <= slope_band[1]
+        in_band = SLOPE_BAND[0] <= slope <= SLOPE_BAND[1]
         conclusive = in_band or slope_se < 0.1
 
     exceedance = {

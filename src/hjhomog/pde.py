@@ -25,7 +25,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable
+from typing import Callable, ClassVar
 
 import numpy as np
 
@@ -178,7 +178,7 @@ class SolveConfig:
     epsilon: float = 1.0
     record_times: tuple[float, ...] = ()
     lf_substep: bool = True           # split dt to satisfy the CFL bound
-    cfl_limit: float = 0.9
+    cfl_limit: ClassVar[float] = 0.9  # Courant number that keeps LF monotone
 
     def validate(self) -> None:
         if self.scheme not in ("semi-lagrangian", "lax-friedrichs"):
@@ -233,8 +233,7 @@ def _steps_and_records(cfg: SolveConfig) -> tuple[int, dict[int, float]]:
     return n_steps, records
 
 
-def reach(f: np.ndarray, scheme: str, dt: float, dx: float,
-          cfl_limit: float = SolveConfig.cfl_limit) -> tuple[np.ndarray, np.ndarray]:
+def reach(f: np.ndarray, scheme: str, dt: float, dx: float) -> tuple[np.ndarray, np.ndarray]:
     """Cells the active window sheds per step, (below, above) on each axis.
 
     This is the scheme's discrete domain of dependence for the velocities
@@ -244,7 +243,7 @@ def reach(f: np.ndarray, scheme: str, dt: float, dx: float,
     if scheme == "semi-lagrangian":
         k, w = _cell_and_weight(dt * f / dx)
         return np.maximum(0, -k).max(axis=0), np.maximum(0, k + (w > 0.0)).max(axis=0)
-    rings = np.full(f.shape[1], lf_substeps(np.abs(f).max(axis=0), dt, dx, cfl_limit))
+    rings = np.full(f.shape[1], lf_substeps(np.abs(f).max(axis=0), dt, dx))
     return rings, rings
 
 
@@ -265,7 +264,7 @@ def _plan_window(cfg: SolveConfig, f: np.ndarray, scheme: str) -> _Window:
     """The window of a solve of cfg; refuses a box it would exhaust before T."""
     grid = Grid.from_box(cfg.box_lo, cfg.box_hi, cfg.dx)
     n_steps, records = _steps_and_records(cfg)
-    below, above = reach(f, scheme, cfg.dt, cfg.dx, cfg.cfl_limit)
+    below, above = reach(f, scheme, cfg.dt, cfg.dx)
     for i in range(grid.dim):
         total = n_steps * int(below[i] + above[i])
         if total >= grid.shape[i] - 1:
@@ -376,67 +375,63 @@ def sl_step_cost(gh: GameHamiltonian, env, plan: SLPlan) -> np.ndarray:
 
 def solve_sl_batch(plan: SLPlan, step_cost: np.ndarray,
                    g: Callable[[np.ndarray], np.ndarray] = zero_datum) -> SolveResult:
-    """The SL recursion for M realizations at once.
+    """The SL recursion for every realization of a ``sl_step_cost`` table at once.
 
-    ``step_cost`` is the (pairs, M, *shape) ``sl_step_cost`` table of a
-    batched environment; all realizations start from the datum g.  Every
-    Field of the result carries the realization axis first.  Each
-    realization's numbers are those of its own solve: the recursion is
-    elementwise along M.
+    ``step_cost`` is (pairs, *shape) for one realization or (pairs, M,
+    *shape) for a batched environment; all realizations start from the
+    datum g.  Every Field of the result carries the table's realization
+    axes first.  Each realization's numbers are those of its own solve: the
+    recursion is elementwise along M.
     """
     grid = plan.grid
-    M = step_cost.shape[1]
+    lead = step_cost.shape[1:step_cost.ndim - grid.dim]
     users = [[] for _ in plan.corners]              # the pairs that read each stencil
     for j, s in enumerate(plan.stencil):
         users[s].append(j)
 
     def step(v: np.ndarray, active) -> np.ndarray:
-        out_sl = (slice(None),) + tuple(slice(lo, hi) for lo, hi in active)
+        out_sl = (Ellipsis,) + tuple(slice(lo, hi) for lo, hi in active)
         size = tuple(hi - lo for lo, hi in active)
-        cand = np.empty((len(plan.stencil), M) + size)
+        cand = np.empty((len(plan.stencil),) + lead + size)
         for terms, pairs in zip(plan.corners, users):
             interp = None
             for weight, off in terms:
-                src = (slice(None),) + tuple(slice(o, o + n) for o, n in zip(off, size))
+                src = (Ellipsis,) + tuple(slice(o, o + n) for o, n in zip(off, size))
                 term = v[src] if weight == 1.0 else weight * v[src]
                 interp = term if interp is None else interp + term
             for j in pairs:
                 np.add(step_cost[j][out_sl], interp, out=cand[j])
-        return cand.reshape(plan.n_a, plan.n_b, M, *size).max(axis=0).min(axis=0)
+        return cand.reshape((plan.n_a, plan.n_b) + lead + size).max(axis=0).min(axis=0)
 
     v = np.broadcast_to(
-        np.asarray(g(grid.nodes()), dtype=np.float64).reshape(grid.shape),
-        (M,) + grid.shape)
+        np.asarray(g(grid.nodes()), dtype=np.float64).reshape(grid.shape), lead + grid.shape)
     return _march(plan, v, step, stencils=len(plan.corners))
 
 
 def solve_sl(gh: GameHamiltonian, env, cfg: SolveConfig,
              g: Callable[[np.ndarray], np.ndarray] = zero_datum) -> SolveResult:
-    """One realization: a batch of one."""
+    """The SL solve of env's cost: its plan, its step-cost table and the recursion."""
     plan = sl_plan(gh, cfg)
-    res = solve_sl_batch(plan, sl_step_cost(gh, env, plan)[:, None], g)
-    for f in [res.final, *res.snapshots.values()]:
-        f.values = f.values[0]
-    return res
+    return solve_sl_batch(plan, sl_step_cost(gh, env, plan), g)
 
 
 # ---------------------------------------------------------------------------
 # Lax-Friedrichs
 
 
-def lf_substeps(sigma: np.ndarray, dt: float, dx: float, cfl_limit: float) -> int:
+def lf_substeps(sigma: np.ndarray, dt: float, dx: float) -> int:
     """Number of substeps needed so dt_sub meets the CFL bound; sigma bounds |f| per axis."""
     speed = float(np.sum(2.0 * sigma))  # |H_p| + viscosity speed
     if speed == 0.0:
         return 1
-    return max(1, int(math.ceil(dt * speed / (cfl_limit * dx))))
+    return max(1, int(math.ceil(dt * speed / (SolveConfig.cfl_limit * dx))))
 
 
 def solve_lf(gh: GameHamiltonian, env, cfg: SolveConfig,
              g: Callable[[np.ndarray], np.ndarray] = zero_datum) -> SolveResult:
     cfg.validate()
     sigma = np.abs(gh.f_pairs).max(axis=0)            # per-axis viscosity speed
-    if lf_substeps(sigma, cfg.dt, cfg.dx, cfg.cfl_limit) > 1 and not cfg.lf_substep:
+    if lf_substeps(sigma, cfg.dt, cfg.dx) > 1 and not cfg.lf_substep:
         raise CFLError(
             f"CFL violated: dt*({np.sum(2 * sigma)})/dx = "
             f"{cfg.dt * np.sum(2 * sigma) / cfg.dx:.3g} > {cfg.cfl_limit}; "
@@ -530,16 +525,15 @@ def solve(gh: GameHamiltonian, env, cfg: SolveConfig,
 # deterministic PDE sanity checks
 
 
-def check_lipschitz(snapshots: list[Field], beta1: float, beta3: float,
-                    lip_g: float, tol_factor: float = 10.0) -> dict:
+def check_lipschitz(snapshots: list[Field], beta1: float, beta3: float, lip_g: float) -> dict:
     """Discrete space/time difference quotients against the a-priori bounds.
 
     Space bound: beta3 * t + Lip(g).  Time bound: beta1 * (1 + Lip(g)).
-    Tolerance tol_factor * dx absorbs first-order scheme error.
+    Tolerance 10 dx absorbs first-order scheme error.
     """
     snaps = sorted(snapshots, key=lambda f: f.t)
     dx = snaps[0].grid.dx
-    tol = tol_factor * dx
+    tol = 10.0 * dx
     max_space = 0.0
     space_ok = True
     for f in snaps:
@@ -574,9 +568,8 @@ def check_lipschitz(snapshots: list[Field], beta1: float, beta3: float,
     }
 
 
-def check_comparison(gh: GameHamiltonian, env, cfg: SolveConfig,
-                     g_upper, g_lower, tol: float = 1e-10) -> dict:
-    """Monotone schemes preserve ordering: max(u - v) never increases."""
+def check_comparison(gh: GameHamiltonian, env, cfg: SolveConfig, g_upper, g_lower) -> dict:
+    """Monotone schemes preserve ordering: max(u - v) never increases (to 1e-10)."""
     times = tuple(sorted(set(cfg.record_times) | {cfg.T}))
     cfg2 = replace(cfg, record_times=times)
     ru = solve(gh, env, cfg2, g_upper)
@@ -592,7 +585,7 @@ def check_comparison(gh: GameHamiltonian, env, cfg: SolveConfig,
         sl = fu.common_slices(fv)
         gap = float(np.max(fu.values[sl] - fv.values[sl]))
         worst = max(worst, gap)
-        if gap > gap0 + tol:
+        if gap > gap0 + 1e-10:
             ok = False
     return {"initial_gap": gap0, "max_gap": worst, "ok": ok}
 

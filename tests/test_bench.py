@@ -1,0 +1,52 @@
+"""The benchmark's workloads still run and still give their recorded outputs.
+
+One iteration of each workload in bench/workloads.py, at the seed its
+outputs were recorded at (bench/expected.json), must pass the workload's own
+checks, hash to the recorded raw digest and give the recorded statistics
+within STATS_RTOL.  This keeps the library API the benchmark calls
+(SolveConfig.cfl_limit, estimate_U's family_desc=, the pool path) working.
+"""
+import importlib.util
+import json
+import math
+import sys
+from pathlib import Path
+
+import pytest
+
+from hjhomog import homog
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+SEED = 2026                    # the seed of bench/expected.json
+
+_spec = importlib.util.spec_from_file_location("bench_workloads", BENCH / "workloads.py")
+workloads = sys.modules[_spec.name] = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(workloads)
+
+BUILD = {
+    "mc1d-saddle": lambda: workloads.mc1d_saddle(SEED),
+    # two workers on any host, so that the test starts no more processes
+    "mc1d-pool": lambda: workloads._mc1d("mc1d-pool", SEED, workers=2),
+    "field2d-saddle": lambda: workloads.field2d_saddle(SEED),
+    "rate1d-transport": lambda: workloads.rate1d_transport(SEED),
+}
+
+
+def test_every_workload_is_covered():
+    assert sorted(BUILD) == sorted(workloads.WORKLOADS)
+
+
+@pytest.mark.parametrize("name", sorted(BUILD))
+def test_workload_gives_its_recorded_outputs(name):
+    want = json.loads((BENCH / "expected.json").read_text())[name]
+    try:
+        wl = BUILD[name]()
+        out = wl.iterate()
+    finally:
+        homog._shutdown_pool()
+    assert wl.check(out) == []
+    assert out.digest() == want["raw_sha256"]
+    for key, value in want["stats"].items():
+        got = out.stats[key]
+        assert (math.isnan(got) and math.isnan(value)) or math.isclose(
+            got, value, rel_tol=workloads.STATS_RTOL, abs_tol=0.0), (key, got, value)

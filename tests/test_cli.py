@@ -305,3 +305,30 @@ def test_cli_import_loads_no_test_or_scipy_module():
                           env={**os.environ, "PYTHONPATH": src}).stdout.split()
     assert "numpy" in mods
     assert not [m for m in mods if m.split(".")[0] in ("scipy", "hypothesis", "pytest")]
+
+
+def test_misspelt_hamiltonian_override_is_refused(tmp_path, capsys):
+    # only hamiltonian.params may gain a key; a misspelt family used to run
+    # transport and echo the stray key into the hashed config
+    out = tmp_path / "o"
+    assert main(["verify", "--set", "hamiltonian.famly=saddle-game", "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("config error: invalid override path")
+    assert not out.exists()
+    cfg = load_config(None, ["hamiltonian.family=saddle-game", "hamiltonian.params.coupling=0.5"])
+    assert cfg["hamiltonian"]["params"] == {"speed": 1.0, "coupling": 0.5}
+    # at speeds up to 1.5 the default box holds T = 4
+    assert main(["verify", "--set", "hamiltonian.family=saddle-game",
+                 "--set", "hamiltonian.params.coupling=0.5", "--set", "solver.T=4.0",
+                 "--out", str(tmp_path / "p")]) == 0
+
+
+@pytest.mark.parametrize("command", ["verify", "estimate"])
+def test_empty_action_set_is_a_named_config_error(tmp_path, capsys, command):
+    # a game with no actions used to end in a numpy reduction message after
+    # the config echo was written
+    out = tmp_path / "o"
+    assert main([command, "--set", "hamiltonian.family=two-speed-control",
+                 "--set", 'hamiltonian.params={"speeds": []}', "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: hamiltonian.params:") and "action pair" in err
+    assert not out.exists()

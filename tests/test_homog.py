@@ -3,8 +3,9 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
 from conftest import ORIENTED
 from hjhomog import homog
@@ -263,6 +264,42 @@ def test_bias_band_constant():
     want = sum(2.0 ** (-k / 2.0) * math.sqrt(k + 1.0) for k in range(1, 2000))
     assert A_OVER_KHAT == pytest.approx(want, abs=1e-9)
     assert 4.5 < A_OVER_KHAT < 5.0
+
+
+@st.composite
+def regression_points(draw):
+    """n in 2..17 points with distinct x: scattered y, a constant y or an exact line.
+
+    Values are rounded to 6 decimals, like the logs of times and errors the
+    rate fits read: spreads near 1e-140 make ssxm * ssym underflow, and
+    both fits then divide by zero.
+    """
+    n = draw(st.integers(2, 17))
+    coords = st.floats(-1e3, 1e3).map(lambda v: round(v, 6))
+    x = draw(st.lists(coords, min_size=n, max_size=n).filter(lambda v: min(v) < max(v)))
+    kind = draw(st.sampled_from(["scattered", "constant", "line"]))
+    if kind == "scattered":
+        y = draw(st.lists(coords, min_size=n, max_size=n))
+    elif kind == "constant":
+        y = [draw(coords)] * n
+    else:
+        a, b = (draw(st.floats(-10.0, 10.0).map(lambda v: round(v, 6))) for _ in range(2))
+        y = [a + b * v for v in x]
+    return x, y
+
+
+@settings(max_examples=300, deadline=None)
+@given(points=regression_points())
+@example(points=([0.0, 1.0], [2.0, 2.0]))
+@example(points=([0.0, 1.0, 2.0], [5.0, 5.0, 5.0]))
+@example(points=([0.0, 1.0, 2.0, 3.0], [1.0, 3.0, 5.0, 7.0]))
+def test_ols_is_linregress_to_the_bit(points):
+    x, y = points
+    want = stats.linregress(x, y)
+    got = homog._ols(x, y)
+    # slope, its standard error and r^2, NaN (constant y) included
+    for g, w in zip(got, (want.slope, want.stderr, want.rvalue**2)):
+        assert np.float64(g).tobytes() == np.float64(w).tobytes(), (got, want)
 
 
 # ---------------------------------------------------------------------------

@@ -357,6 +357,11 @@ def test_sl_step_equals_pair_by_pair_step(game, M, dt, steps, theta):
     got, want = solve_sl_batch(plan, cost, g), ref_solve_sl_batch(plan, cost, g)
     assert same_bits(got.final.values, want.final.values)
     assert same_bits(got.at_time(dt).values, want.at_time(dt).values)
+    # one realization: a table without the realization axis, no axis in the result
+    one = sl_step_cost(gh, base, plan)
+    got, want = solve_sl_batch(plan, one, g), ref_solve_sl_batch(plan, one[:, None], g)
+    assert same_bits(got.final.values, want.final.values[0])
+    assert same_bits(got.at_time(dt).values, want.at_time(dt).values[0])
     assert got.telemetry[-1]["stencils"] == len(plan.corners) == len(set(plan.corners))
     assert sorted(set(plan.stencil)) == list(range(len(plan.corners)))
 
