@@ -90,6 +90,10 @@ class Environment:
     (``spec.seed`` is then unused) and every value carries a leading
     realization axis; without, it is the single realization ``spec.seed``,
     held as a batch of one.
+
+    ``values`` stays a pure function of its points.  The only mutable state
+    is its memo: the last point set asked for and its read-only table, so
+    that two solves of one realization on one grid hash the field once.
     """
 
     def __init__(self, spec: EnvSpec, seeds=None):
@@ -101,6 +105,8 @@ class Environment:
         # cell; the leading tag word keeps this stream disjoint from cell amplitudes
         axes = np.arange(spec.dimension, dtype=np.int64)
         self.offset = uniform01(self.seeds[:, None], 1, axes) * spec.bump_radius
+        # (bits of the last points (N, d) as int64, their read-only values)
+        self._memo: tuple[np.ndarray, np.ndarray] | None = None
 
     # -- certified constants ------------------------------------------------
 
@@ -144,12 +150,21 @@ class Environment:
     def values(self, pts: np.ndarray) -> np.ndarray:
         """Field values at points ``pts`` (N, d) for all channels.
 
-        (N, C) for a single realization, (M, N, C) for a batch.
+        (N, C) for a single realization, (M, N, C) for a batch.  The
+        table is read-only: asked again for points with the same shape and
+        bits, the environment returns the table it gave last.
         """
         pts = np.atleast_2d(np.asarray(pts, dtype=np.float64))
+        bits = pts.view(np.int64)
+        memo = self._memo               # read once: another thread may replace it
+        if memo is not None and np.array_equal(memo[0], bits):
+            return memo[1]
         self.check_inside(pts)
         out = self._raw_values(pts)
-        return out if self.batch_shape else out[0]
+        out.flags.writeable = False
+        out = out if self.batch_shape else out[0]
+        self._memo = (bits.copy(), out)
+        return out
 
     def _bumps(self, pts: np.ndarray, group: slice):
         """Walk the 2^d bumps covering each point, one lattice corner at a time.

@@ -103,22 +103,31 @@ def eval_H(gh: GameHamiltonian, x: np.ndarray, p: np.ndarray, env=None) -> float
     """Exact max-min Hamiltonian value at a single (x, p)."""
     x = np.asarray(x, dtype=np.float64).reshape(1, -1)
     p = np.asarray(p, dtype=np.float64).reshape(1, -1)
-    return float(eval_H_nodes(gh, gh.cost(x, env)[0][..., None], p)[0])
+    return float(eval_H_nodes(gh, np.negative(gh.cost(x, env)[0][..., None]), p)[0])
 
 
-def eval_H_nodes(gh: GameHamiltonian, cost: np.ndarray, P: np.ndarray) -> np.ndarray:
+def eval_H_nodes(gh: GameHamiltonian, neg_cost: np.ndarray, P: np.ndarray,
+                 bufs: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None) -> np.ndarray:
     """H at N nodes: max over b of min over a of { -cost - <f, p> }.
 
-    cost: (n_a, n_b, *nodes) broadcastable over the actions, its trailing
-    axes holding the N nodes in C order (a strided window of a grid table
-    is read as it is); P: (N, d) gradients.  Returns (N,).
+    neg_cost: the negated cost -cost, (n_a, n_b, *nodes) broadcastable over
+    the actions, its trailing axes holding the N nodes in C order (a
+    strided window of a grid table is read as it is); P: (N, d) gradients.
+    Returns (N,).  ``bufs`` are flat buffers for -cost - <f, p>, its min
+    over a and H, holding at least n_a * n_b * N, n_b * N and N entries:
+    their leading parts are written, and the returned H is a view of the
+    last one.  Without them, each call allocates its own.
     """
     drift = gh.f_table @ P.T                       # (n_a, n_b, N) or (n_a, 1, N)
-    neg = np.empty(np.broadcast_shapes(cost.shape[:2], drift.shape[:2]) + cost.shape[2:])
-    np.negative(cost, out=neg)
-    neg = neg.reshape(neg.shape[:2] + (-1,))
-    np.subtract(neg, drift, out=neg)
-    return neg.min(axis=0).max(axis=0)
+    n_a, n_b = np.broadcast_shapes(neg_cost.shape[:2], drift.shape[:2])
+    N = len(P)
+    if bufs is None:
+        bufs = (np.empty(n_a * n_b * N), np.empty(n_b * N), np.empty(N))
+    diff_buf, lo_buf, H_buf = bufs
+    diff = diff_buf[:n_a * n_b * N].reshape((n_a, n_b) + neg_cost.shape[2:])
+    np.subtract(neg_cost, drift.reshape(drift.shape[:2] + neg_cost.shape[2:]), out=diff)
+    lo = np.min(diff.reshape(n_a, n_b, N), axis=0, out=lo_buf[:n_b * N].reshape(n_b, N))
+    return np.max(lo, axis=0, out=H_buf[:N])
 
 
 def shift_momentum(gh: GameHamiltonian, theta: np.ndarray) -> GameHamiltonian:

@@ -149,7 +149,8 @@ def _solve_batches(game, env_spec, seeds, theta, cfg: SolveConfig, probes,
     realizations share the stencil, so they are solved together, in batches
     whose stacked cost table fits ``cap_bytes`` (BATCH_COST_BYTES when None,
     read here, so that every pool task carries the caller's cap); each batch
-    is one seed-batched environment and one cost-table call.
+    is one seed-batched environment and one cost-table call.  The batch's
+    environment, and the values its memo holds, are freed before the march.
     """
     if cap_bytes is None:
         cap_bytes = BATCH_COST_BYTES
@@ -172,8 +173,8 @@ def _solve_batches(game, env_spec, seeds, theta, cfg: SolveConfig, probes,
     per = max(1, cap_bytes // plan.cost_bytes)
     parts = []
     for lo in range(0, len(seeds), per):
-        env = sample_environment(env_spec, seeds[lo:lo + per])
-        res = solve_sl_batch(plan, sl_step_cost(shifted, env, plan))
+        step_cost = sl_step_cost(shifted, sample_environment(env_spec, seeds[lo:lo + per]), plan)
+        res = solve_sl_batch(plan, step_cost)
         parts.append(np.stack([res.at_time(t).value_at(probes).T for t in cfg.record_times]))
     return np.concatenate(parts, axis=-1)
 

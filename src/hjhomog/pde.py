@@ -438,11 +438,15 @@ def solve_lf(gh: GameHamiltonian, env, cfg: SolveConfig,
             f"enable substepping or reduce dt"
         )
     win = _plan_window(cfg, gh.f_pairs, "lax-friedrichs")
-    cost = np.ascontiguousarray(_precompute_cost(gh, env, win.grid, cfg.epsilon))
-    cost = cost.reshape(gh.n_a, gh.n_b, *win.grid.shape)
+    # negated once per solve; each substep reads a window of it
+    neg_cost = np.negative(_precompute_cost(gh, env, win.grid, cfg.epsilon), order="C")
+    neg_cost = neg_cost.reshape(gh.n_a, gh.n_b, *win.grid.shape)
+    # H's buffers, sized for the first substep, whose leading parts shrink with the window
+    n_max = math.prod(n - 2 for n in win.grid.shape)
+    bufs = (np.empty(gh.n_a * gh.n_b * n_max), np.empty(gh.n_b * n_max), np.empty(n_max))
 
     def ham(window: tuple[slice, ...], P: np.ndarray) -> np.ndarray:
-        return eval_H_nodes(gh, cost[(slice(None), slice(None)) + window], P)
+        return eval_H_nodes(gh, neg_cost[(slice(None), slice(None)) + window], P, bufs)
 
     return _lf_core(ham, sigma, win, g)
 

@@ -6,6 +6,7 @@ would give it, whatever the batch split or the worker count.
 """
 import itertools
 import math
+import weakref
 from unittest import mock
 
 import numpy as np
@@ -130,6 +131,36 @@ def test_batched_campaign_equals_per_realization_solves(c, split):
 @given(c=campaigns(max_M=6))
 def test_pool_campaign_equals_per_realization_solves(c):
     assert batched(c, workers=2).tobytes() == per_realization(c)[:, 0].tobytes()
+
+
+def test_batch_environment_is_freed_before_its_march():
+    # an environment's memo holds its values, up to BATCH_COST_BYTES for a batch
+    game = build("saddle-game", {}, 1)
+    box = sl_box(game, 1.0, 0.25, 0.25, margin=0.5)
+    spec = EnvSpec(dimension=1, rho=1.0, bump_radius=0.5, amp_lo=0.0, amp_hi=1.0,
+                   channels=4, box_lo=box[0], box_hi=box[1], seed=0)
+    cfg = SolveConfig(scheme="semi-lagrangian", dt=0.25, dx=0.25, T=1.0,
+                      box_lo=box[0], box_hi=box[1], record_times=(1.0,))
+    seeds = derive_seeds(7, np.arange(5))
+    args = (game, spec, seeds, np.array([0.2]), cfg, np.zeros((1, 1)))
+    cap = 2 * sl_plan(game, cfg).cost_bytes
+    envs, alive = [], []
+    sample, march = homog.sample_environment, homog.solve_sl_batch
+
+    def sampling(*a):
+        env = sample(*a)
+        envs.append(weakref.ref(env))
+        return env
+
+    def marching(*a):
+        alive.append([ref() is not None for ref in envs])
+        return march(*a)
+
+    with mock.patch.object(homog, "sample_environment", sampling), \
+            mock.patch.object(homog, "solve_sl_batch", marching):
+        got = homog._solve_batches(*args, cap_bytes=cap)
+    assert alive == [[False], [False, False], [False, False, False]]
+    assert got.tobytes() == homog._solve_batches(*args, cap_bytes=cap).tobytes()
 
 
 def test_pool_without_family_desc_is_refused():

@@ -10,6 +10,8 @@ from hjhomog.env import (BUMP_LIP, BUMP_MASS_1D, DomainError, EnvSpec,
                          replace_on_strip, sample_environment, shift_view,
                          with_seed)
 from hjhomog.families import saddle_game
+from hjhomog.game import shift_momentum
+from hjhomog.pde import SolveConfig, solve
 from hjhomog.rng import derive_seed, derive_seeds
 
 
@@ -264,3 +266,104 @@ def test_seed_banks_equal_the_per_seed_loop():
             env = sample_environment(with_seed(spec, derive_seed(base_seed, i)))
             loop.append((env if shift is None else shift_view(env, shift)).values(pts)[:, 0])
         assert np.array_equal(seed_bank(spec, base_seed, idx, pts, shift), np.array(loop))
+
+
+# ---------------------------------------------------------------------------
+# the one-entry memo of Environment.values
+
+
+def hash_calls(env) -> list[int]:
+    """Record env's amplitude hashing: the number of cells of each call."""
+    calls = []
+    amplitudes = env._cell_amplitudes
+
+    def recording(seeds, z, chans):
+        calls.append(len(z))
+        return amplitudes(seeds, z, chans)
+
+    env._cell_amplitudes = recording
+    return calls
+
+
+def same_bits(a, b) -> bool:
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("seeds", [None, [4, -9, 2**40]])
+def test_repeated_points_are_answered_from_the_memo(seeds):
+    spec = spec1d(seed=31, channels=2)
+    env = sample_environment(spec, seeds)
+    calls = hash_calls(env)
+    pts = np.linspace(-5.0, 5.0, 40).reshape(-1, 1)
+    first = env.values(pts)
+    assert len(calls) == 1
+    again = env.values(pts.copy())              # the same shape and bits in another array
+    assert len(calls) == 1 and again is first
+    assert same_bits(first, sample_environment(spec, seeds).values(pts))
+    assert not first.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        first[..., 0, 0] = 1.0
+
+
+def test_other_points_are_evaluated_afresh():
+    spec = spec1d(seed=32)
+    env = sample_environment(spec)
+    calls = hash_calls(env)
+    pts = np.linspace(-5.0, 5.0, 40).reshape(-1, 1)
+    zero = np.zeros((1, 1))
+    env.values(pts)
+    others = [pts[:20],                          # a prefix: same leading bytes, other shape
+              pts[::-1],                         # the same points in another order
+              pts, zero, -zero]                  # equal as numbers, not as bits
+    for k, other in enumerate(others, start=2):
+        assert same_bits(env.values(other), sample_environment(spec).values(other))
+        assert len(calls) == k
+    # the caller's array, mutated in place after it was answered
+    env.values(pts)
+    pts[3] += 0.1
+    assert same_bits(env.values(pts), sample_environment(spec).values(pts))
+    assert len(calls) == len(others) + 3
+
+
+def test_probe_outside_box_is_refused_after_an_entry():
+    env = sample_environment(spec1d(seed=33))
+    calls = hash_calls(env)
+    pts = np.linspace(-5.0, 5.0, 40).reshape(-1, 1)
+    first = env.values(pts)
+    with pytest.raises(DomainError):
+        env.values(np.array([[6.0 + 2 * 0.5]]))
+    with pytest.raises(DomainError):
+        env.values(np.vstack([pts, [[-7.0]]]))
+    # a refused probe leaves the entry as it was
+    assert env.values(pts) is first and len(calls) == 1
+
+
+def test_view_over_a_memoized_base_reads_its_own_points():
+    spec = spec1d(seed=34)
+    env = sample_environment(spec)
+    pts = np.linspace(-3.0, 3.0, 61).reshape(-1, 1)
+    base = env.values(pts)
+    plain = sample_environment(spec)
+    for view, moved in ((shift_view(env, [0.0]), pts),
+                        (shift_view(env, [0.5]), pts + 0.5),
+                        (replace_on_strip(env, -1.0, 1.0, e=[1.0], shift=[0.8]),
+                         np.where(np.abs(pts) <= 1.0, pts - 0.8, pts))):
+        assert same_bits(view.values(pts), plain.values(moved))
+    assert same_bits(env.values(pts), base)
+
+
+def test_sl_and_lf_solves_of_one_environment_evaluate_its_field_once():
+    spec = EnvSpec(dimension=2, rho=1.0, bump_radius=0.5, amp_lo=0.0, amp_hi=1.0,
+                   channels=4, box_lo=(-4.0, -4.0), box_hi=(4.0, 4.0), seed=35)
+    gh = shift_momentum(saddle_game(dim=2), [0.5, 0.25])
+    cfgs = [SolveConfig(scheme=scheme, dt=0.25, dx=0.25, T=1.0, box_lo=(-4.0, -4.0),
+                        box_hi=(4.0, 4.0), record_times=(0.5,))
+            for scheme in ("semi-lagrangian", "lax-friedrichs")]
+    env = sample_environment(spec)
+    calls = hash_calls(env)
+    results = [solve(gh, env, cfg) for cfg in cfgs]
+    assert len(calls) == 1
+    for cfg, res in zip(cfgs, results):
+        alone = solve(gh, sample_environment(spec), cfg)
+        assert same_bits(res.final.values, alone.final.values)
+        assert same_bits(res.at_time(0.5).values, alone.at_time(0.5).values)

@@ -67,7 +67,7 @@ def test_eval_H_nodes_is_eval_H_at_each_node(game, data):
                                              max_size=gh.dim), min_size=n, max_size=n)))
     P = np.array(data.draw(st.lists(st.lists(st.floats(-3.0, 3.0), min_size=gh.dim,
                                              max_size=gh.dim), min_size=n, max_size=n)))
-    nodes = eval_H_nodes(gh, np.moveaxis(gh.cost(X, env), 0, -1), P)
+    nodes = eval_H_nodes(gh, np.moveaxis(-gh.cost(X, env), 0, -1), P)
     single = np.array([eval_H(gh, x, p, env) for x, p in zip(X, P)])
     brute = np.array([brute_force_H(gh, x, p, env) for x, p in zip(X, P)])
     assert nodes.shape == (n,)

@@ -209,6 +209,9 @@ SADDLE_CASE = (build("saddle-game", {"base_speed": 1.0, "coupling": 0.25}, 2),
                sample_environment(EnvSpec(
                    dimension=2, rho=1.0, bump_radius=0.5, amp_lo=0.0, amp_hi=1.0, channels=4,
                    box_lo=(-8.0, -8.0), box_hi=(8.0, 8.0), seed=5)))
+# the benchmark's 2-D field solve: the saddle game shifted by theta = (0.5, 0.25);
+# at dt = dx = 0.25 an LF step is three substeps
+FIELD2D_CASE = (shift_momentum(SADDLE_CASE[0], [0.5, 0.25]), SADDLE_CASE[1])
 
 
 def same_bits(a, b) -> bool:
@@ -300,10 +303,13 @@ def test_seed_axis_environment_equals_per_realization_fields(case, cap):
     touched = env.cells_touched(pts)
     for m, (seed, one) in enumerate(zip(seeds, singles)):
         assert {z for s, z in hashed if s == seed} == one.cells_touched(pts) == touched[m]
-    # hashing groups: under the cap, or one realization
+    # hashing groups: under the cap, or one realization; on a fresh environment
+    # of the same law and seeds, as this one's memo answers its points
+    fresh = sample_environment(spec, seeds)
     calls.clear()
+    fresh._cell_amplitudes = recording
     with mock.patch.object(env_module, "HASH_POINTS", cap):
-        assert same_bits(env.values(pts), got)
+        assert same_bits(fresh.values(pts), got)
     assert sum(len(call) for call in calls) == len(hashed)
     for call in calls:
         covered = len({s for s, _ in call})
@@ -384,6 +390,7 @@ def test_saddle_game_pairs_share_two_stencils():
        steps=st.integers(1, 2), theta=st.floats(-1.0, 1.0))
 @example(game=LOCALIZED_2D_CASE, dt=0.125, dx=0.2, steps=2, theta=0.5)
 @example(game=SADDLE_CASE, dt=0.125, dx=0.2, steps=2, theta=-0.25)
+@example(game=FIELD2D_CASE, dt=0.25, dx=0.25, steps=3, theta=0.5)
 def test_lf_step_equals_whole_window_step(game, dt, dx, steps, theta):
     gh, env = game
     box = solve_box_for(gh.f_pairs, "lax-friedrichs", steps * dt, dt, dx, report_radius=0.5)
@@ -394,6 +401,8 @@ def test_lf_step_equals_whole_window_step(game, dt, dx, steps, theta):
     got, want = solve_lf(gh, env, cfg, g), ref_solve_lf(gh, env, cfg, g)
     assert same_bits(got.final.values, want.final.values)
     assert same_bits(got.at_time(dt).values, want.at_time(dt).values)
+    if game is FIELD2D_CASE:
+        assert got.telemetry[-1]["substeps_per_step"] == 3
 
 
 @settings(max_examples=60, deadline=None)
@@ -407,18 +416,26 @@ def test_eval_H_nodes_equals_whole_table_form(game, data):
     X = rng.uniform(-6.0, 6.0, size=shape + (d,)).reshape(-1, d)
     P = rng.uniform(-3.0, 3.0, size=(len(X), d))
     table = np.moveaxis(np.broadcast_to(gh.cost(X, env), (len(X), gh.n_a, gh.n_b)), 0, -1)
-    # a contiguous table, a broadcast one and a strided grid window
-    assert same_bits(eval_H_nodes(gh, table, P), ref_eval_H_nodes(gh, table, P))
+    # eval_H_nodes reads the negated table: a contiguous one, a broadcast one
+    # and a strided grid window
+    assert same_bits(eval_H_nodes(gh, -table, P), ref_eval_H_nodes(gh, table, P))
     own = np.moveaxis(gh.cost(X, env), 0, -1)
-    assert same_bits(eval_H_nodes(gh, own, P), ref_eval_H_nodes(gh, own, P))
+    assert same_bits(eval_H_nodes(gh, -own, P), ref_eval_H_nodes(gh, own, P))
     grid = np.zeros((gh.n_a, gh.n_b) + tuple(n + 2 for n in shape))
     window = (slice(None), slice(None)) + (slice(1, -1),) * len(shape)
     grid[window] = table.reshape((gh.n_a, gh.n_b) + shape)
-    assert same_bits(eval_H_nodes(gh, grid[window], P),
-                     ref_eval_H_nodes(gh, grid[window].reshape(gh.n_a, gh.n_b, -1), P))
+    want = ref_eval_H_nodes(gh, grid[window].reshape(gh.n_a, gh.n_b, -1), P)
+    neg_grid = -grid
+    assert same_bits(eval_H_nodes(gh, neg_grid[window], P), want)
+    # in buffers larger than the call needs, holding a previous call's values
+    N = len(P)
+    bufs = tuple(np.full(n + 5, np.nan) for n in (gh.n_a * gh.n_b * N, gh.n_b * N, N))
+    eval_H_nodes(gh, -own, P, bufs)
+    got = eval_H_nodes(gh, neg_grid[window], P, bufs)
+    assert np.shares_memory(got, bufs[2]) and same_bits(got, want)
     # one node at a time, as eval_H calls it
     one = gh.cost(X[:1], env)[0][..., None]
-    assert same_bits(eval_H_nodes(gh, one, P[:1]), ref_eval_H_nodes(gh, one, P[:1]))
+    assert same_bits(eval_H_nodes(gh, np.negative(one), P[:1]), ref_eval_H_nodes(gh, one, P[:1]))
 
 
 # ---------------------------------------------------------------------------
