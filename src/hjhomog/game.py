@@ -103,7 +103,10 @@ def eval_H(gh: GameHamiltonian, x: np.ndarray, p: np.ndarray, env=None) -> float
     """Exact max-min Hamiltonian value at a single (x, p)."""
     x = np.asarray(x, dtype=np.float64).reshape(1, -1)
     p = np.asarray(p, dtype=np.float64).reshape(1, -1)
-    return float(eval_H_nodes(gh, np.negative(gh.cost(x, env)[0][..., None]), p)[0])
+    # the negated table is this call's own, so it is also the difference buffer
+    neg = np.negative(np.broadcast_to(gh.cost(x, env)[0], (gh.n_a, gh.n_b)))
+    bufs = (neg.reshape(-1), np.empty(gh.n_b), np.empty(1))
+    return float(eval_H_nodes(gh, neg.reshape(gh.n_a, gh.n_b, 1), p, bufs)[0])
 
 
 def eval_H_nodes(gh: GameHamiltonian, neg_cost: np.ndarray, P: np.ndarray,

@@ -273,7 +273,12 @@ def _ols(x, y) -> tuple[float, float, float]:
     y = np.asarray(y, dtype=np.float64)
     if len(x) > 1 and np.amax(x) == np.amin(x):
         raise ValueError("cannot fit a line when all x values are identical")
-    ssxm, ssxym, _, ssym = np.cov(x, y, bias=1).flat
+    # np.cov(x, y, bias=1), written out
+    X = np.array([x, y])
+    X -= X.mean(axis=1)[:, None]
+    c = np.dot(X, X.T.conj())
+    c *= np.true_divide(1, len(x))
+    ssxm, ssxym, _, ssym = c.flat
     if ssxm == 0.0 or ssym == 0.0:
         r = np.float64(np.nan if ssxym == 0 else 0.0)
     else:

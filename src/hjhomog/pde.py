@@ -279,19 +279,24 @@ def _plan_window(cfg: SolveConfig, f: np.ndarray, scheme: str) -> _Window:
                    shed_lo=tuple(int(v) for v in below), shed_hi=tuple(int(v) for v in above))
 
 
-def _march(win: _Window, v: np.ndarray, step, **telemetry) -> SolveResult:
+def _march(win: _Window, v: np.ndarray, step, realizations_last: bool = False,
+           **telemetry) -> SolveResult:
     """Run the time steps of win, shrinking the active window each step.
 
-    v holds the datum on the whole grid, after any leading realization axes.
-    step(v, active) maps the values on the current window to those on the
-    next one, whose [lo, hi) index bounds are ``active``.
+    v holds the datum on the whole grid and any realization axes: before
+    the grid axes, or after them when ``realizations_last``.  step(v,
+    active) maps the values on the current window to those on the next
+    one, in the same layout, whose [lo, hi) index bounds are ``active``.
+    Every snapshot puts the realization axes first.
     """
     grid = win.grid
+    d = grid.dim
     active = [(0, n) for n in grid.shape]
 
     def snapshot(k: int) -> Field:
-        values = np.full(v.shape[:v.ndim - grid.dim] + grid.shape, np.nan)
-        values[(Ellipsis,) + tuple(slice(lo, hi) for lo, hi in active)] = v
+        window = np.moveaxis(v, range(d), range(v.ndim - d, v.ndim)) if realizations_last else v
+        values = np.full(window.shape[:window.ndim - d] + grid.shape, np.nan)
+        values[(Ellipsis,) + tuple(slice(lo, hi) for lo, hi in active)] = window
         return Field(grid=grid, t=k * win.cfg.dt, values=values, active=tuple(active))
 
     result = SolveResult(final=None)  # type: ignore[arg-type]
@@ -366,11 +371,16 @@ def sl_step_cost(gh: GameHamiltonian, env, plan: SLPlan) -> np.ndarray:
     """Cost one SL step accrues at each node, dt * cost.
 
     (pairs, *shape) for one realization, (pairs, M, *shape) for a batched
-    environment: the stacked table ``solve_sl_batch`` takes.
+    environment: the stacked table ``solve_sl_batch`` takes.  The one copy
+    is written pair by pair with the realizations innermost, (pairs,
+    *shape, M) in memory, and returned in the public shape as a view, so
+    that every window the march reads of a pair's plane is contiguous.
     """
     cost = _precompute_cost(gh, env, plan.grid, plan.cfg.epsilon)
-    # C order: the view is pair-fastest, but the step loop reads one pair's plane at a time
-    return np.multiply(cost, plan.cfg.dt, order="C")
+    lead = range(1, cost.ndim - plan.grid.dim)
+    inner = range(-len(lead), 0)
+    return np.moveaxis(np.multiply(np.moveaxis(cost, lead, inner), plan.cfg.dt, order="C"),
+                       inner, lead)
 
 
 def solve_sl_batch(plan: SLPlan, step_cost: np.ndarray,
@@ -382,30 +392,74 @@ def solve_sl_batch(plan: SLPlan, step_cost: np.ndarray,
     datum g.  Every Field of the result carries the table's realization
     axes first.  Each realization's numbers are those of its own solve: the
     recursion is elementwise along M.
+
+    The march keeps the values as (*window, M), realizations innermost, and
+    reads the table through the same view, which is contiguous for a table
+    from ``sl_step_cost`` (any other layout gives the same bits, slower).
+    A step interpolates once per distinct stencil.  It then takes the
+    max-min as it goes: for each b in order, np.maximum over a, in order,
+    into one column, which np.minimum folds into the result.  That is the
+    elementwise order of ``cand.max(axis=0).min(axis=0)`` over the pairs'
+    candidates, so the bits, signed zeros included, are those of the
+    reductions, without the (pairs, *window) candidate table.  The
+    intermediates live in flat buffers sized for the first step; the new
+    values are allocated at the window's size.
     """
     grid = plan.grid
     lead = step_cost.shape[1:step_cost.ndim - grid.dim]
-    users = [[] for _ in plan.corners]              # the pairs that read each stencil
-    for j, s in enumerate(plan.stencil):
-        users[s].append(j)
+    cost = np.moveaxis(step_cost, range(1, 1 + len(lead)), range(-len(lead), 0))
+    offsets = {off for terms in plan.corners for _, off in terms}
+    n_max = math.prod(n - lo - hi for n, lo, hi in zip(grid.shape, plan.shed_lo, plan.shed_hi))
+    n_max *= math.prod(lead)
+
+    def buffer() -> np.ndarray:
+        return np.empty(n_max)
+
+    # the column of each b after the first; the scratch for each a after the
+    # first and for a stencil's weighted corners after its first
+    acc_buf = buffer() if plan.n_b > 1 else None
+    tmp_buf = buffer() if plan.n_a > 1 or any(len(t) > 1 for t in plan.corners) else None
+    # a stencil whose interpolant is not a plain read of v
+    sum_bufs = [buffer() if len(terms) > 1 or terms[0][0] != 1.0 else None
+                for terms in plan.corners]
 
     def step(v: np.ndarray, active) -> np.ndarray:
-        out_sl = (Ellipsis,) + tuple(slice(lo, hi) for lo, hi in active)
         size = tuple(hi - lo for lo, hi in active)
-        cand = np.empty((len(plan.stencil),) + lead + size)
-        for terms, pairs in zip(plan.corners, users):
-            interp = None
-            for weight, off in terms:
-                src = (Ellipsis,) + tuple(slice(o, o + n) for o, n in zip(off, size))
-                term = v[src] if weight == 1.0 else weight * v[src]
-                interp = term if interp is None else interp + term
-            for j in pairs:
-                np.add(step_cost[j][out_sl], interp, out=cand[j])
-        return cand.reshape((plan.n_a, plan.n_b) + lead + size).max(axis=0).min(axis=0)
+        shape = size + lead
+        n = math.prod(shape)
 
-    v = np.broadcast_to(
-        np.asarray(g(grid.nodes()), dtype=np.float64).reshape(grid.shape), lead + grid.shape)
-    return _march(plan, v, step, stencils=len(plan.corners))
+        def view(buf: np.ndarray) -> np.ndarray:
+            return buf[:n].reshape(shape)
+
+        out_sl = tuple(slice(lo, hi) for lo, hi in active)
+        src = {off: v[tuple(slice(o, o + k) for o, k in zip(off, size))] for off in offsets}
+        tmp = None if tmp_buf is None else view(tmp_buf)
+        interp = []
+        for terms, sum_buf in zip(plan.corners, sum_bufs):
+            # the corners summed in order; a weighted one is multiplied into
+            # the stencil's buffer when it comes first, else into tmp
+            total = None
+            for weight, off in terms:
+                x = src[off]
+                if weight != 1.0:
+                    x = np.multiply(x, weight, out=view(sum_buf) if total is None else tmp)
+                total = x if total is None else np.add(total, x, out=view(sum_buf))
+            interp.append(total)
+        new = np.empty(shape)
+        for b in range(plan.n_b):
+            col = view(acc_buf) if b else new
+            for a in range(plan.n_a):
+                j = a * plan.n_b + b
+                cand = np.add(cost[j][out_sl], interp[plan.stencil[j]], out=tmp if a else col)
+                if a:
+                    np.maximum(col, cand, out=col)
+            if b:
+                np.minimum(new, col, out=new)
+        return new
+
+    datum = np.asarray(g(grid.nodes()), dtype=np.float64)
+    v = np.broadcast_to(datum.reshape(grid.shape + (1,) * len(lead)), grid.shape + lead)
+    return _march(plan, v, step, realizations_last=True, stencils=len(plan.corners))
 
 
 def solve_sl(gh: GameHamiltonian, env, cfg: SolveConfig,

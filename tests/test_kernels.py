@@ -10,6 +10,7 @@ floating-point operations in the same order with fewer array passes, so
 every value must match to the last bit, the sign of zero included.
 """
 import math
+import tracemalloc
 from dataclasses import replace
 from unittest import mock
 
@@ -363,6 +364,11 @@ def test_sl_step_equals_pair_by_pair_step(game, M, dt, steps, theta):
     got, want = solve_sl_batch(plan, cost, g), ref_solve_sl_batch(plan, cost, g)
     assert same_bits(got.final.values, want.final.values)
     assert same_bits(got.at_time(dt).values, want.at_time(dt).values)
+    # the table keeps its realizations innermost; a plain C-ordered copy gives the same bits
+    assert np.moveaxis(cost, 1, -1).flags.c_contiguous
+    plain = solve_sl_batch(plan, np.ascontiguousarray(cost), g)
+    assert same_bits(plain.final.values, want.final.values)
+    assert same_bits(plain.at_time(dt).values, want.at_time(dt).values)
     # one realization: a table without the realization axis, no axis in the result
     one = sl_step_cost(gh, base, plan)
     got, want = solve_sl_batch(plan, one, g), ref_solve_sl_batch(plan, one[:, None], g)
@@ -370,6 +376,69 @@ def test_sl_step_equals_pair_by_pair_step(game, M, dt, steps, theta):
     assert same_bits(got.at_time(dt).values, want.at_time(dt).values[0])
     assert got.telemetry[-1]["stencils"] == len(plan.corners) == len(set(plan.corners))
     assert sorted(set(plan.stencil)) == list(range(len(plan.corners)))
+
+
+def negative_zero_datum(pts):
+    return -pde.zero_datum(pts)
+
+
+def signed_zero_datum(pts):
+    """Zero of either sign: -0.0 at every other node along the first axis."""
+    return np.where(np.round(np.atleast_2d(pts)[:, 0] * 4.0) % 2 == 0, 0.0, -0.0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(game=drawn_games(), M=st.integers(1, 3), dt=st.sampled_from([0.125, 0.25]),
+       steps=st.integers(1, 3), seed=st.integers(0, 2**32 - 1),
+       g=st.sampled_from([pde.zero_datum, negative_zero_datum, signed_zero_datum]))
+@example(game=LOCALIZED_2D_CASE, M=2, dt=0.25, steps=3, seed=0, g=signed_zero_datum)
+@example(game=SADDLE_CASE, M=3, dt=0.25, steps=2, seed=1, g=negative_zero_datum)
+def test_sl_step_breaks_signed_zero_ties_as_the_reductions(game, M, dt, steps, seed, g):
+    # every pair's cost is +0.0 or -0.0, so the max over a and the min over b
+    # meet ties between zeros of opposite sign, which only the order of the
+    # elementwise comparisons decides
+    gh, _ = game
+    dx = 0.25
+    box = solve_box_for(gh.f_pairs, "semi-lagrangian", steps * dt, dt, dx, report_radius=0.5)
+    plan = sl_plan(gh, SolveConfig(scheme="semi-lagrangian", dt=dt, dx=dx, T=steps * dt,
+                                   box_lo=box[0], box_hi=box[1], record_times=(dt,)))
+    rng = np.random.default_rng(seed)
+    cost = np.where(rng.integers(0, 2, size=(len(plan.stencil), M) + plan.grid.shape) == 0,
+                    0.0, -0.0)
+    got, want = solve_sl_batch(plan, cost, g), ref_solve_sl_batch(plan, cost, g)
+    assert same_bits(got.final.values, want.final.values)
+    assert same_bits(got.at_time(dt).values, want.at_time(dt).values)
+    assert not np.any(got.final.active_values())        # zeros only
+    one = solve_sl_batch(plan, cost[:, 0], g)
+    assert same_bits(one.final.values, want.final.values[0])
+
+
+@pytest.mark.parametrize("n_b", [9, 13])
+def test_sl_march_holds_no_per_pair_table(n_b):
+    """The march holds a few grid-sized arrays and one per stencil, none per pair."""
+    gh = build("localized", {"beta": 1.5, "R": 1.0, "v": [0.75, 0.0],
+                             "pi": [[0.0, 0.0], [0.0, 0.8]], "n_a": 3, "n_b": n_b,
+                             "g0": "norm", "scale": 1.0}, 2)
+    plan = sl_plan(gh, SolveConfig(scheme="semi-lagrangian", dt=0.25, dx=0.25, T=0.75,
+                                   box_lo=(-5.0, -5.0), box_hi=(5.0, 5.0)))
+    seeds = [1, 2]
+    M = len(seeds)
+    spec = replace(LOCALIZED_2D_CASE[1].spec, box_lo=(-6.0, -6.0), box_hi=(6.0, 6.0))
+    cost = sl_step_cost(gh, sample_environment(spec, seeds), plan)
+    unit = 8 * M * math.prod(plan.grid.shape)          # one realization-batched grid
+    # v and the new values, the column, the scratch, one per stencil, the
+    # final snapshot and the datum
+    bound = (6 + len(plan.corners)) * unit
+    first = math.prod(n - lo - hi
+                      for n, lo, hi in zip(plan.grid.shape, plan.shed_lo, plan.shed_hi))
+    assert len(plan.stencil) * 8 * M * first > 2 * bound     # a candidate table would not fit
+    tracemalloc.start()
+    try:
+        solve_sl_batch(plan, cost)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound
 
 
 def test_saddle_game_pairs_share_two_stencils():
