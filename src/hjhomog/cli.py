@@ -3,9 +3,10 @@
 One structured JSON config describes an experiment (environment /
 hamiltonian / solver / campaign / output blocks); dotted-path --set
 overrides allow parameter sweeps.  Every artifact embeds the sha256 of the
-fully-resolved config and the library version, and the resolved config
-itself (defaults included) is echoed to config.echo.json so no silent
-default survives a run.
+fully-resolved config and the library version.  The config is typed by
+DEFAULTS and checked before a command runs, and is echoed to config.echo.json
+(defaults included) after it, so no silent default survives a run and a
+refusal writes nothing.
 
 Exit codes: 0 all assertions passed, 1 configuration error or library
 refusal (domain, orientation or CFL error), 2 assertion failure.
@@ -26,8 +27,8 @@ import numpy as np
 
 from . import __version__, families, homog
 from .env import DomainError, EnvSpec, sample_environment
-from .game import (OrientationError, certify_constants, eval_H, localize, shift_momentum,
-                   verify_localization)
+from .game import (GameHamiltonian, OrientationError, certify_constants, eval_H, localize,
+                   shift_momentum, verify_localization)
 from .pde import (CFLError, SolveConfig, check_comparison, check_lipschitz, check_scaling,
                   linear_datum, solve, zero_datum)
 
@@ -95,9 +96,7 @@ def _deep_merge(base: dict, override: dict, path: str = "") -> dict:
         here = f"{path}.{key}" if path else key
         if key not in base:
             raise ConfigError(f"unknown config field {here!r}")
-        if isinstance(base[key], dict) and here != FREE_KEYS:
-            if not isinstance(val, dict):
-                raise ConfigError(f"{here!r} must be an object")
+        if isinstance(base[key], dict) and isinstance(val, dict) and here != FREE_KEYS:
             out[key] = _deep_merge(base[key], val, here)
         else:
             out[key] = copy.deepcopy(val)
@@ -123,7 +122,8 @@ def apply_override(cfg: dict, item: str) -> None:
         node[leaf] = raw
 
 
-def load_config(path: str | None, overrides: list[str]) -> dict:
+def _read_config(path: str | None, overrides: list[str]) -> dict:
+    """DEFAULTS, merged with the config file at path, then the overrides."""
     cfg = copy.deepcopy(DEFAULTS)
     if path is not None:
         try:
@@ -138,46 +138,99 @@ def load_config(path: str | None, overrides: list[str]) -> dict:
         cfg = _deep_merge(cfg, user)
     for item in overrides:
         apply_override(cfg, item)
-    validate_config(cfg)
     return cfg
 
 
-def validate_config(cfg: dict) -> None:
+def load_config(path: str | None, overrides: list[str]) -> dict:
+    return validate_config(_read_config(path, overrides)).cfg
+
+
+def _typed(value, default, path: str):
+    """value read as its default's JSON type, or a ConfigError naming path.
+
+    A float field takes any JSON number but a bool, and an int field an
+    integral one; a list takes a list of its default's element type (floats
+    for an empty default) and is read as a tuple; an object takes exactly
+    its default's fields, but FREE_KEYS takes any object.
+    """
+    if isinstance(default, dict) and path != FREE_KEYS:
+        if isinstance(value, dict) and value.keys() == default.keys():
+            return {k: _typed(value[k], d, f"{path}.{k}" if path else k)
+                    for k, d in default.items()}
+        kind = f"an object with the fields {', '.join(default)}"
+    elif isinstance(default, list):
+        if isinstance(value, list):
+            return tuple(_typed(v, default[0] if default else 0.0, f"{path}[{i}]")
+                         for i, v in enumerate(value))
+        kind = "a list"
+    else:
+        want = type(default)
+        number = isinstance(value, (int, float)) and not isinstance(value, bool)
+        if want is float and number:
+            return float(value)
+        if want is int and number and (isinstance(value, int) or value.is_integer()):
+            return int(value)
+        if want in (str, dict) and isinstance(value, want):
+            return value
+        kind = {float: "a number", int: "an integer", str: "a string", dict: "an object"}[want]
+    raise ConfigError(f"{path}: must be {kind}, got {value!r}")
+
+
+@dataclasses.dataclass(frozen=True)
+class Run:
+    """A checked config and what every command builds from it, built once."""
+
+    cfg: dict                 # as resolved: echoed and hashed
+    blocks: dict              # cfg read as DEFAULTS' types
+    spec: EnvSpec
+    game: GameHamiltonian
+    solver: SolveConfig
+
+
+def validate_config(cfg: dict) -> Run:
+    """cfg read, checked and built; refuses with a ConfigError naming the field."""
+    blocks = _typed(cfg, DEFAULTS, "")
+    spec = EnvSpec(**blocks["environment"])
     try:
-        env_spec_from(cfg).validate()
-    except (ValueError, TypeError) as exc:
+        spec.validate()
+    except ValueError as exc:
         raise ConfigError(f"environment: {exc}")
-    fam = cfg["hamiltonian"]["family"]
+    fam, params = blocks["hamiltonian"]["family"], blocks["hamiltonian"]["params"]
     if fam not in families.FAMILIES:
         raise ConfigError(f"hamiltonian.family: unknown family {fam!r}")
     try:
-        gh = hamiltonian_from(cfg)
+        gh = families.build(fam, params, spec.dimension)
     except (ValueError, TypeError, KeyError) as exc:
         raise ConfigError(f"hamiltonian.params: {exc}")
-    channels, pairs = int(cfg["environment"]["channels"]), gh.n_a * gh.n_b
-    if channels not in (1, pairs):
+    pairs = gh.n_a * gh.n_b
+    if spec.channels not in (1, pairs):
         raise ConfigError(
             f"environment.channels: the {fam} game reads 1 channel shared by its action "
-            f"pairs or n_a*n_b = {pairs}, one per pair; got {channels}")
+            f"pairs or n_a*n_b = {pairs}, one per pair; got {spec.channels}")
+    solver = SolveConfig(**blocks["solver"])
     try:
-        solve_config_from(cfg).validate()
+        solver.validate()
     except ValueError as exc:
         raise ConfigError(f"solver: {exc}")
-    camp = cfg["campaign"]
+    camp = blocks["campaign"]
     if not camp["thetas"]:
         raise ConfigError("campaign.thetas: must hold at least one theta")
-    dim = int(cfg["environment"]["dimension"])
+    dim = spec.dimension
     for theta in camp["thetas"]:
-        if np.shape(np.atleast_1d(theta)) != (dim,):
-            raise ConfigError(f"campaign.thetas: entry {theta} needs environment.dimension "
-                              f"= {dim} components")
+        if len(theta) != dim:
+            raise ConfigError(f"campaign.thetas: entry {list(theta)} needs "
+                              f"environment.dimension = {dim} components")
     for key in ("box_lo", "box_hi"):
-        if len(cfg["solver"][key]) != dim:
+        if len(getattr(solver, key)) != dim:
             raise ConfigError(f"solver.{key}: needs environment.dimension = {dim} "
-                              f"components, got {cfg['solver'][key]}")
+                              f"components, got {list(getattr(solver, key))}")
     times = camp["times"]
-    if any(t <= 0 for t in times) or sorted(times) != list(times):
-        raise ConfigError("campaign.times: must be positive and increasing")
+    if not times or any(t <= 0 for t in times) or sorted(times) != list(times):
+        raise ConfigError("campaign.times: must be nonempty, positive and increasing")
+    try:    # the campaign's solve: to the last time, on the solver's time step
+        dataclasses.replace(solver, T=times[-1], record_times=times).validate()
+    except ValueError as exc:
+        raise ConfigError(f"campaign.times: {exc}")
     if camp["M"] < 1:
         raise ConfigError(f"campaign.M: must be >= 1, got {camp['M']}")
     _worker_count(camp["workers"], "campaign.workers")
@@ -186,6 +239,7 @@ def validate_config(cfg: dict) -> None:
     if len(set(camp["eps_list"])) < 2:
         raise ConfigError("campaign.eps_list: needs at least two distinct epsilons "
                           "to fit a rate")
+    return Run(cfg=cfg, blocks=blocks, spec=spec, game=gh, solver=solver)
 
 
 def _worker_count(raw, source: str) -> int:
@@ -205,38 +259,11 @@ def config_hash(cfg: dict) -> str:
 
 
 def env_spec_from(cfg: dict) -> EnvSpec:
-    e = cfg["environment"]
-    return EnvSpec(
-        dimension=int(e["dimension"]),
-        rho=float(e["rho"]),
-        bump_radius=float(e["bump_radius"]),
-        amp_lo=float(e["amp_lo"]),
-        amp_hi=float(e["amp_hi"]),
-        channels=int(e["channels"]),
-        box_lo=tuple(float(v) for v in e["box_lo"]),
-        box_hi=tuple(float(v) for v in e["box_hi"]),
-        seed=int(e["seed"]),
-    )
+    return validate_config(cfg).spec
 
 
-def solve_config_from(cfg: dict) -> SolveConfig:
-    s = cfg["solver"]
-    return SolveConfig(
-        scheme=s["scheme"],
-        dt=float(s["dt"]),
-        dx=float(s["dx"]),
-        T=float(s["T"]),
-        box_lo=tuple(float(v) for v in s["box_lo"]),
-        box_hi=tuple(float(v) for v in s["box_hi"]),
-        epsilon=float(s["epsilon"]),
-        record_times=tuple(float(t) for t in s["record_times"]),
-    )
-
-
-def hamiltonian_from(cfg: dict):
-    h = cfg["hamiltonian"]
-    return families.build(h["family"], h.get("params", {}),
-                          int(cfg["environment"]["dimension"]))
+def hamiltonian_from(cfg: dict) -> GameHamiltonian:
+    return validate_config(cfg).game
 
 
 def _stamp(cfg: dict, payload: dict) -> dict:
@@ -261,30 +288,24 @@ def _write_csv(out: Path, name: str, cfg: dict, header: list, rows) -> None:
         writer.writerows(rows)
 
 
-def _echo_config(cfg: dict, out: Path) -> None:
-    _write_json(out, "config.echo.json", _stamp(cfg, {"config": cfg}))
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
 
-def cmd_sample_env(cfg: dict, out: Path) -> int:
-    spec = env_spec_from(cfg)
-    env = sample_environment(spec)
+def cmd_sample_env(run: Run, out: Path, workers: int) -> int:
+    spec, env = run.spec, sample_environment(run.spec)
     d = spec.dimension
     axes = [np.arange(spec.box_lo[i], spec.box_hi[i] + 1e-12, spec.rho / 8)
             for i in range(d)]
     mesh = np.meshgrid(*axes, indexing="ij")
     pts = np.stack([m.ravel() for m in mesh], axis=1)
     vals = env.values(pts)
-    gh = hamiltonian_from(cfg)
-    pairs = [divmod(ch, gh.n_b) if vals.shape[1] > 1 else (0, 0)
+    pairs = [divmod(ch, run.game.n_b) if vals.shape[1] > 1 else (0, 0)
              for ch in range(vals.shape[1])]
-    _write_csv(out, "env.csv", cfg, [f"x{i}" for i in range(d)] + ["a", "b", "value"],
+    _write_csv(out, "env.csv", run.cfg, [f"x{i}" for i in range(d)] + ["a", "b", "value"],
                (list(row) + [a, b, v[ch]]
                 for row, v in zip(pts, vals) for ch, (a, b) in enumerate(pairs)))
-    _write_json(out, "env.summary.json", _stamp(cfg, {
+    _write_json(out, "env.summary.json", _stamp(run.cfg, {
         "sup_bound": env.sup_bound,
         "lip_bound": env.lip_bound,
         "mean_value": env.mean_value,
@@ -293,16 +314,12 @@ def cmd_sample_env(cfg: dict, out: Path) -> int:
     return 0
 
 
-def cmd_solve(cfg: dict, out: Path) -> int:
-    spec = env_spec_from(cfg)
-    env = sample_environment(spec)
-    gh = hamiltonian_from(cfg)
-    scfg = solve_config_from(cfg)
+def cmd_solve(run: Run, out: Path, workers: int) -> int:
     scfg = dataclasses.replace(
-        scfg, record_times=tuple(sorted(set(scfg.record_times) | {scfg.T})))
-    theta = np.asarray(cfg["campaign"]["thetas"][0], dtype=np.float64)
-    res = solve(shift_momentum(gh, theta), env, scfg, zero_datum)
-    d = gh.dim
+        run.solver, record_times=tuple(sorted(set(run.solver.record_times) | {run.solver.T})))
+    theta = run.blocks["campaign"]["thetas"][0]
+    res = solve(shift_momentum(run.game, theta), sample_environment(run.spec), scfg, zero_datum)
+    d = run.game.dim
 
     def rows():
         for t in sorted(res.snapshots):
@@ -312,45 +329,41 @@ def cmd_solve(cfg: dict, out: Path) -> int:
             for x, u in zip(pts[sl].reshape(-1, d), fld.values[sl].ravel()):
                 yield [t] + list(x) + [u]
 
-    _write_csv(out, "solution.csv", cfg, ["t"] + [f"x{i}" for i in range(d)] + ["u"], rows())
-    _write_json(out, "solve.summary.json", _stamp(cfg, {
+    _write_csv(out, "solution.csv", run.cfg, ["t"] + [f"x{i}" for i in range(d)] + ["u"], rows())
+    _write_json(out, "solve.summary.json", _stamp(run.cfg, {
         "telemetry": res.telemetry,
         "t_final": res.final.t,
     }))
     return 0
 
 
-def _campaign_table(cfg: dict, theta, workers: int) -> homog.UTable:
-    spec = env_spec_from(cfg)
-    camp = cfg["campaign"]
-    gh = hamiltonian_from(cfg)
-    h = cfg["hamiltonian"]
+def _campaign_table(run: Run, theta, workers: int) -> homog.UTable:
+    camp, h = run.blocks["campaign"], run.blocks["hamiltonian"]
     return homog.estimate_U(
-        gh, spec, theta, camp["times"], int(camp["M"]), int(camp["base_seed"]),
-        dx=float(cfg["solver"]["dx"]), dt=float(cfg["solver"]["dt"]),
-        workers=workers, family_desc=(h["family"], h.get("params", {})),
+        run.game, run.spec, theta, camp["times"], camp["M"], camp["base_seed"],
+        dx=run.solver.dx, dt=run.solver.dt,
+        workers=workers, family_desc=(h["family"], h["params"]),
     )
 
 
-def cmd_estimate(cfg: dict, out: Path, workers: int) -> int:
-    theta = cfg["campaign"]["thetas"][0]
-    table = _campaign_table(cfg, theta, workers)
-    _write_json(out, "utable.json", _stamp(cfg, {"utable": table.to_dict()}))
-    if "csv" in cfg["output"]["formats"]:
-        _write_csv(out, "utable.csv", cfg, ["t", "sample_index", "value"],
+def cmd_estimate(run: Run, out: Path, workers: int) -> int:
+    table = _campaign_table(run, run.blocks["campaign"]["thetas"][0], workers)
+    _write_json(out, "utable.json", _stamp(run.cfg, {"utable": table.to_dict()}))
+    if "csv" in run.blocks["output"]["formats"]:
+        _write_csv(out, "utable.csv", run.cfg, ["t", "sample_index", "value"],
                    ([t, i, v] for t, row in zip(table.times, table.samples)
                     for i, v in enumerate(row)))
     return 0
 
 
-def cmd_effective(cfg: dict, out: Path, workers: int) -> int:
+def cmd_effective(run: Run, out: Path, workers: int) -> int:
     estimates = []
-    for theta in cfg["campaign"]["thetas"]:
-        table = _campaign_table(cfg, theta, workers)
+    for theta in run.blocks["campaign"]["thetas"]:
+        table = _campaign_table(run, theta, workers)
         estimates.append(homog.extract_effective_H(table))
     beta = table.beta          # certified for the unshifted game, so the same for every theta
     props = homog.effective_H_properties(estimates, beta)
-    _write_json(out, "effective.json", _stamp(cfg, {
+    _write_json(out, "effective.json", _stamp(run.cfg, {
         "estimates": [e.to_dict() for e in estimates],
         "properties": props,
         "beta": beta,
@@ -359,23 +372,19 @@ def cmd_effective(cfg: dict, out: Path, workers: int) -> int:
     return 0 if ok else 2
 
 
-def cmd_rate(cfg: dict, out: Path, workers: int) -> int:
-    spec = env_spec_from(cfg)
-    camp = cfg["campaign"]
-    gh = hamiltonian_from(cfg)
-    theta = np.asarray(camp["thetas"][0], dtype=np.float64)
-    table = _campaign_table(cfg, theta, workers)
-    est = homog.extract_effective_H(table)
+def cmd_rate(run: Run, out: Path, workers: int) -> int:
+    camp = run.blocks["campaign"]
+    theta = camp["thetas"][0]
+    est = homog.extract_effective_H(_campaign_table(run, theta, workers))
     report = homog.rate_experiment(
-        gh, spec, theta, camp["eps_list"], R=float(camp["rate_R"]),
-        T=float(camp["rate_T"]), M=int(camp["M"]), H_bar=est.H_hat,
-        dx=float(camp["rate_dx"]), dt=float(camp["rate_dt"]),
-        base_seed=int(camp["base_seed"]),
+        run.game, run.spec, theta, camp["eps_list"], R=camp["rate_R"],
+        T=camp["rate_T"], M=camp["M"], H_bar=est.H_hat,
+        dx=camp["rate_dx"], dt=camp["rate_dt"], base_seed=camp["base_seed"],
     )
-    _write_csv(out, "rate.csv", cfg, ["eps", "q10", "median", "q90", "exceedance"],
+    _write_csv(out, "rate.csv", run.cfg, ["eps", "q10", "median", "q90", "exceedance"],
                ([eps, *report["quantiles"][eps], report["exceedance"][eps]]
                 for eps in report["eps_list"]))
-    _write_json(out, "rate.summary.json", _stamp(cfg, {
+    _write_json(out, "rate.summary.json", _stamp(run.cfg, {
         "report": {k: v for k, v in report.items()
                    if k not in ("quantiles", "medians", "exceedance")},
         "H_bar_used": est.H_hat,
@@ -385,10 +394,9 @@ def cmd_rate(cfg: dict, out: Path, workers: int) -> int:
     return 0 if (report["in_band"] and report["exceedance_ok"]) else 2
 
 
-def cmd_verify(cfg: dict, out: Path) -> int:
-    spec = env_spec_from(cfg)
-    env = sample_environment(spec)
-    gh = families.bind_env_constants(hamiltonian_from(cfg), env)
+def cmd_verify(run: Run, out: Path, workers: int) -> int:
+    spec, env = run.spec, sample_environment(run.spec)
+    gh = families.bind_env_constants(run.game, env)
     consts = certify_constants(gh)
     report: dict = {"checks": {}}
     ok = True
@@ -425,10 +433,9 @@ def cmd_verify(cfg: dict, out: Path) -> int:
            all(v <= 1e-9 for v in worst.values()),
            {k: float(v) for k, v in worst.items()})
 
-    scfg = solve_config_from(cfg)
     n_rec = 4
-    recs = tuple(scfg.T * k / n_rec for k in range(1, n_rec + 1))
-    scfg = dataclasses.replace(scfg, record_times=recs)
+    recs = tuple(run.solver.T * k / n_rec for k in range(1, n_rec + 1))
+    scfg = dataclasses.replace(run.solver, record_times=recs)
 
     # strip perturbation bound
     try:
@@ -479,7 +486,7 @@ def cmd_verify(cfg: dict, out: Path) -> int:
            rep["max_error"] <= 5e-3 and delta_exact,
            {**rep, "delta_equals_v_norm": delta_exact})
 
-    _write_json(out, "verify.report.json", _stamp(cfg, report))
+    _write_json(out, "verify.report.json", _stamp(run.cfg, report))
     return 0 if ok else 2
 
 
@@ -487,18 +494,21 @@ def cmd_verify(cfg: dict, out: Path) -> int:
 # entry point
 
 
+#: the subcommands, by name
+COMMANDS = {"sample-env": cmd_sample_env, "solve": cmd_solve, "estimate": cmd_estimate,
+            "effective": cmd_effective, "rate": cmd_rate, "verify": cmd_verify}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hjhomog",
         description="homogenization experiments for oriented max-min Hamiltonians",
     )
-    parser.add_argument("command",
-                        choices=["sample-env", "solve", "estimate",
-                                 "effective", "rate", "verify"])
+    parser.add_argument("command", choices=COMMANDS)
     parser.add_argument("--config", default=None, help="JSON config file")
     parser.add_argument("--set", dest="overrides", action="append", default=[],
                         metavar="KEY=VALUE", help="dotted-path override")
-    parser.add_argument("--workers", type=int, default=None,
+    parser.add_argument("--workers", default=None,
                         help="size of the Monte-Carlo campaign pool (default "
                              "$HJHOMOG_WORKERS, then campaign.workers)")
     parser.add_argument("--out", default=None, help="output directory")
@@ -508,7 +518,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = load_config(args.config, args.overrides)
+        run = validate_config(_read_config(args.config, args.overrides))
         # the worker count never changes a number; --workers and
         # $HJHOMOG_WORKERS stay out of the hashed config, while
         # campaign.workers is hashed like every config field
@@ -517,36 +527,22 @@ def main(argv: list[str] | None = None) -> int:
         elif "HJHOMOG_WORKERS" in os.environ:
             workers = _worker_count(os.environ["HJHOMOG_WORKERS"], "$HJHOMOG_WORKERS")
         else:
-            workers = _worker_count(cfg["campaign"]["workers"], "campaign.workers")
+            workers = run.blocks["campaign"]["workers"]
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    out = Path(args.out if args.out is not None else cfg["output"]["directory"])
-    _echo_config(cfg, out)
+    out = Path(args.out if args.out is not None else run.blocks["output"]["directory"])
     try:
-        if args.command == "sample-env":
-            return cmd_sample_env(cfg, out)
-        if args.command == "solve":
-            return cmd_solve(cfg, out)
-        if args.command == "estimate":
-            return cmd_estimate(cfg, out, workers)
-        if args.command == "effective":
-            return cmd_effective(cfg, out, workers)
-        if args.command == "rate":
-            return cmd_rate(cfg, out, workers)
-        if args.command == "verify":
-            return cmd_verify(cfg, out)
+        code = COMMANDS[args.command](run, out, workers)
     except AssertionError as exc:
         print(f"assertion failure: {exc}", file=sys.stderr)
         return 2
-    except (DomainError, OrientationError, CFLError) as exc:
-        label = {DomainError: "domain", OrientationError: "orientation", CFLError: "CFL"}
-        print(f"{label[type(exc)]} error: {exc}", file=sys.stderr)
-        return 1
     except (ValueError, KeyError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
+        label = {DomainError: "domain", OrientationError: "orientation", CFLError: "CFL"}
+        print(f"{label.get(type(exc), 'config')} error: {exc}", file=sys.stderr)
         return 1
-    raise AssertionError("unreachable")
+    _write_json(out, "config.echo.json", _stamp(run.cfg, {"config": run.cfg}))
+    return code
 
 
 if __name__ == "__main__":

@@ -565,6 +565,7 @@ def _sup_errors(gh: GameHamiltonian, env_spec, seeds, theta, eps: float, R: floa
     t_top = T / eps
     times = [t_top * j / n_t for j in range(1, n_t + 1)]
     box = solve_box_for(gh.f_pairs, "semi-lagrangian", t_top, dt, dx, report_radius=R / eps)
+    _check_env_covers(env_spec, box)    # eps ascends: the widest box is checked first
     cfg = SolveConfig(scheme="semi-lagrangian", dt=dt, dx=dx, T=t_top,
                       box_lo=box[0], box_hi=box[1], record_times=tuple(times))
     u = _solve_batches(gh, env_spec, seeds, theta, cfg, ball_grid(R, n_x, gh.dim) / eps)

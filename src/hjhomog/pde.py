@@ -187,6 +187,7 @@ class SolveConfig:
                           ("epsilon", self.epsilon)):
             if val <= 0:
                 raise ValueError(f"{name} must be positive, got {val}")
+        _steps_and_records(self)
 
 
 @dataclass
@@ -308,7 +309,8 @@ def _march(win: _Window, v: np.ndarray, step, realizations_last: bool = False,
         v = step(v, active)
         if k in win.records:
             result.snapshots[win.records[k]] = snapshot(k)
-    result.final = snapshot(win.n_steps)
+    result.final = (result.snapshots[win.records[win.n_steps]] if win.n_steps in win.records
+                    else snapshot(win.n_steps))
     result.telemetry.append({"scheme": win.scheme, "steps": win.n_steps, **telemetry,
                              "active_cells": [list(a) for a in active]})
     return result

@@ -10,7 +10,7 @@ import pytest
 
 import hjhomog
 from hjhomog import __version__
-from hjhomog.cli import (ConfigError, DEFAULTS, apply_override, config_hash,
+from hjhomog.cli import (ConfigError, DEFAULTS, FREE_KEYS, apply_override, config_hash,
                          env_spec_from, hamiltonian_from, load_config, main)
 from hjhomog.game import certify_constants
 
@@ -261,6 +261,8 @@ def test_theta_and_box_dimensions_are_named_config_errors(tmp_path, capsys):
     ([], "two", "$HJHOMOG_WORKERS"),
     ([], "0", "$HJHOMOG_WORKERS"),
     (["--set", "campaign.workers=-2"], None, "campaign.workers"),
+    (["--workers", "two"], None, "--workers"),
+    (["--workers", "1.5"], None, "--workers"),
 ])
 def test_bad_worker_counts_are_named_config_errors(tmp_path, capsys, monkeypatch,
                                                    args, env, source):
@@ -331,4 +333,63 @@ def test_empty_action_set_is_a_named_config_error(tmp_path, capsys, command):
                  "--set", 'hamiltonian.params={"speeds": []}', "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("config error: hamiltonian.params:") and "action pair" in err
+    assert not out.exists()
+
+
+def _leaves(node: dict, path: str = ""):
+    """(dotted path, default) of every config leaf; FREE_KEYS is one leaf."""
+    for key, default in node.items():
+        here = f"{path}.{key}" if path else key
+        if isinstance(default, dict) and here != FREE_KEYS:
+            yield from _leaves(default, here)
+        else:
+            yield here, default
+
+
+LEAVES = dict(_leaves(DEFAULTS))
+
+
+@pytest.mark.parametrize("path", LEAVES)
+def test_every_field_refuses_another_json_type(tmp_path, capsys, path):
+    # a string where DEFAULTS holds a number, a list or an object, and a number
+    # where it holds a string; a field added to DEFAULTS is covered here too
+    wrong = 5 if isinstance(LEAVES[path], str) else "abc"
+    out = tmp_path / "o"
+    assert main(["estimate", "--set", f"{path}={json.dumps(wrong)}", "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(f"config error: {path}: must be ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["2.5", "true", '"16"', "07"])
+def test_int_fields_take_only_integral_numbers(tmp_path, capsys, value):
+    # these used to run on int(value): M = 2, 1, 16 and 7.  An integral
+    # float such as 16.0 is still an integer, kept as written in the config
+    out = tmp_path / "o"
+    assert main(["estimate", "--set", f"campaign.M={value}", "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("config error: campaign.M: must be an integer")
+    assert not out.exists()
+    assert load_config(None, ["campaign.M=16.0"])["campaign"]["M"] == 16.0
+
+
+@pytest.mark.parametrize("command, override, field", [
+    ("solve", "solver.T=8.1", "solver"),
+    ("solve", "solver.record_times=[3.1]", "solver"),
+    ("estimate", "campaign.times=[4.1, 8.0, 12.0]", "campaign.times"),
+])
+def test_time_grid_refusals_come_before_anything_is_written(tmp_path, capsys, command,
+                                                             override, field):
+    out = tmp_path / "o"
+    assert main([command, "--set", override, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {field}:") and "dt=0.25" in err
+    assert not out.exists()
+
+
+def test_rate_refuses_a_field_box_that_misses_its_widest_solve(tmp_path, capsys):
+    # at eps = 1/32 the rate solve runs to T/eps = 32 and reads B(R/eps = 16)
+    out = tmp_path / "o"
+    assert main(["rate", "--set", "campaign.eps_list=[0.25, 0.03125]", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("domain error: environment box")
+    assert "does not cover the required solve box [(-16.25,), (48.25,)]" in err
     assert not out.exists()

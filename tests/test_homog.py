@@ -91,6 +91,23 @@ def test_env_box_must_cover_solve_box():
                    times=[8.0], M=2, base_seed=0, dx=DX, dt=DT)
 
 
+def test_ci_halfwidth_covers_the_exact_transport_H_bar():
+    # 1-D transport homogenizes exactly: H_bar(theta) = -E[c] - f theta.  The
+    # base seeds are fixed up front; the times are the CLI's default schedule
+    s = spec(lo=-8.0, hi=48.0)
+    mean = sample_environment(s).mean_value
+    ratios = []
+    for base_seed in range(32):
+        for theta in (-0.5, 0.0, 0.5):
+            est = extract_effective_H(estimate_U(
+                transport(1.0), s, theta=[theta], times=[4.0, 8.0, 12.0, 16.0, 24.0, 32.0],
+                M=16, base_seed=base_seed, dx=DX, dt=DT))
+            ratios.append(abs(est.H_hat - (-mean - theta)) / est.ci_halfwidth)
+    print(f"worst |H_hat - H_bar| / ci_halfwidth over {len(ratios)} campaigns: "
+          f"{max(ratios):.3f}")
+    assert max(ratios) <= 1.0
+
+
 def test_solve_box_for_covers_drift():
     # an SL step at dt f / dx = 1.5 sheds 2 cells, so 16 steps shed 8.0
     lo, hi = solve_box_for(transport(1.5).f_pairs, "semi-lagrangian",
@@ -319,6 +336,17 @@ def test_rate_needs_two_distinct_epsilons(eps_list):
         rate_experiment(transport(1.0), spec(), theta=[0.0], eps_list=eps_list,
                         R=1.0, T=2.0, M=2, H_bar=-0.5, dx=DX, dt=DT,
                         base_seed=0)
+
+
+def test_rate_refuses_a_field_box_that_misses_its_widest_solve():
+    # at eps = 1/16 the solve runs to T/eps = 32 and reads B(R/eps = 16), so it
+    # needs [-17, 49]; the field's [-12, 28] covers only eps = 1/4's [-5, 13]
+    with mock.patch.object(homog, "_solve_batches") as run:
+        with pytest.raises(DomainError, match="does not cover"):
+            rate_experiment(transport(1.0), spec(lo=-12.0, hi=28.0), theta=[0.0],
+                            eps_list=[0.25, 0.0625], R=1.0, T=2.0, M=2, H_bar=-0.5,
+                            dx=DX, dt=DT, base_seed=0)
+    run.assert_not_called()
 
 
 def test_rate_degenerate_on_constant_field():

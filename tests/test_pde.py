@@ -262,6 +262,11 @@ def test_time_grid_validation():
     with pytest.raises(ValueError, match="record time"):
         solve_sl(gh, env, cfg("semi-lagrangian", 0.1, 0.1, 1.0, -4.0, 6.0,
                               record_times=(0.15,)))
+    # validate() applies the same rule, so a config can be refused before a solve
+    with pytest.raises(ValueError, match="integer multiple"):
+        cfg("semi-lagrangian", 0.3, 0.1, 1.0, -4.0, 6.0).validate()
+    with pytest.raises(ValueError, match="record time"):
+        cfg("semi-lagrangian", 0.1, 0.1, 1.0, -4.0, 6.0, record_times=(0.15,)).validate()
     with pytest.raises(ValueError):
         cfg("semi-lagrangian", -0.1, 0.1, 1.0, 0.0, 1.0).validate()
     with pytest.raises(ValueError):
@@ -286,6 +291,13 @@ def test_snapshot_lookup():
     assert res.at_time(0.5).t == pytest.approx(0.5)
     with pytest.raises(KeyError):
         res.at_time(0.7)
+    assert res.final.t == pytest.approx(1.0)
+    assert all(f is not res.final for f in res.snapshots.values())
+    # a recorded T is the final field itself, not a second copy of it
+    rec = solve_sl(gh, env, cfg("semi-lagrangian", 0.1, 0.1, 1.0, -2.0, 3.0,
+                                record_times=(0.5, 1.0)))
+    assert rec.final is rec.at_time(1.0)
+    assert np.array_equal(rec.final.values, res.final.values, equal_nan=True)
 
 
 def test_grid_from_box():
