@@ -141,10 +141,6 @@ def _read_config(path: str | None, overrides: list[str]) -> dict:
     return cfg
 
 
-def load_config(path: str | None, overrides: list[str]) -> dict:
-    return validate_config(_read_config(path, overrides)).cfg
-
-
 def _typed(value, default, path: str):
     """value read as its default's JSON type, or a ConfigError naming path.
 
@@ -239,6 +235,13 @@ def validate_config(cfg: dict) -> Run:
     if len(set(camp["eps_list"])) < 2:
         raise ConfigError("campaign.eps_list: needs at least two distinct epsilons "
                           "to fit a rate")
+    for eps in camp["eps_list"]:
+        t_top, recs = homog.rate_times(camp["rate_T"], eps)
+        try:    # each eps's rate solve, on the rate study's own grid
+            dataclasses.replace(solver, dt=camp["rate_dt"], dx=camp["rate_dx"], T=t_top,
+                                record_times=recs).validate()
+        except ValueError as exc:
+            raise ConfigError(f"campaign.rate_T: the rate solve at eps={eps}: {exc}")
     return Run(cfg=cfg, blocks=blocks, spec=spec, game=gh, solver=solver)
 
 
@@ -256,14 +259,6 @@ def _worker_count(raw, source: str) -> int:
 def config_hash(cfg: dict) -> str:
     blob = json.dumps(cfg, sort_keys=True, separators=(",", ":")).encode()
     return hashlib.sha256(blob).hexdigest()
-
-
-def env_spec_from(cfg: dict) -> EnvSpec:
-    return validate_config(cfg).spec
-
-
-def hamiltonian_from(cfg: dict) -> GameHamiltonian:
-    return validate_config(cfg).game
 
 
 def _stamp(cfg: dict, payload: dict) -> dict:
@@ -433,8 +428,9 @@ def cmd_verify(run: Run, out: Path, workers: int) -> int:
            all(v <= 1e-9 for v in worst.values()),
            {k: float(v) for k, v in worst.items()})
 
-    n_rec = 4
-    recs = tuple(run.solver.T * k / n_rec for k in range(1, n_rec + 1))
+    # the time step nearest each quarter of T
+    steps = round(run.solver.T / run.solver.dt)
+    recs = tuple(round(steps * k / 4) * run.solver.dt for k in range(1, 5))
     scfg = dataclasses.replace(run.solver, record_times=recs)
 
     # strip perturbation bound

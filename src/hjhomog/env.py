@@ -258,17 +258,17 @@ class Environment:
 
 
 class EnvironmentView:
-    """A base environment read at moved points.
+    """A base environment whose field is moved on a slab.
 
-    A point x is read at x - shift: everywhere, or only inside the slab
-    { x : <x, e> in [lo, hi] } when ``slab`` = (lo, hi, e) is given, with e
-    a unit vector.  Every point is read from the base exactly once.  The
+    A point x inside the slab { x : <x, e> in [lo, hi] }, ``slab`` = (lo,
+    hi, e) with e a unit vector, is read at x - shift; any other point is
+    read as it is.  Every point is read from the base exactly once.  The
     patched field is discontinuous at the slab faces, which the
     value-function machinery tolerates (costs only need to be measurable
     and bounded).
     """
 
-    def __init__(self, base, shift: np.ndarray, slab: tuple | None = None):
+    def __init__(self, base, shift: np.ndarray, slab: tuple):
         self.base = base
         self.shift = np.asarray(shift, dtype=np.float64)
         self.slab = slab
@@ -291,43 +291,12 @@ class EnvironmentView:
 
     def values(self, pts: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(pts, dtype=np.float64))
-        if self.slab is None:
-            return self.base.values(pts - self.shift)
         lo, hi, e = self.slab
         proj = pts @ e
         inside = (proj >= lo) & (proj <= hi)
         moved = pts.copy()
         moved[inside] -= self.shift
         return self.base.values(moved)
-
-
-class ConstantEnvironment:
-    """Degenerate environment with a constant cost; handy for exact oracles."""
-
-    def __init__(self, value: float, channels: int = 1, dimension: int = 1):
-        self.value = float(value)
-        self.channels = channels
-        self._dimension = dimension
-
-    @property
-    def dimension(self):
-        return self._dimension
-
-    @property
-    def sup_bound(self):
-        return abs(self.value)
-
-    @property
-    def lip_bound(self):
-        return 0.0
-
-    @property
-    def batch_shape(self):
-        return ()
-
-    def values(self, pts: np.ndarray) -> np.ndarray:
-        pts = np.atleast_2d(np.asarray(pts, dtype=np.float64))
-        return np.full((pts.shape[0], self.channels), self.value)
 
 
 def sample_environment(spec: EnvSpec, seeds=None) -> Environment:
@@ -338,14 +307,6 @@ def sample_environment(spec: EnvSpec, seeds=None) -> Environment:
     ``with_seed(spec, seeds[m])``, bit for bit.
     """
     return Environment(spec, seeds)
-
-
-def shift_view(env, y: np.ndarray) -> EnvironmentView:
-    """The translated view: values(view, x) == values(env, x + y).
-
-    The view reads x - (-y), which equals x + y exactly in floating point.
-    """
-    return EnvironmentView(env, -np.asarray(y, dtype=np.float64))
 
 
 def replace_on_strip(env, lo: float, hi: float, e: np.ndarray, shift: np.ndarray) -> EnvironmentView:

@@ -20,8 +20,7 @@ import numpy as np
 from . import families
 from .env import DomainError, replace_on_strip, sample_environment, with_seed
 from .game import GameHamiltonian, ball_grid, certify_constants, shift_momentum
-from .pde import (SolveConfig, reach, sl_plan, sl_step_cost, solve_effective, solve_sl,
-                  solve_sl_batch)
+from .pde import SolveConfig, reach, sl_plan, sl_step_cost, solve_sl, solve_sl_batch
 from .rng import derive_seeds
 
 #: sum_{k>=1} 2^{-k/2} sqrt(k+1); converts the per-pair defect constant into
@@ -296,17 +295,6 @@ def _ols(x, y) -> tuple[float, float, float]:
 # concentration
 
 
-def azuma_bound(increments, M: float) -> float:
-    """Two-sided martingale tail bound 2 exp(-M^2 / (2 sum c_m^2))."""
-    c = np.asarray(increments, dtype=np.float64)
-    if np.any(c < 0):
-        raise ValueError("bounded-difference constants must be nonnegative")
-    s = float(np.sum(c**2))
-    if s == 0.0:
-        return 2.0 if M <= 0 else 0.0
-    return 2.0 * math.exp(-(M**2) / (2.0 * s))
-
-
 def _tail_fit(dev: np.ndarray, t: float, M_grid):
     """Sorted M-grid, tail frequencies P(dev >= M sqrt(t)) on it, and the
     (M^2, log f) points of the positive frequencies, for a log-tail fit."""
@@ -353,22 +341,6 @@ def check_concentration(table: UTable, t: float, M_grid) -> dict:
         "log_tail_concave": concave,
         "under_powered": bool(under_powered),
         "n_samples": n,
-    }
-
-
-def additive_surrogate_tails(t: int, n_samples: int, M_grid, seed: int = 0) -> dict:
-    """Direct simulation of the i.i.d.-increment surrogate (sums of uniforms)."""
-    rng = np.random.default_rng(seed)
-    u = rng.uniform(0.0, 1.0, size=(n_samples, int(t))).sum(axis=1)
-    M_grid, freqs, xs, ys = _tail_fit(np.abs(u - u.mean()), t, M_grid)
-    slope, _, r2 = _ols(xs, ys)
-    return {
-        "t": t,
-        "M_grid": M_grid,
-        "tail_freqs": freqs,
-        "slope": slope,
-        "r2": r2,
-        "c_hat": -slope,
     }
 
 
@@ -512,19 +484,6 @@ def extract_effective_H(table: UTable, K_hat: float | None = None) -> EffectiveE
     )
 
 
-def synthetic_table(times, h: float, noise: float = 0.0, M: int = 1,
-                    seed: int = 0, beta: float = 10.0) -> UTable:
-    """Planted almost-subadditive sequence U(n) = -n h + sqrt(n ln n)."""
-    rng = np.random.default_rng(seed)
-    times = sorted(float(t) for t in times)
-    rows = []
-    for t in times:
-        base = -t * h + math.sqrt(t * max(math.log(t), math.log(2.0)))
-        rows.append(base + noise * rng.normal(size=M))
-    return UTable(theta=np.zeros(1), times=times, samples=np.stack(rows),
-                  base_seed=seed, beta=beta)
-
-
 def effective_H_properties(estimates: list[EffectiveEstimate], beta: float) -> dict:
     """Growth and momentum-Lipschitz checks for the extracted table."""
     growth_ok = True
@@ -557,18 +516,23 @@ def effective_H_properties(estimates: list[EffectiveEstimate], beta: float) -> d
 # epsilon-rate
 
 
+def rate_times(T: float, eps: float) -> tuple[float, tuple[float, ...]]:
+    """The horizon T/eps of the eps rate solve, and its 8 record times up to it."""
+    t_top = T / eps
+    return t_top, tuple(t_top * j / 8 for j in range(1, 9))
+
+
 def _sup_errors(gh: GameHamiltonian, env_spec, seeds, theta, eps: float, R: float,
                 T: float, H_bar: float, dx: float, dt: float) -> np.ndarray:
     """Per seed of env_spec's law, sup over a [0,T] x B_R grid of
-    |eps u(t/eps, x/eps) + t H_bar|: 8 times, 9 points per axis."""
-    n_t, n_x = 8, 9
-    t_top = T / eps
-    times = [t_top * j / n_t for j in range(1, n_t + 1)]
+    |eps u(t/eps, x/eps) + t H_bar|: the ``rate_times``, 9 points per axis."""
+    t_top, times = rate_times(T, eps)
+    n_t = len(times)
     box = solve_box_for(gh.f_pairs, "semi-lagrangian", t_top, dt, dx, report_radius=R / eps)
     _check_env_covers(env_spec, box)    # eps ascends: the widest box is checked first
     cfg = SolveConfig(scheme="semi-lagrangian", dt=dt, dx=dx, T=t_top,
-                      box_lo=box[0], box_hi=box[1], record_times=tuple(times))
-    u = _solve_batches(gh, env_spec, seeds, theta, cfg, ball_grid(R, n_x, gh.dim) / eps)
+                      box_lo=box[0], box_hi=box[1], record_times=times)
+    u = _solve_batches(gh, env_spec, seeds, theta, cfg, ball_grid(R, 9, gh.dim) / eps)
     tj = np.array([T * j / n_t for j in range(1, n_t + 1)])
     return np.abs(eps * u + tj[:, None, None] * H_bar).max(axis=(0, 1))
 
@@ -655,59 +619,3 @@ def rate_experiment(gh: GameHamiltonian, env_spec, theta, eps_list, R: float,
         "exceedance": exceedance,
         "exceedance_ok": exceedance_ok,
     }
-
-
-# ---------------------------------------------------------------------------
-# general initial data
-
-
-def general_datum_homogenization(gh: GameHamiltonian, env, H_bar_grid,
-                                 H_bar_vals, g, speed_bound: float,
-                                 eps_list, R: float, T: float,
-                                 dx0: float, dt0: float) -> dict:
-    """Scaled solves with a general UC datum against the effective equation.
-
-    The effective problem du/dt + Hbar(Du) = 0 is solved by Lax-Friedrichs
-    with Hbar interpolated from the supplied momentum table; the sup
-    distance on [0, T] x B_R must decrease along the epsilon list.
-    """
-    H_bar_grid = np.asarray(H_bar_grid, dtype=np.float64)
-    H_bar_vals = np.asarray(H_bar_vals, dtype=np.float64)
-
-    def H_of_p(P):
-        p = np.atleast_2d(P)[:, 0]
-        if np.any(p < H_bar_grid[0] - 1e-9) or np.any(p > H_bar_grid[-1] + 1e-9):
-            raise ValueError(
-                f"momentum excursion [{p.min()}, {p.max()}] beyond the Hbar "
-                f"table range [{H_bar_grid[0]}, {H_bar_grid[-1]}]"
-            )
-        return np.interp(p, H_bar_grid, H_bar_vals)
-
-    gh_b, _ = _certified(gh, env)
-    d = gh_b.dim
-
-    # the effective solve is refined relative to the scaled runs so that its
-    # own scheme error does not mask the epsilon-trend being measured
-    dx_eff = dx0 / 4.0
-    box = solve_box_for(np.full((1, d), speed_bound), "lax-friedrichs", T, dt0, dx_eff, R)
-    eff_cfg = SolveConfig(scheme="lax-friedrichs", dt=dt0, dx=dx_eff, T=T,
-                          box_lo=box[0], box_hi=box[1], record_times=(T,))
-    eff = solve_effective(H_of_p, speed_bound, eff_cfg, g)
-
-    dists = {}
-    for eps in sorted(eps_list, reverse=True):
-        box = solve_box_for(gh_b.f_pairs, "semi-lagrangian", T, dt0 * eps, dx0 * eps, R)
-        cfg = SolveConfig(scheme="semi-lagrangian", dt=dt0 * eps, dx=dx0 * eps,
-                          T=T, box_lo=box[0], box_hi=box[1], epsilon=eps,
-                          record_times=(T,))
-        res = solve_sl(gh_b, env, cfg, g)
-        xx = np.zeros((17, d))
-        xx[:, 0] = np.linspace(-R, R, 17)
-        dists[eps] = float(np.max(np.abs(res.final.value_at(xx) - eff.final.value_at(xx))))
-    eps_sorted = sorted(dists, reverse=True)
-    # a single realization fluctuates, so strict per-step monotonicity is not
-    # expected; the trend check compares the endpoints and flags the rest
-    decreasing = dists[eps_sorted[-1]] < dists[eps_sorted[0]]
-    monotone = all(dists[e2] <= dists[e1] * 1.1 + 1e-9
-                   for e1, e2 in zip(eps_sorted, eps_sorted[1:]))
-    return {"distances": dists, "decreasing": decreasing, "monotone": monotone}

@@ -485,6 +485,13 @@ def lf_substeps(sigma: np.ndarray, dt: float, dx: float) -> int:
 
 def solve_lf(gh: GameHamiltonian, env, cfg: SolveConfig,
              g: Callable[[np.ndarray], np.ndarray] = zero_datum) -> SolveResult:
+    """The LF solve of env's cost, one stencil ring shed per substep.
+
+    The cost table is negated once per solve; each substep hands a window
+    of it to ``eval_H_nodes``.  Each substep writes P, the viscosity term,
+    H's intermediates and the new values into buffers sized for the first
+    substep, whose leading parts shrink with the window.
+    """
     cfg.validate()
     sigma = np.abs(gh.f_pairs).max(axis=0)            # per-axis viscosity speed
     if lf_substeps(sigma, cfg.dt, cfg.dx) > 1 and not cfg.lf_substep:
@@ -494,50 +501,17 @@ def solve_lf(gh: GameHamiltonian, env, cfg: SolveConfig,
             f"enable substepping or reduce dt"
         )
     win = _plan_window(cfg, gh.f_pairs, "lax-friedrichs")
-    # negated once per solve; each substep reads a window of it
-    neg_cost = np.negative(_precompute_cost(gh, env, win.grid, cfg.epsilon), order="C")
-    neg_cost = neg_cost.reshape(gh.n_a, gh.n_b, *win.grid.shape)
-    # H's buffers, sized for the first substep, whose leading parts shrink with the window
-    n_max = math.prod(n - 2 for n in win.grid.shape)
-    bufs = (np.empty(gh.n_a * gh.n_b * n_max), np.empty(gh.n_b * n_max), np.empty(n_max))
-
-    def ham(window: tuple[slice, ...], P: np.ndarray) -> np.ndarray:
-        return eval_H_nodes(gh, neg_cost[(slice(None), slice(None)) + window], P, bufs)
-
-    return _lf_core(ham, sigma, win, g)
-
-
-def solve_effective(H_of_p: Callable[[np.ndarray], np.ndarray], speed: float,
-                    cfg: SolveConfig,
-                    g: Callable[[np.ndarray], np.ndarray]) -> SolveResult:
-    """Constant-coefficient solve  du/dt + Hbar(Du) = 0  via Lax-Friedrichs.
-
-    ``speed`` must bound |dHbar/dp| per axis.
-    """
-    sigma = np.full(len(cfg.box_lo), float(speed))
-    win = _plan_window(cfg, sigma[None, :], "lax-friedrichs")
-
-    def ham(window, P):
-        return np.asarray(H_of_p(P), dtype=np.float64)
-
-    return _lf_core(ham, sigma, win, g)
-
-
-def _lf_core(ham, sigma, win: _Window, g) -> SolveResult:
-    """The LF steps of win; ham(window, P) gives H at the gradients P (N, d).
-
-    Each substep writes P, the viscosity term and the new values into
-    buffers sized for the first substep, whose leading parts shrink with
-    the window.
-    """
     grid = win.grid
     d = grid.dim
-    n_sub = win.shed_lo[0]                 # one stencil ring per substep
-    dt_sub = win.cfg.dt / n_sub
+    neg_cost = np.negative(_precompute_cost(gh, env, grid, cfg.epsilon), order="C")
+    neg_cost = neg_cost.reshape(gh.n_a, gh.n_b, *grid.shape)
+    n_sub = win.shed_lo[0]
+    dt_sub = cfg.dt / n_sub
     nu = sigma * grid.dx / 2.0    # artificial viscosity coefficient per axis
     inner = (slice(1, -1),) * d
     n_max = math.prod(n - 2 for n in grid.shape)
     P_buf, visc_buf, term_buf = np.empty(n_max * d), np.empty(n_max), np.empty(n_max)
+    H_bufs = (np.empty(gh.n_a * gh.n_b * n_max), np.empty(gh.n_b * n_max), np.empty(n_max))
     v_bufs = [np.empty(n_max), np.empty(n_max)]   # a substep reads one and writes the other
 
     def step(v: np.ndarray, active) -> np.ndarray:
@@ -560,7 +534,8 @@ def _lf_core(ham, sigma, win: _Window, g) -> SolveResult:
                 np.divide(term, grid.dx**2, out=term)
                 np.add(visc, term, out=visc)
             window = tuple(slice(lo - rings_left, hi + rings_left) for lo, hi in active)
-            H = ham(window, P.reshape(-1, d)).reshape(shape)
+            H = eval_H_nodes(gh, neg_cost[(slice(None), slice(None)) + window],
+                             P.reshape(-1, d), H_bufs).reshape(shape)
             new = v_bufs[0][:size].reshape(shape)
             np.multiply(H, dt_sub, out=new)
             np.subtract(v[inner], new, out=new)

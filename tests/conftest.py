@@ -1,5 +1,7 @@
-"""Hypothesis strategies and session fixtures shared by the test modules."""
+"""Hypothesis strategies, exact oracles and session fixtures shared by the test modules."""
+import math
 import multiprocessing
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -73,3 +75,71 @@ def drawn_games(draw):
                    channels=draw(st.sampled_from([1, gh.n_a * gh.n_b])),
                    box_lo=(-8.0,) * dim, box_hi=(8.0,) * dim, seed=draw(st.integers(0, 99)))
     return gh, sample_environment(spec)
+
+
+# ---------------------------------------------------------------------------
+# exact oracles
+
+
+class ConstantEnvironment:
+    """Degenerate environment with a constant cost; handy for exact oracles."""
+
+    def __init__(self, value: float, channels: int = 1, dimension: int = 1):
+        self.value = float(value)
+        self.channels = channels
+        self.dimension = dimension
+        self.sup_bound = abs(self.value)
+        self.lip_bound = 0.0
+        self.batch_shape = ()
+
+    def values(self, pts: np.ndarray) -> np.ndarray:
+        pts = np.atleast_2d(np.asarray(pts, dtype=np.float64))
+        return np.full((pts.shape[0], self.channels), self.value)
+
+
+def shift_view(env, y) -> SimpleNamespace:
+    """The translated view of env: its values at x are env's at x + y."""
+    y = np.asarray(y, dtype=np.float64)
+    return SimpleNamespace(
+        values=lambda pts: env.values(np.atleast_2d(np.asarray(pts, dtype=np.float64)) + y))
+
+
+def azuma_bound(increments, M: float) -> float:
+    """Two-sided martingale tail bound 2 exp(-M^2 / (2 sum c_m^2))."""
+    c = np.asarray(increments, dtype=np.float64)
+    if np.any(c < 0):
+        raise ValueError("bounded-difference constants must be nonnegative")
+    s = float(np.sum(c**2))
+    if s == 0.0:
+        return 2.0 if M <= 0 else 0.0
+    return 2.0 * math.exp(-(M**2) / (2.0 * s))
+
+
+def additive_surrogate_tails(t: int, n_samples: int, M_grid, seed: int = 0) -> dict:
+    """Direct simulation of the i.i.d.-increment surrogate (sums of uniforms),
+    its log-tails fitted by the library's own regression."""
+    rng = np.random.default_rng(seed)
+    u = rng.uniform(0.0, 1.0, size=(n_samples, int(t))).sum(axis=1)
+    M_grid, freqs, xs, ys = homog._tail_fit(np.abs(u - u.mean()), t, M_grid)
+    slope, _, r2 = homog._ols(xs, ys)
+    return {
+        "t": t,
+        "M_grid": M_grid,
+        "tail_freqs": freqs,
+        "slope": slope,
+        "r2": r2,
+        "c_hat": -slope,
+    }
+
+
+def synthetic_table(times, h: float, noise: float = 0.0, M: int = 1,
+                    seed: int = 0, beta: float = 10.0) -> homog.UTable:
+    """Planted almost-subadditive sequence U(n) = -n h + sqrt(n ln n)."""
+    rng = np.random.default_rng(seed)
+    times = sorted(float(t) for t in times)
+    rows = []
+    for t in times:
+        base = -t * h + math.sqrt(t * max(math.log(t), math.log(2.0)))
+        rows.append(base + noise * rng.normal(size=M))
+    return homog.UTable(theta=np.zeros(1), times=times, samples=np.stack(rows),
+                        base_seed=seed, beta=beta)

@@ -10,13 +10,13 @@ import time
 import numpy as np
 import pytest
 
+from conftest import additive_surrogate_tails, synthetic_table
 from hjhomog.env import EnvSpec, sample_environment, with_seed
 from hjhomog.families import bind_env_constants, saddle_game, transport, two_speed_control
 from hjhomog.game import GameHamiltonian, certify_constants, localize, verify_localization
-from hjhomog.homog import (additive_surrogate_tails, check_concentration,
-                           check_subadditivity, effective_H_properties,
+from hjhomog.homog import (check_concentration, check_subadditivity, effective_H_properties,
                            estimate_U, extract_effective_H, rate_experiment,
-                           strip_experiment, synthetic_table)
+                           strip_experiment)
 from hjhomog.pde import (SolveConfig, check_comparison, check_lipschitz,
                          check_scaling, solve, solve_lf, solve_sl, zero_datum)
 from hjhomog.rng import derive_seed

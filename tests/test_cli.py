@@ -5,20 +5,25 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
 import hjhomog
-from hjhomog import __version__
-from hjhomog.cli import (ConfigError, DEFAULTS, FREE_KEYS, apply_override, config_hash,
-                         env_spec_from, hamiltonian_from, load_config, main)
+from hjhomog import __version__, homog
+from hjhomog.cli import (ConfigError, DEFAULTS, FREE_KEYS, _read_config, apply_override,
+                         config_hash, main, validate_config)
 from hjhomog.game import certify_constants
 
 
+def load_config(path, overrides):
+    return validate_config(_read_config(path, overrides)).cfg
+
+
 def test_defaults_load_and_validate():
-    cfg = load_config(None, [])
-    assert cfg == DEFAULTS
-    assert env_spec_from(cfg).dimension == 1
+    run = validate_config(_read_config(None, []))
+    assert run.cfg == DEFAULTS
+    assert run.spec.dimension == 1
 
 
 def test_overrides_parse_json_and_strings():
@@ -120,13 +125,15 @@ PINNED_ARTIFACTS = {
     ("effective", "effective.json"): "0a5c94aa2fa5a1dfd105525425e8b441cee5e5e73992404f0c958360969f6312",
     ("rate", "rate.summary.json"): "87c5b895a86cfc3fb2c528302cc82f96317d9a928215cf66fa166252dc104831",
     ("rate", "rate.csv"): "5bf96965b9769c552865d7499166ebf16b0620560cb3ec5ab7150d6abae4fa0f",
+    ("verify", "verify.report.json"):
+        "6864f362615b5bb40202d855515ab70f1725cbf40594e494dab3e0a8ac25643c",
 }
 
 
 def test_artifact_bytes_are_pinned(tmp_path):
-    # estimate and effective at M=8, rate at the defaults
+    # estimate and effective at M=8, rate and verify at the defaults
     args = {"estimate": ["--set", "campaign.M=8"], "effective": ["--set", "campaign.M=8"],
-            "rate": []}
+            "rate": [], "verify": []}
     for command, extra in args.items():
         assert main([command, "--out", str(tmp_path / command)] + extra) == 0
     got = {(command, name): hashlib.sha256((tmp_path / command / name).read_bytes()).hexdigest()
@@ -159,7 +166,7 @@ def test_localized_game_keeps_its_own_certificates(tmp_path):
     assert main(["estimate", "--out", str(tmp_path / "u")] + localized) == 0
     effective = json.loads((tmp_path / "e" / "effective.json").read_text())
     utable = json.loads((tmp_path / "u" / "utable.json").read_text())
-    own = certify_constants(hamiltonian_from(load_config(None, localized[1::2]))).beta
+    own = certify_constants(validate_config(_read_config(None, localized[1::2])).game).beta
     assert effective["beta"] == utable["utable"]["beta"] == own == 6.0
 
 
@@ -168,6 +175,28 @@ def test_verify_default_config(tmp_path):
     assert main(["verify", "--out", str(out)]) == 0
     rep = json.loads((out / "verify.report.json").read_text())
     assert all(c["passed"] for c in rep["checks"].values())
+
+
+def test_verify_records_at_the_step_nearest_each_quarter(tmp_path):
+    # T/4 = 2.125 is off the dt = 0.25 grid; verify used to record there and
+    # exit 1 after its structural and strip checks
+    out = tmp_path / "o"
+    assert main(["verify", "--set", "solver.T=8.5", "--out", str(out)]) == 0
+    rep = json.loads((out / "verify.report.json").read_text())
+    assert all(c["passed"] for c in rep["checks"].values())
+
+
+def test_rate_time_grid_is_refused_before_the_campaign(tmp_path, capsys):
+    # T/eps = 1.2 is off the rate_dt = 0.0625 grid; the refusal used to come
+    # after the whole H-bar campaign, naming no field
+    out = tmp_path / "o"
+    with mock.patch.object(homog, "estimate_U") as campaign:
+        assert main(["rate", "--set", "campaign.rate_T=0.3", "--out", str(out)]) == 1
+    campaign.assert_not_called()
+    err = capsys.readouterr().err
+    assert err.startswith("config error: campaign.rate_T: the rate solve at eps=0.25:")
+    assert "dt=0.0625" in err
+    assert not out.exists()
 
 
 def test_rate_small_run(tmp_path):

@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from conftest import shift_view
 from hjhomog.env import (BUMP_LIP, BUMP_MASS_1D, DomainError, EnvSpec,
-                         replace_on_strip, sample_environment, shift_view,
-                         with_seed)
+                         replace_on_strip, sample_environment, with_seed)
 from hjhomog.families import saddle_game
 from hjhomog.game import shift_momentum
 from hjhomog.pde import SolveConfig, solve

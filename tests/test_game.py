@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import drawn_games
-from hjhomog.env import ConstantEnvironment, EnvSpec, sample_environment
+from hjhomog.env import EnvSpec, sample_environment
 from hjhomog.game import (GameHamiltonian, OrientationError, ball_grid,
                           certify_constants, eval_H, eval_H_nodes, localize,
                           shift_momentum, verify_localization)

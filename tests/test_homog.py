@@ -7,19 +7,17 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from conftest import ORIENTED
+from conftest import (ORIENTED, ConstantEnvironment, additive_surrogate_tails, azuma_bound,
+                      synthetic_table)
 from hjhomog import homog
-from hjhomog.env import ConstantEnvironment, DomainError, EnvSpec, sample_environment, with_seed
+from hjhomog.env import DomainError, EnvSpec, sample_environment
 from hjhomog.families import bind_env_constants, build, saddle_game, transport
 from hjhomog.game import OrientationError, shift_momentum
-from hjhomog.homog import (A_OVER_KHAT, UTable, additive_surrogate_tails,
-                           azuma_bound, check_concentration,
+from hjhomog.homog import (A_OVER_KHAT, UTable, check_concentration,
                            check_subadditivity, effective_H_properties,
-                           estimate_U, extract_effective_H,
-                           general_datum_homogenization, rate_experiment,
-                           solve_box_for, strip_experiment,
-                           subadditivity_defects, synthetic_table)
-from hjhomog.pde import SolveConfig, solve
+                           estimate_U, extract_effective_H, rate_experiment,
+                           solve_box_for, strip_experiment, subadditivity_defects)
+from hjhomog.pde import SolveConfig, solve, solve_sl
 
 DX = DT = 0.25
 
@@ -376,22 +374,29 @@ def test_rate_small_run_shape():
 
 
 def test_general_datum_distance_shrinks():
-    # the scaled solves read the field at x / eps, so the box must cover
-    # the solve box divided by the smallest epsilon
+    # transport at speed 1 has Hbar(p) = -mu - p, so from the datum g the
+    # homogenized solution is exactly g(x + T) + mu T.  The scaled solves
+    # read the field at x / eps, so its box covers the solve box divided by
+    # the smallest epsilon
     env = sample_environment(spec(seed=13, lo=-50.0, hi=50.0))
-    mu = env.mean_value
+    game = bind_env_constants(transport(1.0), env)
+    T, R = 1.0, 1.0
 
     def g(pts):
         x = np.atleast_2d(pts)[:, 0]
         return np.maximum(0.0, 1.0 - np.abs(x))
 
-    grid = np.linspace(-2.0, 2.0, 81)
-    rep = general_datum_homogenization(
-        transport(1.0), env, H_bar_grid=grid, H_bar_vals=-mu - grid, g=g,
-        speed_bound=1.0, eps_list=[0.25, 0.0625], R=1.0, T=1.0,
-        dx0=DX, dt0=DT)
-    assert set(rep["distances"]) == {0.25, 0.0625}
-    assert rep["decreasing"]
+    xs = np.linspace(-R, R, 17)[:, None]
+    exact = g(xs + T) + env.mean_value * T
+    dists = []
+    for eps in (0.25, 0.0625):
+        dx = dt = DX * eps
+        box = solve_box_for(game.f_pairs, "semi-lagrangian", T, dt, dx, R)
+        cfg = SolveConfig(scheme="semi-lagrangian", dt=dt, dx=dx, T=T, box_lo=box[0],
+                          box_hi=box[1], epsilon=eps)
+        u = solve_sl(game, env, cfg, g).final.value_at(xs)
+        dists.append(float(np.max(np.abs(u - exact))))
+    assert dists[1] < dists[0]
 
 
 # ---------------------------------------------------------------------------
@@ -411,17 +416,12 @@ SADDLE_SPEC = EnvSpec(dimension=1, rho=1.0, bump_radius=0.5, amp_lo=0.0, amp_hi=
     lambda gh: strip_experiment(gh, sample_environment(SADDLE_SPEC), lo=1.0, hi=2.5,
                                 shift=[0.8], theta=[0.0], t=2.0, dx=DX, dt=DT,
                                 box=((-1.0,), (6.0,))),
-    lambda gh: general_datum_homogenization(
-        gh, sample_environment(SADDLE_SPEC), H_bar_grid=[-2.0, 2.0], H_bar_vals=[0.0, 0.0],
-        g=lambda pts: np.zeros(len(np.atleast_2d(pts))), speed_bound=1.5,
-        eps_list=[0.25, 0.125], R=1.0, T=1.0, dx0=DX, dt0=DT),
-], ids=["estimate_U", "rate_experiment", "strip_experiment", "general_datum_homogenization"])
+], ids=["estimate_U", "rate_experiment", "strip_experiment"])
 def test_every_experiment_refuses_a_non_oriented_game(experiment):
     # the theory covers oriented games only; an experiment must refuse the
     # game before it solves anything, not report numbers for it
     solved = AssertionError("a solve ran before the orientation check")
     with mock.patch.object(homog, "solve_sl_batch", side_effect=solved), \
-            mock.patch.object(homog, "solve_sl", side_effect=solved), \
-            mock.patch.object(homog, "solve_effective", side_effect=solved):
+            mock.patch.object(homog, "solve_sl", side_effect=solved):
         with pytest.raises(OrientationError, match="not oriented"):
             experiment(NOT_ORIENTED)

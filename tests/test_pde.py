@@ -3,14 +3,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import ORIENTED
-from hjhomog.env import ConstantEnvironment, DomainError, EnvSpec, sample_environment
+from conftest import ORIENTED, ConstantEnvironment
+from hjhomog.env import DomainError, EnvSpec, sample_environment
 from hjhomog.game import GameHamiltonian
 from hjhomog.families import bind_env_constants, build, saddle_game, transport
 from hjhomog.homog import solve_box_for
 from hjhomog.pde import (CFLError, Grid, SolveConfig, check_comparison,
                          check_lipschitz, check_scaling, linear_datum, solve,
-                         solve_effective, solve_lf, solve_sl, zero_datum)
+                         solve_lf, solve_sl, zero_datum)
 
 
 def field_spec(seed=0, lo=-8.0, hi=8.0):
@@ -223,14 +223,6 @@ def test_lipschitz_bounds_hold():
     rep = check_lipschitz(list(res.snapshots.values()),
                           beta1=beta, beta3=beta * (1 + beta), lip_g=0.0)
     assert rep["space_ok"] and rep["time_ok"]
-
-
-def test_effective_solver_constant_hamiltonian():
-    c = cfg("lax-friedrichs", 0.05, 0.05, 1.0, -4.0, 6.0)
-    res = solve_effective(lambda P: np.full(np.atleast_2d(P).shape[0], -0.4),
-                          speed=1.0, cfg=c, g=zero_datum)
-    av = res.final.active_values()
-    assert np.max(np.abs(av - 0.4)) < 1e-12
 
 
 # ---------------------------------------------------------------------------
