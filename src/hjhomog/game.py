@@ -109,24 +109,70 @@ def eval_H(gh: GameHamiltonian, x: np.ndarray, p: np.ndarray, env=None) -> float
     return float(eval_H_nodes(gh, neg.reshape(gh.n_a, gh.n_b, 1), p, bufs)[0])
 
 
+def moving_axes(gh: GameHamiltonian) -> tuple[int, ...]:
+    """The axes i, in order, along which some action pair moves: max |f_i| > 0."""
+    return tuple(np.flatnonzero(np.abs(gh.f_table).reshape(-1, gh.dim).max(axis=0)).tolist())
+
+
+def drift_size(gh: GameHamiltonian, N: int, axes: tuple[int, ...]) -> int:
+    """Entries of ``eval_H_nodes``'s drift buffer at N nodes over ``axes``:
+    the drift, (f_table's a and b extents, N), and as much again for the
+    later axes' products when two or more axes move."""
+    n = gh.f_table.shape[0] * gh.f_table.shape[1] * N
+    return 2 * n if len(axes) > 1 else n
+
+
 def eval_H_nodes(gh: GameHamiltonian, neg_cost: np.ndarray, P: np.ndarray,
-                 bufs: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None) -> np.ndarray:
+                 bufs: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
+                 axes: tuple[int, ...] | None = None,
+                 drift_buf: np.ndarray | None = None) -> np.ndarray:
     """H at N nodes: max over b of min over a of { -cost - <f, p> }.
 
     neg_cost: the negated cost -cost, (n_a, n_b, *nodes) broadcastable over
     the actions, its trailing axes holding the N nodes in C order (a
-    strided window of a grid table is read as it is); P: (N, d) gradients.
-    Returns (N,).  ``bufs`` are flat buffers for -cost - <f, p>, its min
-    over a and H, holding at least n_a * n_b * N, n_b * N and N entries:
+    strided window of a grid table is read as it is); P: (N, d) gradients,
+    of which only the columns of the moving axes are read (a transposed
+    (d, N) array of per-axis planes makes each column contiguous).
+    Returns (N,).
+
+    Only the moving axes run: ``axes``, or ``moving_axes(gh)`` when not
+    given.  The drift <f, p> is f_i p_i summed over them in axis order,
+    then + 0.0.  For finite P that is exactly 0 + the sum over every axis,
+    signed zeros included: a zero-speed axis adds 0 * p_i = +-0, which
+    changes no nonzero sum, and the +0.0 start turns a drift of -0 into
+    +0, as a BLAS product does.  So a node's drift has the same bits
+    however the nodes are grouped into calls.
+
+    ``bufs`` are flat buffers for -cost - <f, p>, its min over a and H,
+    holding at least n_a * n_b * N, n_b * N and N entries, and
+    ``drift_buf`` holds ``drift_size(gh, N, axes)`` entries for the drift:
     their leading parts are written, and the returned H is a view of the
-    last one.  Without them, each call allocates its own.
+    last of ``bufs``.  Without them, each call allocates its own.  The
+    drift may share the min's buffer, as it is dead once the difference
+    is taken, but not the difference buffer, which ``eval_H`` fills with
+    its own negated table.
     """
-    drift = gh.f_table @ P.T                       # (n_a, n_b, N) or (n_a, 1, N)
-    n_a, n_b = np.broadcast_shapes(neg_cost.shape[:2], drift.shape[:2])
+    if axes is None:
+        axes = moving_axes(gh)
+    f = gh.f_table
+    n_a, n_b = np.broadcast_shapes(neg_cost.shape[:2], f.shape[:2])
     N = len(P)
     if bufs is None:
         bufs = (np.empty(n_a * n_b * N), np.empty(n_b * N), np.empty(N))
+    if drift_buf is None:
+        drift_buf = np.empty(drift_size(gh, N, axes))
     diff_buf, lo_buf, H_buf = bufs
+    n_f = f.shape[0] * f.shape[1] * N
+    drift = drift_buf[:n_f].reshape(f.shape[:2] + (N,))
+    if axes:
+        np.multiply(f[:, :, axes[0], None], P[:, axes[0]], out=drift)
+        if len(axes) > 1:
+            prod = drift_buf[n_f:2 * n_f].reshape(drift.shape)
+            for i in axes[1:]:
+                np.add(drift, np.multiply(f[:, :, i, None], P[:, i], out=prod), out=drift)
+        np.add(drift, 0.0, out=drift)
+    else:
+        drift.fill(0.0)
     diff = diff_buf[:n_a * n_b * N].reshape((n_a, n_b) + neg_cost.shape[2:])
     np.subtract(neg_cost, drift.reshape(drift.shape[:2] + neg_cost.shape[2:]), out=diff)
     lo = np.min(diff.reshape(n_a, n_b, N), axis=0, out=lo_buf[:n_b * N].reshape(n_b, N))

@@ -30,7 +30,7 @@ from typing import Callable, ClassVar
 import numpy as np
 
 from .env import DomainError
-from .game import GameHamiltonian, eval_H_nodes, shift_momentum
+from .game import GameHamiltonian, drift_size, eval_H_nodes, moving_axes, shift_momentum
 
 
 class CFLError(ValueError):
@@ -488,9 +488,17 @@ def solve_lf(gh: GameHamiltonian, env, cfg: SolveConfig,
     """The LF solve of env's cost, one stencil ring shed per substep.
 
     The cost table is negated once per solve; each substep hands a window
-    of it to ``eval_H_nodes``.  Each substep writes P, the viscosity term,
-    H's intermediates and the new values into buffers sized for the first
-    substep, whose leading parts shrink with the window.
+    of it to ``eval_H_nodes``.  Only the moving axes run: those with
+    sigma_i = max |f_i| > 0, worked out once per solve.  A zero-speed axis
+    has zero viscosity and zero drift, and for finite values its gradient
+    plane and its viscosity term add exactly nothing, signed zeros
+    included: the viscosity starts as 0.0 + the first moving axis's term,
+    so it is never -0.0, and each 0 * P_i is +-0, which ``eval_H_nodes``'s
+    +0.0 drift start absorbs.  P is held as contiguous per-axis planes
+    (a zero-speed axis's plane stays 0) and handed over as an (N, d) view;
+    2 v is computed once per substep.  Each substep writes P, the viscosity
+    term, H's intermediates and the new values into buffers sized for the
+    first substep, whose leading parts shrink with the window.
     """
     cfg.validate()
     sigma = np.abs(gh.f_pairs).max(axis=0)            # per-axis viscosity speed
@@ -503,6 +511,7 @@ def solve_lf(gh: GameHamiltonian, env, cfg: SolveConfig,
     win = _plan_window(cfg, gh.f_pairs, "lax-friedrichs")
     grid = win.grid
     d = grid.dim
+    axes = moving_axes(gh)
     neg_cost = np.negative(_precompute_cost(gh, env, grid, cfg.epsilon), order="C")
     neg_cost = neg_cost.reshape(gh.n_a, gh.n_b, *grid.shape)
     n_sub = win.shed_lo[0]
@@ -510,32 +519,39 @@ def solve_lf(gh: GameHamiltonian, env, cfg: SolveConfig,
     nu = sigma * grid.dx / 2.0    # artificial viscosity coefficient per axis
     inner = (slice(1, -1),) * d
     n_max = math.prod(n - 2 for n in grid.shape)
-    P_buf, visc_buf, term_buf = np.empty(n_max * d), np.empty(n_max), np.empty(n_max)
-    H_bufs = (np.empty(gh.n_a * gh.n_b * n_max), np.empty(gh.n_b * n_max), np.empty(n_max))
+    P_buf = np.zeros((d, n_max))
+    visc_buf, two_v_buf = np.empty(n_max), np.empty(n_max)
+    term_buf = np.empty(n_max) if len(axes) > 1 else None   # the later axes' viscosity terms
+    # the drift is dead once -cost - drift is taken, so its min over a reuses the buffer
+    drift_buf = np.empty(max(drift_size(gh, n_max, axes), gh.n_b * n_max))
+    H_bufs = (np.empty(gh.n_a * gh.n_b * n_max), drift_buf, np.empty(n_max))
     v_bufs = [np.empty(n_max), np.empty(n_max)]   # a substep reads one and writes the other
 
     def step(v: np.ndarray, active) -> np.ndarray:
         for rings_left in range(n_sub - 1, -1, -1):
             shape = tuple(n - 2 for n in v.shape)
             size = math.prod(shape)
-            P = P_buf[:size * d].reshape(shape + (d,))
+            P = P_buf[:, :size]
             visc = visc_buf[:size].reshape(shape)
-            term = term_buf[:size].reshape(shape)
-            visc[...] = 0.0
-            for i in range(d):
+            if axes:
+                two_v = np.multiply(v[inner], 2.0, out=two_v_buf[:size].reshape(shape))
+            else:
+                visc.fill(0.0)
+            for i in axes:
                 up = inner[:i] + (slice(2, None),) + inner[i + 1:]
                 dn = inner[:i] + (slice(None, -2),) + inner[i + 1:]
-                np.subtract(v[up], v[dn], out=P[..., i])
-                np.divide(P[..., i], 2.0 * grid.dx, out=P[..., i])
-                np.multiply(v[inner], 2.0, out=term)
-                np.subtract(v[up], term, out=term)
+                P_i = P[i].reshape(shape)
+                np.subtract(v[up], v[dn], out=P_i)
+                np.divide(P_i, 2.0 * grid.dx, out=P_i)
+                term = visc if i == axes[0] else term_buf[:size].reshape(shape)
+                np.subtract(v[up], two_v, out=term)
                 np.add(term, v[dn], out=term)
                 np.multiply(term, nu[i], out=term)
                 np.divide(term, grid.dx**2, out=term)
-                np.add(visc, term, out=visc)
+                np.add(visc, 0.0 if i == axes[0] else term, out=visc)
             window = tuple(slice(lo - rings_left, hi + rings_left) for lo, hi in active)
             H = eval_H_nodes(gh, neg_cost[(slice(None), slice(None)) + window],
-                             P.reshape(-1, d), H_bufs).reshape(shape)
+                             P.T, H_bufs, axes, drift_buf).reshape(shape)
             new = v_bufs[0][:size].reshape(shape)
             np.multiply(H, dt_sub, out=new)
             np.subtract(v[inner], new, out=new)

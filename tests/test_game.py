@@ -71,15 +71,10 @@ def test_eval_H_nodes_is_eval_H_at_each_node(game, data):
     single = np.array([eval_H(gh, x, p, env) for x, p in zip(X, P)])
     brute = np.array([brute_force_H(gh, x, p, env) for x, p in zip(X, P)])
     assert nodes.shape == (n,)
-    if np.count_nonzero(gh.f_pairs, axis=1).max() <= 1:
-        # each drift <f, p> is one product: the same bits however it is summed
-        assert np.array_equal(nodes, single)
-        assert np.array_equal(nodes, brute)
-    else:
-        # BLAS may sum the two products of a 2-D drift in another order, or
-        # fused, for one node than for n; the max-min itself is exact
-        np.testing.assert_allclose(nodes, single, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(nodes, brute, rtol=0, atol=1e-12)
+    # the drift is a fixed-order sum over the axes: the same bits for one
+    # node as for n, in 1-D and 2-D alike
+    assert np.array_equal(nodes, single)
+    assert np.array_equal(nodes, brute)
 
 
 def test_non_coercivity_direction():

@@ -12,6 +12,7 @@ every value must match to the last bit, the sign of zero included.
 import math
 import tracemalloc
 from dataclasses import replace
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -19,7 +20,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import ORIENTED, drawn_games
+from conftest import ORIENTED, PARAMS, ConstantEnvironment, drawn_games
 from hjhomog import env as env_module
 from hjhomog import pde
 from hjhomog.env import EnvSpec, sample_environment, with_seed
@@ -85,7 +86,9 @@ def ref_solve_sl_batch(plan, step_cost, g):
 
 
 def ref_eval_H_nodes(gh, cost, P):
-    drift = gh.f_table @ P.T
+    drift = 0.0                                   # 0 + sum of f_i p_i over every axis
+    for i in range(gh.dim):
+        drift = drift + gh.f_table[..., i, None] * P[:, i]
     return (-cost - drift).min(axis=0).max(axis=0)
 
 
@@ -505,6 +508,96 @@ def test_eval_H_nodes_equals_whole_table_form(game, data):
     # one node at a time, as eval_H calls it
     one = gh.cost(X[:1], env)[0][..., None]
     assert same_bits(eval_H_nodes(gh, np.negative(one), P[:1]), ref_eval_H_nodes(gh, one, P[:1]))
+
+
+#: a float that is often a signed zero
+SIGNED = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-3.0, 3.0))
+
+
+@settings(max_examples=80, deadline=None)
+@given(name=st.sampled_from(["transport", "two-speed-control", "saddle-game"]),
+       dim=st.sampled_from([1, 2]), shift=st.booleans(), data=st.data())
+def test_eval_H_nodes_keeps_the_blas_bits_of_axis_aligned_games(name, dim, shift, data):
+    # an axis-aligned game moves along axis 0 only, so its drift is one
+    # product per pair, which BLAS started from +0.0 as the fixed-order sum does
+    gh = build(name, data.draw(PARAMS[name](dim)), dim)
+    if shift:
+        gh = shift_momentum(gh, data.draw(st.lists(SIGNED, min_size=dim, max_size=dim)))
+    n = data.draw(st.integers(1, 6))
+    channels = data.draw(st.sampled_from([1, gh.n_a * gh.n_b]))
+    vals = np.array(data.draw(st.lists(SIGNED, min_size=n * channels, max_size=n * channels)))
+    P = np.array(data.draw(st.lists(SIGNED, min_size=n * dim, max_size=n * dim))).reshape(n, dim)
+    field = SimpleNamespace(values=lambda pts: vals.reshape(n, channels))
+    cost = np.broadcast_to(gh.cost(np.zeros((n, dim)), field), (n, gh.n_a, gh.n_b))
+    neg = np.negative(np.moveaxis(cost, 0, -1))
+    blas = (neg - gh.f_table @ P.T).min(axis=0).max(axis=0)
+    assert same_bits(eval_H_nodes(gh, neg, P), blas)
+    assert same_bits(eval_H_nodes(gh, neg, np.ascontiguousarray(P.T).T), blas)
+
+
+def signed_zeros_and_a_subnormal(x):
+    """-0.0, -5e-324 and +0.0 in turn along axis 0 of a 0.25 grid.
+
+    At a -0.0 node below a -5e-324 one, the viscosity term underflows to
+    -0.0 and H * dt to +0.0, so the new value -0.0 + visc * dt carries the
+    viscosity's sign, which a +0.0 start makes +0.
+    """
+    return np.choose(np.round(x[:, 0] / 0.25).astype(int) % 3, [-0.0, -5e-324, 0.0])
+
+
+@pytest.mark.parametrize("gh, g", [
+    # a +0.0 cost negates to -0.0 and the drift -1 * (+0) is -0.0: with the
+    # drift's +0.0 start, H = -0 - (+0) = -0
+    (build("transport", {"speed": -1.0}, 2), pde.zero_datum),
+    # a viscosity term of -0.0 on the moving axis, and a second axis that
+    # does not move
+    (build("saddle-game", {"base_speed": 1.0, "coupling": 0.25}, 2), signed_zeros_and_a_subnormal),
+], ids=["transport-negative-speed", "saddle-signed-zero-datum"])
+def test_lf_keeps_signed_zeros_on_the_moving_axes(gh, g):
+    env = ConstantEnvironment(0.0, dimension=2)
+    box = solve_box_for(gh.f_pairs, "lax-friedrichs", 0.5, 0.25, 0.25, report_radius=0.5)
+    cfg = SolveConfig(scheme="lax-friedrichs", dt=0.25, dx=0.25, T=0.5,
+                      box_lo=box[0], box_hi=box[1], record_times=(0.25,))
+    Hs = []
+
+    def recorded(gh, neg_cost, P, *args):
+        # an H of -0 against a value of +0 leaves no sign in the new value,
+        # so each H is checked as the solve makes it
+        H = eval_H_nodes(gh, neg_cost, P, *args)
+        cost = np.negative(neg_cost).reshape(gh.n_a, gh.n_b, -1)
+        Hs.append((H.copy(), ref_eval_H_nodes(gh, cost, P)))
+        return H
+
+    with mock.patch.object(pde, "eval_H_nodes", recorded):
+        got = solve_lf(gh, env, cfg, g)
+    want = ref_solve_lf(gh, env, cfg, g)
+    assert all(same_bits(H, ref) for H, ref in Hs)
+    assert any((np.signbit(H) & (H == 0)).any() for H, _ in Hs)
+    assert same_bits(got.at_time(0.25).values, want.at_time(0.25).values)
+    assert same_bits(got.final.values, want.final.values)
+
+
+def test_lf_evaluates_H_once_per_substep_at_every_updated_node():
+    gh, env = FIELD2D_CASE
+    box = solve_box_for(gh.f_pairs, "lax-friedrichs", 0.5, 0.25, 0.25, report_radius=0.5)
+    cfg = SolveConfig(scheme="lax-friedrichs", dt=0.25, dx=0.25, T=0.5,
+                      box_lo=box[0], box_hi=box[1], record_times=(0.25,))
+    env = covering_env(env, box)
+    calls = []
+
+    def counted(gh, neg_cost, P, *args):
+        calls.append(P.shape)
+        return eval_H_nodes(gh, neg_cost, P, *args)
+
+    with mock.patch.object(pde, "eval_H_nodes", counted):
+        res = solve_lf(gh, env, cfg)
+    tel = res.telemetry[-1]
+    subs = tel["steps"] * tel["substeps_per_step"]
+    shape = np.array(pde.Grid.from_box(cfg.box_lo, cfg.box_hi, cfg.dx).shape)
+    node_updates = sum(int(np.prod(shape - 2 * j)) for j in range(1, subs + 1))
+    assert subs == 6 and len(calls) == subs
+    assert all(len(s) == 2 and s[1] == 2 for s in calls)
+    assert sum(s[0] for s in calls) == node_updates
 
 
 # ---------------------------------------------------------------------------
