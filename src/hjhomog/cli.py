@@ -194,6 +194,12 @@ def validate_config(cfg: dict) -> Run:
     fam, params = blocks["hamiltonian"]["family"], blocks["hamiltonian"]["params"]
     if fam not in families.FAMILIES:
         raise ConfigError(f"hamiltonian.family: unknown family {fam!r}")
+    # the default params are the default family's: another family leaves out
+    # those it does not read while they keep their default values
+    default = DEFAULTS["hamiltonian"]["params"]
+    params = {k: v for k, v in params.items()
+              if k in families.FAMILIES[fam].accepts or k not in default or v != default[k]}
+    blocks["hamiltonian"]["params"] = params
     try:
         gh = families.build(fam, params, spec.dimension)
     except (ValueError, TypeError, KeyError) as exc:

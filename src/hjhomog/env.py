@@ -166,72 +166,102 @@ class Environment:
         self._memo = (bits.copy(), out)
         return out
 
-    def _bumps(self, pts: np.ndarray, group: slice):
-        """Walk the 2^d bumps covering each point, one lattice corner at a time.
+    def _corners(self, pts: np.ndarray, group: slice):
+        """The 2^d bumps covering each point, one lattice corner at a time.
 
-        For the realizations in ``group`` (G of them), yields (cells
-        (G, N, d), live (G, N), weights (G, N)): the corner's cell index for
-        every point, whether that bump reaches the point, and the bump
-        profile there (zero where it does not).
+        For the realizations in ``group`` (G of them), returns the base
+        cells (d, G, N), the lattice cell each point lies in, and per
+        corner, in order, (corner, live (G, N), weights (G, N)): the
+        corner's cell is the base cell + corner, ``live`` says whether its
+        bump reaches the point, and the weight is the bump profile there
+        (zero where it does not).  The geometry is worked out once per
+        axis: the base cell, and the squared distance to the centre of the
+        bit-0 and of the bit-1 cell along that axis.  A corner sums its
+        bits' terms axis by axis, from the first, as .sum(axis=-1) would.
         """
         r = self.spec.bump_radius
         off = self.offset[group, None, :]
-        base = np.floor((pts - off) / r).astype(np.int64)
-        for corner in itertools.product((0, 1), repeat=pts.shape[1]):
-            z = base + np.array(corner, dtype=np.int64)
-            centers = z * r + off
-            # summed column by column, from the first: the bits of .sum(axis=-1)
-            sq = np.square(pts[:, 0] - centers[..., 0])
-            for i in range(1, pts.shape[1]):
-                sq += np.square(pts[:, i] - centers[..., i])
+        d = pts.shape[1]
+        base = np.empty((d, off.shape[0], len(pts)), dtype=np.int64)
+        sq_axis = []
+        for i in range(d):
+            cell = np.floor((pts[:, i] - off[..., i]) / r)
+            base[i] = cell
+            # an integral float: (cell + bit) * r has the bits of the int cell's
+            sq_axis.append([np.square(pts[:, i] - ((cell + bit) * r + off[..., i]))
+                            for bit in (0, 1)])
+        bumps = []
+        for corner in itertools.product((0, 1), repeat=d):
+            sq = sq_axis[0][corner[0]]
+            for i in range(1, d):
+                sq = sq + sq_axis[i][corner[i]]
             s2 = sq / r**2
-            w = np.where(s2 < 1.0, (1.0 - np.minimum(s2, 1.0)) ** 2, 0.0)
-            yield z, w > 0.0, w
+            # (1 - min(s2, 1))^2 is +0.0 where the bump does not reach
+            w = np.square(np.subtract(1.0, np.minimum(s2, 1.0, out=s2), out=s2), out=s2)
+            bumps.append((corner, w > 0.0, w))
+        return base, bumps
+
+    def _bumps(self, pts: np.ndarray, group: slice):
+        """``_corners`` with each corner's cells: yields (cells (G, N, d), live, weights)."""
+        base, bumps = self._corners(pts, group)
+        for corner, live, w in bumps:
+            yield np.moveaxis(base + np.array(corner)[:, None, None], 0, -1), live, w
 
     def _raw_values(self, pts: np.ndarray) -> np.ndarray:
         """(M, N, C) values, hashed in groups of at most HASH_POINTS probes."""
         M = len(self.seeds)
-        out = np.zeros((M, pts.shape[0], self.spec.channels))
-        if len(pts) == 0:
-            return out
-        per = max(1, HASH_POINTS // len(pts))
-        for lo in range(0, M, per):
-            self._add_bumps(pts, slice(lo, lo + per), out[lo:lo + per])
-        return out
+        out = np.empty((self.spec.channels, M, len(pts)))      # channel-major while summed
+        if len(pts):
+            per = max(1, HASH_POINTS // len(pts))
+            for lo in range(0, M, per):
+                self._add_bumps(pts, slice(lo, lo + per), out[:, lo:lo + per])
+        return np.ascontiguousarray(np.moveaxis(out, 0, -1))
 
     def _add_bumps(self, pts: np.ndarray, group: slice, out: np.ndarray) -> None:
-        """Add the covering bumps of a group's realizations into out (G, N, C).
+        """Write the field of a group's realizations into out (C, G, N), channel by channel.
 
         The corners' live (realization, cell) pairs are marked over the
         cell bounding box of the points, stacked per realization, and
-        hashed in one call, each once.  Every point then adds ``w * amp``
-        for every corner, in corner order: a bump that does not reach the
-        point has w = 0 and adds +0.0 (amplitudes are finite and
-        nonnegative), so each value is the sum over its live bumps.
+        hashed in one call, each once; their amplitudes go into a table
+        over the box, zero at the cells no point reaches.  Every point then
+        takes ``w * amp`` for every corner, in corner order: a bump that
+        does not reach the point has w = 0 and adds +0.0.  The first
+        corner's term is written, not added to zeros: amplitudes are finite
+        and nonnegative, so every term is >= +0 and 0.0 + term has the
+        term's bits.  So each value is the sum over its live bumps, and
+        out's prior contents are never read.
         """
-        bumps = list(self._bumps(pts, group))
-        z0 = bumps[0][0]
-        G = z0.shape[0]
-        lo = z0.min(axis=(0, 1))                        # corner (0, ..., 0) holds the minima
-        hi = bumps[-1][0].max(axis=(0, 1))              # corner (1, ..., 1) the maxima
-        shape = (G,) + tuple(hi - lo + 1)
-        # a corner's cells are the base cells moved by the corner, and the
-        # flat index is linear in the cell
-        base = np.ravel_multi_index((np.arange(G)[:, None], *np.moveaxis(z0 - lo, -1, 0)), shape)
-        flat = [base + np.ravel_multi_index((0, *(z[0, 0] - z0[0, 0])), shape)
-                for z, _, _ in bumps]
+        base, bumps = self._corners(pts, group)
+        d, G = base.shape[:2]
+        # the box runs from the least base cell to one past the greatest
+        lo = [int(c.min()) for c in base]
+        shape = (G,) + tuple(int(c.max()) - c_lo + 2 for c, c_lo in zip(base, lo))
+        # a (realization, cell)'s row-major index in the box is linear in the
+        # cell, so a corner's cells are the base cells' indices moved by k:
+        # entry flat of table[k:]
+        stride = [math.prod(shape[i + 1:]) for i in range(d + 1)]
+        flat = np.arange(G)[:, None] * stride[0]
+        for i in range(d):
+            flat = flat + (base[i] - lo[i]) * stride[i + 1]
+        shift = [int(np.dot(corner, stride[1:])) for corner, _, _ in bumps]
         marked = np.zeros(math.prod(shape), dtype=bool)
-        for f, (_, live, _) in zip(flat, bumps):
-            marked[f[live]] = True
+        for k, (_, live, _) in zip(shift, bumps):
+            marked[k:][flat[live]] = True
         # never empty: a point's nearest corner lies within r sqrt(d) / 2 < r
-        m, *z = np.unravel_index(np.flatnonzero(marked), shape)
-        amp = self._cell_amplitudes(self.seeds[group][m], np.stack(z, axis=1) + lo,
-                                    np.arange(self.spec.channels, dtype=np.int64))
-        row = np.cumsum(marked) - 1                     # marked pair -> its row of amp
-        term = np.empty_like(out)
-        for f, (_, _, w) in zip(flat, bumps):
-            np.multiply(w[..., None], np.take(amp, row[f], axis=0), out=term)
-            out += term
+        cells = np.flatnonzero(marked)
+        m, *z = np.unravel_index(cells, shape)
+        table = np.zeros((self.spec.channels, len(marked)))
+        table[:, cells] = self._cell_amplitudes(
+            self.seeds[group][m], np.stack(z, axis=1) + lo,
+            np.arange(self.spec.channels, dtype=np.int64)).T
+        term = np.empty(flat.shape)
+        for amp, acc in zip(table, out):
+            for j, (k, (_, _, w)) in enumerate(zip(shift, bumps)):
+                dst = term if j else acc
+                np.take(amp[k:], flat, out=dst)
+                np.multiply(dst, w, out=dst)
+                if j:
+                    np.add(acc, term, out=acc)
 
     def _cell_amplitudes(self, seeds: np.ndarray, z: np.ndarray, chans: np.ndarray) -> np.ndarray:
         """Amplitudes (K, C) of the cells z (K, d) of the realizations seeded ``seeds`` (K,)."""

@@ -1,7 +1,8 @@
 """Named game-Hamiltonian families used by configs and experiments."""
 from __future__ import annotations
 
-from dataclasses import replace
+from dataclasses import dataclass, replace
+from typing import Callable
 
 import numpy as np
 
@@ -86,10 +87,19 @@ def bind_env_constants(gh: GameHamiltonian, env) -> GameHamiltonian:
 
 
 def build(name: str, params: dict, dim: int) -> GameHamiltonian:
-    """Construct a family by config name."""
+    """Construct a family by config name; refuses a key it does not read or lacks one it needs."""
     if name not in FAMILIES:
         raise ValueError(f"unknown hamiltonian family {name!r}")
-    return FAMILIES[name](params, dim)
+    family = FAMILIES[name]
+    for key in params:
+        if key not in family.accepts:
+            raise ValueError(f"unknown key {key!r} for {name} "
+                             f"(accepts: {', '.join(family.accepts)})")
+    for key in family.requires:
+        if key not in params:
+            raise ValueError(f"missing key {key!r} for {name} "
+                             f"(requires: {', '.join(family.requires)})")
+    return family.build(params, dim)
 
 
 def _build_localized(params: dict, dim: int) -> GameHamiltonian:
@@ -121,13 +131,28 @@ def _build_localized(params: dict, dim: int) -> GameHamiltonian:
     )
 
 
-#: config name -> builder(params, dim)
+@dataclass(frozen=True)
+class Family:
+    """A named game family: its builder, the params keys it reads and those it needs."""
+
+    build: Callable[[dict, int], GameHamiltonian]       # (params, dim) -> game
+    accepts: tuple[str, ...]
+    requires: tuple[str, ...] = ()
+
+
+#: config name -> family
 FAMILIES = {
-    "transport": lambda params, dim: transport(speed=params.get("speed", 1.0), dim=dim),
-    "two-speed-control": lambda params, dim: two_speed_control(
-        speeds=params.get("speeds", (0.5, 1.5)), dim=dim),
-    "saddle-game": lambda params, dim: saddle_game(
-        base_speed=params.get("base_speed", 1.0), coupling=params.get("coupling", 0.25),
-        dim=dim),
-    "localized": _build_localized,
+    "transport": Family(
+        lambda params, dim: transport(speed=params.get("speed", 1.0), dim=dim), ("speed",)),
+    "two-speed-control": Family(
+        lambda params, dim: two_speed_control(speeds=params.get("speeds", (0.5, 1.5)), dim=dim),
+        ("speeds",)),
+    "saddle-game": Family(
+        lambda params, dim: saddle_game(base_speed=params.get("base_speed", 1.0),
+                                        coupling=params.get("coupling", 0.25), dim=dim),
+        ("base_speed", "coupling")),
+    "localized": Family(
+        _build_localized,
+        ("beta", "v", "pi", "R", "n_a", "n_b", "g0", "slope", "offset", "scale"),
+        requires=("beta", "v", "pi")),
 }

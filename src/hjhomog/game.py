@@ -10,7 +10,7 @@ Lipschitz Hamiltonian.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -100,13 +100,24 @@ class GameHamiltonian:
 
 
 def eval_H(gh: GameHamiltonian, x: np.ndarray, p: np.ndarray, env=None) -> float:
-    """Exact max-min Hamiltonian value at a single (x, p)."""
+    """Exact max-min Hamiltonian value at a single (x, p).
+
+    The whole (n_a, n_b) table -cost - <f, p> is built and reduced with
+    numpy's reductions, min over a then max over b.  A localized game has
+    up to about 10^7 pairs, more than a loop over the pairs can take.  The
+    drift is ``eval_H_nodes``'s, so the two agree at every node, but for
+    the sign of a zero H reached with both signs: numpy reduces a
+    contiguous run of more than 8 entries (the b axis, or the a axis of a
+    game with one b) in another order than the pair-by-pair fold.
+    """
     x = np.asarray(x, dtype=np.float64).reshape(1, -1)
     p = np.asarray(p, dtype=np.float64).reshape(1, -1)
-    # the negated table is this call's own, so it is also the difference buffer
+    f = gh.f_table
+    # the negated table is this call's own, so it also takes the difference
     neg = np.negative(np.broadcast_to(gh.cost(x, env)[0], (gh.n_a, gh.n_b)))
-    bufs = (neg.reshape(-1), np.empty(gh.n_b), np.empty(1))
-    return float(eval_H_nodes(gh, neg.reshape(gh.n_a, gh.n_b, 1), p, bufs)[0])
+    drift = _drift(f, p, moving_axes(gh), np.empty(f.shape[:2] + (1,)))
+    np.subtract(neg, drift[..., 0], out=neg)
+    return float(neg.min(axis=0).max(axis=0))
 
 
 def moving_axes(gh: GameHamiltonian) -> tuple[int, ...]:
@@ -114,18 +125,48 @@ def moving_axes(gh: GameHamiltonian) -> tuple[int, ...]:
     return tuple(np.flatnonzero(np.abs(gh.f_table).reshape(-1, gh.dim).max(axis=0)).tolist())
 
 
-def drift_size(gh: GameHamiltonian, N: int, axes: tuple[int, ...]) -> int:
-    """Entries of ``eval_H_nodes``'s drift buffer at N nodes over ``axes``:
-    the drift, (f_table's a and b extents, N), and as much again for the
-    later axes' products when two or more axes move."""
-    n = gh.f_table.shape[0] * gh.f_table.shape[1] * N
-    return 2 * n if len(axes) > 1 else n
+class Velocities(NamedTuple):
+    """What ``eval_H_nodes`` reads of a game's velocities, found once per solve."""
+
+    axes: tuple[int, ...]       # the moving axes, in order
+    rows: np.ndarray            # (R, d): the distinct velocities, bit for bit
+    row_of: np.ndarray          # the row of each entry of f_table, f_table.shape[:2]
+
+
+def velocities(gh: GameHamiltonian) -> Velocities:
+    """The moving axes and the distinct velocity rows of the action pairs.
+
+    Pairs with the same velocity share one drift plane: the saddle game's
+    four pairs have two velocities, a localized game's do not depend on b.
+    """
+    f = gh.f_table.reshape(-1, gh.dim)
+    _, first, inverse = np.unique(f.view(np.int64), axis=0, return_index=True,
+                                  return_inverse=True)
+    return Velocities(moving_axes(gh), f[first], inverse.reshape(gh.f_table.shape[:2]))
+
+
+def _drift(f: np.ndarray, P: np.ndarray, axes: tuple[int, ...], out: np.ndarray) -> np.ndarray:
+    """<f, p> of velocities f (..., d) at gradients P (N, d), into out (..., N).
+
+    f_i p_i summed over the moving ``axes`` in axis order, then + 0.0.  For
+    finite P that is exactly 0 + the sum over every axis, signed zeros
+    included: a zero-speed axis adds 0 * p_i = +-0, which changes no
+    nonzero sum, and the +0.0 start turns a drift of -0 into +0, as a BLAS
+    product does.  So a node's drift has the same bits however the nodes
+    are grouped into calls.
+    """
+    if not axes:
+        out.fill(0.0)
+        return out
+    np.multiply(f[..., axes[0], None], P[:, axes[0]], out=out)
+    for i in axes[1:]:
+        np.add(out, np.multiply(f[..., i, None], P[:, i]), out=out)
+    return np.add(out, 0.0, out=out)
 
 
 def eval_H_nodes(gh: GameHamiltonian, neg_cost: np.ndarray, P: np.ndarray,
                  bufs: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
-                 axes: tuple[int, ...] | None = None,
-                 drift_buf: np.ndarray | None = None) -> np.ndarray:
+                 vel: Velocities | None = None) -> np.ndarray:
     """H at N nodes: max over b of min over a of { -cost - <f, p> }.
 
     neg_cost: the negated cost -cost, (n_a, n_b, *nodes) broadcastable over
@@ -135,48 +176,45 @@ def eval_H_nodes(gh: GameHamiltonian, neg_cost: np.ndarray, P: np.ndarray,
     (d, N) array of per-axis planes makes each column contiguous).
     Returns (N,).
 
-    Only the moving axes run: ``axes``, or ``moving_axes(gh)`` when not
-    given.  The drift <f, p> is f_i p_i summed over them in axis order,
-    then + 0.0.  For finite P that is exactly 0 + the sum over every axis,
-    signed zeros included: a zero-speed axis adds 0 * p_i = +-0, which
-    changes no nonzero sum, and the +0.0 start turns a drift of -0 into
-    +0, as a BLAS product does.  So a node's drift has the same bits
-    however the nodes are grouped into calls.
+    ``vel`` is ``velocities(gh)``, worked out here when not given.  One
+    drift plane is computed per distinct velocity (see ``_drift``).  Then
+    H is folded pair by pair: for each b in order, -cost - drift of each a
+    in order is folded into one column with np.minimum(column, next), and
+    each column into H with np.maximum(H, column).  That is the elementwise
+    order of ``.min(axis=0).max(axis=0)`` over the (n_a, n_b, N) table, and
+    numpy breaks a tie of +-0 toward the second operand in the fold and in
+    the reductions alike, so the bits, signed zeros included, are those of
+    the reductions, without the table.
 
-    ``bufs`` are flat buffers for -cost - <f, p>, its min over a and H,
-    holding at least n_a * n_b * N, n_b * N and N entries, and
-    ``drift_buf`` holds ``drift_size(gh, N, axes)`` entries for the drift:
-    their leading parts are written, and the returned H is a view of the
-    last of ``bufs``.  Without them, each call allocates its own.  The
-    drift may share the min's buffer, as it is dead once the difference
-    is taken, but not the difference buffer, which ``eval_H`` fills with
-    its own negated table.
+    ``bufs`` are flat buffers for the drift planes, the fold's two scratch
+    planes and H, holding at least R * N, 2 * N and N entries, R =
+    len(vel.rows): their leading parts are written, and the returned H is
+    a view of the last.  Without them, each call allocates its own.
     """
-    if axes is None:
-        axes = moving_axes(gh)
-    f = gh.f_table
-    n_a, n_b = np.broadcast_shapes(neg_cost.shape[:2], f.shape[:2])
+    if vel is None:
+        vel = velocities(gh)
+    n_a, n_b = np.broadcast_shapes(neg_cost.shape[:2], gh.f_table.shape[:2])
+    nodes = neg_cost.shape[2:]
     N = len(P)
+    R = len(vel.rows)
     if bufs is None:
-        bufs = (np.empty(n_a * n_b * N), np.empty(n_b * N), np.empty(N))
-    if drift_buf is None:
-        drift_buf = np.empty(drift_size(gh, N, axes))
-    diff_buf, lo_buf, H_buf = bufs
-    n_f = f.shape[0] * f.shape[1] * N
-    drift = drift_buf[:n_f].reshape(f.shape[:2] + (N,))
-    if axes:
-        np.multiply(f[:, :, axes[0], None], P[:, axes[0]], out=drift)
-        if len(axes) > 1:
-            prod = drift_buf[n_f:2 * n_f].reshape(drift.shape)
-            for i in axes[1:]:
-                np.add(drift, np.multiply(f[:, :, i, None], P[:, i], out=prod), out=drift)
-        np.add(drift, 0.0, out=drift)
-    else:
-        drift.fill(0.0)
-    diff = diff_buf[:n_a * n_b * N].reshape((n_a, n_b) + neg_cost.shape[2:])
-    np.subtract(neg_cost, drift.reshape(drift.shape[:2] + neg_cost.shape[2:]), out=diff)
-    lo = np.min(diff.reshape(n_a, n_b, N), axis=0, out=lo_buf[:n_b * N].reshape(n_b, N))
-    return np.max(lo, axis=0, out=H_buf[:N])
+        bufs = (np.empty(R * N), np.empty(2 * N), np.empty(N))
+    drift_buf, scratch, H_buf = bufs
+    drift = _drift(vel.rows, P, vel.axes, drift_buf[:R * N].reshape(R, N))
+    drift = drift.reshape((R,) + nodes)
+    neg = np.broadcast_to(neg_cost, (n_a, n_b) + nodes)
+    row_of = np.broadcast_to(vel.row_of, (n_a, n_b))
+    H = H_buf[:N].reshape(nodes)
+    column, tmp = scratch[:N].reshape(nodes), scratch[N:2 * N].reshape(nodes)
+    for b in range(n_b):
+        col = column if b else H
+        for a in range(n_a):
+            diff = np.subtract(neg[a, b], drift[row_of[a, b]], out=tmp if a else col)
+            if a:
+                np.minimum(col, diff, out=col)
+        if b:
+            np.maximum(H, col, out=H)
+    return H_buf[:N]
 
 
 def shift_momentum(gh: GameHamiltonian, theta: np.ndarray) -> GameHamiltonian:

@@ -30,7 +30,7 @@ from typing import Callable, ClassVar
 import numpy as np
 
 from .env import DomainError
-from .game import GameHamiltonian, drift_size, eval_H_nodes, moving_axes, shift_momentum
+from .game import GameHamiltonian, eval_H_nodes, shift_momentum, velocities
 
 
 class CFLError(ValueError):
@@ -488,8 +488,10 @@ def solve_lf(gh: GameHamiltonian, env, cfg: SolveConfig,
     """The LF solve of env's cost, one stencil ring shed per substep.
 
     The cost table is negated once per solve; each substep hands a window
-    of it to ``eval_H_nodes``.  Only the moving axes run: those with
-    sigma_i = max |f_i| > 0, worked out once per solve.  A zero-speed axis
+    of it to ``eval_H_nodes``, which folds H pair by pair from one drift
+    plane per distinct velocity.  The moving axes (those with sigma_i =
+    max |f_i| > 0) and the distinct velocities are worked out once per
+    solve, and only the moving axes run.  A zero-speed axis
     has zero viscosity and zero drift, and for finite values its gradient
     plane and its viscosity term add exactly nothing, signed zeros
     included: the viscosity starts as 0.0 + the first moving axis's term,
@@ -497,8 +499,8 @@ def solve_lf(gh: GameHamiltonian, env, cfg: SolveConfig,
     +0.0 drift start absorbs.  P is held as contiguous per-axis planes
     (a zero-speed axis's plane stays 0) and handed over as an (N, d) view;
     2 v is computed once per substep.  Each substep writes P, the viscosity
-    term, H's intermediates and the new values into buffers sized for the
-    first substep, whose leading parts shrink with the window.
+    term, the drift planes, H's fold and the new values into buffers sized
+    for the first substep, whose leading parts shrink with the window.
     """
     cfg.validate()
     sigma = np.abs(gh.f_pairs).max(axis=0)            # per-axis viscosity speed
@@ -511,7 +513,8 @@ def solve_lf(gh: GameHamiltonian, env, cfg: SolveConfig,
     win = _plan_window(cfg, gh.f_pairs, "lax-friedrichs")
     grid = win.grid
     d = grid.dim
-    axes = moving_axes(gh)
+    vel = velocities(gh)
+    axes = vel.axes
     neg_cost = np.negative(_precompute_cost(gh, env, grid, cfg.epsilon), order="C")
     neg_cost = neg_cost.reshape(gh.n_a, gh.n_b, *grid.shape)
     n_sub = win.shed_lo[0]
@@ -522,9 +525,7 @@ def solve_lf(gh: GameHamiltonian, env, cfg: SolveConfig,
     P_buf = np.zeros((d, n_max))
     visc_buf, two_v_buf = np.empty(n_max), np.empty(n_max)
     term_buf = np.empty(n_max) if len(axes) > 1 else None   # the later axes' viscosity terms
-    # the drift is dead once -cost - drift is taken, so its min over a reuses the buffer
-    drift_buf = np.empty(max(drift_size(gh, n_max, axes), gh.n_b * n_max))
-    H_bufs = (np.empty(gh.n_a * gh.n_b * n_max), drift_buf, np.empty(n_max))
+    H_bufs = (np.empty(len(vel.rows) * n_max), np.empty(2 * n_max), np.empty(n_max))
     v_bufs = [np.empty(n_max), np.empty(n_max)]   # a substep reads one and writes the other
 
     def step(v: np.ndarray, active) -> np.ndarray:
@@ -551,7 +552,7 @@ def solve_lf(gh: GameHamiltonian, env, cfg: SolveConfig,
                 np.add(visc, 0.0 if i == axes[0] else term, out=visc)
             window = tuple(slice(lo - rings_left, hi + rings_left) for lo, hi in active)
             H = eval_H_nodes(gh, neg_cost[(slice(None), slice(None)) + window],
-                             P.T, H_bufs, axes, drift_buf).reshape(shape)
+                             P.T, H_bufs, vel).reshape(shape)
             new = v_bufs[0][:size].reshape(shape)
             np.multiply(H, dt_sub, out=new)
             np.subtract(v[inner], new, out=new)

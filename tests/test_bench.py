@@ -50,3 +50,35 @@ def test_workload_gives_its_recorded_outputs(name):
         got = out.stats[key]
         assert (math.isnan(got) and math.isnan(value)) or math.isclose(
             got, value, rel_tol=workloads.STATS_RTOL, abs_tol=0.0), (key, got, value)
+
+
+#: field2d-saddle's traced counts per iteration at SEED: one hashed word per
+#: live (cell, channel) of the field, and the 225^2 grid read by the SL and
+#: the LF solve (the second read is a memo hit, which the tracer counts too)
+FIELD2D_WORDS_HASHED = 51_986
+FIELD2D_POINTS = 101_250
+FIELD2D_LF_NODE_UPDATES = 1_867_744
+
+
+def test_traced_layers_see_one_field2d_iteration(monkeypatch):
+    # the tracer wraps module attributes by name (pde.eval_H_nodes,
+    # env.uniform01, Environment.values): a renamed or bypassed one would
+    # read 0 in its layer instead of failing
+    monkeypatch.setitem(sys.modules, "workloads", workloads)
+    spec = importlib.util.spec_from_file_location("bench_tracing", BENCH / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    wl = workloads.field2d_saddle(SEED)
+    tracer = tracing.Tracer()
+    tracer.begin_iteration()
+    tracer.install()
+    try:
+        out = wl.iterate()
+    finally:
+        tracer.uninstall()
+    counts = tracer.end_iteration()["counts"]
+    assert wl.check(out) == []
+    assert counts["game.eval_H_nodes.nodes"] == counts["pde.lf.node_updates"]
+    assert counts["pde.lf.node_updates"] == FIELD2D_LF_NODE_UPDATES
+    assert counts["rng.words_hashed"] == FIELD2D_WORDS_HASHED
+    assert counts["env.points"] == FIELD2D_POINTS

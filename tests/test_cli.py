@@ -353,6 +353,25 @@ def test_misspelt_hamiltonian_override_is_refused(tmp_path, capsys):
                  "--out", str(tmp_path / "p")]) == 0
 
 
+@pytest.mark.parametrize("overrides, message", [
+    (['hamiltonian.params={"sped": 2.0}'], "unknown key 'sped' for transport (accepts: speed)"),
+    (["hamiltonian.family=localized"],
+     "missing key 'beta' for localized (requires: beta, v, pi)"),
+    # the default params ride along with another family only at their
+    # default values: a speed the saddle game would ignore is refused
+    (["hamiltonian.family=saddle-game", "hamiltonian.params.speed=2.0"],
+     "unknown key 'speed' for saddle-game (accepts: base_speed, coupling)"),
+], ids=["misspelt", "missing", "foreign"])
+def test_family_params_are_read_by_key(tmp_path, capsys, overrides, message):
+    # a misspelt key used to be ignored (transport ran at speed 1.0), and a
+    # missing one was named only as "'beta'"
+    out = tmp_path / "o"
+    args = ["verify"] + [a for o in overrides for a in ("--set", o)] + ["--out", str(out)]
+    assert main(args) == 1
+    assert capsys.readouterr().err == f"config error: hamiltonian.params: {message}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["verify", "estimate"])
 def test_empty_action_set_is_a_named_config_error(tmp_path, capsys, command):
     # a game with no actions used to end in a numpy reduction message after

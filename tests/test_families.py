@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from conftest import drawn_games
 from hjhomog.env import EnvSpec, sample_environment
-from hjhomog.families import (_env_cost, bind_env_constants, saddle_game, transport,
-                              two_speed_control)
+from hjhomog.families import (FAMILIES, _env_cost, bind_env_constants, build, saddle_game,
+                              transport, two_speed_control)
 from hjhomog.game import GameHamiltonian, certify_constants, shift_momentum
 
 
@@ -140,3 +140,14 @@ def test_certify_refuses_a_game_without_a_direction():
     with pytest.raises(ValueError, match="pass e or set the game's orientation_hint"):
         certify_constants(gh)
     assert certify_constants(gh, e=[-2.0]).delta == 1.0
+
+
+@pytest.mark.parametrize("name", sorted(FAMILIES))
+def test_every_family_refuses_a_key_it_does_not_read(name):
+    with pytest.raises(ValueError, match=f"unknown key 'sped' for {name} \\(accepts: "):
+        build(name, {"sped": 2.0}, 1)
+
+
+def test_a_missing_key_is_named():
+    with pytest.raises(ValueError, match=r"missing key 'v' for localized \(requires: beta, v, pi\)"):
+        build("localized", {"beta": 1.0, "pi": [[0.0]]}, 1)

@@ -25,7 +25,7 @@ from hjhomog import env as env_module
 from hjhomog import pde
 from hjhomog.env import EnvSpec, sample_environment, with_seed
 from hjhomog.families import build
-from hjhomog.game import eval_H_nodes, shift_momentum
+from hjhomog.game import eval_H_nodes, shift_momentum, velocities
 from hjhomog.homog import _ols, _sup_errors, rate_experiment, solve_box_for
 from hjhomog.pde import (SolveConfig, _march, _plan_window, _precompute_cost, linear_datum,
                          sl_plan, sl_step_cost, solve_lf, solve_sl_batch)
@@ -261,6 +261,26 @@ def test_values_hash_each_live_cell_once(game, data):
     assert set(hashed) == env.cells_touched(pts)
 
 
+BATCH_1D = sample_environment(EnvSpec(
+    dimension=1, rho=1.0, bump_radius=0.5, amp_lo=0.0, amp_hi=1.0, channels=4,
+    box_lo=(-8.0,), box_hi=(8.0,), seed=0), seeds=[3, -11, 2**40])
+
+
+@pytest.mark.parametrize("env, group", [
+    (LOCALIZED_2D_CASE[1], slice(None)), (SADDLE_CASE[1], slice(None)),
+    (BATCH_1D, slice(1, 3)),
+], ids=["localized-2d", "saddle-2d", "batch-1d"])
+def test_add_bumps_writes_every_value_of_its_buffer(env, group):
+    # the first corner's term is written, not added: a buffer holding NaN
+    # from before must come out with the field's bits
+    d = env.dimension
+    pts = pde.Grid.from_box((-3.0,) * d, (3.0,) * d, 0.125).nodes()
+    want = ref_raw_values(env, pts)[group]
+    out = np.full((env.spec.channels,) + want.shape[:2], np.nan)
+    env._add_bumps(pts, group, out)
+    assert same_bits(np.moveaxis(out, 0, -1), want)
+
+
 @st.composite
 def seed_batches(draw):
     """A field law, M distinct seeds, and points with lattice nodes and bump edges among them."""
@@ -480,6 +500,8 @@ def test_lf_step_equals_whole_window_step(game, dt, dx, steps, theta):
 @settings(max_examples=60, deadline=None)
 @given(game=drawn_games(), data=st.data())
 @example(game=LOCALIZED_2D_CASE, data=None)
+@example(game=SADDLE_CASE, data=None)
+@example(game=FIELD2D_CASE, data=None)
 def test_eval_H_nodes_equals_whole_table_form(game, data):
     gh, env = game
     d = gh.dim
@@ -501,7 +523,8 @@ def test_eval_H_nodes_equals_whole_table_form(game, data):
     assert same_bits(eval_H_nodes(gh, neg_grid[window], P), want)
     # in buffers larger than the call needs, holding a previous call's values
     N = len(P)
-    bufs = tuple(np.full(n + 5, np.nan) for n in (gh.n_a * gh.n_b * N, gh.n_b * N, N))
+    R = len(velocities(gh).rows)
+    bufs = tuple(np.full(n + 5, np.nan) for n in (R * N, 2 * N, N))
     eval_H_nodes(gh, -own, P, bufs)
     got = eval_H_nodes(gh, neg_grid[window], P, bufs)
     assert np.shares_memory(got, bufs[2]) and same_bits(got, want)
@@ -512,6 +535,19 @@ def test_eval_H_nodes_equals_whole_table_form(game, data):
 
 #: a float that is often a signed zero
 SIGNED = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-3.0, 3.0))
+
+
+def test_eval_H_nodes_breaks_signed_zero_ties_as_the_reductions():
+    # at P = 0 every drift is +0.0, so -cost - drift is -cost: node j's four
+    # pairs hold +-0.0 by the bits of j, and both folds meet ties of both signs
+    gh = build("saddle-game", {"base_speed": 1.0, "coupling": 0.25}, 1)
+    bits = (np.arange(16)[:, None] >> np.arange(4)) & 1
+    field = SimpleNamespace(values=lambda pts: np.where(bits == 1, -0.0, 0.0))
+    cost = np.moveaxis(gh.cost(np.zeros((16, 1)), field), 0, -1)
+    P = np.zeros((16, 1))
+    got = eval_H_nodes(gh, np.negative(cost), P)
+    assert same_bits(got, ref_eval_H_nodes(gh, cost, P))
+    assert np.all(got == 0.0) and 0 < np.signbit(got).sum() < 16
 
 
 @settings(max_examples=80, deadline=None)
