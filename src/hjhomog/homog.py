@@ -10,18 +10,21 @@ from __future__ import annotations
 
 import math
 import threading
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, dataclass, field
 from functools import partial
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import families
 from .env import DomainError, replace_on_strip, sample_environment, with_seed
 from .game import GameHamiltonian, ball_grid, certify_constants, shift_momentum
-from .pde import SolveConfig, reach, sl_plan, sl_step_cost, solve_sl, solve_sl_batch
+from .pde import (SolveConfig, probe_stencil, reach, sl_plan, sl_step_cost, solve_sl,
+                  solve_sl_batch)
 from .rng import derive_seeds
+
+if TYPE_CHECKING:
+    from concurrent.futures import ProcessPoolExecutor
 
 #: sum_{k>=1} 2^{-k/2} sqrt(k+1); converts the per-pair defect constant into
 #: the bias-band constant of the doubling argument
@@ -115,13 +118,16 @@ def solve_box_for(f: np.ndarray, scheme: str, T: float, dt: float, dx: float,
 #: call starts it, a call at another worker count replaces it, and a call in
 #: which a worker dies drops it; concurrent.futures shuts it down at
 #: interpreter exit.  A pooled call holds _POOL_LOCK from look-up to result,
-#: so that no other thread replaces the pool under it.
+#: so that no other thread replaces the pool under it.  The pool's modules
+#: (multiprocessing and its own imports) load with the first pooled call.
 _POOL: tuple[int, ProcessPoolExecutor] | None = None
 _POOL_LOCK = threading.Lock()
 
 
 def _pool(workers: int) -> ProcessPoolExecutor:
     """The campaign pool of `workers` processes; call it holding _POOL_LOCK."""
+    from concurrent.futures import ProcessPoolExecutor
+
     global _POOL
     if _POOL is None or _POOL[0] != workers:
         _shutdown_pool()
@@ -154,6 +160,8 @@ def _solve_batches(game, env_spec, seeds, theta, cfg: SolveConfig, probes,
     if cap_bytes is None:
         cap_bytes = BATCH_COST_BYTES
     if workers > 1:
+        from concurrent.futures.process import BrokenProcessPool
+
         chunks = [c for c in np.array_split(seeds, workers) if len(c)]
         run = partial(_solve_batches, game, env_spec, theta=theta, cfg=cfg, probes=probes,
                       cap_bytes=cap_bytes)
@@ -170,11 +178,13 @@ def _solve_batches(game, env_spec, seeds, theta, cfg: SolveConfig, probes,
     plan = sl_plan(game, cfg)
     shifted = shift_momentum(game, theta)
     per = max(1, cap_bytes // plan.cost_bytes)
+    stencil = probe_stencil(plan.grid, probes)
     parts = []
     for lo in range(0, len(seeds), per):
         step_cost = sl_step_cost(shifted, sample_environment(env_spec, seeds[lo:lo + per]), plan)
         res = solve_sl_batch(plan, step_cost)
-        parts.append(np.stack([res.at_time(t).value_at(probes).T for t in cfg.record_times]))
+        parts.append(np.stack([res.at_time(t).value_at(probes, stencil=stencil).T
+                               for t in cfg.record_times]))
     return np.concatenate(parts, axis=-1)
 
 
@@ -262,22 +272,32 @@ def _check_env_covers(spec, box) -> None:
         )
 
 
+def _covariances(x, Y) -> np.ndarray:
+    """np.cov(x, y, bias=1) for every row y of Y (R, n), written out: (R, 2, 2).
+
+    One (R, 2, n) table is centred and multiplied by its transpose in one
+    stacked product, the same arithmetic, row by row, as np.cov's.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    n = len(x)
+    if n > 1 and np.amax(x) == np.amin(x):
+        raise ValueError("cannot fit a line when all x values are identical")
+    Z = np.empty((len(Y), 2, n))
+    Z[:, 0] = x
+    Z[:, 1] = Y
+    Z -= Z.mean(axis=2)[..., None]
+    c = np.matmul(Z, np.swapaxes(Z, 1, 2).conj())
+    c *= np.true_divide(1, n)
+    return c
+
+
 def _ols(x, y) -> tuple[float, float, float]:
     """Least-squares line through (x, y): (slope, its standard error, r^2).
 
     The arithmetic is that of scipy.stats.linregress, so the results match
     it to the bit.
     """
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if len(x) > 1 and np.amax(x) == np.amin(x):
-        raise ValueError("cannot fit a line when all x values are identical")
-    # np.cov(x, y, bias=1), written out
-    X = np.array([x, y])
-    X -= X.mean(axis=1)[:, None]
-    c = np.dot(X, X.T.conj())
-    c *= np.true_divide(1, len(x))
-    ssxm, ssxym, _, ssym = c.flat
+    ssxm, ssxym, _, ssym = _covariances(x, [y])[0].flat
     if ssxm == 0.0 or ssym == 0.0:
         r = np.float64(np.nan if ssxym == 0 else 0.0)
     else:
@@ -289,6 +309,12 @@ def _ols(x, y) -> tuple[float, float, float]:
     df = len(x) - 2
     stderr = 0.0 if df == 0 else np.sqrt((1 - r**2) * ssym / ssxm / df)
     return float(ssxym / ssxm), float(stderr), float(r**2)
+
+
+def _slopes(x, Y) -> np.ndarray:
+    """``_ols(x, y)[0]`` for every row y of Y (R, n), bit for bit, in one fit."""
+    c = _covariances(x, Y)
+    return c[:, 0, 1] / c[:, 0, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -595,7 +621,7 @@ def rate_experiment(gh: GameHamiltonian, env_spec, theta, eps_list, R: float,
         banks = np.stack([test[eps] for eps in eps_list])
         idx = rng.integers(0, M, size=(200,) + banks.shape)
         meds = np.median(np.take_along_axis(banks[None], idx, axis=-1), axis=-1)
-        boots = [_ols(xs, [math.log(max(m, 1e-300)) for m in row])[0] for row in meds]
+        boots = _slopes(xs, [[math.log(max(m, 1e-300)) for m in row] for row in meds.tolist()])
         slope_se = float(np.std(boots))
         in_band = SLOPE_BAND[0] <= slope <= SLOPE_BAND[1]
         conclusive = in_band or slope_se < 0.1
@@ -608,8 +634,8 @@ def rate_experiment(gh: GameHamiltonian, env_spec, theta, eps_list, R: float,
     return {
         "eps_list": eps_list,
         "medians": medians,
-        "quantiles": {eps: [float(np.quantile(test[eps], q))
-                            for q in (0.1, 0.5, 0.9)] for eps in eps_list},
+        "quantiles": {eps: np.quantile(test[eps], (0.1, 0.5, 0.9)).tolist()
+                      for eps in eps_list},
         "slope": slope,
         "slope_se": slope_se,
         "in_band": in_band,

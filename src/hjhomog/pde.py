@@ -25,7 +25,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable, ClassVar
+from typing import Callable, ClassVar, NamedTuple
 
 import numpy as np
 
@@ -99,47 +99,70 @@ class Field:
                        for i in range(self.grid.dim)])
         return lo, hi
 
-    def value_at(self, x):
+    def value_at(self, x, stencil: "ProbeStencil | None" = None):
         """Multilinear interpolation; refuses to read outside the active box.
 
         ``x`` is one point (d,), giving a float, or points (n, d), giving
         (n,); a batched field puts its realization axis first.  Each value
-        is accumulated from 0.0 over the cell corners in order.
+        is accumulated from 0.0 over the cell corners in order.  ``stencil``
+        is ``probe_stencil(self.grid, x)``, passed by a caller that reads the
+        same probes at several times; None works it out here.
         """
-        g = self.grid
         x = np.asarray(x, dtype=np.float64)
-        pts = x.reshape(-1, g.dim)
-        idx = []
-        wts = []
-        for i in range(g.dim):
-            k, w = _cell_and_weight((pts[:, i] - g.lo[i]) / g.dx)
-            lo, hi = self.active[i]
-            bad = (k < lo) | (k + (w > 0.0) > hi - 1)
-            if np.any(bad):
+        if stencil is None:
+            stencil = probe_stencil(self.grid, x)
+        for (lo, hi), (low, high), node in zip(self.active, stencil.bounds, stencil.nodes):
+            if low < lo or high > hi - 1:
+                bad = (node.min(axis=0) < lo) | (node.max(axis=0) > hi - 1)
                 alo, ahi = self.active_box()
                 raise DomainError(
-                    f"probe {pts[bad][0]} outside active box [{alo}, {ahi}] at t={self.t}; "
-                    f"enlarge the solve box margin"
+                    f"probe {stencil.pts[bad][0]} outside active box [{alo}, {ahi}] "
+                    f"at t={self.t}; enlarge the solve box margin"
                 )
-            idx.append(k)
-            wts.append(w)
-        # a corner that steps along an axis where the point sits on a node
-        # (w = 0) is skipped: it adds +0.0, which leaves the sum unchanged,
-        # and reads node k so that its index stays in bounds
+        terms = np.where(stencil.live, stencil.weights * self.values[(Ellipsis,) + stencil.nodes],
+                         0.0)
         out = 0.0
-        for corner in itertools.product((0, 1), repeat=g.dim):
-            weight = 1.0
-            live = True
-            for i, c in enumerate(corner):
-                weight = weight * (wts[i] if c else 1.0 - wts[i])
-                if c:
-                    live = live & (wts[i] > 0.0)
-            node = tuple(idx[i] + (corner[i] & live) for i in range(g.dim))
-            out = out + np.where(live, weight * self.values[(Ellipsis,) + node], 0.0)
+        for c in range(len(stencil.weights)):
+            out = out + terms[..., c, :]
         if x.ndim <= 1:
             out = out[..., 0]
             return float(out) if out.ndim == 0 else out
         return out
+
+
+class ProbeStencil(NamedTuple):
+    """How ``Field.value_at`` reads probes on one grid, worked out once per probe set."""
+
+    pts: np.ndarray                 # (n, d): the probes
+    weights: np.ndarray             # (corners, n): each corner's weight
+    live: np.ndarray                # (corners, n): the corner adds its term, else +0.0
+    nodes: tuple[np.ndarray, ...]   # per axis, (corners, n): the node each corner reads
+    bounds: tuple                   # per axis, the lowest and highest node read
+
+
+def probe_stencil(grid: Grid, x) -> ProbeStencil:
+    """The cell corners, in order, of the multilinear read of the points x on grid.
+
+    A corner's weight is the product, from 1.0 over the axes in order, of w
+    where the corner steps along an axis and 1 - w where it does not.  A
+    corner that steps along an axis where the point sits on a node (w = 0)
+    is not live: it adds +0.0, which leaves the sum unchanged, and reads
+    node k so that its index stays in bounds.
+    """
+    pts = np.asarray(x, dtype=np.float64).reshape(-1, grid.dim)
+    steps = np.array(list(itertools.product((0, 1), repeat=grid.dim)), dtype=bool)[..., None]
+    weights = 1.0
+    live = True
+    cells = []
+    for i in range(grid.dim):
+        k, w = _cell_and_weight((pts[:, i] - grid.lo[i]) / grid.dx)
+        weights = weights * np.where(steps[:, i], w, 1.0 - w)
+        live = live & (~steps[:, i] | (w > 0.0))
+        cells.append(k)
+    nodes = tuple(k + (steps[:, i] & live) for i, k in enumerate(cells))
+    bounds = tuple((node.min(), node.max()) if len(pts) else (math.inf, -math.inf)
+                   for node in nodes)
+    return ProbeStencil(pts, weights, live, nodes, bounds)
 
 
 def _cell_and_weight(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

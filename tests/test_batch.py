@@ -19,7 +19,8 @@ from hjhomog.env import (DomainError, EnvSpec, replace_on_strip, sample_environm
                          with_seed)
 from hjhomog.families import bind_env_constants, build
 from hjhomog.game import shift_momentum
-from hjhomog.pde import Field, Grid, SolveConfig, sl_plan, solve_sl
+from hjhomog.pde import (Field, Grid, SolveConfig, probe_stencil, sl_plan, sl_step_cost,
+                         solve_sl, solve_sl_batch)
 from hjhomog.rng import derive_seed, derive_seeds
 
 SNAP = 1e-12          # the SL solver's foot-point snapping tolerance
@@ -303,8 +304,11 @@ def test_vectorized_value_at_equals_scalar_reads(fp):
     want = np.array([scalar_value_at(fld, p) for p in pts])
     assert got.shape == (len(pts),)
     assert got.tobytes() == want.tobytes()
+    assert fld.value_at(pts, stencil=probe_stencil(fld.grid, pts)).tobytes() == want.tobytes()
     assert np.array([fld.value_at(p) for p in pts]).tobytes() == want.tobytes()
     assert all(isinstance(fld.value_at(p), float) for p in pts[:2])
+    one = fld.value_at(pts[0], stencil=probe_stencil(fld.grid, pts[0]))
+    assert isinstance(one, float) and np.float64(one).tobytes() == want[:1].tobytes()
 
 
 @settings(max_examples=20, deadline=None)
@@ -319,6 +323,10 @@ def test_batched_field_reads_each_realization(fp):
     assert got[0].tobytes() == fld.value_at(pts).tobytes()
     assert got[1].tobytes() == other.value_at(pts).tobytes()
     assert both.value_at(pts[0]).tobytes() == got[:, 0].tobytes()
+    stencil = probe_stencil(fld.grid, pts)
+    assert both.value_at(pts, stencil=stencil).tobytes() == got.tobytes()
+    assert both.value_at(pts[0], stencil=probe_stencil(fld.grid, pts[0])).tobytes() \
+        == got[:, 0].tobytes()
 
 
 @settings(max_examples=20, deadline=None)
@@ -330,10 +338,52 @@ def test_value_at_refuses_points_outside_active_box(fp, side, reach, axis):
     axis = min(axis, fld.grid.dim - 1)
     bad = pts[:1].copy()
     bad[0, axis] = (hi if side > 0 else lo)[axis] + side * reach
-    with pytest.raises(DomainError, match="active box"):
-        fld.value_at(bad[0])
-    with pytest.raises(DomainError, match="active box"):
-        fld.value_at(np.concatenate([pts, bad]))
+    further = bad.copy()
+    further[0, axis] += side
+    for probes in (bad[0], np.concatenate([pts, bad, further])):
+        with pytest.raises(DomainError, match="active box") as plain:
+            fld.value_at(probes)
+        # the same probe, box and t named through a precomputed stencil
+        with pytest.raises(DomainError) as stenciled:
+            fld.value_at(probes, stencil=probe_stencil(fld.grid, probes))
+        assert str(stenciled.value) == str(plain.value)
+        assert f"probe {bad[0]} outside active box" in str(plain.value)
+
+
+@settings(max_examples=20, deadline=None)
+@given(dim=st.sampled_from([1, 2]), M=st.integers(1, 3), seed=st.integers(0, 1000),
+       unit=st.lists(st.floats(0.0, 1.0), min_size=2, max_size=10))
+def test_one_stencil_reads_every_record_time(dim, M, seed, unit):
+    # a campaign works the stencil out once and reads each record time of a
+    # batched solve through it; probes inside the last window are read at
+    # every time, probes outside it are refused at the times that lose them
+    game = build("saddle-game", {}, dim)
+    box = sl_box(game, 1.0, 0.25, 0.25, margin=1.0)
+    spec = EnvSpec(dimension=dim, rho=1.0, bump_radius=0.5, amp_lo=0.0, amp_hi=1.0,
+                   channels=4, box_lo=box[0], box_hi=box[1], seed=0)
+    times = (0.25, 0.5, 0.75, 1.0)
+    plan = sl_plan(game, SolveConfig(scheme="semi-lagrangian", dt=0.25, dx=0.25, T=1.0,
+                                     box_lo=box[0], box_hi=box[1], record_times=times))
+    res = solve_sl_batch(plan, sl_step_cost(game, sample_environment(spec, list(range(M))),
+                                            plan))
+    lo, hi = res.final.active_box()
+    eighths = np.round(np.array(unit[:len(unit) // dim * dim]).reshape(-1, dim) * 8.0) / 8.0
+    inside = lo + eighths * (hi - lo)
+    wide = np.concatenate([inside, [hi + 0.125 + 0.25 * (seed % 3)]])
+    for pts in (inside, wide):
+        stencil = probe_stencil(plan.grid, pts)
+        for t in times:
+            snap = res.at_time(t)
+            try:
+                want = snap.value_at(pts)
+            except DomainError as plain:
+                with pytest.raises(DomainError) as stenciled:
+                    snap.value_at(pts, stencil=stencil)
+                assert str(stenciled.value) == str(plain)
+                continue
+            assert snap.value_at(pts, stencil=stencil).tobytes() == want.tobytes()
+    with pytest.raises(DomainError):
+        res.final.value_at(wide, stencil=probe_stencil(plan.grid, wide))
 
 
 def test_value_at_maps_negative_zero_to_zero():

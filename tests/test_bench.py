@@ -3,12 +3,13 @@
 One iteration of each workload in bench/workloads.py, at the seed its
 outputs were recorded at (bench/expected.json), must pass the workload's own
 checks, hash to the recorded raw digest and give the recorded statistics
-within STATS_RTOL.  This keeps the library API the benchmark calls
-(SolveConfig.cfl_limit, estimate_U's family_desc=, the pool path) working.
+exactly: a float's repr round-trips, so equal reprs are equal to the last
+bit, the sign of a zero included (and NaN matches NaN).  This keeps the
+library API the benchmark calls (SolveConfig.cfl_limit, estimate_U's
+family_desc=, the pool path) working.
 """
 import importlib.util
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -47,9 +48,7 @@ def test_workload_gives_its_recorded_outputs(name):
     assert wl.check(out) == []
     assert out.digest() == want["raw_sha256"]
     for key, value in want["stats"].items():
-        got = out.stats[key]
-        assert (math.isnan(got) and math.isnan(value)) or math.isclose(
-            got, value, rel_tol=workloads.STATS_RTOL, abs_tol=0.0), (key, got, value)
+        assert repr(float(out.stats[key])) == repr(value), (key, out.stats[key], value)
 
 
 #: field2d-saddle's traced counts per iteration at SEED: one hashed word per

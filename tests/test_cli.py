@@ -327,15 +327,28 @@ def test_channel_counts_the_game_cannot_read_are_config_errors(tmp_path, capsys,
     assert not out.exists()
 
 
-def test_cli_import_loads_no_test_or_scipy_module():
-    # the runtime depends on numpy alone
+def modules_after_cli_import() -> list[str]:
+    """The modules a fresh interpreter holds after ``import hjhomog.cli``."""
     src = str(Path(hjhomog.__file__).resolve().parents[1])
     code = "import sys, hjhomog.cli; print(' '.join(sys.modules))"
-    mods = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           check=True, timeout=120,
                           env={**os.environ, "PYTHONPATH": src}).stdout.split()
+
+
+def test_cli_import_loads_no_test_or_scipy_module():
+    # the runtime depends on numpy alone
+    mods = modules_after_cli_import()
     assert "numpy" in mods
     assert not [m for m in mods if m.split(".")[0] in ("scipy", "hypothesis", "pytest")]
+
+
+def test_cli_import_leaves_the_pool_stack_unloaded():
+    # only a pooled campaign pays for multiprocessing and its imports
+    mods = modules_after_cli_import()
+    assert "hjhomog.homog" in mods
+    assert not [m for m in mods if m.split(".")[0] == "multiprocessing"
+                or m == "concurrent.futures.process"]
 
 
 def test_misspelt_hamiltonian_override_is_refused(tmp_path, capsys):

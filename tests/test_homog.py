@@ -3,7 +3,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
@@ -315,6 +315,33 @@ def test_ols_is_linregress_to_the_bit(points):
     # slope, its standard error and r^2, NaN (constant y) included
     for g, w in zip(got, (want.slope, want.stderr, want.rvalue**2)):
         assert np.float64(g).tobytes() == np.float64(w).tobytes(), (got, want)
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(2, 8), R=st.integers(1, 300), seed=st.integers(0, 2**32 - 1),
+       x=st.lists(st.floats(-12.0, 2.0).map(lambda v: round(v, 6)), min_size=8, max_size=8),
+       constant=st.floats(0.0, 1.0))
+@example(n=2, R=200, seed=0, x=[math.log(0.25), math.log(0.125)] + [0.0] * 6, constant=0.0)
+@example(n=5, R=1, seed=1, x=[-1.0, 0.5, 0.25, 2.0, -3.0, 0, 0, 0], constant=1.0)
+def test_slopes_are_each_rows_ols_slope_to_the_bit(n, R, seed, x, constant):
+    # the bootstrap's fit: one stacked product for all rows must reach the
+    # same bits as the per-row fit, whatever kernel the shape selects
+    x = x[:n]
+    assume(min(x) < max(x))
+    rng = np.random.default_rng(seed)
+    Y = rng.normal(-2.0, 1.5, size=(R, n)) * rng.uniform(0.0, 2.0, size=(R, 1))
+    flat = rng.uniform(size=R) < constant
+    Y[flat] = Y[flat, :1]
+    got = homog._slopes(x, Y)
+    want = np.array([homog._ols(x, y)[0] for y in Y])
+    assert got.shape == (R,)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+@pytest.mark.parametrize("n", [2, 5, 8])
+def test_slopes_refuse_identical_x(n):
+    with pytest.raises(ValueError, match="all x values are identical"):
+        homog._slopes([0.5] * n, np.ones((3, n)))
 
 
 # ---------------------------------------------------------------------------
