@@ -421,65 +421,50 @@ def solve_sl_batch(plan: SLPlan, step_cost: np.ndarray,
     The march keeps the values as (*window, M), realizations innermost, and
     reads the table through the same view, which is contiguous for a table
     from ``sl_step_cost`` (any other layout gives the same bits, slower).
-    A step interpolates once per distinct stencil.  It then takes the
-    max-min as it goes: for each b in order, np.maximum over a, in order,
-    into one column, which np.minimum folds into the result.  That is the
-    elementwise order of ``cand.max(axis=0).min(axis=0)`` over the pairs'
-    candidates, so the bits, signed zeros included, are those of the
-    reductions, without the (pairs, *window) candidate table.  The
-    intermediates live in flat buffers sized for the first step; the new
-    values are allocated at the window's size.
+    The window sheds the same cells every step, so every read is a constant
+    slice worked out once: the table is trimmed by one slice per step, and
+    a corner at offset o reads ``slice(o, -(shed - o) or None)`` of the
+    current values on each axis.  A step interpolates once per distinct
+    stencil.  It then takes the max-min as it goes: for each b in order,
+    np.maximum over a, in order, into one column, which np.minimum folds
+    into the result.  That is the elementwise order of
+    ``cand.max(axis=0).min(axis=0)`` over the pairs' candidates, so the
+    bits, signed zeros included, are those of the reductions, without the
+    (pairs, *window) candidate table.  Each ufunc allocates its own output
+    or writes onto an array the same step allocated.
     """
     grid = plan.grid
     lead = step_cost.shape[1:step_cost.ndim - grid.dim]
     cost = np.moveaxis(step_cost, range(1, 1 + len(lead)), range(-len(lead), 0))
-    offsets = {off for terms in plan.corners for _, off in terms}
-    n_max = math.prod(n - lo - hi for n, lo, hi in zip(grid.shape, plan.shed_lo, plan.shed_hi))
-    n_max *= math.prod(lead)
-
-    def buffer() -> np.ndarray:
-        return np.empty(n_max)
-
-    # the column of each b after the first; the scratch for each a after the
-    # first and for a stencil's weighted corners after its first
-    acc_buf = buffer() if plan.n_b > 1 else None
-    tmp_buf = buffer() if plan.n_a > 1 or any(len(t) > 1 for t in plan.corners) else None
-    # a stencil whose interpolant is not a plain read of v
-    sum_bufs = [buffer() if len(terms) > 1 or terms[0][0] != 1.0 else None
-                for terms in plan.corners]
+    trim = (slice(None),) + tuple(slice(lo, -hi or None)
+                                  for lo, hi in zip(plan.shed_lo, plan.shed_hi))
+    sheds = [lo + hi for lo, hi in zip(plan.shed_lo, plan.shed_hi)]
+    stencils = [[(weight, tuple(slice(o, -(shed - o) or None) for o, shed in zip(off, sheds)))
+                 for weight, off in terms] for terms in plan.corners]
+    # per b in order, its pairs (a in order) as (pair, stencil)
+    columns = [[(j, plan.stencil[j]) for j in range(b, len(plan.stencil), plan.n_b)]
+               for b in range(plan.n_b)]
 
     def step(v: np.ndarray, active) -> np.ndarray:
-        size = tuple(hi - lo for lo, hi in active)
-        shape = size + lead
-        n = math.prod(shape)
-
-        def view(buf: np.ndarray) -> np.ndarray:
-            return buf[:n].reshape(shape)
-
-        out_sl = tuple(slice(lo, hi) for lo, hi in active)
-        src = {off: v[tuple(slice(o, o + k) for o, k in zip(off, size))] for off in offsets}
-        tmp = None if tmp_buf is None else view(tmp_buf)
+        nonlocal cost
+        cost = cost[trim]
         interp = []
-        for terms, sum_buf in zip(plan.corners, sum_bufs):
-            # the corners summed in order; a weighted one is multiplied into
-            # the stencil's buffer when it comes first, else into tmp
+        for terms in stencils:
+            # the corners summed in order; a weighted corner is a new array,
+            # which takes the sum
             total = None
-            for weight, off in terms:
-                x = src[off]
-                if weight != 1.0:
-                    x = np.multiply(x, weight, out=view(sum_buf) if total is None else tmp)
-                total = x if total is None else np.add(total, x, out=view(sum_buf))
+            for weight, read in terms:
+                x = v[read] if weight == 1.0 else np.multiply(v[read], weight)
+                total = x if total is None else np.add(total, x,
+                                                       out=None if weight == 1.0 else x)
             interp.append(total)
-        new = np.empty(shape)
-        for b in range(plan.n_b):
-            col = view(acc_buf) if b else new
-            for a in range(plan.n_a):
-                j = a * plan.n_b + b
-                cand = np.add(cost[j][out_sl], interp[plan.stencil[j]], out=tmp if a else col)
-                if a:
-                    np.maximum(col, cand, out=col)
-            if b:
-                np.minimum(new, col, out=new)
+        new = None
+        for pairs in columns:
+            col = None
+            for j, s in pairs:
+                cand = np.add(cost[j], interp[s])
+                col = cand if col is None else np.maximum(col, cand, out=col)
+            new = col if new is None else np.minimum(new, col, out=new)
         return new
 
     datum = np.asarray(g(grid.nodes()), dtype=np.float64)

@@ -216,6 +216,11 @@ SADDLE_CASE = (build("saddle-game", {"base_speed": 1.0, "coupling": 0.25}, 2),
 # the benchmark's 2-D field solve: the saddle game shifted by theta = (0.5, 0.25);
 # at dt = dx = 0.25 an LF step is three substeps
 FIELD2D_CASE = (shift_momentum(SADDLE_CASE[0], [0.5, 0.25]), SADDLE_CASE[1])
+# a game that does not move: no axis sheds a cell, so every read is the whole window
+STILL_CASE = (build("saddle-game", {"base_speed": 0.0, "coupling": 0.0}, 2), SADDLE_CASE[1])
+TRANSPORT_1D_ENV = sample_environment(EnvSpec(
+    dimension=1, rho=1.0, bump_radius=0.5, amp_lo=0.0, amp_hi=1.0, channels=1,
+    box_lo=(-8.0,), box_hi=(8.0,), seed=7))
 
 
 def same_bits(a, b) -> bool:
@@ -374,6 +379,13 @@ def test_batched_cost_table_equals_per_realization_build(game, M, dt, seed):
        steps=st.integers(1, 3), theta=st.floats(-1.0, 1.0))
 @example(game=LOCALIZED_2D_CASE, M=2, dt=0.25, steps=3, theta=0.5)
 @example(game=SADDLE_CASE, M=3, dt=0.25, steps=2, theta=-0.25)
+@example(game=STILL_CASE, M=2, dt=0.25, steps=3, theta=0.5)
+# at dt = dx every foot point is the node one cell away: a plain read of the
+# values, one cell shed below (speed -1) or above (speed 1, read at offset 1)
+@example(game=(build("transport", {"speed": -1.0}, 1), TRANSPORT_1D_ENV),
+         M=2, dt=0.25, steps=3, theta=0.5)
+@example(game=(build("transport", {"speed": 1.0}, 1), TRANSPORT_1D_ENV),
+         M=2, dt=0.25, steps=3, theta=-0.5)
 def test_sl_step_equals_pair_by_pair_step(game, M, dt, steps, theta):
     gh, env = game
     dx = 0.25
@@ -436,6 +448,22 @@ def test_sl_step_breaks_signed_zero_ties_as_the_reductions(game, M, dt, steps, s
     assert same_bits(one.final.values, want.final.values[0])
 
 
+def march_peak(plan, cost) -> int:
+    """Peak bytes traced while solve_sl_batch marches cost."""
+    tracemalloc.start()
+    try:
+        solve_sl_batch(plan, cost)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def march_bound(plan, M) -> int:
+    """v and the new values, the column, the scratch, one per stencil, the
+    final snapshot and the datum, in realization-batched grids."""
+    return (6 + len(plan.corners)) * 8 * M * math.prod(plan.grid.shape)
+
+
 @pytest.mark.parametrize("n_b", [9, 13])
 def test_sl_march_holds_no_per_pair_table(n_b):
     """The march holds a few grid-sized arrays and one per stencil, none per pair."""
@@ -448,20 +476,25 @@ def test_sl_march_holds_no_per_pair_table(n_b):
     M = len(seeds)
     spec = replace(LOCALIZED_2D_CASE[1].spec, box_lo=(-6.0, -6.0), box_hi=(6.0, 6.0))
     cost = sl_step_cost(gh, sample_environment(spec, seeds), plan)
-    unit = 8 * M * math.prod(plan.grid.shape)          # one realization-batched grid
-    # v and the new values, the column, the scratch, one per stencil, the
-    # final snapshot and the datum
-    bound = (6 + len(plan.corners)) * unit
+    bound = march_bound(plan, M)
     first = math.prod(n - lo - hi
                       for n, lo, hi in zip(plan.grid.shape, plan.shed_lo, plan.shed_hi))
     assert len(plan.stencil) * 8 * M * first > 2 * bound     # a candidate table would not fit
-    tracemalloc.start()
-    try:
-        solve_sl_batch(plan, cost)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < bound
+    assert march_peak(plan, cost) < bound
+
+
+def test_sl_march_holds_no_per_pair_table_in_1d():
+    """The same bound on the benchmark's 1-D campaign solve: the saddle game
+    at M = 32 on mc1d's grid, where each step allocates its own arrays."""
+    gh = build("saddle-game", {}, 1)
+    box = ((-2.0,), (66.0,))
+    plan = sl_plan(gh, SolveConfig(scheme="semi-lagrangian", dt=0.25, dx=0.25, T=32.0,
+                                   box_lo=box[0], box_hi=box[1]))
+    M = 32
+    spec = EnvSpec(dimension=1, rho=1.0, bump_radius=0.5, amp_lo=0.0, amp_hi=1.0, channels=4,
+                   box_lo=box[0], box_hi=box[1], seed=2026)
+    cost = sl_step_cost(gh, sample_environment(spec, list(range(M))), plan)
+    assert march_peak(plan, cost) < march_bound(plan, M)
 
 
 def test_saddle_game_pairs_share_two_stencils():
