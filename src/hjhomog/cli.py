@@ -376,6 +376,9 @@ def cmd_effective(run: Run, out: Path, workers: int) -> int:
 def cmd_rate(run: Run, out: Path, workers: int) -> int:
     camp = run.blocks["campaign"]
     theta = camp["thetas"][0]
+    # the smallest eps has the widest box: refuse it before the H-bar campaign
+    homog.rate_config(run.game, run.spec, min(camp["eps_list"]), camp["rate_R"],
+                      camp["rate_T"], camp["rate_dx"], camp["rate_dt"])
     est = homog.extract_effective_H(_campaign_table(run, theta, workers))
     report = homog.rate_experiment(
         run.game, run.spec, theta, camp["eps_list"], R=camp["rate_R"],

@@ -155,7 +155,8 @@ def _solve_batches(game, env_spec, seeds, theta, cfg: SolveConfig, probes,
     whose stacked cost table fits ``cap_bytes`` (BATCH_COST_BYTES when None,
     read here, so that every pool task carries the caller's cap); each batch
     is one seed-batched environment and one cost-table call.  The batch's
-    environment, and the values its memo holds, are freed before the march.
+    environment, and the values its memo holds, are freed before the march,
+    which reads the probes (one ``probe_stencil`` per call) and builds no Field.
     """
     if cap_bytes is None:
         cap_bytes = BATCH_COST_BYTES
@@ -182,9 +183,8 @@ def _solve_batches(game, env_spec, seeds, theta, cfg: SolveConfig, probes,
     parts = []
     for lo in range(0, len(seeds), per):
         step_cost = sl_step_cost(shifted, sample_environment(env_spec, seeds[lo:lo + per]), plan)
-        res = solve_sl_batch(plan, step_cost)
-        parts.append(np.stack([res.at_time(t).value_at(probes, stencil=stencil).T
-                               for t in cfg.record_times]))
+        res = solve_sl_batch(plan, step_cost, probes=stencil)
+        parts.append(np.stack([res.at_time(t) for t in cfg.record_times]))
     return np.concatenate(parts, axis=-1)
 
 
@@ -548,16 +548,23 @@ def rate_times(T: float, eps: float) -> tuple[float, tuple[float, ...]]:
     return t_top, tuple(t_top * j / 8 for j in range(1, 9))
 
 
+def rate_config(gh: GameHamiltonian, env_spec, eps: float, R: float, T: float, dx: float,
+                dt: float) -> SolveConfig:
+    """The eps rate solve: to T/eps, recorded at the ``rate_times``, on a box whose
+    window still covers B(R/eps); refuses (DomainError) a field box that misses it."""
+    t_top, times = rate_times(T, eps)
+    box = solve_box_for(gh.f_pairs, "semi-lagrangian", t_top, dt, dx, report_radius=R / eps)
+    _check_env_covers(env_spec, box)
+    return SolveConfig(scheme="semi-lagrangian", dt=dt, dx=dx, T=t_top,
+                       box_lo=box[0], box_hi=box[1], record_times=times)
+
+
 def _sup_errors(gh: GameHamiltonian, env_spec, seeds, theta, eps: float, R: float,
                 T: float, H_bar: float, dx: float, dt: float) -> np.ndarray:
     """Per seed of env_spec's law, sup over a [0,T] x B_R grid of
     |eps u(t/eps, x/eps) + t H_bar|: the ``rate_times``, 9 points per axis."""
-    t_top, times = rate_times(T, eps)
-    n_t = len(times)
-    box = solve_box_for(gh.f_pairs, "semi-lagrangian", t_top, dt, dx, report_radius=R / eps)
-    _check_env_covers(env_spec, box)    # eps ascends: the widest box is checked first
-    cfg = SolveConfig(scheme="semi-lagrangian", dt=dt, dx=dx, T=t_top,
-                      box_lo=box[0], box_hi=box[1], record_times=times)
+    cfg = rate_config(gh, env_spec, eps, R, T, dx, dt)    # eps ascends: the widest box first
+    n_t = len(cfg.record_times)
     u = _solve_batches(gh, env_spec, seeds, theta, cfg, ball_grid(R, 9, gh.dim) / eps)
     tj = np.array([T * j / n_t for j in range(1, n_t + 1)])
     return np.abs(eps * u + tj[:, None, None] * H_bar).max(axis=(0, 1))

@@ -50,12 +50,9 @@ class Grid:
     def axis(self, i: int) -> np.ndarray:
         return self.lo[i] + self.dx * np.arange(self.shape[i])
 
-    def axes(self) -> list[np.ndarray]:
-        return [self.axis(i) for i in range(self.dim)]
-
     def nodes(self) -> np.ndarray:
         """All node coordinates, flattened to (N, d) in C order."""
-        mesh = np.meshgrid(*self.axes(), indexing="ij")
+        mesh = np.meshgrid(*map(self.axis, range(self.dim)), indexing="ij")
         return np.stack([m.ravel() for m in mesh], axis=1)
 
     @classmethod
@@ -66,6 +63,13 @@ class Grid:
         if any(n < 2 for n in shape):
             raise ValueError(f"degenerate grid: shape {shape}")
         return cls(lo=lo, dx=float(dx), shape=shape)
+
+    def window_field(self, v: np.ndarray, active, t: float) -> "Field":
+        """v on the index window ``active``, realization axes last, as a NaN-padded Field."""
+        values = np.full(v.shape[self.dim:] + self.shape, np.nan)
+        values[(Ellipsis,) + tuple(slice(lo, hi) for lo, hi in active)] = np.moveaxis(
+            v, range(self.dim), range(-self.dim, 0))
+        return Field(grid=self, t=t, values=values, active=active)
 
 
 @dataclass
@@ -111,33 +115,44 @@ class Field:
         x = np.asarray(x, dtype=np.float64)
         if stencil is None:
             stencil = probe_stencil(self.grid, x)
-        for (lo, hi), (low, high), node in zip(self.active, stencil.bounds, stencil.nodes):
-            if low < lo or high > hi - 1:
-                bad = (node.min(axis=0) < lo) | (node.max(axis=0) > hi - 1)
-                alo, ahi = self.active_box()
-                raise DomainError(
-                    f"probe {stencil.pts[bad][0]} outside active box [{alo}, {ahi}] "
-                    f"at t={self.t}; enlarge the solve box margin"
-                )
-        terms = np.where(stencil.live, stencil.weights * self.values[(Ellipsis,) + stencil.nodes],
-                         0.0)
-        out = 0.0
-        for c in range(len(stencil.weights)):
-            out = out + terms[..., c, :]
-        if x.ndim <= 1:
-            out = out[..., 0]
-            return float(out) if out.ndim == 0 else out
-        return out
+        lead = range(self.values.ndim - self.grid.dim)
+        window = np.moveaxis(self.active_values(), lead, range(-len(lead), 0))
+        out = np.moveaxis(stencil.read(window, self.active, self.t), 0, -1)
+        if x.ndim > 1:
+            return out
+        return float(out[0]) if out.ndim == 1 else out[..., 0]
 
 
 class ProbeStencil(NamedTuple):
-    """How ``Field.value_at`` reads probes on one grid, worked out once per probe set."""
+    """How probes are read on one grid, worked out once per probe set."""
 
+    grid: Grid
     pts: np.ndarray                 # (n, d): the probes
     weights: np.ndarray             # (corners, n): each corner's weight
     live: np.ndarray                # (corners, n): the corner adds its term, else +0.0
     nodes: tuple[np.ndarray, ...]   # per axis, (corners, n): the node each corner reads
     bounds: tuple                   # per axis, the lowest and highest node read
+
+    def read(self, window: np.ndarray, active, t: float) -> np.ndarray:
+        """The probes' values, (n, ...), in ``window``, the values on the index
+        bounds ``active`` with any realization axes last; refuses a probe
+        outside it.  Each value is accumulated from 0.0 over the corners in order."""
+        for (lo, hi), (low, high), node in zip(active, self.bounds, self.nodes):
+            if low < lo or high > hi - 1:
+                bad = (node.min(axis=0) < lo) | (node.max(axis=0) > hi - 1)
+                alo, ahi = Field(self.grid, t, window, tuple(active)).active_box()
+                raise DomainError(
+                    f"probe {self.pts[bad][0]} outside active box [{alo}, {ahi}] "
+                    f"at t={t}; enlarge the solve box margin"
+                )
+        shape = self.weights.shape + (1,) * (window.ndim - len(active))
+        nodes = tuple(node - lo for node, (lo, _) in zip(self.nodes, active))
+        terms = np.where(self.live.reshape(shape), self.weights.reshape(shape) * window[nodes],
+                         0.0)
+        out = 0.0
+        for term in terms:
+            out = out + term
+        return out
 
 
 def probe_stencil(grid: Grid, x) -> ProbeStencil:
@@ -162,7 +177,7 @@ def probe_stencil(grid: Grid, x) -> ProbeStencil:
     nodes = tuple(k + (steps[:, i] & live) for i, k in enumerate(cells))
     bounds = tuple((node.min(), node.max()) if len(pts) else (math.inf, -math.inf)
                    for node in nodes)
-    return ProbeStencil(pts, weights, live, nodes, bounds)
+    return ProbeStencil(grid, pts, weights, live, nodes, bounds)
 
 
 def _cell_and_weight(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -215,11 +230,11 @@ class SolveConfig:
 
 @dataclass
 class SolveResult:
-    final: Field
-    snapshots: dict[float, Field] = field(default_factory=dict)
+    final: Field | np.ndarray                  # what the march's reader returned
+    snapshots: dict[float, Field | np.ndarray] = field(default_factory=dict)
     telemetry: list[dict] = field(default_factory=list)
 
-    def at_time(self, t: float) -> Field:
+    def at_time(self, t: float) -> Field | np.ndarray:
         for rt, f in self.snapshots.items():
             if abs(rt - t) < 1e-9:
                 return f
@@ -283,6 +298,11 @@ class _Window:
     shed_lo: tuple[int, ...]
     shed_hi: tuple[int, ...]
 
+    def active(self, k: int) -> tuple[tuple[int, int], ...]:
+        """The per-axis [lo, hi) index bounds of the window after k steps."""
+        return tuple((k * lo, n - k * hi)
+                     for n, lo, hi in zip(self.grid.shape, self.shed_lo, self.shed_hi))
+
 
 def _plan_window(cfg: SolveConfig, f: np.ndarray, scheme: str) -> _Window:
     """The window of a solve of cfg; refuses a box it would exhaust before T."""
@@ -303,39 +323,30 @@ def _plan_window(cfg: SolveConfig, f: np.ndarray, scheme: str) -> _Window:
                    shed_lo=tuple(int(v) for v in below), shed_hi=tuple(int(v) for v in above))
 
 
-def _march(win: _Window, v: np.ndarray, step, realizations_last: bool = False,
+def _march(win: _Window, v: np.ndarray, step, read, per_node: int = 1, probes: int = 0,
            **telemetry) -> SolveResult:
-    """Run the time steps of win, shrinking the active window each step.
+    """Run the time steps of win from the datum v on the whole grid.
 
-    v holds the datum on the whole grid and any realization axes: before
-    the grid axes, or after them when ``realizations_last``.  step(v,
-    active) maps the values on the current window to those on the next
-    one, in the same layout, whose [lo, hi) index bounds are ``active``.
-    Every snapshot puts the realization axes first.
+    step(v, k) maps the values on the window after k - 1 steps to those on
+    ``win.active(k)``.  At each record time, and at T, what read(v, active,
+    t) returns is recorded.  Telemetry counts ``per_node`` updates per node
+    of each (sub)step's window and ``probes`` values per read, in closed form.
     """
-    grid = win.grid
-    d = grid.dim
-    active = [(0, n) for n in grid.shape]
-
-    def snapshot(k: int) -> Field:
-        window = np.moveaxis(v, range(d), range(v.ndim - d, v.ndim)) if realizations_last else v
-        values = np.full(window.shape[:window.ndim - d] + grid.shape, np.nan)
-        values[(Ellipsis,) + tuple(slice(lo, hi) for lo, hi in active)] = window
-        return Field(grid=grid, t=k * win.cfg.dt, values=values, active=tuple(active))
-
+    records, dt = win.records, win.cfg.dt
     result = SolveResult(final=None)  # type: ignore[arg-type]
-    if 0 in win.records:
-        result.snapshots[win.records[0]] = snapshot(0)
-    for k in range(1, win.n_steps + 1):
-        active = [(lo + s_lo, hi - s_hi) for (lo, hi), s_lo, s_hi
-                  in zip(active, win.shed_lo, win.shed_hi)]
-        v = step(v, active)
-        if k in win.records:
-            result.snapshots[win.records[k]] = snapshot(k)
-    result.final = (result.snapshots[win.records[win.n_steps]] if win.n_steps in win.records
-                    else snapshot(win.n_steps))
-    result.telemetry.append({"scheme": win.scheme, "steps": win.n_steps, **telemetry,
-                             "active_cells": [list(a) for a in active]})
+    for k in range(win.n_steps + 1):
+        v = step(v, k) if k else v
+        if k in records:
+            result.snapshots[records[k]] = read(v, win.active(k), k * dt)
+    n = win.n_steps
+    result.final = result.snapshots[records[n]] if n in records else read(v, win.active(n), n * dt)
+    subs = telemetry.get("substeps_per_step", 1)    # a substep sheds 1/subs of a step's cells
+    shed = np.arange(1, n * subs + 1)[:, None] * (np.add(win.shed_lo, win.shed_hi) // subs)
+    windows = np.prod(np.subtract(win.grid.shape, shed), axis=1)
+    result.telemetry.append({"scheme": win.scheme, "steps": n, **telemetry,
+                             "active_cells": [list(a) for a in win.active(n)],
+                             "node_updates": per_node * int(windows.sum()),
+                             "probes_read": probes * (len(records) + (n not in records))})
     return result
 
 
@@ -409,14 +420,16 @@ def sl_step_cost(gh: GameHamiltonian, env, plan: SLPlan) -> np.ndarray:
 
 
 def solve_sl_batch(plan: SLPlan, step_cost: np.ndarray,
-                   g: Callable[[np.ndarray], np.ndarray] = zero_datum) -> SolveResult:
+                   g: Callable[[np.ndarray], np.ndarray] = zero_datum,
+                   probes: ProbeStencil | None = None) -> SolveResult:
     """The SL recursion for every realization of a ``sl_step_cost`` table at once.
 
     ``step_cost`` is (pairs, *shape) for one realization or (pairs, M,
     *shape) for a batched environment; all realizations start from the
-    datum g.  Every Field of the result carries the table's realization
-    axes first.  Each realization's numbers are those of its own solve: the
-    recursion is elementwise along M.
+    datum g.  A record time holds a Field with the table's realization axes
+    first or, given a ``probes`` stencil, the probes' (n, *M) values read
+    from the window.  Each realization's numbers are those of its own
+    solve: the recursion is elementwise along M.
 
     The march keeps the values as (*window, M), realizations innermost, and
     reads the table through the same view, which is contiguous for a table
@@ -445,7 +458,7 @@ def solve_sl_batch(plan: SLPlan, step_cost: np.ndarray,
     columns = [[(j, plan.stencil[j]) for j in range(b, len(plan.stencil), plan.n_b)]
                for b in range(plan.n_b)]
 
-    def step(v: np.ndarray, active) -> np.ndarray:
+    def step(v: np.ndarray, k: int) -> np.ndarray:
         nonlocal cost
         cost = cost[trim]
         interp = []
@@ -469,7 +482,10 @@ def solve_sl_batch(plan: SLPlan, step_cost: np.ndarray,
 
     datum = np.asarray(g(grid.nodes()), dtype=np.float64)
     v = np.broadcast_to(datum.reshape(grid.shape + (1,) * len(lead)), grid.shape + lead)
-    return _march(plan, v, step, realizations_last=True, stencils=len(plan.corners))
+    M = math.prod(lead)
+    read, n = (grid.window_field, 0) if probes is None else (probes.read, len(probes.pts) * M)
+    return _march(plan, v, step, read, per_node=len(plan.stencil) * M, probes=n,
+                  stencils=len(plan.corners))
 
 
 def solve_sl(gh: GameHamiltonian, env, cfg: SolveConfig,
@@ -536,7 +552,7 @@ def solve_lf(gh: GameHamiltonian, env, cfg: SolveConfig,
     H_bufs = (np.empty(len(vel.rows) * n_max), np.empty(2 * n_max), np.empty(n_max))
     v_bufs = [np.empty(n_max), np.empty(n_max)]   # a substep reads one and writes the other
 
-    def step(v: np.ndarray, active) -> np.ndarray:
+    def step(v: np.ndarray, k: int) -> np.ndarray:
         for rings_left in range(n_sub - 1, -1, -1):
             shape = tuple(n - 2 for n in v.shape)
             size = math.prod(shape)
@@ -558,7 +574,7 @@ def solve_lf(gh: GameHamiltonian, env, cfg: SolveConfig,
                 np.multiply(term, nu[i], out=term)
                 np.divide(term, grid.dx**2, out=term)
                 np.add(visc, 0.0 if i == axes[0] else term, out=visc)
-            window = tuple(slice(lo - rings_left, hi + rings_left) for lo, hi in active)
+            window = tuple(slice(lo - rings_left, hi + rings_left) for lo, hi in win.active(k))
             H = eval_H_nodes(gh, neg_cost[(slice(None), slice(None)) + window],
                              P.T, H_bufs, vel).reshape(shape)
             new = v_bufs[0][:size].reshape(shape)
@@ -571,7 +587,7 @@ def solve_lf(gh: GameHamiltonian, env, cfg: SolveConfig,
         return v
 
     v = np.asarray(g(grid.nodes()), dtype=np.float64).reshape(grid.shape)
-    return _march(win, v, step, substeps_per_step=n_sub)
+    return _march(win, v, step, grid.window_field, substeps_per_step=n_sub)
 
 
 def solve(gh: GameHamiltonian, env, cfg: SolveConfig,
@@ -608,22 +624,19 @@ def check_lipschitz(snapshots: list[Field], beta1: float, beta3: float, lip_g: f
             if mq > bound + tol:
                 space_ok = False
     max_time = 0.0
-    time_ok = True
     tbound = beta1 * (1.0 + lip_g)
     for f0, f1 in zip(snaps, snaps[1:]):
         sl = f0.common_slices(f1)
         q = np.abs(f1.values[sl] - f0.values[sl]) / (f1.t - f0.t)
         mq = float(q.max()) if q.size else 0.0
         max_time = max(max_time, mq)
-        if mq > tbound + tol:
-            time_ok = False
     return {
         "max_space_quotient": max_space,
         "space_bound_final": beta3 * snaps[-1].t + lip_g,
         "space_ok": space_ok,
         "max_time_quotient": max_time,
         "time_bound": tbound,
-        "time_ok": time_ok,
+        "time_ok": max_time <= tbound + tol,
         "tolerance": tol,
     }
 
@@ -638,16 +651,13 @@ def check_comparison(gh: GameHamiltonian, env, cfg: SolveConfig, g_upper, g_lowe
     g0u = np.asarray(g_upper(grid.nodes()), dtype=np.float64)
     g0l = np.asarray(g_lower(grid.nodes()), dtype=np.float64)
     gap0 = float(np.max(g0u - g0l))
-    ok = True
     worst = -np.inf
     for t in times:
         fu, fv = ru.at_time(t), rv.at_time(t)
         sl = fu.common_slices(fv)
         gap = float(np.max(fu.values[sl] - fv.values[sl]))
         worst = max(worst, gap)
-        if gap > gap0 + 1e-10:
-            ok = False
-    return {"initial_gap": gap0, "max_gap": worst, "ok": ok}
+    return {"initial_gap": gap0, "max_gap": worst, "ok": worst <= gap0 + 1e-10}
 
 
 def check_scaling(gh: GameHamiltonian, env, theta, eps: float,

@@ -153,9 +153,9 @@ def test_batch_environment_is_freed_before_its_march():
         envs.append(weakref.ref(env))
         return env
 
-    def marching(*a):
+    def marching(*a, **k):
         alive.append([ref() is not None for ref in envs])
-        return march(*a)
+        return march(*a, **k)
 
     with mock.patch.object(homog, "sample_environment", sampling), \
             mock.patch.object(homog, "solve_sl_batch", marching):

@@ -10,12 +10,13 @@ family_desc=, the pool path) working.
 """
 import importlib.util
 import json
+import math
 import sys
 from pathlib import Path
 
 import pytest
 
-from hjhomog import homog
+from hjhomog import homog, pde
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 SEED = 2026                    # the seed of bench/expected.json
@@ -81,3 +82,26 @@ def test_traced_layers_see_one_field2d_iteration(monkeypatch):
     assert counts["pde.lf.node_updates"] == FIELD2D_LF_NODE_UPDATES
     assert counts["rng.words_hashed"] == FIELD2D_WORDS_HASHED
     assert counts["env.points"] == FIELD2D_POINTS
+
+
+def test_field2d_telemetry_counts_the_node_updates(monkeypatch):
+    # the solvers count their updates in closed form; LF's count is the one
+    # the tracer computes from the reach, SL's is every pair at every node
+    # of every step's window
+    wl = workloads.field2d_saddle(SEED)
+    solve, results = pde.solve, {}
+
+    def solving(gh, env, cfg):
+        results[cfg.scheme] = (gh, cfg, solve(gh, env, cfg))
+        return results[cfg.scheme][2]
+
+    monkeypatch.setattr(pde, "solve", solving)
+    wl.iterate()
+    tel = results["lax-friedrichs"][2].telemetry[-1]
+    assert tel["node_updates"] == FIELD2D_LF_NODE_UPDATES
+    assert tel["probes_read"] == 0
+    gh, cfg, res = results["semi-lagrangian"]
+    plan = pde.sl_plan(gh, cfg)
+    windows = sum(math.prod(hi - lo for lo, hi in plan.active(k))
+                  for k in range(1, plan.n_steps + 1))
+    assert res.telemetry[-1]["node_updates"] == gh.n_a * gh.n_b * windows == 5_529_600

@@ -447,9 +447,13 @@ def test_time_grid_refusals_come_before_anything_is_written(tmp_path, capsys, co
 
 
 def test_rate_refuses_a_field_box_that_misses_its_widest_solve(tmp_path, capsys):
-    # at eps = 1/32 the rate solve runs to T/eps = 32 and reads B(R/eps = 16)
+    # at eps = 1/32 the rate solve runs to T/eps = 32 and reads B(R/eps = 16);
+    # the refusal comes before the H-bar campaign, which it would waste
     out = tmp_path / "o"
-    assert main(["rate", "--set", "campaign.eps_list=[0.25, 0.03125]", "--out", str(out)]) == 1
+    with mock.patch.object(homog, "estimate_U") as campaign:
+        assert main(["rate", "--set", "campaign.eps_list=[0.25, 0.03125]",
+                     "--out", str(out)]) == 1
+    campaign.assert_not_called()
     err = capsys.readouterr().err
     assert err.startswith("domain error: environment box")
     assert "does not cover the required solve box [(-16.25,), (48.25,)]" in err

@@ -23,13 +23,13 @@ from hypothesis import strategies as st
 from conftest import ORIENTED, PARAMS, ConstantEnvironment, drawn_games
 from hjhomog import env as env_module
 from hjhomog import pde
-from hjhomog.env import EnvSpec, sample_environment, with_seed
+from hjhomog.env import DomainError, EnvSpec, sample_environment, with_seed
 from hjhomog.families import build
 from hjhomog.game import eval_H_nodes, shift_momentum, velocities
-from hjhomog.homog import _ols, _sup_errors, rate_experiment, solve_box_for
+from hjhomog.homog import _ols, _solve_batches, _sup_errors, rate_experiment, solve_box_for
 from hjhomog.pde import (SolveConfig, _march, _plan_window, _precompute_cost, linear_datum,
                          sl_plan, sl_step_cost, solve_lf, solve_sl_batch)
-from hjhomog.rng import derive_seed
+from hjhomog.rng import derive_seed, derive_seeds
 
 # ---------------------------------------------------------------------------
 # reference kernels
@@ -66,7 +66,8 @@ def ref_solve_sl_batch(plan, step_cost, g):
     M = step_cost.shape[1]
     corners = [plan.corners[s] for s in plan.stencil]    # one stencil per pair
 
-    def step(v, active):
+    def step(v, k):
+        active = plan.active(k)
         out_sl = (slice(None),) + tuple(slice(lo, hi) for lo, hi in active)
         size = tuple(hi - lo for lo, hi in active)
         cand = np.empty((len(corners), M) + size)
@@ -82,7 +83,8 @@ def ref_solve_sl_batch(plan, step_cost, g):
     v = np.broadcast_to(
         np.asarray(g(grid.nodes()), dtype=np.float64).reshape(grid.shape),
         (M,) + grid.shape)
-    return _march(plan, v, step)
+    return _march(plan, v, step, lambda v, active, t: grid.window_field(
+        np.moveaxis(v, 0, -1), active, t))
 
 
 def ref_eval_H_nodes(gh, cost, P):
@@ -107,7 +109,7 @@ def ref_solve_lf(gh, env, cfg, g):
     nu = sigma * grid.dx / 2.0
     inner = (slice(1, -1),) * d
 
-    def step(v, active):
+    def step(v, k):
         for rings_left in range(n_sub - 1, -1, -1):
             P = np.empty(tuple(n - 2 for n in v.shape) + (d,))
             visc = np.zeros(P.shape[:-1])
@@ -116,13 +118,13 @@ def ref_solve_lf(gh, env, cfg, g):
                 dn = inner[:i] + (slice(None, -2),) + inner[i + 1:]
                 P[..., i] = (v[up] - v[dn]) / (2.0 * grid.dx)
                 visc += nu[i] * (v[up] - 2.0 * v[inner] + v[dn]) / grid.dx**2
-            window = tuple(slice(lo - rings_left, hi + rings_left) for lo, hi in active)
+            window = tuple(slice(lo - rings_left, hi + rings_left) for lo, hi in win.active(k))
             H = ham(window, P.reshape(-1, d)).reshape(P.shape[:-1])
             v = v[inner] - dt_sub * H + dt_sub * visc
         return v
 
     v = np.asarray(g(grid.nodes()), dtype=np.float64).reshape(grid.shape)
-    return _march(win, v, step, substeps_per_step=n_sub)
+    return _march(win, v, step, grid.window_field, substeps_per_step=n_sub)
 
 
 def ref_rate_experiment(gh, env_spec, theta, eps_list, R, T, M, H_bar, dx, dt, base_seed,
@@ -448,11 +450,11 @@ def test_sl_step_breaks_signed_zero_ties_as_the_reductions(game, M, dt, steps, s
     assert same_bits(one.final.values, want.final.values[0])
 
 
-def march_peak(plan, cost) -> int:
+def march_peak(plan, cost, **kwargs) -> int:
     """Peak bytes traced while solve_sl_batch marches cost."""
     tracemalloc.start()
     try:
-        solve_sl_batch(plan, cost)
+        solve_sl_batch(plan, cost, **kwargs)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -495,6 +497,113 @@ def test_sl_march_holds_no_per_pair_table_in_1d():
                    box_lo=box[0], box_hi=box[1], seed=2026)
     cost = sl_step_cost(gh, sample_environment(spec, list(range(M))), plan)
     assert march_peak(plan, cost) < march_bound(plan, M)
+
+
+# ---------------------------------------------------------------------------
+# the campaign's probe reads
+
+# a 1-D game whose foot points fall between nodes, and the 2-D saddle game,
+# with probes on nodes and between them inside the final window [-0.5, 0.5]^d
+READ_CASES = {
+    1: (build("transport", {"speed": 1.25}, 1), TRANSPORT_1D_ENV,
+        np.array([[0.0], [0.25], [0.1], [-0.4], [0.5], [-0.5]])),
+    2: (SADDLE_CASE[0], SADDLE_CASE[1],
+        np.array([[0.0, 0.0], [0.25, -0.5], [0.1, 0.3], [-0.4, 0.05], [0.5, 0.5]])),
+}
+
+
+def read_case(dim, steps=3, dt=0.25):
+    """A READ_CASES game, its config recorded at 0, dt and T, a field law
+    covering the box, and the probes."""
+    gh, env, probes = READ_CASES[dim]
+    box = solve_box_for(gh.f_pairs, "semi-lagrangian", steps * dt, dt, 0.25, report_radius=0.5)
+    cfg = SolveConfig(scheme="semi-lagrangian", dt=dt, dx=0.25, T=steps * dt,
+                      box_lo=box[0], box_hi=box[1], record_times=(0.0, dt, steps * dt))
+    return gh, cfg, covering_env(env, box).spec, probes
+
+
+def field_reads(res, probes, times) -> np.ndarray:
+    """The probes read from each record time's Field: (n_times, n, *M)."""
+    stencil = pde.probe_stencil(res.final.grid, probes)
+    return np.stack([res.at_time(t).value_at(probes, stencil=stencil).T for t in times])
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("M", [1, 5])
+@pytest.mark.parametrize("g", [pde.zero_datum, negative_zero_datum, signed_zero_datum,
+                               "linear"])
+def test_probe_reads_equal_field_reads(dim, M, g):
+    gh, cfg, spec, probes = read_case(dim)
+    plan = sl_plan(gh, cfg)
+    g = linear_datum(np.linspace(0.5, -0.25, dim)) if g == "linear" else g
+    stencil = pde.probe_stencil(plan.grid, probes)
+    field_cost = sl_step_cost(gh, sample_environment(spec, spec.seed + np.arange(M)), plan)
+    zero_cost = np.where(np.random.default_rng(M).integers(0, 2, size=field_cost.shape) == 0,
+                         0.0, -0.0)
+    # a batch of M, ties between zeros of either sign, and a table without
+    # the realization axis
+    for cost, lead in ((field_cost, M), (zero_cost, M), (field_cost[:, 0], 1)):
+        got = solve_sl_batch(plan, cost, g, probes=stencil)
+        reads = np.stack([got.at_time(t) for t in cfg.record_times])
+        assert same_bits(reads, field_reads(solve_sl_batch(plan, cost, g), probes,
+                                            cfg.record_times))
+        assert same_bits(got.final, reads[-1])
+        assert got.telemetry[-1]["probes_read"] == 3 * len(probes) * lead
+    # T not among the record times: the final values are one read more
+    short = sl_plan(gh, replace(cfg, record_times=(cfg.dt,)))
+    got = solve_sl_batch(short, field_cost, g, probes=stencil)
+    want = solve_sl_batch(short, field_cost, g).final.value_at(probes, stencil=stencil)
+    assert same_bits(got.final, want.T)
+    assert got.telemetry[-1]["probes_read"] == 2 * len(probes) * M
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("M", [1, 5])
+def test_campaign_reads_equal_field_reads(dim, M):
+    gh, cfg, spec, probes = read_case(dim)
+    theta = np.linspace(0.3, -0.2, dim)
+    seeds = derive_seeds(11, np.arange(M))
+    plan = sl_plan(gh, cfg)
+    res = solve_sl_batch(plan, sl_step_cost(shift_momentum(gh, theta),
+                                            sample_environment(spec, seeds), plan))
+    want = field_reads(res, probes, cfg.record_times)
+    with mock.patch.object(pde.Grid, "window_field", side_effect=AssertionError("a Field")):
+        got = _solve_batches(gh, spec, seeds, theta, cfg, probes)
+        assert same_bits(got, want)
+        # in batches of two
+        got = _solve_batches(gh, spec, seeds, theta, cfg, probes, cap_bytes=2 * plan.cost_bytes)
+        assert same_bits(got, want)
+
+
+def test_campaign_refuses_a_probe_outside_the_window_as_a_field_read_does():
+    gh, cfg, spec, probes = read_case(1)
+    seeds = derive_seeds(11, np.arange(2))
+    outside = np.concatenate([probes, [[1.9]]])    # in the window until 2 dt, not at T
+    plan = sl_plan(gh, cfg)
+    res = solve_sl_batch(plan, sl_step_cost(gh, sample_environment(spec, seeds), plan))
+    with pytest.raises(DomainError, match="outside active box") as field_read:
+        field_reads(res, outside, cfg.record_times)
+    with pytest.raises(DomainError) as campaign_read:
+        _solve_batches(gh, spec, seeds, np.zeros(1), cfg, outside)
+    assert str(campaign_read.value) == str(field_read.value)
+    assert f"at t={cfg.T}" in str(campaign_read.value)
+
+
+def test_campaign_march_allocates_no_grid_per_record_time():
+    """The 1-D bound of the march, recorded at every step: a Field per record
+    time would not fit it, the probe reads do."""
+    gh = build("saddle-game", {}, 1)
+    box = ((-2.0,), (66.0,))
+    cfg = SolveConfig(scheme="semi-lagrangian", dt=0.25, dx=0.25, T=32.0, box_lo=box[0],
+                      box_hi=box[1], record_times=tuple(0.25 * k for k in range(129)))
+    plan = sl_plan(gh, cfg)
+    M = 32
+    spec = EnvSpec(dimension=1, rho=1.0, bump_radius=0.5, amp_lo=0.0, amp_hi=1.0, channels=4,
+                   box_lo=box[0], box_hi=box[1], seed=2026)
+    cost = sl_step_cost(gh, sample_environment(spec, list(range(M))), plan)
+    stencil = pde.probe_stencil(plan.grid, np.array([[0.0], [0.3]]))
+    assert march_peak(plan, cost) > 2 * march_bound(plan, M)
+    assert march_peak(plan, cost, probes=stencil) < march_bound(plan, M)
 
 
 def test_saddle_game_pairs_share_two_stencils():
