@@ -9,7 +9,7 @@ DEFAULTS and checked before a command runs, and is echoed to config.echo.json
 refusal writes nothing.
 
 Exit codes: 0 all assertions passed, 1 configuration error or library
-refusal (domain, orientation or CFL error), 2 assertion failure.
+refusal (domain or orientation error), 2 assertion failure.
 """
 from __future__ import annotations
 
@@ -29,8 +29,8 @@ from . import __version__, families, homog
 from .env import DomainError, EnvSpec, sample_environment
 from .game import (GameHamiltonian, OrientationError, certify_constants, eval_H, localize,
                    shift_momentum, verify_localization)
-from .pde import (CFLError, SolveConfig, check_comparison, check_lipschitz, check_scaling,
-                  linear_datum, solve, zero_datum)
+from .pde import (SolveConfig, check_comparison, check_lipschitz, check_scaling, linear_datum,
+                  solve, zero_datum)
 
 
 class ConfigError(ValueError):
@@ -443,17 +443,18 @@ def cmd_verify(run: Run, out: Path, workers: int) -> int:
     scfg = dataclasses.replace(run.solver, record_times=recs)
 
     # strip perturbation bound
+    mid = 0.5 * float((np.asarray(scfg.box_lo) + np.asarray(scfg.box_hi)) @ consts.e)
+    width = 2.0 * spec.rho
     try:
-        mid = 0.5 * float((np.asarray(scfg.box_lo) + np.asarray(scfg.box_hi)) @ consts.e)
-        width = 2.0 * spec.rho
         strip = homog.strip_experiment(
             gh, env, mid - width / 2, mid + width / 2,
             shift=np.full(d, 3 * spec.rho), theta=np.zeros(d), t=scfg.T,
             dx=scfg.dx, dt=scfg.dt, box=(scfg.box_lo, scfg.box_hi))
+    except OrientationError as exc:   # an unoriented game fails this check, not the run
+        record("strip_bound", False, {"error": str(exc)})
+    else:
         record("strip_bound",
                strip["observed"] <= strip["bound"] + 5 * scfg.dx, strip)
-    except Exception as exc:          # noqa: BLE001 - reported, not raised
-        record("strip_bound", False, {"error": str(exc)})
 
     # a-priori Lipschitz bounds on a seeded run
     res = solve(gh, env, scfg, zero_datum)
@@ -543,7 +544,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"assertion failure: {exc}", file=sys.stderr)
         return 2
     except (ValueError, KeyError) as exc:
-        label = {DomainError: "domain", OrientationError: "orientation", CFLError: "CFL"}
+        label = {DomainError: "domain", OrientationError: "orientation"}
         print(f"{label.get(type(exc), 'config')} error: {exc}", file=sys.stderr)
         return 1
     _write_json(out, "config.echo.json", _stamp(run.cfg, {"config": run.cfg}))

@@ -228,10 +228,10 @@ def shift_momentum(gh: GameHamiltonian, theta: np.ndarray) -> GameHamiltonian:
     return replace(gh, theta=gh.theta_vec + theta, shift_table=table)
 
 
-def certify_constants(gh: GameHamiltonian, e: np.ndarray | None = None) -> HamiltonianConstants:
+def certify_constants(gh: GameHamiltonian) -> HamiltonianConstants:
     """Compute (beta, delta, e, ...) making (H1)-(H3) hold for eval_H.
 
-    The direction is ``e`` or else the game's ``orientation_hint``; the cost
+    The direction e is the game's ``orientation_hint``; the cost
     certificates are the game's own, so a field game must first have them
     bound from its environment.  ``delta`` is the achieved margin
     min <f(a,b), e>, reported as-is; a nonpositive value marks the game as
@@ -240,11 +240,9 @@ def certify_constants(gh: GameHamiltonian, e: np.ndarray | None = None) -> Hamil
     if np.isnan(gh.lip_l) or np.isnan(gh.l_inf):
         raise ValueError("the game's cost certificates (lip_l, l_inf) are unset; "
                          "bind them from the environment with families.bind_env_constants")
-    if e is None:
-        e = gh.orientation_hint
-    if e is None:
-        raise ValueError("no orientation direction: pass e or set the game's orientation_hint")
-    e = np.asarray(e, dtype=np.float64)
+    if gh.orientation_hint is None:
+        raise ValueError("no orientation direction: set the game's orientation_hint")
+    e = np.asarray(gh.orientation_hint, dtype=np.float64)
     e = e / np.linalg.norm(e)
     delta = float(np.min(gh.f_pairs @ e))
     f_inf, l_inf = gh.f_inf, gh.l_inf_shifted
@@ -326,9 +324,8 @@ def verify_localization(
     R: float,
     v: np.ndarray,
     pi: np.ndarray,
-    n_probes: int = 40,
 ) -> dict:
-    """Sup over seeded random probes (x in [-1, 1]^d, |p| <= R) of
+    """Sup over 40 seeded random probes (x in [-1, 1]^d, |p| <= R) of
     |eval_H - (G(x, pi p) + <p, v>)|.
 
     The probe set always includes a momentum with |p| = R exactly (the
@@ -340,6 +337,7 @@ def verify_localization(
     v = np.asarray(v, dtype=np.float64)
     pi = np.asarray(pi, dtype=np.float64)
     d = v.shape[0]
+    n_probes = 40
     xs = rng.uniform(-1.0, 1.0, size=(n_probes, d))
     ps = rng.normal(size=(n_probes, d))
     ps /= np.linalg.norm(ps, axis=1, keepdims=True)
@@ -355,7 +353,7 @@ def verify_localization(
     return {
         "max_error": float(errs.max()),
         "mean_error": float(errs.mean()),
-        "n_probes": int(n_probes),
+        "n_probes": n_probes,
         "n_a": int(gh.n_a),
         "n_b": int(gh.n_b),
     }

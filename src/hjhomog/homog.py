@@ -144,7 +144,7 @@ def _shutdown_pool() -> None:
 
 
 def _solve_batches(game, env_spec, seeds, theta, cfg: SolveConfig, probes,
-                   workers: int = 1, cap_bytes: int | None = None) -> np.ndarray:
+                   workers: int = 1) -> np.ndarray:
     """u_theta at the probes (n, d) at each record time, per seed of env_spec's law.
 
     Returns (n_times, n, len(seeds)); column m is realization seeds[m]'s own
@@ -152,20 +152,16 @@ def _solve_batches(game, env_spec, seeds, theta, cfg: SolveConfig, probes,
     by name; with workers > 1 it must be the latter, and each worker of the
     process's campaign pool runs one contiguous chunk of the seeds.  The
     realizations share the stencil, so they are solved together, in batches
-    whose stacked cost table fits ``cap_bytes`` (BATCH_COST_BYTES when None,
-    read here, so that every pool task carries the caller's cap); each batch
-    is one seed-batched environment and one cost-table call.  The batch's
+    whose stacked cost table fits BATCH_COST_BYTES; each batch is one
+    seed-batched environment and one cost-table call.  The batch's
     environment, and the values its memo holds, are freed before the march,
     which reads the probes (one ``probe_stencil`` per call) and builds no Field.
     """
-    if cap_bytes is None:
-        cap_bytes = BATCH_COST_BYTES
     if workers > 1:
         from concurrent.futures.process import BrokenProcessPool
 
         chunks = [c for c in np.array_split(seeds, workers) if len(c)]
-        run = partial(_solve_batches, game, env_spec, theta=theta, cfg=cfg, probes=probes,
-                      cap_bytes=cap_bytes)
+        run = partial(_solve_batches, game, env_spec, theta=theta, cfg=cfg, probes=probes)
         with _POOL_LOCK:
             try:
                 parts = list(_pool(workers).map(run, chunks))
@@ -178,7 +174,7 @@ def _solve_batches(game, env_spec, seeds, theta, cfg: SolveConfig, probes,
         game = families.build(game[0], game[1], env_spec.dimension)
     plan = sl_plan(game, cfg)
     shifted = shift_momentum(game, theta)
-    per = max(1, cap_bytes // plan.cost_bytes)
+    per = max(1, BATCH_COST_BYTES // plan.cost_bytes)
     stencil = probe_stencil(plan.grid, probes)
     parts = []
     for lo in range(0, len(seeds), per):
@@ -467,7 +463,7 @@ def check_subadditivity(table: UTable) -> dict:
     }
 
 
-def extract_effective_H(table: UTable, K_hat: float | None = None) -> EffectiveEstimate:
+def extract_effective_H(table: UTable) -> EffectiveEstimate:
     """Effective Hamiltonian at theta with an honest confidence band.
 
     H_hat = -U(t_max)/t_max; the bias band A (ln t / t)^(1/2) uses A fitted
@@ -481,10 +477,9 @@ def extract_effective_H(table: UTable, K_hat: float | None = None) -> EffectiveE
     t_max = table.times[-1]
     H_hat = -float(mu[-1]) / t_max
     sub = check_subadditivity(table)
-    if K_hat is None:
-        # defect noise floor: do not let pure MC noise zero the band
-        noise = max((r["normalized_se"] for r in sub["defects"]), default=0.0)
-        K_hat = max(sub["K_hat_implied"], noise)
+    # defect noise floor: do not let pure MC noise zero the band
+    noise = max((r["normalized_se"] for r in sub["defects"]), default=0.0)
+    K_hat = max(sub["K_hat_implied"], noise)
     bias = K_hat * A_OVER_KHAT * math.sqrt(max(math.log(t_max), math.log(2.0)) / t_max)
     mc = float(se[-1]) / t_max
     ratios = [-float(m) / t for m, t in zip(mu, table.times)]
@@ -572,15 +567,14 @@ def _sup_errors(gh: GameHamiltonian, env_spec, seeds, theta, eps: float, R: floa
 
 def rate_experiment(gh: GameHamiltonian, env_spec, theta, eps_list, R: float,
                     T: float, M: int, H_bar: float, dx: float, dt: float,
-                    base_seed: int, K_hat: float | None = None,
-                    calibration_fraction: float = 1.0) -> dict:
+                    base_seed: int) -> dict:
     """Convergence-rate study for linear data.
 
     Per epsilon, per sample: sup over [0,T] x B_R of the distance between
     the scaled solution and its homogenized limit; reports quantiles, the
     log-log slope of the median against epsilon (in SLOPE_BAND or not), and
-    the exceedance of the split-sample calibrated threshold
-    K_hat sqrt(-eps ln eps).
+    the exceedance of the threshold K_hat sqrt(-eps ln eps), with K_hat
+    calibrated on a separate bank of max(4, M) seeds per epsilon.
     """
     eps_list = sorted(float(e) for e in eps_list)
     if any(e > 0.5 for e in eps_list):
@@ -593,7 +587,7 @@ def rate_experiment(gh: GameHamiltonian, env_spec, theta, eps_list, R: float,
 
     # one batch per epsilon: the calibration samples (tag 1), then the test
     # samples (tag 2); every epsilon's seeds come from one call
-    m_cal = max(4, int(M * calibration_fraction)) if K_hat is None else 0
+    m_cal = max(4, M)
     tags = np.repeat([1, 2], [m_cal, M])
     index = np.concatenate([np.arange(m_cal), np.arange(M)])
     seeds = derive_seeds(base_seed, tags, np.arange(len(eps_list))[:, None], index)
@@ -602,11 +596,10 @@ def rate_experiment(gh: GameHamiltonian, env_spec, theta, eps_list, R: float,
         cal[eps], test[eps] = np.split(
             _sup_errors(gh, env_spec, bank, theta, eps, R, T, H_bar, dx, dt), [m_cal])
 
-    if K_hat is None:
-        ratios = np.concatenate([
-            cal[eps] / math.sqrt(-eps * math.log(eps)) for eps in eps_list
-        ])
-        K_hat = 1.25 * float(ratios.max())
+    ratios = np.concatenate([
+        cal[eps] / math.sqrt(-eps * math.log(eps)) for eps in eps_list
+    ])
+    K_hat = 1.25 * float(ratios.max())
 
     medians = {eps: float(np.median(test[eps])) for eps in eps_list}
     spread = all(np.std(test[eps]) > 1e-12 or medians[eps] > 1e-12

@@ -34,7 +34,8 @@ from .game import GameHamiltonian, eval_H_nodes, shift_momentum, velocities
 
 
 class CFLError(ValueError):
-    pass
+    """A CFL refusal.  LF substeps to meet the bound, so no solver raises it;
+    it stays exported for callers that catch it."""
 
 
 @dataclass(frozen=True)
@@ -103,21 +104,17 @@ class Field:
                        for i in range(self.grid.dim)])
         return lo, hi
 
-    def value_at(self, x, stencil: "ProbeStencil | None" = None):
+    def value_at(self, x):
         """Multilinear interpolation; refuses to read outside the active box.
 
         ``x`` is one point (d,), giving a float, or points (n, d), giving
         (n,); a batched field puts its realization axis first.  Each value
-        is accumulated from 0.0 over the cell corners in order.  ``stencil``
-        is ``probe_stencil(self.grid, x)``, passed by a caller that reads the
-        same probes at several times; None works it out here.
+        is accumulated from 0.0 over the cell corners in order.
         """
         x = np.asarray(x, dtype=np.float64)
-        if stencil is None:
-            stencil = probe_stencil(self.grid, x)
         lead = range(self.values.ndim - self.grid.dim)
         window = np.moveaxis(self.active_values(), lead, range(-len(lead), 0))
-        out = np.moveaxis(stencil.read(window, self.active, self.t), 0, -1)
+        out = np.moveaxis(probe_stencil(self.grid, x).read(window, self.active, self.t), 0, -1)
         if x.ndim > 1:
             return out
         return float(out[0]) if out.ndim == 1 else out[..., 0]
@@ -215,7 +212,6 @@ class SolveConfig:
     box_hi: tuple[float, ...]
     epsilon: float = 1.0
     record_times: tuple[float, ...] = ()
-    lf_substep: bool = True           # split dt to satisfy the CFL bound
     cfl_limit: ClassVar[float] = 0.9  # Courant number that keeps LF monotone
 
     def validate(self) -> None:
@@ -528,12 +524,6 @@ def solve_lf(gh: GameHamiltonian, env, cfg: SolveConfig,
     """
     cfg.validate()
     sigma = np.abs(gh.f_pairs).max(axis=0)            # per-axis viscosity speed
-    if lf_substeps(sigma, cfg.dt, cfg.dx) > 1 and not cfg.lf_substep:
-        raise CFLError(
-            f"CFL violated: dt*({np.sum(2 * sigma)})/dx = "
-            f"{cfg.dt * np.sum(2 * sigma) / cfg.dx:.3g} > {cfg.cfl_limit}; "
-            f"enable substepping or reduce dt"
-        )
     win = _plan_window(cfg, gh.f_pairs, "lax-friedrichs")
     grid = win.grid
     d = grid.dim

@@ -218,8 +218,7 @@ def test_criterion_09_rate_of_convergence(campaign_table):
     rep = rate_experiment(transport(1.0), s, theta=[0.0],
                           eps_list=[0.25, 0.125, 0.0625, 0.03125],
                           R=0.5, T=1.0, M=64, H_bar=est.H_hat,
-                          dx=0.0625, dt=0.0625, base_seed=777,
-                          calibration_fraction=0.25)
+                          dx=0.0625, dt=0.0625, base_seed=777)
     elapsed = time.perf_counter() - t0
     if not rep["conclusive"]:
         report(9, "rate slope INCONCLUSIVE within error bars "

@@ -109,9 +109,8 @@ def batched(c, workers=1) -> np.ndarray:
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(c=campaigns(), split=st.integers(1, 5))
 def test_batched_campaign_equals_per_realization_solves(c, split):
-    # cap the stacked cost table at `split` realizations to force sub-batches;
-    # the runner takes the cap as an argument, and estimate_U's default cap is
-    # read in this process and carried in every pool task
+    # cap the stacked cost table at `split` realizations to force sub-batches
+    # in this process; pool workers batch by their own cap, which changes no bit
     cfg = SolveConfig(scheme="semi-lagrangian", dt=c["dt"], dx=c["dx"], T=max(c["times"]),
                       box_lo=c["box"][0], box_hi=c["box"][1], record_times=tuple(c["times"]))
     cap = split * sl_plan(c["game"], cfg).cost_bytes
@@ -119,8 +118,8 @@ def test_batched_campaign_equals_per_realization_solves(c, split):
     game = c["family_desc"] if c["workers"] > 1 else c["game"]
     with mock.patch.object(homog, "BATCH_COST_BYTES", cap):
         table = batched(c, c["workers"])
-    got = homog._solve_batches(game, c["spec"], seeds, np.asarray(c["theta"]), cfg,
-                               c["probes"], c["workers"], cap_bytes=cap)
+        got = homog._solve_batches(game, c["spec"], seeds, np.asarray(c["theta"]), cfg,
+                                   c["probes"], c["workers"])
     want = per_realization(c)
     assert got.shape == (len(c["times"]), len(c["probes"]), c["M"])
     assert got.tobytes() == want.tobytes()
@@ -157,11 +156,12 @@ def test_batch_environment_is_freed_before_its_march():
         alive.append([ref() is not None for ref in envs])
         return march(*a, **k)
 
-    with mock.patch.object(homog, "sample_environment", sampling), \
-            mock.patch.object(homog, "solve_sl_batch", marching):
-        got = homog._solve_batches(*args, cap_bytes=cap)
+    with mock.patch.object(homog, "BATCH_COST_BYTES", cap):
+        with mock.patch.object(homog, "sample_environment", sampling), \
+                mock.patch.object(homog, "solve_sl_batch", marching):
+            got = homog._solve_batches(*args)
+        assert got.tobytes() == homog._solve_batches(*args).tobytes()
     assert alive == [[False], [False, False], [False, False, False]]
-    assert got.tobytes() == homog._solve_batches(*args, cap_bytes=cap).tobytes()
 
 
 def test_pool_without_family_desc_is_refused():
@@ -304,11 +304,8 @@ def test_vectorized_value_at_equals_scalar_reads(fp):
     want = np.array([scalar_value_at(fld, p) for p in pts])
     assert got.shape == (len(pts),)
     assert got.tobytes() == want.tobytes()
-    assert fld.value_at(pts, stencil=probe_stencil(fld.grid, pts)).tobytes() == want.tobytes()
     assert np.array([fld.value_at(p) for p in pts]).tobytes() == want.tobytes()
     assert all(isinstance(fld.value_at(p), float) for p in pts[:2])
-    one = fld.value_at(pts[0], stencil=probe_stencil(fld.grid, pts[0]))
-    assert isinstance(one, float) and np.float64(one).tobytes() == want[:1].tobytes()
 
 
 @settings(max_examples=20, deadline=None)
@@ -323,10 +320,6 @@ def test_batched_field_reads_each_realization(fp):
     assert got[0].tobytes() == fld.value_at(pts).tobytes()
     assert got[1].tobytes() == other.value_at(pts).tobytes()
     assert both.value_at(pts[0]).tobytes() == got[:, 0].tobytes()
-    stencil = probe_stencil(fld.grid, pts)
-    assert both.value_at(pts, stencil=stencil).tobytes() == got.tobytes()
-    assert both.value_at(pts[0], stencil=probe_stencil(fld.grid, pts[0])).tobytes() \
-        == got[:, 0].tobytes()
 
 
 @settings(max_examples=20, deadline=None)
@@ -343,10 +336,6 @@ def test_value_at_refuses_points_outside_active_box(fp, side, reach, axis):
     for probes in (bad[0], np.concatenate([pts, bad, further])):
         with pytest.raises(DomainError, match="active box") as plain:
             fld.value_at(probes)
-        # the same probe, box and t named through a precomputed stencil
-        with pytest.raises(DomainError) as stenciled:
-            fld.value_at(probes, stencil=probe_stencil(fld.grid, probes))
-        assert str(stenciled.value) == str(plain.value)
         assert f"probe {bad[0]} outside active box" in str(plain.value)
 
 
@@ -354,9 +343,10 @@ def test_value_at_refuses_points_outside_active_box(fp, side, reach, axis):
 @given(dim=st.sampled_from([1, 2]), M=st.integers(1, 3), seed=st.integers(0, 1000),
        unit=st.lists(st.floats(0.0, 1.0), min_size=2, max_size=10))
 def test_one_stencil_reads_every_record_time(dim, M, seed, unit):
-    # a campaign works the stencil out once and reads each record time of a
-    # batched solve through it; probes inside the last window are read at
-    # every time, probes outside it are refused at the times that lose them
+    # a campaign works the stencil out once and the batched solve reads each
+    # record time through it; probes inside the last window are read at every
+    # time as a Field read gives them, probes outside it are refused at the
+    # first time that loses them, as a Field read refuses them
     game = build("saddle-game", {}, dim)
     box = sl_box(game, 1.0, 0.25, 0.25, margin=1.0)
     spec = EnvSpec(dimension=dim, rho=1.0, bump_radius=0.5, amp_lo=0.0, amp_hi=1.0,
@@ -364,26 +354,30 @@ def test_one_stencil_reads_every_record_time(dim, M, seed, unit):
     times = (0.25, 0.5, 0.75, 1.0)
     plan = sl_plan(game, SolveConfig(scheme="semi-lagrangian", dt=0.25, dx=0.25, T=1.0,
                                      box_lo=box[0], box_hi=box[1], record_times=times))
-    res = solve_sl_batch(plan, sl_step_cost(game, sample_environment(spec, list(range(M))),
-                                            plan))
+    cost = sl_step_cost(game, sample_environment(spec, list(range(M))), plan)
+    res = solve_sl_batch(plan, cost)
     lo, hi = res.final.active_box()
     eighths = np.round(np.array(unit[:len(unit) // dim * dim]).reshape(-1, dim) * 8.0) / 8.0
     inside = lo + eighths * (hi - lo)
     wide = np.concatenate([inside, [hi + 0.125 + 0.25 * (seed % 3)]])
     for pts in (inside, wide):
-        stencil = probe_stencil(plan.grid, pts)
+        want, refusal = [], None
         for t in times:
-            snap = res.at_time(t)
             try:
-                want = snap.value_at(pts)
+                want.append(res.at_time(t).value_at(pts).T)
             except DomainError as plain:
-                with pytest.raises(DomainError) as stenciled:
-                    snap.value_at(pts, stencil=stencil)
-                assert str(stenciled.value) == str(plain)
-                continue
-            assert snap.value_at(pts, stencil=stencil).tobytes() == want.tobytes()
+                refusal = str(plain)
+                break
+        if refusal is None:
+            got = solve_sl_batch(plan, cost, probes=probe_stencil(plan.grid, pts))
+            assert np.stack([got.at_time(t) for t in times]).tobytes() \
+                == np.stack(want).tobytes()
+        else:
+            with pytest.raises(DomainError) as stenciled:
+                solve_sl_batch(plan, cost, probes=probe_stencil(plan.grid, pts))
+            assert str(stenciled.value) == refusal
     with pytest.raises(DomainError):
-        res.final.value_at(wide, stencil=probe_stencil(plan.grid, wide))
+        res.final.value_at(wide)
 
 
 def test_value_at_maps_negative_zero_to_zero():

@@ -186,6 +186,31 @@ def test_verify_records_at_the_step_nearest_each_quarter(tmp_path):
     assert all(c["passed"] for c in rep["checks"].values())
 
 
+def test_verify_strip_check_outside_the_field_box_is_a_domain_refusal(tmp_path, capsys):
+    # the strip's shifted field is read 3 rho below the solver box, past the
+    # environment box; verify used to report that as a failed check and exit 2
+    out = tmp_path / "o"
+    assert main(["verify", "--set", "environment.dimension=2",
+                 "--set", "environment.box_lo=[-2,-2]", "--set", "environment.box_hi=[12,12]",
+                 "--set", "solver.box_lo=[-1,-1]", "--set", "solver.box_hi=[10,10]",
+                 "--set", "campaign.thetas=[[0,0]]", "--set", "solver.T=2",
+                 "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("domain error:") and "outside environment box" in err
+    assert not out.exists()
+
+
+def test_verify_on_an_unoriented_game_fails_only_its_orientation_checks(tmp_path):
+    out = tmp_path / "o"
+    assert main(["verify", "--set", "hamiltonian.params.speed=0.0", "--out", str(out)]) == 2
+    checks = json.loads((out / "verify.report.json").read_text())["checks"]
+    assert not checks["orientation"]["passed"]
+    assert not checks["strip_bound"]["passed"]
+    assert "dynamics not oriented" in checks["strip_bound"]["detail"]["error"]
+    assert all(c["passed"] for name, c in checks.items()
+               if name not in ("orientation", "strip_bound"))
+
+
 def test_rate_time_grid_is_refused_before_the_campaign(tmp_path, capsys):
     # T/eps = 1.2 is off the rate_dt = 0.0625 grid; the refusal used to come
     # after the whole H-bar campaign, naming no field

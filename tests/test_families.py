@@ -137,9 +137,9 @@ def test_certify_refuses_unset_cost_certificates():
 
 def test_certify_refuses_a_game_without_a_direction():
     gh = replace(transport(-1.0), lip_l=0.0, l_inf=0.0, orientation_hint=None)
-    with pytest.raises(ValueError, match="pass e or set the game's orientation_hint"):
+    with pytest.raises(ValueError, match="set the game's orientation_hint"):
         certify_constants(gh)
-    assert certify_constants(gh, e=[-2.0]).delta == 1.0
+    assert certify_constants(replace(gh, orientation_hint=[-2.0])).delta == 1.0
 
 
 @pytest.mark.parametrize("name", sorted(FAMILIES))

@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -116,15 +117,15 @@ def test_non_coercivity_direction():
 
 def test_certify_examples():
     gh = two_speed_control((1.0,), dim=2)
-    c = certify_constants(replace(gh, lip_l=0.0, l_inf=0.0), e=[1.0, 0.0])
+    c = certify_constants(replace(gh, lip_l=0.0, l_inf=0.0, orientation_hint=[1.0, 0.0]))
     assert c.delta == 1.0
 
     f = np.array([[[1.0, 0.5]], [[1.0, -0.5]]])
     gh2 = GameHamiltonian(actions_a=np.zeros((2, 1)), actions_b=np.zeros((1, 1)),
                           f_table=f, base_cost=lambda pts, env: np.zeros(
                               (np.atleast_2d(pts).shape[0], 2, 1)),
-                          lip_l=0.0, l_inf=0.0)
-    c2 = certify_constants(gh2, e=[1.0, 0.0])
+                          lip_l=0.0, l_inf=0.0, orientation_hint=[1.0, 0.0])
+    c2 = certify_constants(gh2)
     assert c2.delta == 1.0
     assert c2.f_inf == pytest.approx(np.sqrt(1.25), abs=1e-15)
 
@@ -143,7 +144,7 @@ def test_certified_delta_is_exact_min():
 def test_orientation_refusal():
     # a-controlled sign makes the drift straddle zero: never oriented
     gh = two_speed_control((-1.0, 1.0))
-    c = certify_constants(replace(gh, lip_l=0.0, l_inf=0.0), e=[1.0])
+    c = certify_constants(replace(gh, lip_l=0.0, l_inf=0.0, orientation_hint=[1.0]))
     assert not c.oriented
     with pytest.raises(OrientationError):
         c.require_oriented()
@@ -281,7 +282,11 @@ def test_verify_localization_refinement():
 
 
 def test_verify_includes_boundary_probe():
-    # affine G representable exactly; also exercises the |p| = R probe
+    # affine G is represented exactly but for the b grid's gaps: the error is
+    # at most the cost's Lipschitz constant in b, beta + |q0|, times the grid's
+    # covering radius of the ball, which is largest on the rim (inside, a node
+    # lies within h / sqrt(2)); the |p| = R probe points almost along pi's
+    # image (0, 1), where the rim's gap is widest
     q0 = np.array([0.0, 0.4])
 
     def G(pts, Q):
@@ -290,5 +295,9 @@ def test_verify_includes_boundary_probe():
     v = np.array([0.75, 0.0])
     pi = np.array([[0.0, 0.0], [0.0, 1.0]])
     gh = localize(G, beta=1.0, R=1.0, v=v, pi=pi, n_a=48, n_b=48)
-    rep = verify_localization(gh, G, R=1.0, v=v, pi=pi, n_probes=60)
-    assert rep["max_error"] <= 5e-2
+    rep = verify_localization(gh, G, R=1.0, v=v, pi=pi)
+    B = ball_grid(1.0, 48, 2)
+    angle = np.radians(np.arange(360))
+    rim = np.stack([np.cos(angle), np.sin(angle)], axis=1)
+    cover = math.sqrt(np.max(np.min(1.0 + (B**2).sum(axis=1) - 2.0 * rim @ B.T, axis=1)))
+    assert rep["max_error"] <= (1.0 + np.linalg.norm(q0)) * cover

@@ -251,8 +251,7 @@ def test_extract_is_odd_under_sample_negation():
     neg = UTable(theta=t.theta, times=t.times, samples=-t.samples,
                  base_seed=t.base_seed, beta=t.beta)
     # negating every sample flips the estimate; the band is sign-blind
-    assert extract_effective_H(neg, K_hat=1.0).H_hat == pytest.approx(
-        -extract_effective_H(t, K_hat=1.0).H_hat)
+    assert extract_effective_H(neg).H_hat == pytest.approx(-extract_effective_H(t).H_hat)
 
 
 def test_extract_on_real_table_matches_mean_oracle(table):
@@ -388,8 +387,7 @@ def test_rate_small_run_shape():
     mu = sample_environment(s).mean_value
     rep = rate_experiment(transport(1.0), s, theta=[0.0],
                           eps_list=[0.25, 0.125], R=1.0, T=2.0, M=6,
-                          H_bar=-mu, dx=DX, dt=DT, base_seed=11,
-                          calibration_fraction=0.5)
+                          H_bar=-mu, dx=DX, dt=DT, base_seed=11)
     assert set(rep["medians"]) == {0.25, 0.125}
     assert rep["medians"][0.125] < rep["medians"][0.25]
     assert rep["K_hat"] > 0

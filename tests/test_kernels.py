@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 
 from conftest import ORIENTED, PARAMS, ConstantEnvironment, drawn_games
 from hjhomog import env as env_module
-from hjhomog import pde
+from hjhomog import homog, pde
 from hjhomog.env import DomainError, EnvSpec, sample_environment, with_seed
 from hjhomog.families import build
 from hjhomog.game import eval_H_nodes, shift_momentum, velocities
@@ -128,7 +128,7 @@ def ref_solve_lf(gh, env, cfg, g):
 
 
 def ref_rate_experiment(gh, env_spec, theta, eps_list, R, T, M, H_bar, dx, dt, base_seed,
-                        K_hat=None, calibration_fraction=1.0, slope_band=(0.35, 0.65)):
+                        slope_band=(0.35, 0.65)):
     eps_list = sorted(float(e) for e in eps_list)
     if any(e > 0.5 for e in eps_list):
         raise ValueError("epsilon must be <= 1/2 (outside the valid range)")
@@ -141,15 +141,13 @@ def ref_rate_experiment(gh, env_spec, theta, eps_list, R, T, M, H_bar, dx, dt, b
             per_eps[eps] = _sup_errors(gh, env_spec, seeds, theta, eps, R, T, H_bar, dx, dt)
         return per_eps
 
-    m_cal = max(4, int(M * calibration_fraction))
-    cal = bank(1, m_cal) if K_hat is None else None
+    cal = bank(1, max(4, M))
     test = bank(2, M)
 
-    if K_hat is None:
-        ratios = np.concatenate([
-            cal[eps] / math.sqrt(-eps * math.log(eps)) for eps in eps_list
-        ])
-        K_hat = 1.25 * float(ratios.max())
+    ratios = np.concatenate([
+        cal[eps] / math.sqrt(-eps * math.log(eps)) for eps in eps_list
+    ])
+    K_hat = 1.25 * float(ratios.max())
 
     medians = {eps: float(np.median(test[eps])) for eps in eps_list}
     spread = all(np.std(test[eps]) > 1e-12 or medians[eps] > 1e-12
@@ -524,8 +522,7 @@ def read_case(dim, steps=3, dt=0.25):
 
 def field_reads(res, probes, times) -> np.ndarray:
     """The probes read from each record time's Field: (n_times, n, *M)."""
-    stencil = pde.probe_stencil(res.final.grid, probes)
-    return np.stack([res.at_time(t).value_at(probes, stencil=stencil).T for t in times])
+    return np.stack([res.at_time(t).value_at(probes).T for t in times])
 
 
 @pytest.mark.parametrize("dim", [1, 2])
@@ -552,7 +549,7 @@ def test_probe_reads_equal_field_reads(dim, M, g):
     # T not among the record times: the final values are one read more
     short = sl_plan(gh, replace(cfg, record_times=(cfg.dt,)))
     got = solve_sl_batch(short, field_cost, g, probes=stencil)
-    want = solve_sl_batch(short, field_cost, g).final.value_at(probes, stencil=stencil)
+    want = solve_sl_batch(short, field_cost, g).final.value_at(probes)
     assert same_bits(got.final, want.T)
     assert got.telemetry[-1]["probes_read"] == 2 * len(probes) * M
 
@@ -571,7 +568,8 @@ def test_campaign_reads_equal_field_reads(dim, M):
         got = _solve_batches(gh, spec, seeds, theta, cfg, probes)
         assert same_bits(got, want)
         # in batches of two
-        got = _solve_batches(gh, spec, seeds, theta, cfg, probes, cap_bytes=2 * plan.cost_bytes)
+        with mock.patch.object(homog, "BATCH_COST_BYTES", 2 * plan.cost_bytes):
+            got = _solve_batches(gh, spec, seeds, theta, cfg, probes)
         assert same_bits(got, want)
 
 
@@ -783,20 +781,18 @@ def test_lf_evaluates_H_once_per_substep_at_every_updated_node():
 
 
 @settings(max_examples=25, deadline=None)
-@given(game=ORIENTED, M=st.integers(1, 7), fraction=st.sampled_from([0.25, 0.5, 1.0]),
-       K_hat=st.sampled_from([None, 0.5]),
+@given(game=ORIENTED, M=st.integers(1, 7),
        eps_list=st.sampled_from([[0.5, 0.25], [0.25, 0.125], [0.5, 0.25, 0.125]]),
        base_seed=st.integers(0, 2**31 - 1))
-@example(game=("saddle-game", {"base_speed": 1.0, "coupling": 0.25}), M=6, fraction=0.5,
-         K_hat=None, eps_list=[0.5, 0.25, 0.125], base_seed=11)
-def test_rate_experiment_equals_bank_by_bank_form(game, M, fraction, K_hat, eps_list, base_seed):
+@example(game=("saddle-game", {"base_speed": 1.0, "coupling": 0.25}), M=6,
+         eps_list=[0.5, 0.25, 0.125], base_seed=11)
+def test_rate_experiment_equals_bank_by_bank_form(game, M, eps_list, base_seed):
     # M < 4 gives a calibration bank larger than the test bank
     gh = build(*game, 1)
     spec = EnvSpec(dimension=1, rho=1.0, bump_radius=0.5, amp_lo=0.0, amp_hi=1.0, channels=1,
                    box_lo=(-48.0,), box_hi=(48.0,), seed=0)
     args = (gh, spec, [0.2], eps_list)
-    kw = dict(R=1.0, T=1.0, M=M, H_bar=-0.5, dx=0.25, dt=0.25, base_seed=base_seed,
-              K_hat=K_hat, calibration_fraction=fraction)
+    kw = dict(R=1.0, T=1.0, M=M, H_bar=-0.5, dx=0.25, dt=0.25, base_seed=base_seed)
     assert repr(rate_experiment(*args, **kw)) == repr(ref_rate_experiment(*args, **kw))
 
 

@@ -8,7 +8,7 @@ from hjhomog.env import DomainError, EnvSpec, sample_environment
 from hjhomog.game import GameHamiltonian
 from hjhomog.families import bind_env_constants, build, saddle_game, transport
 from hjhomog.homog import solve_box_for
-from hjhomog.pde import (CFLError, Grid, SolveConfig, check_comparison,
+from hjhomog.pde import (Grid, SolveConfig, check_comparison,
                          check_lipschitz, check_scaling, linear_datum, solve,
                          solve_lf, solve_sl, zero_datum)
 
@@ -236,14 +236,6 @@ def test_box_exhaustion_raises_with_margin_hint():
         solve_sl(gh, env, cfg("semi-lagrangian", 0.1, 0.1, 5.0, 0.0, 1.0))
     with pytest.raises(DomainError, match="add margin"):
         solve_lf(gh, env, cfg("lax-friedrichs", 0.1, 0.1, 5.0, 0.0, 1.0))
-
-
-def test_cfl_refusal_without_substepping():
-    env = ConstantEnvironment(0.0)
-    gh = bind_env_constants(transport(1.0), env)
-    with pytest.raises(CFLError):
-        solve_lf(gh, env, cfg("lax-friedrichs", 0.2, 0.1, 1.0, -4.0, 6.0,
-                              lf_substep=False))
 
 
 def test_time_grid_validation():

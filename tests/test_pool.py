@@ -1,6 +1,6 @@
 """The process's campaign pool: reused across calls, replaced for another
-worker count, dropped after a worker dies, and handed tasks that carry the
-batch cap, with serial bits throughout.
+worker count, dropped after a worker dies, and handed chunks that each split
+into batches under the cap, with serial bits throughout.
 
 Each test runs at most three worker processes."""
 import multiprocessing
@@ -32,9 +32,8 @@ SEEDS = derive_seeds(11, np.arange(7))
 ORIGIN = np.zeros((1, 1))
 
 
-def campaign(workers, probes=ORIGIN, cap_bytes=None):
-    return homog._solve_batches(GAME, SPEC, SEEDS, np.zeros(1), CFG, probes, workers,
-                                cap_bytes)
+def campaign(workers, probes=ORIGIN):
+    return homog._solve_batches(GAME, SPEC, SEEDS, np.zeros(1), CFG, probes, workers)
 
 
 def worker_pids():
@@ -82,9 +81,8 @@ class InProcessPool:
         return map(pickle.loads(pickle.dumps(fn)), *iterables)
 
 
-def test_pool_tasks_carry_the_batch_cap():
-    # a task that dropped the cap would batch by its process's own
-    # BATCH_COST_BYTES, which holds all of a chunk's realizations at once
+def test_pooled_chunks_split_into_batches_under_the_cap():
+    # at the default BATCH_COST_BYTES one batch holds all of a chunk's realizations
     cap = 2 * sl_plan(build(*GAME, 1), CFG).cost_bytes
     batches = []
 
@@ -93,7 +91,8 @@ def test_pool_tasks_carry_the_batch_cap():
         return sample_environment(spec, seeds)
 
     with mock.patch.object(homog, "_pool", return_value=InProcessPool()), \
-            mock.patch.object(homog, "sample_environment", side_effect=sample):
-        got = campaign(2, cap_bytes=cap)
+            mock.patch.object(homog, "sample_environment", side_effect=sample), \
+            mock.patch.object(homog, "BATCH_COST_BYTES", cap):
+        got = campaign(2)
     assert batches == [2, 2, 2, 1]          # chunks of 4 and 3 seeds
     assert got.tobytes() == campaign(1).tobytes()
