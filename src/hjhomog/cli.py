@@ -515,8 +515,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--set", dest="overrides", action="append", default=[],
                         metavar="KEY=VALUE", help="dotted-path override")
     parser.add_argument("--workers", default=None,
-                        help="size of the Monte-Carlo campaign pool (default "
-                             "$HJHOMOG_WORKERS, then campaign.workers)")
+                        help="processes that solve a Monte-Carlo campaign: this one "
+                             "and WORKERS-1 pool processes (default $HJHOMOG_WORKERS, then "
+                             "campaign.workers)")
     parser.add_argument("--out", default=None, help="output directory")
     return parser
 

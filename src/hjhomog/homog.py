@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import asdict, dataclass, field
-from functools import partial
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -24,7 +23,8 @@ from .pde import (SolveConfig, probe_stencil, reach, sl_plan, sl_step_cost, solv
 from .rng import derive_seeds
 
 if TYPE_CHECKING:
-    from concurrent.futures import ProcessPoolExecutor
+    from multiprocessing.connection import Connection
+    from multiprocessing.process import BaseProcess
 
 #: sum_{k>=1} 2^{-k/2} sqrt(k+1); converts the per-pair defect constant into
 #: the bias-band constant of the doubling argument
@@ -114,33 +114,65 @@ def solve_box_for(f: np.ndarray, scheme: str, T: float, dt: float, dx: float,
             tuple(float(report_radius + steps * a * dx + 4 * dx) for a in above))
 
 
-#: the process's campaign pool, (worker count, executor).  The first pooled
-#: call starts it, a call at another worker count replaces it, and a call in
-#: which a worker dies drops it; concurrent.futures shuts it down at
-#: interpreter exit.  A pooled call holds _POOL_LOCK from look-up to result,
-#: so that no other thread replaces the pool under it.  The pool's modules
-#: (multiprocessing and its own imports) load with the first pooled call.
-_POOL: tuple[int, ProcessPoolExecutor] | None = None
+#: the process's campaign pool, (worker count N, its N - 1 processes, the
+#: caller's end of each one's pipe).  The first pooled call starts it, a call
+#: at another worker count replaces it, and a call that a dead worker or any
+#: exception ends between its sends and its last receive drops it; its
+#: daemon processes end with the interpreter.  A pooled call holds _POOL_LOCK
+#: from look-up to result, so that no other thread replaces the pool under
+#: it.  multiprocessing loads with the first pooled call.
+_POOL: tuple[int, list[BaseProcess], list[Connection]] | None = None
 _POOL_LOCK = threading.Lock()
 
 
-def _pool(workers: int) -> ProcessPoolExecutor:
-    """The campaign pool of `workers` processes; call it holding _POOL_LOCK."""
-    from concurrent.futures import ProcessPoolExecutor
+def _pool(workers: int) -> list[Connection]:
+    """The caller's pipe ends to the campaign pool's `workers` - 1 processes;
+    call it holding _POOL_LOCK."""
+    import multiprocessing
 
     global _POOL
     if _POOL is None or _POOL[0] != workers:
         _shutdown_pool()
-        _POOL = (workers, ProcessPoolExecutor(max_workers=workers))
-    return _POOL[1]
+        procs, conns = [], []
+        for _ in range(workers - 1):
+            mine, theirs = multiprocessing.Pipe()
+            proc = multiprocessing.Process(target=_serve, args=(theirs, mine), daemon=True)
+            proc.start()
+            theirs.close()
+            procs.append(proc)
+            conns.append(mine)
+        _POOL = (workers, procs, conns)
+    return _POOL[2]
 
 
 def _shutdown_pool() -> None:
     """Stop the campaign pool's workers, if any; the next pooled call starts a new pool."""
     global _POOL
     if _POOL is not None:
-        pool, _POOL = _POOL[1], None
-        pool.shutdown()
+        (_, procs, conns), _POOL = _POOL, None
+        for proc, conn in zip(procs, conns):
+            conn.close()
+            proc.terminate()
+        for proc in procs:
+            proc.join()
+
+
+def _serve(conn: Connection, caller_end: Connection) -> None:
+    """A pool worker: solve each chunk the caller sends, and reply with its
+    array or with the exception it raised, until its pipe reads end-of-file.
+    A forked worker closes its copy of the caller's end first, so that the
+    pipe reads end-of-file once the caller is gone, even if killed."""
+    caller_end.close()
+    while True:
+        try:
+            task = conn.recv()
+        except EOFError:
+            return
+        try:
+            reply = _solve_batches(*task)
+        except Exception as exc:          # the caller raises it
+            reply = exc
+        conn.send(reply)
 
 
 def _solve_batches(game, env_spec, seeds, theta, cfg: SolveConfig, probes,
@@ -149,26 +181,40 @@ def _solve_batches(game, env_spec, seeds, theta, cfg: SolveConfig, probes,
 
     Returns (n_times, n, len(seeds)); column m is realization seeds[m]'s own
     number.  ``game`` is a GameHamiltonian, or (family, params) to rebuild it
-    by name; with workers > 1 it must be the latter, and each worker of the
-    process's campaign pool runs one contiguous chunk of the seeds.  The
-    realizations share the stencil, so they are solved together, in batches
-    whose stacked cost table fits BATCH_COST_BYTES; each batch is one
+    by name; with workers > 1 it must be the latter, and the seeds split into
+    `workers` contiguous chunks: the caller solves the first, and each of the
+    others goes to one process of the campaign pool over its pipe.  A refusal
+    in any chunk is raised once every reply is in, the first chunk's first.
+    The realizations share the stencil, so they are solved together, in
+    batches whose stacked cost table fits BATCH_COST_BYTES; each batch is one
     seed-batched environment and one cost-table call.  The batch's
     environment, and the values its memo holds, are freed before the march,
     which reads the probes (one ``probe_stencil`` per call) and builds no Field.
     """
     if workers > 1:
-        from concurrent.futures.process import BrokenProcessPool
-
-        chunks = [c for c in np.array_split(seeds, workers) if len(c)]
-        run = partial(_solve_batches, game, env_spec, theta=theta, cfg=cfg, probes=probes)
+        first, *rest = [c for c in np.array_split(seeds, workers) if len(c)]
         with _POOL_LOCK:
+            conns = _pool(workers)[:len(rest)]
             try:
-                parts = list(_pool(workers).map(run, chunks))
-            except BrokenProcessPool:
-                # a worker died; its pool refuses all further work
+                for conn, chunk in zip(conns, rest):
+                    conn.send((game, env_spec, chunk, theta, cfg, probes))
+                try:
+                    mine = _solve_batches(game, env_spec, first, theta, cfg, probes)
+                except Exception as exc:  # raised below, once the pipes are drained
+                    mine = exc
+                parts = [mine] + [conn.recv() for conn in conns]
+            except (EOFError, OSError):
+                # a worker died; its pipe no longer answers
+                _shutdown_pool()
+                from concurrent.futures.process import BrokenProcessPool
+                raise BrokenProcessPool("a campaign pool worker died")
+            except BaseException:
+                # the replies still in flight would answer the next call
                 _shutdown_pool()
                 raise
+        for part in parts:
+            if isinstance(part, Exception):
+                raise part
         return np.concatenate(parts, axis=-1)
     if not isinstance(game, GameHamiltonian):
         game = families.build(game[0], game[1], env_spec.dimension)
@@ -203,9 +249,9 @@ def estimate_U(gh: GameHamiltonian, env_spec, theta, times, M: int,
     """Monte-Carlo table of u_theta(t, 0, .) over M independent realizations.
 
     Sample i uses the derived seed mix(base_seed, i).  The realizations are
-    solved as batches; with workers > 1 each pool worker takes one
-    contiguous chunk and rebuilds the game from ``family_desc`` = (family,
-    params), which must rebuild ``gh`` itself.  Every sample is its own
+    solved as batches; with workers > 1 the caller and each of the
+    workers - 1 pool processes take one contiguous chunk and rebuild the game
+    from ``family_desc`` = (family, params), which must rebuild ``gh`` itself.  Every sample is its own
     realization's number, so the table does not depend on the worker count.
     """
     if workers > 1 and family_desc is None:
