@@ -92,8 +92,9 @@ class Environment:
     held as a batch of one.
 
     ``values`` stays a pure function of its points.  The only mutable state
-    is its memo: the last point set asked for and its read-only table, so
-    that two solves of one realization on one grid hash the field once.
+    is a single realization's memo: the last point set asked for and its
+    read-only table, so that two solves of one realization on one grid hash
+    the field once.  A campaign asks for a batch's points once: it keeps none.
     """
 
     def __init__(self, spec: EnvSpec, seeds=None):
@@ -152,7 +153,7 @@ class Environment:
 
         (N, C) for a single realization, (M, N, C) for a batch.  The
         table is read-only: asked again for points with the same shape and
-        bits, the environment returns the table it gave last.
+        bits, a single realization returns the table it gave last.
         """
         pts = np.atleast_2d(np.asarray(pts, dtype=np.float64))
         bits = pts.view(np.int64)
@@ -162,8 +163,9 @@ class Environment:
         self.check_inside(pts)
         out = self._raw_values(pts)
         out.flags.writeable = False
-        out = out if self.batch_shape else out[0]
-        self._memo = (bits.copy(), out)
+        if not self.batch_shape:
+            out = out[0]
+            self._memo = (bits.copy(), out)
         return out
 
     def _corners(self, pts: np.ndarray, group: slice):
@@ -200,12 +202,6 @@ class Environment:
             w = np.square(np.subtract(1.0, np.minimum(s2, 1.0, out=s2), out=s2), out=s2)
             bumps.append((corner, w > 0.0, w))
         return base, bumps
-
-    def _bumps(self, pts: np.ndarray, group: slice):
-        """``_corners`` with each corner's cells: yields (cells (G, N, d), live, weights)."""
-        base, bumps = self._corners(pts, group)
-        for corner, live, w in bumps:
-            yield np.moveaxis(base + np.array(corner)[:, None, None], 0, -1), live, w
 
     def _raw_values(self, pts: np.ndarray) -> np.ndarray:
         """(M, N, C) values, hashed in groups of at most HASH_POINTS probes."""
@@ -269,22 +265,6 @@ class Environment:
         parts = [z[:, ax, None] for ax in range(z.shape[1])]
         u = uniform01(seeds[:, None], 0, *parts, chans[None, :])
         return s.amp_lo + (s.amp_hi - s.amp_lo) * u
-
-    def cells_touched(self, pts: np.ndarray) -> set[tuple[int, ...]] | list[set[tuple[int, ...]]]:
-        """Lattice cells whose amplitude keys the given probes consume.
-
-        Instrumentation for the dependence-range certificate: probe sets at
-        Hausdorff distance > rho must return disjoint cell sets.  It walks
-        the same bumps as the evaluation, so it names exactly the cells
-        ``values`` hashes.  A set of cells per realization: one set, or a
-        list of M sets for a batch.
-        """
-        pts = np.atleast_2d(np.asarray(pts, dtype=np.float64))
-        touched: list[set[tuple[int, ...]]] = [set() for _ in self.seeds]
-        for z, live, _ in self._bumps(pts, slice(None)):
-            for cells, zm, lm in zip(touched, z, live):
-                cells.update(map(tuple, zm[lm].tolist()))
-        return touched if self.batch_shape else touched[0]
 
 
 class EnvironmentView:

@@ -165,7 +165,6 @@ def _drift(f: np.ndarray, P: np.ndarray, axes: tuple[int, ...], out: np.ndarray)
 
 
 def eval_H_nodes(gh: GameHamiltonian, neg_cost: np.ndarray, P: np.ndarray,
-                 bufs: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
                  vel: Velocities | None = None) -> np.ndarray:
     """H at N nodes: max over b of min over a of { -cost - <f, p> }.
 
@@ -184,28 +183,18 @@ def eval_H_nodes(gh: GameHamiltonian, neg_cost: np.ndarray, P: np.ndarray,
     order of ``.min(axis=0).max(axis=0)`` over the (n_a, n_b, N) table, and
     numpy breaks a tie of +-0 toward the second operand in the fold and in
     the reductions alike, so the bits, signed zeros included, are those of
-    the reductions, without the table.
-
-    ``bufs`` are flat buffers for the drift planes, the fold's two scratch
-    planes and H, holding at least R * N, 2 * N and N entries, R =
-    len(vel.rows): their leading parts are written, and the returned H is
-    a view of the last.  Without them, each call allocates its own.
+    the reductions, without the table.  The drift planes, the fold's two
+    scratch planes and H are this call's own.
     """
     if vel is None:
         vel = velocities(gh)
     n_a, n_b = np.broadcast_shapes(neg_cost.shape[:2], gh.f_table.shape[:2])
     nodes = neg_cost.shape[2:]
-    N = len(P)
     R = len(vel.rows)
-    if bufs is None:
-        bufs = (np.empty(R * N), np.empty(2 * N), np.empty(N))
-    drift_buf, scratch, H_buf = bufs
-    drift = _drift(vel.rows, P, vel.axes, drift_buf[:R * N].reshape(R, N))
-    drift = drift.reshape((R,) + nodes)
+    drift = _drift(vel.rows, P, vel.axes, np.empty((R, len(P)))).reshape((R,) + nodes)
     neg = np.broadcast_to(neg_cost, (n_a, n_b) + nodes)
     row_of = np.broadcast_to(vel.row_of, (n_a, n_b))
-    H = H_buf[:N].reshape(nodes)
-    column, tmp = scratch[:N].reshape(nodes), scratch[N:2 * N].reshape(nodes)
+    H, column, tmp = np.empty(nodes), np.empty(nodes), np.empty(nodes)
     for b in range(n_b):
         col = column if b else H
         for a in range(n_a):
@@ -214,7 +203,7 @@ def eval_H_nodes(gh: GameHamiltonian, neg_cost: np.ndarray, P: np.ndarray,
                 np.minimum(col, diff, out=col)
         if b:
             np.maximum(H, col, out=H)
-    return H_buf[:N]
+    return H.reshape(-1)
 
 
 def shift_momentum(gh: GameHamiltonian, theta: np.ndarray) -> GameHamiltonian:

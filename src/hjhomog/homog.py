@@ -188,8 +188,8 @@ def _solve_batches(game, env_spec, seeds, theta, cfg: SolveConfig, probes,
     The realizations share the stencil, so they are solved together, in
     batches whose stacked cost table fits BATCH_COST_BYTES; each batch is one
     seed-batched environment and one cost-table call.  The batch's
-    environment, and the values its memo holds, are freed before the march,
-    which reads the probes (one ``probe_stencil`` per call) and builds no Field.
+    environment is freed before the march, which reads the probes (one
+    ``probe_stencil`` per call) and builds no Field.
     """
     if workers > 1:
         first, *rest = [c for c in np.array_split(seeds, workers) if len(c)]

@@ -65,6 +65,11 @@ class Grid:
             raise ValueError(f"degenerate grid: shape {shape}")
         return cls(lo=lo, dx=float(dx), shape=shape)
 
+    def box(self, active) -> tuple[np.ndarray, np.ndarray]:
+        """The coordinates of the first and last node of the index window ``active``."""
+        return (np.array([lo + self.dx * a for lo, (a, _) in zip(self.lo, active)]),
+                np.array([lo + self.dx * (b - 1) for lo, (_, b) in zip(self.lo, active)]))
+
     def window_field(self, v: np.ndarray, active, t: float) -> "Field":
         """v on the index window ``active``, realization axes last, as a NaN-padded Field."""
         values = np.full(v.shape[self.dim:] + self.shape, np.nan)
@@ -97,13 +102,6 @@ class Field:
     def active_values(self) -> np.ndarray:
         return self.values[(Ellipsis,) + self.active_slices()]
 
-    def active_box(self) -> tuple[np.ndarray, np.ndarray]:
-        lo = np.array([self.grid.lo[i] + self.grid.dx * self.active[i][0]
-                       for i in range(self.grid.dim)])
-        hi = np.array([self.grid.lo[i] + self.grid.dx * (self.active[i][1] - 1)
-                       for i in range(self.grid.dim)])
-        return lo, hi
-
     def value_at(self, x):
         """Multilinear interpolation; refuses to read outside the active box.
 
@@ -127,7 +125,7 @@ class ProbeStencil(NamedTuple):
     pts: np.ndarray                 # (n, d): the probes
     weights: np.ndarray             # (corners, n): each corner's weight
     live: np.ndarray                # (corners, n): the corner adds its term, else +0.0
-    nodes: tuple[np.ndarray, ...]   # per axis, (corners, n): the node each corner reads
+    nodes: np.ndarray               # (d, corners, n): the node each corner reads
     bounds: tuple                   # per axis, the lowest and highest node read
 
     def read(self, window: np.ndarray, active, t: float) -> np.ndarray:
@@ -137,7 +135,7 @@ class ProbeStencil(NamedTuple):
         for (lo, hi), (low, high), node in zip(active, self.bounds, self.nodes):
             if low < lo or high > hi - 1:
                 bad = (node.min(axis=0) < lo) | (node.max(axis=0) > hi - 1)
-                alo, ahi = Field(self.grid, t, window, tuple(active)).active_box()
+                alo, ahi = self.grid.box(active)
                 raise DomainError(
                     f"probe {self.pts[bad][0]} outside active box [{alo}, {ahi}] "
                     f"at t={t}; enlarge the solve box margin"
@@ -153,28 +151,33 @@ class ProbeStencil(NamedTuple):
 
 
 def probe_stencil(grid: Grid, x) -> ProbeStencil:
-    """The cell corners, in order, of the multilinear read of the points x on grid.
-
-    A corner's weight is the product, from 1.0 over the axes in order, of w
-    where the corner steps along an axis and 1 - w where it does not.  A
-    corner that steps along an axis where the point sits on a node (w = 0)
-    is not live: it adds +0.0, which leaves the sum unchanged, and reads
-    node k so that its index stays in bounds.
-    """
+    """The multilinear read (``_stencil``) of the points x on grid."""
     pts = np.asarray(x, dtype=np.float64).reshape(-1, grid.dim)
-    steps = np.array(list(itertools.product((0, 1), repeat=grid.dim)), dtype=bool)[..., None]
-    weights = 1.0
-    live = True
-    cells = []
-    for i in range(grid.dim):
-        k, w = _cell_and_weight((pts[:, i] - grid.lo[i]) / grid.dx)
-        weights = weights * np.where(steps[:, i], w, 1.0 - w)
-        live = live & (~steps[:, i] | (w > 0.0))
-        cells.append(k)
-    nodes = tuple(k + (steps[:, i] & live) for i, k in enumerate(cells))
+    weights, live, nodes = _stencil((pts - np.array(grid.lo)) / grid.dx)
+    nodes = nodes.transpose(2, 0, 1)
     bounds = tuple((node.min(), node.max()) if len(pts) else (math.inf, -math.inf)
                    for node in nodes)
     return ProbeStencil(grid, pts, weights, live, nodes, bounds)
+
+
+def _stencil(s: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The multilinear read of positions s (n, d), given in cells from node 0.
+
+    Returns each cell corner's weight and live flag (corners, n) and nodes
+    (corners, n, d), the corners in ``itertools.product`` order.  A weight
+    is the product, over the axes in order, of w where the corner steps
+    along an axis and 1 - w where it does not.  A corner that steps along
+    an axis where the position sits on a node (w = 0) is not live: it adds
+    +0.0, which leaves a sum unchanged, and reads node k, which is in bounds.
+    """
+    k, w = _cell_and_weight(s)
+    steps = np.array(list(itertools.product((0, 1), repeat=s.shape[1])), dtype=bool)[:, None]
+    factors, ok = np.where(steps, w, 1.0 - w), ~steps | (w > 0.0)
+    weights, live = factors[..., 0], ok[..., 0]
+    for i in range(1, s.shape[1]):
+        weights = weights * factors[..., i]
+        live = live & ok[..., i]
+    return weights, live, k + (steps & live[..., None])
 
 
 def _cell_and_weight(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -272,14 +275,19 @@ def reach(f: np.ndarray, scheme: str, dt: float, dx: float) -> tuple[np.ndarray,
     """Cells the active window sheds per step, (below, above) on each axis.
 
     This is the scheme's discrete domain of dependence for the velocities
-    f (pairs, d): an SL step reads its foot points up to ceil(dt f / dx)
-    cells away, an LF step one stencil ring per substep.
+    f (pairs, d): an SL step reads the nodes of its foot points' stencils,
+    up to ceil(dt f / dx) cells away, an LF step one stencil ring per substep.
     """
     if scheme == "semi-lagrangian":
-        k, w = _cell_and_weight(dt * f / dx)
-        return np.maximum(0, -k).max(axis=0), np.maximum(0, k + (w > 0.0)).max(axis=0)
+        return _sl_shed(_stencil(dt * f / dx)[2])
     rings = np.full(f.shape[1], lf_substeps(np.abs(f).max(axis=0), dt, dx))
     return rings, rings
+
+
+def _sl_shed(nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Cells shed, (below, above) per axis, by an SL step reading nodes (corners, pairs, d)."""
+    nodes = nodes.reshape(-1, nodes.shape[-1])
+    return np.maximum(0, -nodes.min(axis=0)), np.maximum(0, nodes.max(axis=0))
 
 
 @dataclass(frozen=True)
@@ -300,11 +308,10 @@ class _Window:
                      for n, lo, hi in zip(self.grid.shape, self.shed_lo, self.shed_hi))
 
 
-def _plan_window(cfg: SolveConfig, f: np.ndarray, scheme: str) -> _Window:
-    """The window of a solve of cfg; refuses a box it would exhaust before T."""
+def _plan_window(cfg: SolveConfig, scheme: str, below, above) -> _Window:
+    """The window of cfg shedding (below, above) cells a step; refuses a box spent before T."""
     grid = Grid.from_box(cfg.box_lo, cfg.box_hi, cfg.dx)
     n_steps, records = _steps_and_records(cfg)
-    below, above = reach(f, scheme, cfg.dt, cfg.dx)
     for i in range(grid.dim):
         total = n_steps * int(below[i] + above[i])
         if total >= grid.shape[i] - 1:
@@ -381,20 +388,15 @@ def sl_plan(gh: GameHamiltonian, cfg: SolveConfig) -> SLPlan:
     velocities, a localized game's do not depend on b).
     """
     cfg.validate()
-    win = _plan_window(cfg, gh.f_pairs, "semi-lagrangian")
-    d = win.grid.dim
-    k, w = _cell_and_weight(cfg.dt * gh.f_pairs / cfg.dx)    # foot-point offsets per pair
+    weights, live, nodes = _stencil(cfg.dt * gh.f_pairs / cfg.dx)    # per pair, its foot point
+    win = _plan_window(cfg, "semi-lagrangian", *_sl_shed(nodes))
+    # per pair, its corners' weights (np.float64: a march multiplies by it faster), live, offsets
+    pairs = zip(weights.T, live.T.tolist(), (nodes + win.shed_lo).swapaxes(0, 1).tolist())
     index: dict[tuple, int] = {}
     stencil = []
-    for kp, wp in zip(k, w):
-        terms = []
-        for corner in itertools.product(*[(0, 1) if wp[i] > 0.0 else (0,) for i in range(d)]):
-            weight = 1.0
-            for i, c in enumerate(corner):
-                weight *= wp[i] if c else (1.0 - wp[i]) if wp[i] > 0.0 else 1.0
-            terms.append((weight, tuple(int(win.shed_lo[i] + kp[i] + c)
-                                        for i, c in enumerate(corner))))
-        stencil.append(index.setdefault(tuple(terms), len(index)))
+    for pair in pairs:
+        terms = tuple((w, tuple(off)) for w, on, off in zip(*pair) if on)
+        stencil.append(index.setdefault(terms, len(index)))
     return SLPlan(**vars(win), n_a=gh.n_a, n_b=gh.n_b, corners=tuple(index),
                   stencil=tuple(stencil))
 
@@ -519,12 +521,12 @@ def solve_lf(gh: GameHamiltonian, env, cfg: SolveConfig,
     +0.0 drift start absorbs.  P is held as contiguous per-axis planes
     (a zero-speed axis's plane stays 0) and handed over as an (N, d) view;
     2 v is computed once per substep.  Each substep writes P, the viscosity
-    term, the drift planes, H's fold and the new values into buffers sized
-    for the first substep, whose leading parts shrink with the window.
+    term and the new values into buffers sized for the first substep, whose
+    leading parts shrink with the window; ``eval_H_nodes`` allocates its own.
     """
     cfg.validate()
     sigma = np.abs(gh.f_pairs).max(axis=0)            # per-axis viscosity speed
-    win = _plan_window(cfg, gh.f_pairs, "lax-friedrichs")
+    win = _plan_window(cfg, "lax-friedrichs", *reach(gh.f_pairs, "lax-friedrichs", cfg.dt, cfg.dx))
     grid = win.grid
     d = grid.dim
     vel = velocities(gh)
@@ -539,7 +541,6 @@ def solve_lf(gh: GameHamiltonian, env, cfg: SolveConfig,
     P_buf = np.zeros((d, n_max))
     visc_buf, two_v_buf = np.empty(n_max), np.empty(n_max)
     term_buf = np.empty(n_max) if len(axes) > 1 else None   # the later axes' viscosity terms
-    H_bufs = (np.empty(len(vel.rows) * n_max), np.empty(2 * n_max), np.empty(n_max))
     v_bufs = [np.empty(n_max), np.empty(n_max)]   # a substep reads one and writes the other
 
     def step(v: np.ndarray, k: int) -> np.ndarray:
@@ -565,8 +566,8 @@ def solve_lf(gh: GameHamiltonian, env, cfg: SolveConfig,
                 np.divide(term, grid.dx**2, out=term)
                 np.add(visc, 0.0 if i == axes[0] else term, out=visc)
             window = tuple(slice(lo - rings_left, hi + rings_left) for lo, hi in win.active(k))
-            H = eval_H_nodes(gh, neg_cost[(slice(None), slice(None)) + window],
-                             P.T, H_bufs, vel).reshape(shape)
+            H = eval_H_nodes(gh, neg_cost[(slice(None), slice(None)) + window], P.T,
+                             vel).reshape(shape)
             new = v_bufs[0][:size].reshape(shape)
             np.multiply(H, dt_sub, out=new)
             np.subtract(v[inner], new, out=new)

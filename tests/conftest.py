@@ -1,4 +1,5 @@
 """Hypothesis strategies, exact oracles and session fixtures shared by the test modules."""
+import itertools
 import math
 import multiprocessing
 from types import SimpleNamespace
@@ -95,6 +96,64 @@ class ConstantEnvironment:
     def values(self, pts: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(pts, dtype=np.float64))
         return np.full((pts.shape[0], self.channels), self.value)
+
+
+def env_bumps(env, pts):
+    """The 2^d bumps of ``env._corners`` covering each point, one lattice corner
+    at a time: yields (cells (M, N, d), live (M, N), weights (M, N))."""
+    base, bumps = env._corners(pts, slice(None))
+    for corner, live, w in bumps:
+        yield np.moveaxis(base + np.array(corner)[:, None, None], 0, -1), live, w
+
+
+def cells_touched(env, pts):
+    """Lattice cells whose amplitude keys the probes pts consume.
+
+    The dependence-range certificate: probe sets at Hausdorff distance >
+    rho must give disjoint cell sets.  It walks the same bumps as
+    ``env.values``, so it names exactly the cells that hashes.  A set of
+    cells per realization: one set, or a list of M sets for a batch.
+    """
+    pts = np.atleast_2d(np.asarray(pts, dtype=np.float64))
+    touched = [set() for _ in env.seeds]
+    for z, live, _ in env_bumps(env, pts):
+        for cells, zm, lm in zip(touched, z, live):
+            cells.update(map(tuple, zm[lm].tolist()))
+    return touched if env.batch_shape else touched[0]
+
+
+def ref_cell_and_weight(s: np.ndarray):
+    """Cell index and in-cell weight of positions s given in cells; positions
+    within 1e-12 of a node snap onto it (weight 0)."""
+    k = np.floor(s)
+    w = s - k
+    w = np.where(w < 1e-12, 0.0, w)
+    top = w > 1 - 1e-12
+    return np.where(top, k + 1, k).astype(np.intp), np.where(top, 0.0, w)
+
+
+def ref_sl_reach(f: np.ndarray, dt: float, dx: float):
+    """Cells an SL step sheds, (below, above) per axis, for the velocities f (pairs, d)."""
+    k, w = ref_cell_and_weight(dt * f / dx)
+    return np.maximum(0, -k).max(axis=0), np.maximum(0, k + (w > 0.0)).max(axis=0)
+
+
+def ref_sl_stencils(f: np.ndarray, dt: float, dx: float, shed_lo):
+    """An SL plan's (corners, stencil), built pair by pair: a pair's corners
+    step only along the axes where its foot point is off a node."""
+    k, w = ref_cell_and_weight(dt * f / dx)
+    index: dict[tuple, int] = {}
+    stencil = []
+    for kp, wp in zip(k, w):
+        terms = []
+        for corner in itertools.product(*[(0, 1) if wi > 0.0 else (0,) for wi in wp]):
+            weight = 1.0
+            for i, c in enumerate(corner):
+                weight *= wp[i] if c else (1.0 - wp[i]) if wp[i] > 0.0 else 1.0
+            terms.append((weight, tuple(int(shed_lo[i] + kp[i] + c)
+                                        for i, c in enumerate(corner))))
+        stencil.append(index.setdefault(tuple(terms), len(index)))
+    return tuple(index), tuple(stencil)
 
 
 def shift_view(env, y) -> SimpleNamespace:

@@ -134,7 +134,6 @@ def test_pool_campaign_equals_per_realization_solves(c):
 
 
 def test_batch_environment_is_freed_before_its_march():
-    # an environment's memo holds its values, up to BATCH_COST_BYTES for a batch
     game = build("saddle-game", {}, 1)
     box = sl_box(game, 1.0, 0.25, 0.25, margin=0.5)
     spec = EnvSpec(dimension=1, rho=1.0, bump_radius=0.5, amp_lo=0.0, amp_hi=1.0,
@@ -282,7 +281,7 @@ def fields_and_probes(draw):
     cfg = SolveConfig(scheme="semi-lagrangian", dt=0.25, dx=0.25, T=1.0,
                       box_lo=box[0], box_hi=box[1])
     fld = solve_sl(shift_momentum(bind_env_constants(game, env), theta), env, cfg).final
-    lo, hi = fld.active_box()
+    lo, hi = fld.grid.box(fld.active)
     n = draw(st.integers(1, 12))
     unit = draw(st.lists(st.lists(st.floats(0.0, 1.0), min_size=dim, max_size=dim),
                          min_size=n, max_size=n))
@@ -327,7 +326,7 @@ def test_batched_field_reads_each_realization(fp):
        reach=st.floats(0.3, 3.0), axis=st.integers(0, 1))
 def test_value_at_refuses_points_outside_active_box(fp, side, reach, axis):
     fld, pts = fp
-    lo, hi = fld.active_box()
+    lo, hi = fld.grid.box(fld.active)
     axis = min(axis, fld.grid.dim - 1)
     bad = pts[:1].copy()
     bad[0, axis] = (hi if side > 0 else lo)[axis] + side * reach
@@ -356,7 +355,7 @@ def test_one_stencil_reads_every_record_time(dim, M, seed, unit):
                                      box_lo=box[0], box_hi=box[1], record_times=times))
     cost = sl_step_cost(game, sample_environment(spec, list(range(M))), plan)
     res = solve_sl_batch(plan, cost)
-    lo, hi = res.final.active_box()
+    lo, hi = res.final.grid.box(res.final.active)
     eighths = np.round(np.array(unit[:len(unit) // dim * dim]).reshape(-1, dim) * 8.0) / 8.0
     inside = lo + eighths * (hi - lo)
     wide = np.concatenate([inside, [hi + 0.125 + 0.25 * (seed % 3)]])

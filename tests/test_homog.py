@@ -126,7 +126,7 @@ def test_reach_box_never_runs_out_and_covers_radius(family, dim, scheme, dt, dx,
     box = solve_box_for(game.f_pairs, scheme, T, dt, dx, R)
     res = solve(game, env, SolveConfig(scheme=scheme, dt=dt, dx=dx, T=T,
                                        box_lo=box[0], box_hi=box[1]))
-    lo, hi = res.final.active_box()
+    lo, hi = res.final.grid.box(res.final.active)
     assert np.all(lo <= -R) and np.all(hi >= R)
 
 

@@ -20,12 +20,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import ORIENTED, PARAMS, ConstantEnvironment, drawn_games
+from conftest import (ORIENTED, PARAMS, ConstantEnvironment, cells_touched, drawn_games, env_bumps,
+                      ref_sl_reach, ref_sl_stencils)
 from hjhomog import env as env_module
 from hjhomog import homog, pde
 from hjhomog.env import DomainError, EnvSpec, sample_environment, with_seed
 from hjhomog.families import build
-from hjhomog.game import eval_H_nodes, shift_momentum, velocities
+from hjhomog.game import GameHamiltonian, eval_H_nodes, shift_momentum
 from hjhomog.homog import _ols, _solve_batches, _sup_errors, rate_experiment, solve_box_for
 from hjhomog.pde import (SolveConfig, _march, _plan_window, _precompute_cost, linear_datum,
                          sl_plan, sl_step_cost, solve_lf, solve_sl_batch)
@@ -38,7 +39,7 @@ from hjhomog.rng import derive_seed, derive_seeds
 def ref_raw_values(env, pts):
     out = np.zeros((len(env.seeds), pts.shape[0], env.spec.channels))
     chans = np.arange(env.spec.channels, dtype=np.int64)
-    for z, live, w in env._bumps(pts, slice(None)):
+    for z, live, w in env_bumps(env, pts):
         for m, seed in enumerate(env.seeds):
             if not np.any(live[m]):
                 continue
@@ -96,7 +97,8 @@ def ref_eval_H_nodes(gh, cost, P):
 
 def ref_solve_lf(gh, env, cfg, g):
     sigma = np.abs(gh.f_pairs).max(axis=0)
-    win = _plan_window(cfg, gh.f_pairs, "lax-friedrichs")
+    shed = pde.reach(gh.f_pairs, "lax-friedrichs", cfg.dt, cfg.dx)
+    win = _plan_window(cfg, "lax-friedrichs", *shed)
     cost = np.ascontiguousarray(_precompute_cost(gh, env, win.grid, cfg.epsilon))
 
     def ham(window, P):
@@ -263,7 +265,7 @@ def test_values_hash_each_live_cell_once(game, data):
     assert same_bits(got, ref_raw_values(env, pts)[0])
     hashed = [tuple(z) for call in calls for z in call]
     assert len(calls) <= 1 and len(hashed) == len(set(hashed))
-    assert set(hashed) == env.cells_touched(pts)
+    assert set(hashed) == cells_touched(env, pts)
 
 
 BATCH_1D = sample_environment(EnvSpec(
@@ -329,11 +331,11 @@ def test_seed_axis_environment_equals_per_realization_fields(case, cap):
     # every live (seed, cell) pair is hashed exactly once
     hashed = [pair for call in calls for pair in call]
     assert len(hashed) == len(set(hashed))
-    touched = env.cells_touched(pts)
+    touched = cells_touched(env, pts)
     for m, (seed, one) in enumerate(zip(seeds, singles)):
-        assert {z for s, z in hashed if s == seed} == one.cells_touched(pts) == touched[m]
-    # hashing groups: under the cap, or one realization; on a fresh environment
-    # of the same law and seeds, as this one's memo answers its points
+        assert {z for s, z in hashed if s == seed} == cells_touched(one, pts) == touched[m]
+    # hashing groups: under the cap, or one realization, on a fresh environment
+    # of the same law and seeds
     fresh = sample_environment(spec, seeds)
     calls.clear()
     fresh._cell_amplitudes = recording
@@ -613,6 +615,49 @@ def test_saddle_game_pairs_share_two_stencils():
     assert len(plan.corners) == 2
 
 
+#: a speed that at dt = dx is a whole number of cells per step, within 1e-12 of
+#: one, or any number
+CELL_SPEEDS = st.one_of(
+    st.integers(-3, 3).map(float),
+    st.builds(lambda k, eps: k + eps, st.integers(-3, 3), st.sampled_from([-1e-13, 1e-13])),
+    st.floats(-3.0, 3.0))
+
+
+@st.composite
+def velocity_tables(draw):
+    """A 1-D or 2-D velocity table (n_a, n_b, d)."""
+    shape = (draw(st.integers(1, 3)), draw(st.integers(1, 3)), draw(st.sampled_from([1, 2])))
+    speeds = draw(st.lists(CELL_SPEEDS, min_size=math.prod(shape), max_size=math.prod(shape)))
+    return np.reshape(speeds, shape)
+
+
+def stencil_bits(corners):
+    return tuple(tuple((float(w).hex(), off) for w, off in terms) for terms in corners)
+
+
+@settings(max_examples=80, deadline=None)
+@given(f=velocity_tables(), dt=st.sampled_from([0.25, 0.1]), dx=st.sampled_from([0.25, 0.2]))
+@example(f=np.array([[[1.0]], [[-2.0]]]), dt=0.25, dx=0.25)                # w exactly 0
+@example(f=np.array([[[1.0 + 1e-13]], [[1.0 - 1e-13]]]), dt=0.25, dx=0.25)  # snapped
+@example(f=np.array([[[-0.5], [-1.25]]]), dt=0.25, dx=0.25)                 # negative speeds
+@example(f=np.array([[[0.5, 0.0], [-1.25, 0.0]]]), dt=0.25, dx=0.25)        # a still axis
+@example(f=build("saddle-game", {"base_speed": 1.0, "coupling": 0.25}, 1).f_pairs.reshape(2, 2, 1),
+         dt=0.25, dx=0.25)                                                  # 4 pairs, 2 stencils
+def test_sl_plan_and_reach_equal_the_per_pair_construction(f, dt, dx):
+    n_a, n_b, d = f.shape
+    gh = GameHamiltonian(actions_a=np.zeros((n_a, 1)), actions_b=np.zeros((n_b, 1)), f_table=f,
+                         base_cost=None, lip_l=0.0, l_inf=0.0)
+    plan = sl_plan(gh, SolveConfig(scheme="semi-lagrangian", dt=dt, dx=dx, T=dt,
+                                   box_lo=(0.0,) * d, box_hi=(16 * dx,) * d))
+    below, above = ref_sl_reach(gh.f_pairs, dt, dx)
+    for got, want in zip(pde.reach(gh.f_pairs, "semi-lagrangian", dt, dx), (below, above)):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert (plan.shed_lo, plan.shed_hi) == (tuple(below.tolist()), tuple(above.tolist()))
+    corners, stencil = ref_sl_stencils(gh.f_pairs, dt, dx, below)
+    assert plan.stencil == stencil
+    assert stencil_bits(plan.corners) == stencil_bits(corners)
+
+
 # ---------------------------------------------------------------------------
 # LF step and the max-min evaluator
 
@@ -661,13 +706,6 @@ def test_eval_H_nodes_equals_whole_table_form(game, data):
     want = ref_eval_H_nodes(gh, grid[window].reshape(gh.n_a, gh.n_b, -1), P)
     neg_grid = -grid
     assert same_bits(eval_H_nodes(gh, neg_grid[window], P), want)
-    # in buffers larger than the call needs, holding a previous call's values
-    N = len(P)
-    R = len(velocities(gh).rows)
-    bufs = tuple(np.full(n + 5, np.nan) for n in (R * N, 2 * N, N))
-    eval_H_nodes(gh, -own, P, bufs)
-    got = eval_H_nodes(gh, neg_grid[window], P, bufs)
-    assert np.shares_memory(got, bufs[2]) and same_bits(got, want)
     # one node at a time, as eval_H calls it
     one = gh.cost(X[:1], env)[0][..., None]
     assert same_bits(eval_H_nodes(gh, np.negative(one), P[:1]), ref_eval_H_nodes(gh, one, P[:1]))

@@ -56,7 +56,7 @@ def test_linear_datum_invariant(scheme):
     res = solve(gh, env, cfg(scheme, 0.1, 0.1, 1.0, -4.0, 8.0),
                 linear_datum([theta]))
     fld = res.final
-    lo, hi = fld.active_box()
+    lo, hi = fld.grid.box(fld.active)
     xs = np.linspace(lo[0], hi[0], 30)
     want = theta * xs + 1.0 * (c0 + f0 * theta)
     got = np.array([fld.value_at([x]) for x in xs])
@@ -261,7 +261,7 @@ def test_value_at_refuses_outside_active_box():
     env = ConstantEnvironment(0.0)
     gh = bind_env_constants(transport(1.0), env)
     res = solve_sl(gh, env, cfg("semi-lagrangian", 0.1, 0.1, 1.0, -2.0, 2.0))
-    lo, hi = res.final.active_box()
+    lo, hi = res.final.grid.box(res.final.active)
     assert res.final.value_at([lo[0]]) == pytest.approx(0.0)
     with pytest.raises(DomainError, match="active box"):
         res.final.value_at([hi[0] + 0.5])
