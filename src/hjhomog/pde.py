@@ -16,9 +16,12 @@ Two independent schemes solve  du/dt + H(x/eps, Du) = 0:
   substepped when the requested dt violates it.
 
 Neither scheme applies boundary conditions: the active box shrinks each
-step by exactly the domain of dependence (foot-point reach for SL, one
-stencil ring per substep for LF), so reported values never read fabricated
-data.
+step by at least the domain of dependence, so reported values never read
+fabricated data.  For SL that is the foot-point reach.  LF sheds one
+stencil ring per substep on every axis; on an axis that moves that is the
+domain of dependence.  An axis that does not move reads no neighbour, so
+each column along it evolves on its own, and LF updates there only the
+columns the next record reads.
 """
 from __future__ import annotations
 
@@ -274,9 +277,11 @@ def _steps_and_records(cfg: SolveConfig) -> tuple[int, dict[int, float]]:
 def reach(f: np.ndarray, scheme: str, dt: float, dx: float) -> tuple[np.ndarray, np.ndarray]:
     """Cells the active window sheds per step, (below, above) on each axis.
 
-    This is the scheme's discrete domain of dependence for the velocities
-    f (pairs, d): an SL step reads the nodes of its foot points' stencils,
-    up to ceil(dt f / dx) cells away, an LF step one stencil ring per substep.
+    For SL this is the discrete domain of dependence of the velocities
+    f (pairs, d): a step reads the nodes of its foot points' stencils, up
+    to ceil(dt f / dx) cells away.  An LF window sheds one stencil ring per
+    substep on every axis, which is the domain of dependence on the moving
+    axes only: a still axis reads no neighbour (``_Window.runs``).
     """
     if scheme == "semi-lagrangian":
         return _sl_shed(_stencil(dt * f / dx)[2])
@@ -292,7 +297,12 @@ def _sl_shed(nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class _Window:
-    """The time grid of a solve and how its active window shrinks."""
+    """The time grid of a solve and how its active window shrinks.
+
+    A step is ``substeps`` substeps, each shedding 1/substeps of a step's
+    cells on each axis that moves.  A ``still`` axis reads no neighbour, so
+    a substep need only write there what the next read reports.
+    """
 
     cfg: SolveConfig
     scheme: str
@@ -301,14 +311,38 @@ class _Window:
     records: dict[int, float]
     shed_lo: tuple[int, ...]
     shed_hi: tuple[int, ...]
+    substeps: int
+    still: tuple[int, ...]
 
     def active(self, k: int) -> tuple[tuple[int, int], ...]:
         """The per-axis [lo, hi) index bounds of the window after k steps."""
         return tuple((k * lo, n - k * hi)
                      for n, lo, hi in zip(self.grid.shape, self.shed_lo, self.shed_hi))
 
+    def runs(self) -> np.ndarray:
+        """The window each substep writes, (n_steps * substeps + 1, d, 2) [lo, hi)
+        index bounds; row 0 is the datum's whole grid.
 
-def _plan_window(cfg: SolveConfig, scheme: str, below, above) -> _Window:
+        Substep s of the solve sheds s / substeps steps' cells on each moving
+        axis.  On a still axis, every substep of step k writes that axis's
+        range in ``active(r)``, r the first read step >= k (a record step or
+        n_steps).  So at every read the window is ``active`` of its step.
+        """
+        subs = self.substeps
+        s = np.arange(self.n_steps * subs + 1)
+        t = np.repeat(s[:, None], self.grid.dim, axis=1)     # substeps' worth of cells shed
+        if self.still:
+            reads = np.array(sorted({*self.records, self.n_steps}))
+            r = reads[np.searchsorted(reads, -(-s[1:] // subs))]   # each substep's next read
+            t[1:, list(self.still)] = r[:, None] * subs
+        out = np.empty(t.shape + (2,), dtype=t.dtype)
+        np.multiply(t, np.floor_divide(self.shed_lo, subs), out=out[..., 0])
+        np.subtract(self.grid.shape, t * np.floor_divide(self.shed_hi, subs), out=out[..., 1])
+        return out
+
+
+def _plan_window(cfg: SolveConfig, scheme: str, below, above, substeps: int = 1,
+                 still: tuple[int, ...] = ()) -> _Window:
     """The window of cfg shedding (below, above) cells a step; refuses a box spent before T."""
     grid = Grid.from_box(cfg.box_lo, cfg.box_hi, cfg.dx)
     n_steps, records = _steps_and_records(cfg)
@@ -323,7 +357,8 @@ def _plan_window(cfg: SolveConfig, scheme: str, below, above) -> _Window:
                 f"cells shed per step); add margin >= {need - span:.4g}"
             )
     return _Window(cfg=cfg, scheme=scheme, grid=grid, n_steps=n_steps, records=records,
-                   shed_lo=tuple(int(v) for v in below), shed_hi=tuple(int(v) for v in above))
+                   shed_lo=tuple(int(v) for v in below), shed_hi=tuple(int(v) for v in above),
+                   substeps=substeps, still=still)
 
 
 def _march(win: _Window, v: np.ndarray, step, read, per_node: int = 1, probes: int = 0,
@@ -333,7 +368,8 @@ def _march(win: _Window, v: np.ndarray, step, read, per_node: int = 1, probes: i
     step(v, k) maps the values on the window after k - 1 steps to those on
     ``win.active(k)``.  At each record time, and at T, what read(v, active,
     t) returns is recorded.  Telemetry counts ``per_node`` updates per node
-    of each (sub)step's window and ``probes`` values per read, in closed form.
+    of each (sub)step's window (``win.runs``) and ``probes`` values per read,
+    in closed form.
     """
     records, dt = win.records, win.cfg.dt
     result = SolveResult(final=None)  # type: ignore[arg-type]
@@ -343,9 +379,8 @@ def _march(win: _Window, v: np.ndarray, step, read, per_node: int = 1, probes: i
             result.snapshots[records[k]] = read(v, win.active(k), k * dt)
     n = win.n_steps
     result.final = result.snapshots[records[n]] if n in records else read(v, win.active(n), n * dt)
-    subs = telemetry.get("substeps_per_step", 1)    # a substep sheds 1/subs of a step's cells
-    shed = np.arange(1, n * subs + 1)[:, None] * (np.add(win.shed_lo, win.shed_hi) // subs)
-    windows = np.prod(np.subtract(win.grid.shape, shed), axis=1)
+    runs = win.runs()[1:]
+    windows = np.prod(runs[..., 1] - runs[..., 0], axis=1)
     result.telemetry.append({"scheme": win.scheme, "steps": n, **telemetry,
                              "active_cells": [list(a) for a in win.active(n)],
                              "node_updates": per_node * int(windows.sum()),
@@ -452,8 +487,8 @@ def solve_sl_batch(plan: SLPlan, step_cost: np.ndarray,
     sheds = [lo + hi for lo, hi in zip(plan.shed_lo, plan.shed_hi)]
     stencils = [[(weight, tuple(slice(o, -(shed - o) or None) for o, shed in zip(off, sheds)))
                  for weight, off in terms] for terms in plan.corners]
-    # per b in order, its pairs (a in order) as (pair, stencil)
-    columns = [[(j, plan.stencil[j]) for j in range(b, len(plan.stencil), plan.n_b)]
+    # per b in order, its pairs (a in order) and their stencils
+    columns = [(range(b, len(plan.stencil), plan.n_b), plan.stencil[b::plan.n_b])
                for b in range(plan.n_b)]
 
     def step(v: np.ndarray, k: int) -> np.ndarray:
@@ -470,9 +505,9 @@ def solve_sl_batch(plan: SLPlan, step_cost: np.ndarray,
                                                        out=None if weight == 1.0 else x)
             interp.append(total)
         new = None
-        for pairs in columns:
+        for pairs, stencil in columns:
             col = None
-            for j, s in pairs:
+            for j, s in zip(pairs, stencil):
                 cand = np.add(cost[j], interp[s])
                 col = cand if col is None else np.maximum(col, cand, out=col)
             new = col if new is None else np.minimum(new, col, out=new)
@@ -507,7 +542,7 @@ def lf_substeps(sigma: np.ndarray, dt: float, dx: float) -> int:
 
 def solve_lf(gh: GameHamiltonian, env, cfg: SolveConfig,
              g: Callable[[np.ndarray], np.ndarray] = zero_datum) -> SolveResult:
-    """The LF solve of env's cost, one stencil ring shed per substep.
+    """The LF solve of env's cost, one stencil ring shed per substep on each moving axis.
 
     The cost table is negated once per solve; each substep hands a window
     of it to ``eval_H_nodes``, which folds H pair by pair from one drift
@@ -518,7 +553,10 @@ def solve_lf(gh: GameHamiltonian, env, cfg: SolveConfig,
     plane and its viscosity term add exactly nothing, signed zeros
     included: the viscosity starts as 0.0 + the first moving axis's term,
     so it is never -0.0, and each 0 * P_i is +-0, which ``eval_H_nodes``'s
-    +0.0 drift start absorbs.  P is held as contiguous per-axis planes
+    +0.0 drift start absorbs.  So each column along a still axis evolves on
+    its own, and a substep writes only the columns the next read reports
+    (``_Window.runs``): every read sees the bits of a solve that updates
+    the whole shrinking window.  P is held as contiguous per-axis planes
     (a zero-speed axis's plane stays 0) and handed over as an (N, d) view;
     2 v is computed once per substep.  Each substep writes P, the viscosity
     term and the new values into buffers sized for the first substep, whose
@@ -526,26 +564,30 @@ def solve_lf(gh: GameHamiltonian, env, cfg: SolveConfig,
     """
     cfg.validate()
     sigma = np.abs(gh.f_pairs).max(axis=0)            # per-axis viscosity speed
-    win = _plan_window(cfg, "lax-friedrichs", *reach(gh.f_pairs, "lax-friedrichs", cfg.dt, cfg.dx))
-    grid = win.grid
-    d = grid.dim
     vel = velocities(gh)
     axes = vel.axes
+    n_sub = lf_substeps(sigma, cfg.dt, cfg.dx)
+    win = _plan_window(cfg, "lax-friedrichs", *reach(gh.f_pairs, "lax-friedrichs", cfg.dt, cfg.dx),
+                       substeps=n_sub, still=tuple(i for i in range(gh.dim) if i not in axes))
+    grid = win.grid
+    d = grid.dim
     neg_cost = np.negative(_precompute_cost(gh, env, grid, cfg.epsilon), order="C")
     neg_cost = neg_cost.reshape(gh.n_a, gh.n_b, *grid.shape)
-    n_sub = win.shed_lo[0]
     dt_sub = cfg.dt / n_sub
     nu = sigma * grid.dx / 2.0    # artificial viscosity coefficient per axis
-    inner = (slice(1, -1),) * d
-    n_max = math.prod(n - 2 for n in grid.shape)
+    runs = win.runs().tolist()
+    n_max = math.prod(hi - lo for lo, hi in runs[1])
     P_buf = np.zeros((d, n_max))
     visc_buf, two_v_buf = np.empty(n_max), np.empty(n_max)
     term_buf = np.empty(n_max) if len(axes) > 1 else None   # the later axes' viscosity terms
     v_bufs = [np.empty(n_max), np.empty(n_max)]   # a substep reads one and writes the other
 
     def step(v: np.ndarray, k: int) -> np.ndarray:
-        for rings_left in range(n_sub - 1, -1, -1):
-            shape = tuple(n - 2 for n in v.shape)
+        for s in range((k - 1) * n_sub + 1, k * n_sub + 1):
+            # v holds the window runs[s - 1]; this substep writes runs[s]
+            inner = tuple(slice(lo - at, hi - at)
+                          for (lo, hi), (at, _) in zip(runs[s], runs[s - 1]))
+            shape = tuple(hi - lo for lo, hi in runs[s])
             size = math.prod(shape)
             P = P_buf[:, :size]
             visc = visc_buf[:size].reshape(shape)
@@ -554,8 +596,8 @@ def solve_lf(gh: GameHamiltonian, env, cfg: SolveConfig,
             else:
                 visc.fill(0.0)
             for i in axes:
-                up = inner[:i] + (slice(2, None),) + inner[i + 1:]
-                dn = inner[:i] + (slice(None, -2),) + inner[i + 1:]
+                up = inner[:i] + (slice(inner[i].start + 1, inner[i].stop + 1),) + inner[i + 1:]
+                dn = inner[:i] + (slice(inner[i].start - 1, inner[i].stop - 1),) + inner[i + 1:]
                 P_i = P[i].reshape(shape)
                 np.subtract(v[up], v[dn], out=P_i)
                 np.divide(P_i, 2.0 * grid.dx, out=P_i)
@@ -565,7 +607,7 @@ def solve_lf(gh: GameHamiltonian, env, cfg: SolveConfig,
                 np.multiply(term, nu[i], out=term)
                 np.divide(term, grid.dx**2, out=term)
                 np.add(visc, 0.0 if i == axes[0] else term, out=visc)
-            window = tuple(slice(lo - rings_left, hi + rings_left) for lo, hi in win.active(k))
+            window = tuple(slice(lo, hi) for lo, hi in runs[s])
             H = eval_H_nodes(gh, neg_cost[(slice(None), slice(None)) + window], P.T,
                              vel).reshape(shape)
             new = v_bufs[0][:size].reshape(shape)

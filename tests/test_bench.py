@@ -57,7 +57,11 @@ def test_workload_gives_its_recorded_outputs(name):
 #: the LF solve (the second read is a memo hit, which the tracer counts too)
 FIELD2D_WORDS_HASHED = 51_986
 FIELD2D_POINTS = 101_250
-FIELD2D_LF_NODE_UPDATES = 1_867_744
+#: the nodes field2d's LF solve updates: a ring a substep on the moving axis,
+#: and on the still axis only the columns of the next record
+FIELD2D_LF_NODE_UPDATES = 1_216_512
+#: what the tracer's LF model reads: a ring a substep on every axis
+FIELD2D_LF_RING_MODEL = 1_867_744
 
 
 def test_traced_layers_see_one_field2d_iteration(monkeypatch):
@@ -69,6 +73,13 @@ def test_traced_layers_see_one_field2d_iteration(monkeypatch):
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
     wl = workloads.field2d_saddle(SEED)
+    solve, results = pde.solve, {}
+
+    def solving(gh, env, cfg):
+        results[cfg.scheme] = solve(gh, env, cfg)
+        return results[cfg.scheme]
+
+    monkeypatch.setattr(pde, "solve", solving)
     tracer = tracing.Tracer()
     tracer.begin_iteration()
     tracer.install()
@@ -78,16 +89,17 @@ def test_traced_layers_see_one_field2d_iteration(monkeypatch):
         tracer.uninstall()
     counts = tracer.end_iteration()["counts"]
     assert wl.check(out) == []
-    assert counts["game.eval_H_nodes.nodes"] == counts["pde.lf.node_updates"]
-    assert counts["pde.lf.node_updates"] == FIELD2D_LF_NODE_UPDATES
+    lf = results["lax-friedrichs"].telemetry[-1]
+    assert counts["game.eval_H_nodes.nodes"] == lf["node_updates"] == FIELD2D_LF_NODE_UPDATES
+    assert counts["pde.lf.node_updates"] == FIELD2D_LF_RING_MODEL
     assert counts["rng.words_hashed"] == FIELD2D_WORDS_HASHED
     assert counts["env.points"] == FIELD2D_POINTS
 
 
 def test_field2d_telemetry_counts_the_node_updates(monkeypatch):
-    # the solvers count their updates in closed form; LF's count is the one
-    # the tracer computes from the reach, SL's is every pair at every node
-    # of every step's window
+    # the solvers count their updates in closed form; LF's count is the
+    # nodes of every substep's window, SL's is every pair at every node of
+    # every step's window
     wl = workloads.field2d_saddle(SEED)
     solve, results = pde.solve, {}
 
