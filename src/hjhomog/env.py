@@ -74,12 +74,6 @@ class EnvSpec:
         return 2 ** self.dimension
 
 
-#: most probes (realizations x points) one hashing pass takes: a batch is
-#: hashed a group of realizations at a time, and a single realization with
-#: more points is hashed on its own
-HASH_POINTS = 2**16
-
-
 class Environment:
     """Fixed realizations of the cost field; immutable after construction.
 
@@ -168,21 +162,21 @@ class Environment:
             self._memo = (bits.copy(), out)
         return out
 
-    def _corners(self, pts: np.ndarray, group: slice):
+    def _corners(self, pts: np.ndarray):
         """The 2^d bumps covering each point, one lattice corner at a time.
 
-        For the realizations in ``group`` (G of them), returns the base
-        cells (d, G, N), the lattice cell each point lies in, and per
-        corner, in order, (corner, live (G, N), weights (G, N)): the
-        corner's cell is the base cell + corner, ``live`` says whether its
-        bump reaches the point, and the weight is the bump profile there
-        (zero where it does not).  The geometry is worked out once per
-        axis: the base cell, and the squared distance to the centre of the
-        bit-0 and of the bit-1 cell along that axis.  A corner sums its
-        bits' terms axis by axis, from the first, as .sum(axis=-1) would.
+        For the M realizations, returns the base cells (d, M, N), the
+        lattice cell each point lies in, and per corner, in order, (corner,
+        live (M, N), weights (M, N)): the corner's cell is the base cell +
+        corner, ``live`` says whether its bump reaches the point, and the
+        weight is the bump profile there (zero where it does not).  The
+        geometry is worked out once per axis: the base cell, and the
+        squared distance to the centre of the bit-0 and of the bit-1 cell
+        along that axis.  A corner sums its bits' terms axis by axis, from
+        the first, as .sum(axis=-1) would.
         """
         r = self.spec.bump_radius
-        off = self.offset[group, None, :]
+        off = self.offset[:, None, :]
         d = pts.shape[1]
         base = np.empty((d, off.shape[0], len(pts)), dtype=np.int64)
         sq_axis = []
@@ -204,17 +198,19 @@ class Environment:
         return base, bumps
 
     def _raw_values(self, pts: np.ndarray) -> np.ndarray:
-        """(M, N, C) values, hashed in groups of at most HASH_POINTS probes."""
+        """(M, N, C) values, every realization hashed in one pass.
+
+        A campaign bounds the pass: its batches hold as many realizations
+        as ``homog.BATCH_COST_BYTES`` allows.
+        """
         M = len(self.seeds)
         out = np.empty((self.spec.channels, M, len(pts)))      # channel-major while summed
-        if len(pts):
-            per = max(1, HASH_POINTS // len(pts))
-            for lo in range(0, M, per):
-                self._add_bumps(pts, slice(lo, lo + per), out[:, lo:lo + per])
+        if out.size:
+            self._add_bumps(pts, out)
         return np.ascontiguousarray(np.moveaxis(out, 0, -1))
 
-    def _add_bumps(self, pts: np.ndarray, group: slice, out: np.ndarray) -> None:
-        """Write the field of a group's realizations into out (C, G, N), channel by channel.
+    def _add_bumps(self, pts: np.ndarray, out: np.ndarray) -> None:
+        """Write the field of every realization into out (C, M, N), channel by channel.
 
         The corners' live (realization, cell) pairs are marked over the
         cell bounding box of the points, stacked per realization, and
@@ -227,16 +223,16 @@ class Environment:
         term's bits.  So each value is the sum over its live bumps, and
         out's prior contents are never read.
         """
-        base, bumps = self._corners(pts, group)
-        d, G = base.shape[:2]
+        base, bumps = self._corners(pts)
+        d, M = base.shape[:2]
         # the box runs from the least base cell to one past the greatest
         lo = [int(c.min()) for c in base]
-        shape = (G,) + tuple(int(c.max()) - c_lo + 2 for c, c_lo in zip(base, lo))
+        shape = (M,) + tuple(int(c.max()) - c_lo + 2 for c, c_lo in zip(base, lo))
         # a (realization, cell)'s row-major index in the box is linear in the
         # cell, so a corner's cells are the base cells' indices moved by k:
         # entry flat of table[k:]
         stride = [math.prod(shape[i + 1:]) for i in range(d + 1)]
-        flat = np.arange(G)[:, None] * stride[0]
+        flat = np.arange(M)[:, None] * stride[0]
         for i in range(d):
             flat = flat + (base[i] - lo[i]) * stride[i + 1]
         shift = [int(np.dot(corner, stride[1:])) for corner, _, _ in bumps]
@@ -248,7 +244,7 @@ class Environment:
         m, *z = np.unravel_index(cells, shape)
         table = np.zeros((self.spec.channels, len(marked)))
         table[:, cells] = self._cell_amplitudes(
-            self.seeds[group][m], np.stack(z, axis=1) + lo,
+            self.seeds[m], np.stack(z, axis=1) + lo,
             np.arange(self.spec.channels, dtype=np.int64)).T
         term = np.empty(flat.shape)
         for amp, acc in zip(table, out):

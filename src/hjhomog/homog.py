@@ -97,8 +97,12 @@ class EffectiveEstimate:
 # sampling
 
 #: largest stacked cost table one batched solve may hold; more realizations
-#: than fit are solved in several batches
-BATCH_COST_BYTES = 64 * 2**20
+#: than fit are solved in several batches, each hashed and marched in one
+#: pass.  Sized for the cache: on a 2-CPU Intel Xeon host (2 MiB of L2 per
+#: core, Python 3.11, numpy 2.4), 1 MiB was the fastest of 0.25, 0.5, 1, 2, 4
+#: and 64 MiB, or tied, on every long saddle campaign tried (1-D and 2-D,
+#: M = 128-256, t <= 32-512); 64 MiB took about twice as long
+BATCH_COST_BYTES = 2**20
 
 
 def solve_box_for(f: np.ndarray, scheme: str, T: float, dt: float, dx: float,
@@ -186,10 +190,11 @@ def _solve_batches(game, env_spec, seeds, theta, cfg: SolveConfig, probes,
     others goes to one process of the campaign pool over its pipe.  A refusal
     in any chunk is raised once every reply is in, the first chunk's first.
     The realizations share the stencil, so they are solved together, in
-    batches whose stacked cost table fits BATCH_COST_BYTES; each batch is one
-    seed-batched environment and one cost-table call.  The batch's
-    environment is freed before the march, which reads the probes (one
-    ``probe_stencil`` per call) and builds no Field.
+    batches whose stacked cost table fits BATCH_COST_BYTES, the one bound on a
+    pass; each batch is one seed-batched environment, hashed in one pass, and
+    one cost-table call.  The batch's environment is freed before the march,
+    which reads the probes (one ``probe_stencil`` per call) and builds no
+    Field.
     """
     if workers > 1:
         first, *rest = [c for c in np.array_split(seeds, workers) if len(c)]
@@ -477,16 +482,10 @@ def subadditivity_defects(table: UTable) -> list[dict]:
                    - table.samples[idx[tot]])
             n_err = min(m, n)
             norm = math.sqrt(n_err * max(math.log(n_err), math.log(2.0)))
-            rows.append({
-                "m": m,
-                "n": n,
-                "defect": float(np.mean(d_i)),
-                "defect_se": float(np.std(d_i, ddof=1) / math.sqrt(len(d_i)))
-                if len(d_i) > 1 else 0.0,
-                "normalized": float(np.mean(d_i) / norm),
-                "normalized_se": float(np.std(d_i, ddof=1) / math.sqrt(len(d_i)) / norm)
-                if len(d_i) > 1 else 0.0,
-            })
+            mean = float(np.mean(d_i))
+            se = float(np.std(d_i, ddof=1) / math.sqrt(len(d_i))) if len(d_i) > 1 else 0.0
+            rows.append({"m": m, "n": n, "defect": mean, "defect_se": se,
+                         "normalized": mean / norm, "normalized_se": se / norm})
     return rows
 
 

@@ -101,7 +101,7 @@ class ConstantEnvironment:
 def env_bumps(env, pts):
     """The 2^d bumps of ``env._corners`` covering each point, one lattice corner
     at a time: yields (cells (M, N, d), live (M, N), weights (M, N))."""
-    base, bumps = env._corners(pts, slice(None))
+    base, bumps = env._corners(pts)
     for corner, live, w in bumps:
         yield np.moveaxis(base + np.array(corner)[:, None, None], 0, -1), live, w
 

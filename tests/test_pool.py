@@ -14,6 +14,7 @@ import signal
 import subprocess
 import sys
 from concurrent.futures.process import BrokenProcessPool
+from dataclasses import replace
 from pathlib import Path
 from unittest import mock
 
@@ -21,7 +22,7 @@ import numpy as np
 import pytest
 
 from hjhomog import homog
-from hjhomog.env import DomainError, EnvSpec, sample_environment
+from hjhomog.env import DomainError, Environment, EnvSpec, sample_environment
 from hjhomog.families import build
 from hjhomog.pde import SolveConfig, sl_plan
 from hjhomog.rng import derive_seeds
@@ -179,3 +180,31 @@ def test_pooled_chunks_split_into_batches_under_the_cap():
         got = campaign(2)
     assert batches == [2, 2, 2, 1]          # the caller's 4 seeds, then the worker's 3
     assert got.tobytes() == campaign(1).tobytes()
+
+    # at the default cap, on a box wide enough that a chunk's stacked table
+    # is over it, no environment hashes more realizations than a batch holds
+    wide = replace(CFG, box_lo=(-1600.0,), box_hi=(1600.0,))
+    spec = replace(SPEC, box_lo=wide.box_lo, box_hi=wide.box_hi)
+    cost = sl_plan(build(*GAME, 1), wide).cost_bytes
+    assert 3 * cost > homog.BATCH_COST_BYTES
+    hashed = []
+    values = Environment.values
+
+    def spy(env, pts):
+        hashed.append(len(env.seeds))
+        return values(env, pts)
+
+    def solve(workers):
+        return homog._solve_batches(GAME, spec, SEEDS, np.zeros(1), wide, ORIGIN, workers)
+
+    with mock.patch.object(homog, "_pool", return_value=[InProcessWorker()]), \
+            mock.patch.object(Environment, "values", spy):
+        got = solve(2)
+    assert sum(hashed) == len(SEEDS) and len(hashed) > 2
+    assert max(hashed) <= homog.BATCH_COST_BYTES // cost
+    # the same bits as one serial batch, under a cap patched up
+    with mock.patch.object(homog, "BATCH_COST_BYTES", len(SEEDS) * cost), \
+            mock.patch.object(Environment, "values", spy):
+        hashed.clear()
+        assert solve(1).tobytes() == got.tobytes()
+    assert hashed == [len(SEEDS)]
