@@ -33,7 +33,7 @@ from typing import Callable, ClassVar, NamedTuple
 import numpy as np
 
 from .env import DomainError
-from .game import GameHamiltonian, eval_H_nodes, shift_momentum, velocities
+from .game import GameHamiltonian, _aligned_planes, eval_H_nodes, shift_momentum, velocities
 
 
 class CFLError(ValueError):
@@ -540,27 +540,50 @@ def lf_substeps(sigma: np.ndarray, dt: float, dx: float) -> int:
     return max(1, int(math.ceil(dt * speed / (SolveConfig.cfl_limit * dx))))
 
 
+def _divide_by(c: float) -> tuple[np.ufunc, float]:
+    """x / c as a ufunc and its operand: x * (1 / c) when c is a power of two.
+
+    Then 1 / c is exact, and x / c and x * (1 / c) round the same real
+    number, so their bits agree, signed zeros included.  Into an aligned
+    output, dividing takes about three times as long as multiplying.
+    """
+    if math.frexp(c)[0] == 0.5:
+        return np.multiply, 1.0 / c
+    return np.divide, c
+
+
 def solve_lf(gh: GameHamiltonian, env, cfg: SolveConfig,
              g: Callable[[np.ndarray], np.ndarray] = zero_datum) -> SolveResult:
     """The LF solve of env's cost, one stencil ring shed per substep on each moving axis.
 
-    The cost table is negated once per solve; each substep hands a window
-    of it to ``eval_H_nodes``, which folds H pair by pair from one drift
-    plane per distinct velocity.  The moving axes (those with sigma_i =
-    max |f_i| > 0) and the distinct velocities are worked out once per
-    solve, and only the moving axes run.  A zero-speed axis
-    has zero viscosity and zero drift, and for finite values its gradient
-    plane and its viscosity term add exactly nothing, signed zeros
-    included: the viscosity starts as 0.0 + the first moving axis's term,
-    so it is never -0.0, and each 0 * P_i is +-0, which ``eval_H_nodes``'s
-    +0.0 drift start absorbs.  So each column along a still axis evolves on
-    its own, and a substep writes only the columns the next read reports
-    (``_Window.runs``): every read sees the bits of a solve that updates
-    the whole shrinking window.  P is held as contiguous per-axis planes
-    (a zero-speed axis's plane stays 0) and handed over as an (N, d) view;
-    2 v is computed once per substep.  Each substep writes P, the viscosity
-    term and the new values into buffers sized for the first substep, whose
-    leading parts shrink with the window; ``eval_H_nodes`` allocates its own.
+    The moving axes (those with sigma_i = max |f_i| > 0) and the distinct
+    velocities are worked out once per solve, and only the moving axes
+    run.  A zero-speed axis has zero viscosity and zero drift, and for
+    finite values its gradient plane and its viscosity term add exactly
+    nothing, signed zeros included: the viscosity starts as 0.0 + the first
+    moving axis's term, so it is never -0.0, and each 0 * P_i is +-0, which
+    ``eval_H_nodes``'s +0.0 drift start absorbs.  So each column along a
+    still axis evolves on its own, and a substep writes only the columns
+    the next read reports (``_Window.runs``): every read sees the bits of a
+    solve that updates the whole shrinking window.
+
+    Between two reads the window's range on the still axes is constant: a
+    segment.  The cost is negated once per segment, up front, into a
+    C-contiguous (n_a, n_b, ...) table cut to the segment's range on the
+    still axes and whole on the moving axes, and the full-grid table is
+    dropped.  A substep hands ``eval_H_nodes`` a window of its segment's
+    table that slices the moving axes only; a game that moves along axis 0
+    alone (every field family) so reads each pair's plane as one
+    contiguous run.  With no still axis the one segment is the whole grid.
+
+    P is held as per-axis planes (a zero-speed axis's plane stays 0) and
+    handed over as an (N, d) view; 2 v is computed once per substep.  Each
+    substep writes P, the viscosity term and the new values into buffers
+    sized for the first substep, whose leading parts shrink with the
+    window; every buffer, and each row of P, starts on a 64-byte boundary
+    (``_aligned_planes``), as do the planes ``eval_H_nodes`` allocates for
+    itself.  The divisions by 2 dx and dx^2 are multiplications by the
+    reciprocal when that is exact (``_divide_by``).
     """
     cfg.validate()
     sigma = np.abs(gh.f_pairs).max(axis=0)            # per-axis viscosity speed
@@ -571,16 +594,31 @@ def solve_lf(gh: GameHamiltonian, env, cfg: SolveConfig,
                        substeps=n_sub, still=tuple(i for i in range(gh.dim) if i not in axes))
     grid = win.grid
     d = grid.dim
-    neg_cost = np.negative(_precompute_cost(gh, env, grid, cfg.epsilon), order="C")
-    neg_cost = neg_cost.reshape(gh.n_a, gh.n_b, *grid.shape)
+    runs = win.runs().tolist()
+    # per substep s >= 1, its window of the negated cost, read from one table
+    # per still-axis range (segment) that is whole on the moving axes
+    cost = _precompute_cost(gh, env, grid, cfg.epsilon).reshape(gh.n_a, gh.n_b, *grid.shape)
+    pairs = (slice(None), slice(None))
+    segments: dict[tuple, np.ndarray] = {}
+    cost_windows = [None]
+    for run in runs[1:]:
+        cut = tuple((0, n) if i in axes else tuple(r)
+                    for i, (n, r) in enumerate(zip(grid.shape, run)))
+        if cut not in segments:
+            segments[cut] = np.negative(cost[pairs + tuple(slice(*c) for c in cut)], order="C")
+        cost_windows.append(segments[cut][pairs + tuple(
+            slice(*r) if i in axes else slice(None) for i, r in enumerate(run))])
+    del cost                                # the full-grid table
     dt_sub = cfg.dt / n_sub
     nu = sigma * grid.dx / 2.0    # artificial viscosity coefficient per axis
-    runs = win.runs().tolist()
+    grad_op, grad_by = _divide_by(2.0 * grid.dx)
+    visc_op, visc_by = _divide_by(grid.dx**2)
     n_max = math.prod(hi - lo for lo, hi in runs[1])
-    P_buf = np.zeros((d, n_max))
-    visc_buf, two_v_buf = np.empty(n_max), np.empty(n_max)
-    term_buf = np.empty(n_max) if len(axes) > 1 else None   # the later axes' viscosity terms
-    v_bufs = [np.empty(n_max), np.empty(n_max)]   # a substep reads one and writes the other
+    P_buf = _aligned_planes(d, n_max)
+    P_buf.fill(0.0)
+    # the viscosity, 2 v, the values a substep reads and writes, and the later axes' terms
+    visc_buf, two_v_buf, *v_bufs = _aligned_planes(4 + (len(axes) > 1), n_max)
+    term_buf = v_bufs.pop() if len(axes) > 1 else None
 
     def step(v: np.ndarray, k: int) -> np.ndarray:
         for s in range((k - 1) * n_sub + 1, k * n_sub + 1):
@@ -600,16 +638,14 @@ def solve_lf(gh: GameHamiltonian, env, cfg: SolveConfig,
                 dn = inner[:i] + (slice(inner[i].start - 1, inner[i].stop - 1),) + inner[i + 1:]
                 P_i = P[i].reshape(shape)
                 np.subtract(v[up], v[dn], out=P_i)
-                np.divide(P_i, 2.0 * grid.dx, out=P_i)
+                grad_op(P_i, grad_by, out=P_i)
                 term = visc if i == axes[0] else term_buf[:size].reshape(shape)
                 np.subtract(v[up], two_v, out=term)
                 np.add(term, v[dn], out=term)
                 np.multiply(term, nu[i], out=term)
-                np.divide(term, grid.dx**2, out=term)
+                visc_op(term, visc_by, out=term)
                 np.add(visc, 0.0 if i == axes[0] else term, out=visc)
-            window = tuple(slice(lo, hi) for lo, hi in runs[s])
-            H = eval_H_nodes(gh, neg_cost[(slice(None), slice(None)) + window], P.T,
-                             vel).reshape(shape)
+            H = eval_H_nodes(gh, cost_windows[s], P.T, vel).reshape(shape)
             new = v_bufs[0][:size].reshape(shape)
             np.multiply(H, dt_sub, out=new)
             np.subtract(v[inner], new, out=new)

@@ -22,10 +22,12 @@ from hypothesis import strategies as st
 
 from conftest import (ORIENTED, PARAMS, ConstantEnvironment, cells_touched, drawn_games, env_bumps,
                       ref_sl_reach, ref_sl_stencils)
+from hjhomog import game as game_module
 from hjhomog import homog, pde
 from hjhomog.env import DomainError, EnvSpec, sample_environment, with_seed
 from hjhomog.families import build
-from hjhomog.game import GameHamiltonian, eval_H_nodes, shift_momentum
+from hjhomog.game import (GameHamiltonian, _aligned_planes, eval_H_nodes, shift_momentum,
+                          velocities)
 from hjhomog.homog import _ols, _solve_batches, _sup_errors, rate_experiment, solve_box_for
 from hjhomog.pde import (SolveConfig, _march, _plan_window, _precompute_cost, linear_datum,
                          sl_plan, sl_step_cost, solve_lf, solve_sl_batch)
@@ -659,9 +661,13 @@ def test_sl_plan_and_reach_equal_the_per_pair_construction(f, dt, dx):
 @example(game=SADDLE_CASE, dt=0.125, dx=0.25, steps=3, theta=0.75, records={0, 2})
 @example(game=STILL_CASE, dt=0.125, dx=0.25, steps=3, theta=-0.5, records=set())
 @example(game=STILL_CASE, dt=0.125, dx=0.25, steps=3, theta=0.25, records={1, 2})
+# 2 dx = 0.4 and dx^2 = 0.04 are not powers of two, so these divide
+@example(game=FIELD2D_CASE, dt=0.2, dx=0.2, steps=3, theta=0.5, records={1})
+@example(game=STILL_CASE, dt=0.125, dx=0.2, steps=3, theta=-0.25, records={0, 2})
 def test_lf_step_equals_whole_window_step(game, dt, dx, steps, theta, records):
     # the library writes, on an axis that does not move, only what the next
-    # record reads; the reference updates the whole shrinking window
+    # record reads, from one negated cost table per still-axis range; the
+    # reference updates the whole shrinking window from one full-grid table
     gh, env = game
     box = solve_box_for(gh.f_pairs, "lax-friedrichs", steps * dt, dt, dx, report_radius=0.5)
     cfg = SolveConfig(scheme="lax-friedrichs", dt=dt, dx=dx, T=steps * dt,
@@ -673,6 +679,11 @@ def test_lf_step_equals_whole_window_step(game, dt, dx, steps, theta, records):
 
     def counted(gh, neg_cost, P, *args):
         nodes.append(len(P))
+        # each row of the gradient planes starts on a cache line, and a game
+        # that moves along axis 0 at most reads each pair's cost as one run
+        assert all(P[:, i].ctypes.data % 64 == 0 for i in range(gh.dim))
+        if set(velocities(gh).axes) <= {0}:
+            assert all(plane.flags.c_contiguous for row in neg_cost for plane in row)
         return eval_H_nodes(gh, neg_cost, P, *args)
 
     with mock.patch.object(pde, "eval_H_nodes", counted):
@@ -713,6 +724,56 @@ def test_eval_H_nodes_equals_whole_table_form(game, data):
     # one node at a time, as eval_H calls it
     one = gh.cost(X[:1], env)[0][..., None]
     assert same_bits(eval_H_nodes(gh, np.negative(one), P[:1]), ref_eval_H_nodes(gh, one, P[:1]))
+
+
+def test_aligned_planes_start_every_row_on_a_cache_line():
+    # the (d, n) gradient planes of an LF solve are rows of one padded buffer
+    for k in (1, 2, 3):
+        for n in range(66):
+            planes = _aligned_planes(k, n)
+            assert planes.shape == (k, n) and planes.dtype == np.float64
+            assert planes.flags.writeable
+            assert all(row.ctypes.data % 64 == 0 and row.flags.c_contiguous for row in planes)
+            planes[...] = np.arange(k)[:, None]
+            assert np.array_equal(planes, np.broadcast_to(np.arange(k)[:, None], (k, n)))
+
+
+def misaligned_planes(shift):
+    """``_aligned_planes``'s layout with every row ``shift`` doubles past a cache line."""
+    def planes(k, n):
+        return _aligned_planes(k, n + shift)[:, shift:]
+    return planes
+
+
+@settings(max_examples=40, deadline=None)
+@given(game=drawn_games(), data=st.data())
+@example(game=FIELD2D_CASE, data=None)
+def test_eval_H_nodes_bits_do_not_depend_on_layout(game, data):
+    # a strided window of a larger table and its contiguous copy, into
+    # aligned and into misaligned planes, give the same bits
+    gh, env = game
+    if data is None:
+        (lo0, lo1), (rows, cols), pad, shift, seed = (1, 2), (5, 9), 3, 1, 0
+    else:
+        lo0, lo1 = data.draw(st.integers(0, 4)), data.draw(st.integers(0, 4))
+        rows, cols = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 11))
+        pad, shift = data.draw(st.integers(0, 3)), data.draw(st.integers(1, 7))
+        seed = data.draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    shape = (lo0 + rows + pad, lo1 + cols + pad)
+    X = rng.uniform(-6.0, 6.0, size=(math.prod(shape), gh.dim))
+    table = np.broadcast_to(gh.cost(X, env), (len(X), gh.n_a, gh.n_b))
+    neg = np.negative(np.moveaxis(table, 0, -1).reshape((gh.n_a, gh.n_b) + shape))
+    window = neg[:, :, lo0:lo0 + rows, lo1:lo1 + cols]
+    P = rng.uniform(-3.0, 3.0, size=(rows * cols, gh.dim))
+    want = ref_eval_H_nodes(gh, -window.reshape(gh.n_a, gh.n_b, -1), P)
+    copy = np.ascontiguousarray(window)
+    assert same_bits(eval_H_nodes(gh, window, P), want)
+    assert same_bits(eval_H_nodes(gh, copy, P), want)
+    assert misaligned_planes(shift)(2, rows * cols)[1].ctypes.data % 64 == 8 * shift
+    with mock.patch.object(game_module, "_aligned_planes", misaligned_planes(shift)):
+        assert same_bits(eval_H_nodes(gh, window, P), want)
+        assert same_bits(eval_H_nodes(gh, copy, P), want)
 
 
 #: a float that is often a signed zero
