@@ -144,10 +144,11 @@ def _read_config(path: str | None, overrides: list[str]) -> dict:
 def _typed(value, default, path: str):
     """value read as its default's JSON type, or a ConfigError naming path.
 
-    A float field takes any JSON number but a bool, and an int field an
-    integral one; a list takes a list of its default's element type (floats
-    for an empty default) and is read as a tuple; an object takes exactly
-    its default's fields, but FREE_KEYS takes any object.
+    A float field takes any finite JSON number but a bool (Python's json
+    reads NaN and Infinity), and an int field an integral one; a list takes
+    a list of its default's element type (floats for an empty default) and
+    is read as a tuple; an object takes exactly its default's fields, but
+    FREE_KEYS takes any object.
     """
     if isinstance(default, dict) and path != FREE_KEYS:
         if isinstance(value, dict) and value.keys() == default.keys():
@@ -162,13 +163,14 @@ def _typed(value, default, path: str):
     else:
         want = type(default)
         number = isinstance(value, (int, float)) and not isinstance(value, bool)
-        if want is float and number:
+        if want is float and number and abs(value) <= sys.float_info.max:
             return float(value)
         if want is int and number and (isinstance(value, int) or value.is_integer()):
             return int(value)
         if want in (str, dict) and isinstance(value, want):
             return value
-        kind = {float: "a number", int: "an integer", str: "a string", dict: "an object"}[want]
+        kind = {float: "a finite number", int: "an integer", str: "a string",
+                dict: "an object"}[want]
     raise ConfigError(f"{path}: must be {kind}, got {value!r}")
 
 

@@ -115,34 +115,32 @@ def eval_H(gh: GameHamiltonian, x: np.ndarray, p: np.ndarray, env=None) -> float
     f = gh.f_table
     # the negated table is this call's own, so it also takes the difference
     neg = np.negative(np.broadcast_to(gh.cost(x, env)[0], (gh.n_a, gh.n_b)))
-    drift = _drift(f, p, moving_axes(gh), np.empty(f.shape[:2] + (1,)))
+    drift = _drift(f, p, velocities(gh).axes, np.empty(f.shape[:2] + (1,)))
     np.subtract(neg, drift[..., 0], out=neg)
     return float(neg.min(axis=0).max(axis=0))
 
 
-def moving_axes(gh: GameHamiltonian) -> tuple[int, ...]:
-    """The axes i, in order, along which some action pair moves: max |f_i| > 0."""
-    return tuple(np.flatnonzero(np.abs(gh.f_table).reshape(-1, gh.dim).max(axis=0)).tolist())
-
-
 class Velocities(NamedTuple):
-    """What ``eval_H_nodes`` reads of a game's velocities, found once per solve."""
+    """How a game's action pairs move, found once per solve."""
 
-    axes: tuple[int, ...]       # the moving axes, in order
+    sigma: np.ndarray           # (d,): max |f_i| over the pairs, per axis
+    axes: tuple[int, ...]       # the moving axes, in order: sigma_i > 0
     rows: np.ndarray            # (R, d): the distinct velocities, bit for bit
-    row_of: np.ndarray          # the row of each entry of f_table, f_table.shape[:2]
+    row_of: np.ndarray          # (n_a, n_b): the row of each pair's velocity
 
 
 def velocities(gh: GameHamiltonian) -> Velocities:
-    """The moving axes and the distinct velocity rows of the action pairs.
+    """Each axis's top speed, the moving axes and the distinct velocity rows.
 
     Pairs with the same velocity share one drift plane: the saddle game's
     four pairs have two velocities, a localized game's do not depend on b.
     """
     f = gh.f_table.reshape(-1, gh.dim)
+    sigma = np.abs(f).max(axis=0)
     _, first, inverse = np.unique(f.view(np.int64), axis=0, return_index=True,
                                   return_inverse=True)
-    return Velocities(moving_axes(gh), f[first], inverse.reshape(gh.f_table.shape[:2]))
+    row_of = np.broadcast_to(inverse.reshape(gh.f_table.shape[:2]), (gh.n_a, gh.n_b))
+    return Velocities(sigma, tuple(np.flatnonzero(sigma).tolist()), f[first], row_of)
 
 
 def _drift(f: np.ndarray, P: np.ndarray, axes: tuple[int, ...], out: np.ndarray) -> np.ndarray:
@@ -182,43 +180,37 @@ def _aligned_planes(k: int, n: int) -> np.ndarray:
 
 
 def eval_H_nodes(gh: GameHamiltonian, neg_cost: np.ndarray, P: np.ndarray,
-                 vel: Velocities | None = None) -> np.ndarray:
+                 vel: Velocities) -> np.ndarray:
     """H at N nodes: max over b of min over a of { -cost - <f, p> }.
 
-    neg_cost: the negated cost -cost, (n_a, n_b, *nodes) broadcastable over
-    the actions, its trailing axes holding the N nodes in C order.  Any
-    layout gives the same bits; a pair's plane that is one contiguous run
-    (as ``solve_lf``'s segment windows are) runs as one 1-D loop per
-    ufunc, a strided window as one short loop per row.  P: (N, d) gradients,
-    of which only the columns of the moving axes are read (a transposed
-    (d, N) array of per-axis planes makes each column contiguous).
-    Returns (N,).
+    neg_cost: the negated cost -cost, (n_a, n_b, *nodes), its trailing axes
+    holding the N nodes in C order.  A pair's plane that is one contiguous
+    run (as ``solve_lf``'s segment windows are for a game that moves along
+    axis 0 alone) runs as one 1-D loop per ufunc, a strided window as one
+    short loop per row.  P: (N, d) gradients, of which only the columns of
+    the moving axes are read (a transposed (d, N) array of per-axis planes
+    makes each column contiguous).  Returns (N,).
 
-    ``vel`` is ``velocities(gh)``, worked out here when not given.  One
-    drift plane is computed per distinct velocity (see ``_drift``).  Then
-    H is folded pair by pair: for each b in order, -cost - drift of each a
-    in order is folded into one column with np.minimum(column, next), and
-    each column into H with np.maximum(H, column).  That is the elementwise
-    order of ``.min(axis=0).max(axis=0)`` over the (n_a, n_b, N) table, and
-    numpy breaks a tie of +-0 toward the second operand in the fold and in
-    the reductions alike, so the bits, signed zeros included, are those of
-    the reductions, without the table.  The drift planes, the fold's two
-    scratch planes and H are this call's own, and each starts on a 64-byte
-    boundary (``_aligned_planes``), which the fold's ufuncs run fastest into.
+    ``vel`` is ``velocities(gh)``.  One drift plane is computed per distinct
+    velocity (see ``_drift``).  Then H is folded pair by pair: for each b in
+    order, -cost - drift of each a in order is folded into one column with
+    np.minimum(column, next), and each column into H with np.maximum(H,
+    column).  That is the elementwise order of ``.min(axis=0).max(axis=0)``
+    over the (n_a, n_b, N) table, and numpy breaks a tie of +-0 toward the
+    second operand in the fold and in the reductions alike, so the bits,
+    signed zeros included, are those of the reductions, without the table.
+    The drift planes, the fold's two scratch planes and H are this call's
+    own, and each starts on a 64-byte boundary (``_aligned_planes``), which
+    the fold's ufuncs run fastest into.
     """
-    if vel is None:
-        vel = velocities(gh)
-    n_a, n_b = np.broadcast_shapes(neg_cost.shape[:2], gh.f_table.shape[:2])
     nodes = neg_cost.shape[2:]
     R = len(vel.rows)
     drift = _drift(vel.rows, P, vel.axes, _aligned_planes(R, len(P))).reshape((R,) + nodes)
-    neg = np.broadcast_to(neg_cost, (n_a, n_b) + nodes)
-    row_of = np.broadcast_to(vel.row_of, (n_a, n_b))
     H, column, tmp = (plane.reshape(nodes) for plane in _aligned_planes(3, len(P)))
-    for b in range(n_b):
+    for b in range(gh.n_b):
         col = column if b else H
-        for a in range(n_a):
-            diff = np.subtract(neg[a, b], drift[row_of[a, b]], out=tmp if a else col)
+        for a in range(gh.n_a):
+            diff = np.subtract(neg_cost[a, b], drift[vel.row_of[a, b]], out=tmp if a else col)
             if a:
                 np.minimum(col, diff, out=col)
         if b:

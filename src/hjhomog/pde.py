@@ -250,15 +250,15 @@ class SolveResult:
 def _precompute_cost(gh: GameHamiltonian, env, grid: Grid, eps: float) -> np.ndarray:
     """Cost table over all grid nodes, pair-major: (n_a * n_b, *shape).
 
-    A batched environment puts its realization axis after the pairs:
-    (n_a * n_b, M, *shape).  A transposed view of the accessor's
-    (..., N, n_a, n_b) table, not a copy.
+    A batched environment puts its realization axis last: (n_a * n_b,
+    *shape, M).  A transposed view of the accessor's (..., N, n_a, n_b)
+    table, not a copy.
     """
     pts = grid.nodes()
     lead = () if env is None else env.batch_shape
     c = np.broadcast_to(gh.cost(pts / eps, env), lead + (len(pts), gh.n_a, gh.n_b))
-    c = c.reshape(lead + (len(pts), -1))
-    return np.moveaxis(c, -1, 0).reshape((-1,) + lead + grid.shape)
+    c = np.moveaxis(c.reshape(lead + (len(pts), -1)), (-1, -2), (0, 1))
+    return c.reshape((-1,) + grid.shape + lead)
 
 
 def _steps_and_records(cfg: SolveConfig) -> tuple[int, dict[int, float]]:
@@ -439,17 +439,13 @@ def sl_plan(gh: GameHamiltonian, cfg: SolveConfig) -> SLPlan:
 def sl_step_cost(gh: GameHamiltonian, env, plan: SLPlan) -> np.ndarray:
     """Cost one SL step accrues at each node, dt * cost.
 
-    (pairs, *shape) for one realization, (pairs, M, *shape) for a batched
-    environment: the stacked table ``solve_sl_batch`` takes.  The one copy
-    is written pair by pair with the realizations innermost, (pairs,
-    *shape, M) in memory, and returned in the public shape as a view, so
-    that every window the march reads of a pair's plane is contiguous.
+    (pairs, *shape) for one realization, (pairs, *shape, M) for a batched
+    environment: the stacked table ``solve_sl_batch`` takes, one C-ordered
+    copy with the realizations innermost, so that every window the march
+    reads of a pair's plane is contiguous.
     """
-    cost = _precompute_cost(gh, env, plan.grid, plan.cfg.epsilon)
-    lead = range(1, cost.ndim - plan.grid.dim)
-    inner = range(-len(lead), 0)
-    return np.moveaxis(np.multiply(np.moveaxis(cost, lead, inner), plan.cfg.dt, order="C"),
-                       inner, lead)
+    return np.multiply(_precompute_cost(gh, env, plan.grid, plan.cfg.epsilon), plan.cfg.dt,
+                       order="C")
 
 
 def solve_sl_batch(plan: SLPlan, step_cost: np.ndarray,
@@ -457,31 +453,28 @@ def solve_sl_batch(plan: SLPlan, step_cost: np.ndarray,
                    probes: ProbeStencil | None = None) -> SolveResult:
     """The SL recursion for every realization of a ``sl_step_cost`` table at once.
 
-    ``step_cost`` is (pairs, *shape) for one realization or (pairs, M,
-    *shape) for a batched environment; all realizations start from the
-    datum g.  A record time holds a Field with the table's realization axes
-    first or, given a ``probes`` stencil, the probes' (n, *M) values read
-    from the window.  Each realization's numbers are those of its own
-    solve: the recursion is elementwise along M.
+    ``step_cost`` is (pairs, *shape) for one realization or (pairs, *shape,
+    M) for a batched environment; all realizations start from the datum g.
+    A record time holds a Field with the table's realization axes first
+    or, given a ``probes`` stencil, the probes' (n, *M) values read from
+    the window.  Each realization's numbers are those of its own solve:
+    the recursion is elementwise along M.
 
-    The march keeps the values as (*window, M), realizations innermost, and
-    reads the table through the same view, which is contiguous for a table
-    from ``sl_step_cost`` (any other layout gives the same bits, slower).
-    The window sheds the same cells every step, so every read is a constant
-    slice worked out once: the table is trimmed by one slice per step, and
-    a corner at offset o reads ``slice(o, -(shed - o) or None)`` of the
-    current values on each axis.  A step interpolates once per distinct
-    stencil.  It then takes the max-min as it goes: for each b in order,
-    np.maximum over a, in order, into one column, which np.minimum folds
-    into the result.  That is the elementwise order of
+    The march keeps the values as (*window, M), realizations innermost, as
+    the table is.  The window sheds the same cells every step, so every
+    read is a constant slice worked out once: the table is trimmed by one
+    slice per step, and a corner at offset o reads ``slice(o, -(shed - o)
+    or None)`` of the current values on each axis.  A step interpolates
+    once per distinct stencil.  It then takes the max-min as it goes: for
+    each b in order, np.maximum over a, in order, into one column, which
+    np.minimum folds into the result.  That is the elementwise order of
     ``cand.max(axis=0).min(axis=0)`` over the pairs' candidates, so the
     bits, signed zeros included, are those of the reductions, without the
     (pairs, *window) candidate table.  Each ufunc allocates its own output
     or writes onto an array the same step allocated.
     """
     grid = plan.grid
-    lead = step_cost.shape[1:step_cost.ndim - grid.dim]
-    cost = np.moveaxis(step_cost, range(1, 1 + len(lead)), range(-len(lead), 0))
+    lead = step_cost.shape[1 + grid.dim:]
     trim = (slice(None),) + tuple(slice(lo, -hi or None)
                                   for lo, hi in zip(plan.shed_lo, plan.shed_hi))
     sheds = [lo + hi for lo, hi in zip(plan.shed_lo, plan.shed_hi)]
@@ -492,8 +485,8 @@ def solve_sl_batch(plan: SLPlan, step_cost: np.ndarray,
                for b in range(plan.n_b)]
 
     def step(v: np.ndarray, k: int) -> np.ndarray:
-        nonlocal cost
-        cost = cost[trim]
+        nonlocal step_cost
+        step_cost = step_cost[trim]
         interp = []
         for terms in stencils:
             # the corners summed in order; a weighted corner is a new array,
@@ -508,7 +501,7 @@ def solve_sl_batch(plan: SLPlan, step_cost: np.ndarray,
         for pairs, stencil in columns:
             col = None
             for j, s in zip(pairs, stencil):
-                cand = np.add(cost[j], interp[s])
+                cand = np.add(step_cost[j], interp[s])
                 col = cand if col is None else np.maximum(col, cand, out=col)
             new = col if new is None else np.minimum(new, col, out=new)
         return new
@@ -556,16 +549,17 @@ def solve_lf(gh: GameHamiltonian, env, cfg: SolveConfig,
              g: Callable[[np.ndarray], np.ndarray] = zero_datum) -> SolveResult:
     """The LF solve of env's cost, one stencil ring shed per substep on each moving axis.
 
-    The moving axes (those with sigma_i = max |f_i| > 0) and the distinct
-    velocities are worked out once per solve, and only the moving axes
-    run.  A zero-speed axis has zero viscosity and zero drift, and for
-    finite values its gradient plane and its viscosity term add exactly
-    nothing, signed zeros included: the viscosity starts as 0.0 + the first
-    moving axis's term, so it is never -0.0, and each 0 * P_i is +-0, which
-    ``eval_H_nodes``'s +0.0 drift start absorbs.  So each column along a
-    still axis evolves on its own, and a substep writes only the columns
-    the next read reports (``_Window.runs``): every read sees the bits of a
-    solve that updates the whole shrinking window.
+    The game's motion (``velocities``: sigma_i = max |f_i|, the moving axes
+    with sigma_i > 0, the distinct velocities) is worked out once per
+    solve, and only the moving axes run.  A zero-speed axis has zero
+    viscosity and zero drift, and for finite values its gradient plane and
+    its viscosity term add exactly nothing, signed zeros included: the
+    viscosity starts as 0.0 + the first moving axis's term, so it is never
+    -0.0, and each 0 * P_i is +-0, which ``eval_H_nodes``'s +0.0 drift
+    start absorbs.  So each column along a still axis evolves on its own,
+    and a substep writes only the columns the next read reports
+    (``_Window.runs``): every read sees the bits of a solve that updates
+    the whole shrinking window.
 
     Between two reads the window's range on the still axes is constant: a
     segment.  The cost is negated once per segment, up front, into a
@@ -586,10 +580,9 @@ def solve_lf(gh: GameHamiltonian, env, cfg: SolveConfig,
     reciprocal when that is exact (``_divide_by``).
     """
     cfg.validate()
-    sigma = np.abs(gh.f_pairs).max(axis=0)            # per-axis viscosity speed
     vel = velocities(gh)
     axes = vel.axes
-    n_sub = lf_substeps(sigma, cfg.dt, cfg.dx)
+    n_sub = lf_substeps(vel.sigma, cfg.dt, cfg.dx)
     win = _plan_window(cfg, "lax-friedrichs", *reach(gh.f_pairs, "lax-friedrichs", cfg.dt, cfg.dx),
                        substeps=n_sub, still=tuple(i for i in range(gh.dim) if i not in axes))
     grid = win.grid
@@ -610,9 +603,10 @@ def solve_lf(gh: GameHamiltonian, env, cfg: SolveConfig,
             slice(*r) if i in axes else slice(None) for i, r in enumerate(run))])
     del cost                                # the full-grid table
     dt_sub = cfg.dt / n_sub
-    nu = sigma * grid.dx / 2.0    # artificial viscosity coefficient per axis
+    nu = vel.sigma * grid.dx / 2.0    # artificial viscosity coefficient per axis
     grad_op, grad_by = _divide_by(2.0 * grid.dx)
     visc_op, visc_by = _divide_by(grid.dx**2)
+    # buffers the solve owns: fresh planes per substep kept the bits, 30 % slower (ROADMAP item 10)
     n_max = math.prod(hi - lo for lo, hi in runs[1])
     P_buf = _aligned_planes(d, n_max)
     P_buf.fill(0.0)

@@ -448,6 +448,33 @@ def test_every_field_refuses_another_json_type(tmp_path, capsys, path):
     assert not out.exists()
 
 
+def _float_depth(default):
+    """How deep in lists a float or float-list leaf holds its numbers (an
+    empty list holds floats); None for any other leaf."""
+    depth = 0
+    while isinstance(default, list):
+        default, depth = default[0] if default else 0.0, depth + 1
+    return depth if isinstance(default, float) else None
+
+
+FLOAT_DEPTHS = {path: depth for path, default in LEAVES.items()
+                if (depth := _float_depth(default)) is not None}
+
+
+@pytest.mark.parametrize("word", ["NaN", "Infinity", "-Infinity"])
+@pytest.mark.parametrize("path", FLOAT_DEPTHS)
+def test_every_float_field_refuses_a_non_finite_number(tmp_path, capsys, path, word):
+    # json reads NaN and Infinity: they used to end in a traceback, a refusal
+    # that named another fault, or an exit 0 that echoed invalid JSON
+    depth = FLOAT_DEPTHS[path]
+    out = tmp_path / "o"
+    override = f"{path}={'[' * depth}{word}{']' * depth}"
+    assert main(["estimate", "--set", override, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (f"config error: {path}{'[0]' * depth}: must be a finite "
+                                       f"number, got {float(word)!r}\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("value", ["2.5", "true", '"16"', "07"])
 def test_int_fields_take_only_integral_numbers(tmp_path, capsys, value):
     # these used to run on int(value): M = 2, 1, 16 and 7.  An integral

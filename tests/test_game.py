@@ -11,7 +11,7 @@ from conftest import drawn_games
 from hjhomog.env import EnvSpec, sample_environment
 from hjhomog.game import (GameHamiltonian, OrientationError, ball_grid,
                           certify_constants, eval_H, eval_H_nodes, localize,
-                          shift_momentum, verify_localization)
+                          shift_momentum, velocities, verify_localization)
 from hjhomog.families import (bind_env_constants, build, saddle_game, transport,
                               two_speed_control)
 
@@ -86,7 +86,8 @@ SIGNED_ZERO_CASE = (
 @example(case=SIGNED_ZERO_CASE)
 def test_eval_H_nodes_is_eval_H_at_each_node(case):
     gh, env, X, P = case
-    nodes = eval_H_nodes(gh, np.moveaxis(-gh.cost(X, env), 0, -1), P)
+    cost = np.broadcast_to(gh.cost(X, env), (len(X), gh.n_a, gh.n_b))
+    nodes = eval_H_nodes(gh, np.moveaxis(-cost, 0, -1), P, velocities(gh))
     single = np.array([eval_H(gh, x, p, env) for x, p in zip(X, P)])
     brute = np.array([brute_force_H(gh, x, p, env) for x, p in zip(X, P)])
     assert nodes.shape == (len(X),)
@@ -100,6 +101,26 @@ def test_eval_H_nodes_is_eval_H_at_each_node(case):
         assert np.array_equal(nodes, single)
     # Python's min and max keep the first of a tie, numpy's the second
     assert np.array_equal(nodes, brute)
+
+
+@settings(max_examples=80, deadline=None)
+@given(game=drawn_games())
+# a 2-D game that moves along axis 0 only, and one that does not move
+@example(game=(build("saddle-game", {"base_speed": 1.0, "coupling": 0.25}, 2), None))
+@example(game=(build("saddle-game", {"base_speed": 0.0, "coupling": 0.0}, 2), None))
+def test_velocities_equal_the_per_pair_summary(game):
+    gh, _ = game
+    f = np.broadcast_to(gh.f_table, (gh.n_a, gh.n_b, gh.dim))
+    pairs = list(np.ndindex(gh.n_a, gh.n_b))
+    sigma = np.array([max(abs(float(f[ab][i])) for ab in pairs) for i in range(gh.dim)])
+    bits = {ab: tuple(f[ab].view(np.int64).tolist()) for ab in pairs}
+    rows = sorted(set(bits.values()))          # np.unique's order: the bits as int64
+    vel = velocities(gh)
+    assert vel.sigma.tobytes() == sigma.tobytes()
+    assert vel.axes == tuple(i for i in range(gh.dim) if sigma[i] > 0)
+    assert vel.rows.tobytes() == np.array(rows, dtype=np.int64).tobytes()
+    assert vel.row_of.shape == (gh.n_a, gh.n_b)
+    assert [vel.row_of[ab] for ab in pairs] == [rows.index(bits[ab]) for ab in pairs]
 
 
 def test_non_coercivity_direction():

@@ -213,16 +213,19 @@ def test_strip_rejects_degenerate():
 
 
 def test_purely_additive_sequence_has_zero_defects():
-    times = [4.0, 8.0, 16.0, 32.0]
-    samples = np.array([[-2.0 * t] * 5 for t in times])
-    t = UTable(theta=np.zeros(1), times=times, samples=samples,
-               base_seed=0, beta=10.0)
-    rows = subadditivity_defects(t)
-    assert rows
-    assert all(r["defect"] == 0.0 for r in rows)
-    rep = check_subadditivity(t)
-    assert rep["stable"]
-    assert rep["K_hat_implied"] == 0.0
+    # U = -2 k at step k, on a dyadic schedule and on a dt = 0.1 one, where
+    # 0.1 + 0.2 and 0.2 + 0.4 hit 0.3 and 0.6 only to within rounding
+    for times, steps, pairs in (([4.0, 8.0, 16.0, 32.0], [4, 8, 16, 32], 3),
+                                ([0.1, 0.2, 0.3, 0.4, 0.6, 1.2], [1, 2, 3, 4, 6, 12], 7)):
+        samples = np.array([[-2.0 * k] * 5 for k in steps])
+        t = UTable(theta=np.zeros(1), times=times, samples=samples,
+                   base_seed=0, beta=10.0)
+        rows = subadditivity_defects(t)
+        assert len(rows) == pairs
+        assert all(r["defect"] == 0.0 for r in rows)
+        rep = check_subadditivity(t)
+        assert rep["stable"]
+        assert rep["K_hat_implied"] == 0.0
 
 
 def test_planted_defect_normalization():

@@ -57,15 +57,16 @@ def ref_sl_step_cost(gh, env, plan, out=None):
 
 
 def ref_step_costs(gh, spec, seeds, plan):
-    cost = np.empty((len(plan.stencil), len(seeds)) + plan.grid.shape)
+    cost = np.empty((len(plan.stencil),) + plan.grid.shape + (len(seeds),))
     for m, seed in enumerate(seeds):
-        ref_sl_step_cost(gh, sample_environment(with_seed(spec, seed)), plan, out=cost[:, m])
+        ref_sl_step_cost(gh, sample_environment(with_seed(spec, seed)), plan, out=cost[..., m])
     return cost
 
 
 def ref_solve_sl_batch(plan, step_cost, g):
     grid = plan.grid
-    M = step_cost.shape[1]
+    M = step_cost.shape[-1]
+    step_cost = np.moveaxis(step_cost, -1, 1)
     corners = [plan.corners[s] for s in plan.stencil]    # one stencil per pair
 
     def step(v, k):
@@ -354,7 +355,8 @@ def test_batched_cost_table_equals_per_realization_build(game, M, dt, seed):
     spec = covering_env(env, box).spec
     seeds = [seed + 3 * m for m in range(M)]
     got = sl_step_cost(gh, sample_environment(spec, seeds), plan)
-    assert got.shape == (len(plan.stencil), M) + plan.grid.shape
+    # one C-ordered copy, realizations innermost
+    assert got.shape == (len(plan.stencil),) + plan.grid.shape + (M,) and got.flags.c_contiguous
     assert same_bits(got, ref_step_costs(gh, spec, seeds, plan))
     # one realization: the table without the realization axis
     single = sample_environment(with_seed(spec, seeds[0]))
@@ -390,14 +392,9 @@ def test_sl_step_equals_pair_by_pair_step(game, M, dt, steps, theta):
     got, want = solve_sl_batch(plan, cost, g), ref_solve_sl_batch(plan, cost, g)
     assert same_bits(got.final.values, want.final.values)
     assert same_bits(got.at_time(dt).values, want.at_time(dt).values)
-    # the table keeps its realizations innermost; a plain C-ordered copy gives the same bits
-    assert np.moveaxis(cost, 1, -1).flags.c_contiguous
-    plain = solve_sl_batch(plan, np.ascontiguousarray(cost), g)
-    assert same_bits(plain.final.values, want.final.values)
-    assert same_bits(plain.at_time(dt).values, want.at_time(dt).values)
     # one realization: a table without the realization axis, no axis in the result
     one = sl_step_cost(gh, base, plan)
-    got, want = solve_sl_batch(plan, one, g), ref_solve_sl_batch(plan, one[:, None], g)
+    got, want = solve_sl_batch(plan, one, g), ref_solve_sl_batch(plan, one[..., None], g)
     assert same_bits(got.final.values, want.final.values[0])
     assert same_bits(got.at_time(dt).values, want.at_time(dt).values[0])
     assert got.telemetry[-1]["stencils"] == len(plan.corners) == len(set(plan.corners))
@@ -429,13 +426,13 @@ def test_sl_step_breaks_signed_zero_ties_as_the_reductions(game, M, dt, steps, s
     plan = sl_plan(gh, SolveConfig(scheme="semi-lagrangian", dt=dt, dx=dx, T=steps * dt,
                                    box_lo=box[0], box_hi=box[1], record_times=(dt,)))
     rng = np.random.default_rng(seed)
-    cost = np.where(rng.integers(0, 2, size=(len(plan.stencil), M) + plan.grid.shape) == 0,
+    cost = np.where(rng.integers(0, 2, size=(len(plan.stencil),) + plan.grid.shape + (M,)) == 0,
                     0.0, -0.0)
     got, want = solve_sl_batch(plan, cost, g), ref_solve_sl_batch(plan, cost, g)
     assert same_bits(got.final.values, want.final.values)
     assert same_bits(got.at_time(dt).values, want.at_time(dt).values)
     assert not np.any(got.final.active_values())        # zeros only
-    one = solve_sl_batch(plan, cost[:, 0], g)
+    one = solve_sl_batch(plan, cost[..., 0], g)
     assert same_bits(one.final.values, want.final.values[0])
 
 
@@ -530,7 +527,7 @@ def test_probe_reads_equal_field_reads(dim, M, g):
                          0.0, -0.0)
     # a batch of M, ties between zeros of either sign, and a table without
     # the realization axis
-    for cost, lead in ((field_cost, M), (zero_cost, M), (field_cost[:, 0], 1)):
+    for cost, lead in ((field_cost, M), (zero_cost, M), (field_cost[..., 0], 1)):
         got = solve_sl_batch(plan, cost, g, probes=stencil)
         reads = np.stack([got.at_time(t) for t in cfg.record_times])
         assert same_bits(reads, field_reads(solve_sl_batch(plan, cost, g), probes,
@@ -710,20 +707,18 @@ def test_eval_H_nodes_equals_whole_table_form(game, data):
     X = rng.uniform(-6.0, 6.0, size=shape + (d,)).reshape(-1, d)
     P = rng.uniform(-3.0, 3.0, size=(len(X), d))
     table = np.moveaxis(np.broadcast_to(gh.cost(X, env), (len(X), gh.n_a, gh.n_b)), 0, -1)
-    # eval_H_nodes reads the negated table: a contiguous one, a broadcast one
-    # and a strided grid window
-    assert same_bits(eval_H_nodes(gh, -table, P), ref_eval_H_nodes(gh, table, P))
-    own = np.moveaxis(gh.cost(X, env), 0, -1)
-    assert same_bits(eval_H_nodes(gh, -own, P), ref_eval_H_nodes(gh, own, P))
+    vel = velocities(gh)
+    # eval_H_nodes reads the whole negated table, or a strided grid window
+    assert same_bits(eval_H_nodes(gh, -table, P, vel), ref_eval_H_nodes(gh, table, P))
     grid = np.zeros((gh.n_a, gh.n_b) + tuple(n + 2 for n in shape))
     window = (slice(None), slice(None)) + (slice(1, -1),) * len(shape)
     grid[window] = table.reshape((gh.n_a, gh.n_b) + shape)
     want = ref_eval_H_nodes(gh, grid[window].reshape(gh.n_a, gh.n_b, -1), P)
     neg_grid = -grid
-    assert same_bits(eval_H_nodes(gh, neg_grid[window], P), want)
-    # one node at a time, as eval_H calls it
-    one = gh.cost(X[:1], env)[0][..., None]
-    assert same_bits(eval_H_nodes(gh, np.negative(one), P[:1]), ref_eval_H_nodes(gh, one, P[:1]))
+    assert same_bits(eval_H_nodes(gh, neg_grid[window], P, vel), want)
+    # one node at a time
+    one = table[..., :1]
+    assert same_bits(eval_H_nodes(gh, -one, P[:1], vel), ref_eval_H_nodes(gh, one, P[:1]))
 
 
 def test_aligned_planes_start_every_row_on_a_cache_line():
@@ -768,12 +763,13 @@ def test_eval_H_nodes_bits_do_not_depend_on_layout(game, data):
     P = rng.uniform(-3.0, 3.0, size=(rows * cols, gh.dim))
     want = ref_eval_H_nodes(gh, -window.reshape(gh.n_a, gh.n_b, -1), P)
     copy = np.ascontiguousarray(window)
-    assert same_bits(eval_H_nodes(gh, window, P), want)
-    assert same_bits(eval_H_nodes(gh, copy, P), want)
+    vel = velocities(gh)
+    assert same_bits(eval_H_nodes(gh, window, P, vel), want)
+    assert same_bits(eval_H_nodes(gh, copy, P, vel), want)
     assert misaligned_planes(shift)(2, rows * cols)[1].ctypes.data % 64 == 8 * shift
     with mock.patch.object(game_module, "_aligned_planes", misaligned_planes(shift)):
-        assert same_bits(eval_H_nodes(gh, window, P), want)
-        assert same_bits(eval_H_nodes(gh, copy, P), want)
+        assert same_bits(eval_H_nodes(gh, window, P, vel), want)
+        assert same_bits(eval_H_nodes(gh, copy, P, vel), want)
 
 
 #: a float that is often a signed zero
@@ -788,7 +784,7 @@ def test_eval_H_nodes_breaks_signed_zero_ties_as_the_reductions():
     field = SimpleNamespace(values=lambda pts: np.where(bits == 1, -0.0, 0.0))
     cost = np.moveaxis(gh.cost(np.zeros((16, 1)), field), 0, -1)
     P = np.zeros((16, 1))
-    got = eval_H_nodes(gh, np.negative(cost), P)
+    got = eval_H_nodes(gh, np.negative(cost), P, velocities(gh))
     assert same_bits(got, ref_eval_H_nodes(gh, cost, P))
     assert np.all(got == 0.0) and 0 < np.signbit(got).sum() < 16
 
@@ -810,8 +806,9 @@ def test_eval_H_nodes_keeps_the_blas_bits_of_axis_aligned_games(name, dim, shift
     cost = np.broadcast_to(gh.cost(np.zeros((n, dim)), field), (n, gh.n_a, gh.n_b))
     neg = np.negative(np.moveaxis(cost, 0, -1))
     blas = (neg - gh.f_table @ P.T).min(axis=0).max(axis=0)
-    assert same_bits(eval_H_nodes(gh, neg, P), blas)
-    assert same_bits(eval_H_nodes(gh, neg, np.ascontiguousarray(P.T).T), blas)
+    vel = velocities(gh)
+    assert same_bits(eval_H_nodes(gh, neg, P, vel), blas)
+    assert same_bits(eval_H_nodes(gh, neg, np.ascontiguousarray(P.T).T, vel), blas)
 
 
 def signed_zeros_and_a_subnormal(x):
