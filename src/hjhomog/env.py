@@ -131,12 +131,19 @@ class Environment:
     # -- evaluation ---------------------------------------------------------
 
     def check_inside(self, pts: np.ndarray) -> None:
+        """Refuses points (N, d) outside the box inflated by r, or not finite.
+
+        Each axis's min and max are compared with the box: a NaN among the
+        points makes them NaN, which compares false.  One column at a time:
+        numpy reduces an (N, d) table along axis 0 several times slower.
+        """
         s = self.spec
         r = s.bump_radius
         lo = np.asarray(s.box_lo) - r
         hi = np.asarray(s.box_hi) + r
-        if np.any(pts < lo) or np.any(pts > hi):
-            bad = pts[np.any((pts < lo) | (pts > hi), axis=-1)][:1]
+        if len(pts) and not all(lo[i] <= pts[:, i].min() and pts[:, i].max() <= hi[i]
+                                for i in range(len(lo))):
+            bad = pts[~np.all((pts >= lo) & (pts <= hi), axis=-1)][:1]
             raise DomainError(
                 f"probe {bad} outside environment box [{s.box_lo}, {s.box_hi}] "
                 f"(inflated by r={r})"
@@ -146,8 +153,10 @@ class Environment:
         """Field values at points ``pts`` (N, d) for all channels.
 
         (N, C) for a single realization, (M, N, C) for a batch.  The
-        table is read-only: asked again for points with the same shape and
-        bits, a single realization returns the table it gave last.
+        table is read-only, and its memory is channel-major: each channel's
+        (M, N) values are one C-ordered block.  Asked again for points with
+        the same shape and bits, a single realization returns the table it
+        gave last.
         """
         pts = np.atleast_2d(np.asarray(pts, dtype=np.float64))
         bits = pts.view(np.int64)
@@ -198,16 +207,17 @@ class Environment:
         return base, bumps
 
     def _raw_values(self, pts: np.ndarray) -> np.ndarray:
-        """(M, N, C) values, every realization hashed in one pass.
+        """(M, N, C) values, every realization hashed in one pass: a view of
+        the channel-major (C, M, N) table they are summed into.
 
         A campaign bounds the pass: its batches hold as many realizations
-        as ``homog.BATCH_COST_BYTES`` allows.
+        as ``pde.BATCH_COST_BYTES`` allows.
         """
         M = len(self.seeds)
-        out = np.empty((self.spec.channels, M, len(pts)))      # channel-major while summed
+        out = np.empty((self.spec.channels, M, len(pts)))
         if out.size:
             self._add_bumps(pts, out)
-        return np.ascontiguousarray(np.moveaxis(out, 0, -1))
+        return np.moveaxis(out, 0, -1)
 
     def _add_bumps(self, pts: np.ndarray, out: np.ndarray) -> None:
         """Write the field of every realization into out (C, M, N), channel by channel.

@@ -1,6 +1,8 @@
 """Named game-Hamiltonian families used by configs and experiments."""
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -86,8 +88,25 @@ def bind_env_constants(gh: GameHamiltonian, env) -> GameHamiltonian:
     return replace(gh, lip_l=float(env.lip_bound), l_inf=float(env.sup_bound))
 
 
+def _require_finite(path: str, value) -> None:
+    """Refuses a number in value, or in its nested lists, that is not finite, naming its path."""
+    if isinstance(value, np.ndarray):
+        value = value.tolist()
+    if isinstance(value, (list, tuple)):
+        for i, item in enumerate(value):
+            _require_finite(f"{path}[{i}]", item)
+    elif isinstance(value, numbers.Real):
+        try:
+            finite = math.isfinite(value)
+        except OverflowError:       # an int beyond the float range
+            finite = False
+        if not finite:
+            raise ValueError(f"{path}: must be a finite number, got {value!r}")
+
+
 def build(name: str, params: dict, dim: int) -> GameHamiltonian:
-    """Construct a family by config name; refuses a key it does not read or lacks one it needs."""
+    """Construct a family by config name; refuses a key it does not read or lacks one it
+    needs, and a number in any param, or in a param's lists, that is not finite."""
     if name not in FAMILIES:
         raise ValueError(f"unknown hamiltonian family {name!r}")
     family = FAMILIES[name]
@@ -99,6 +118,8 @@ def build(name: str, params: dict, dim: int) -> GameHamiltonian:
         if key not in params:
             raise ValueError(f"missing key {key!r} for {name} "
                              f"(requires: {', '.join(family.requires)})")
+    for key, value in params.items():
+        _require_finite(key, value)
     return family.build(params, dim)
 
 

@@ -44,7 +44,8 @@ class GameHamiltonian:
     """Finite-action game data.
 
     ``base_cost(points, env) -> (N, n_a, n_b)`` returns the running cost at
-    each point for every action pair (broadcastable shapes allowed).  The
+    each point for every action pair (broadcastable shapes allowed): a
+    fresh array, which the solvers may overwrite, or a read-only one.  The
     momentum shift <f, theta> is folded into a single additive table so the
     solver inner loop sees one accessor call.
     """

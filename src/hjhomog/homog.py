@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import families
+from . import families, pde
 from .env import DomainError, replace_on_strip, sample_environment, with_seed
 from .game import GameHamiltonian, ball_grid, certify_constants, shift_momentum
 from .pde import (SolveConfig, probe_stencil, reach, sl_plan, sl_step_cost, solve_sl,
@@ -95,15 +95,6 @@ class EffectiveEstimate:
 
 # ---------------------------------------------------------------------------
 # sampling
-
-#: largest stacked cost table one batched solve may hold; more realizations
-#: than fit are solved in several batches, each hashed and marched in one
-#: pass.  Sized for the cache: on a 2-CPU Intel Xeon host (2 MiB of L2 per
-#: core, Python 3.11, numpy 2.4), 1 MiB was the fastest of 0.25, 0.5, 1, 2, 4
-#: and 64 MiB, or tied, on every long saddle campaign tried (1-D and 2-D,
-#: M = 128-256, t <= 32-512); 64 MiB took about twice as long
-BATCH_COST_BYTES = 2**20
-
 
 def solve_box_for(f: np.ndarray, scheme: str, T: float, dt: float, dx: float,
                   report_radius: float = 0.0):
@@ -190,11 +181,11 @@ def _solve_batches(game, env_spec, seeds, theta, cfg: SolveConfig, probes,
     others goes to one process of the campaign pool over its pipe.  A refusal
     in any chunk is raised once every reply is in, the first chunk's first.
     The realizations share the stencil, so they are solved together, in
-    batches whose stacked cost table fits BATCH_COST_BYTES, the one bound on a
-    pass; each batch is one seed-batched environment, hashed in one pass, and
-    one cost-table call.  The batch's environment is freed before the march,
-    which reads the probes (one ``probe_stencil`` per call) and builds no
-    Field.
+    batches whose stacked cost table fits ``pde.BATCH_COST_BYTES``, the one
+    bound on a pass; each batch is one seed-batched environment, hashed in
+    one pass, and one cost-table call.  The batch's environment is freed
+    before the march, which reads the probes (one ``probe_stencil`` per
+    call) and builds no Field.
     """
     if workers > 1:
         first, *rest = [c for c in np.array_split(seeds, workers) if len(c)]
@@ -225,7 +216,7 @@ def _solve_batches(game, env_spec, seeds, theta, cfg: SolveConfig, probes,
         game = families.build(game[0], game[1], env_spec.dimension)
     plan = sl_plan(game, cfg)
     shifted = shift_momentum(game, theta)
-    per = max(1, BATCH_COST_BYTES // plan.cost_bytes)
+    per = max(1, pde.BATCH_COST_BYTES // plan.cost_bytes)
     stencil = probe_stencil(plan.grid, probes)
     parts = []
     for lo in range(0, len(seeds), per):

@@ -55,9 +55,15 @@ class Grid:
         return self.lo[i] + self.dx * np.arange(self.shape[i])
 
     def nodes(self) -> np.ndarray:
-        """All node coordinates, flattened to (N, d) in C order."""
-        mesh = np.meshgrid(*map(self.axis, range(self.dim)), indexing="ij")
-        return np.stack([m.ravel() for m in mesh], axis=1)
+        """All node coordinates, flattened to (N, d) in C order.
+
+        Each axis's coordinates are written into one array: no meshgrid
+        copies to stack.
+        """
+        out = np.empty(self.shape + (self.dim,))
+        for i in range(self.dim):
+            out[..., i] = self.axis(i).reshape((-1,) + (1,) * (self.dim - 1 - i))
+        return out.reshape(-1, self.dim)
 
     @classmethod
     def from_box(cls, lo, hi, dx: float) -> "Grid":
@@ -251,14 +257,21 @@ def _precompute_cost(gh: GameHamiltonian, env, grid: Grid, eps: float) -> np.nda
     """Cost table over all grid nodes, pair-major: (n_a * n_b, *shape).
 
     A batched environment puts its realization axis last: (n_a * n_b,
-    *shape, M).  A transposed view of the accessor's (..., N, n_a, n_b)
-    table, not a copy.
+    *shape, M).  The table is C-contiguous and the caller's to overwrite,
+    never a view of the environment's read-only memo.  A writeable cost is
+    the accessor's own fresh array (a momentum-shifted game's sum); for a
+    single realization it is channel-major, as the environment's values
+    are, so pair-major already, and it is taken as it is.  Any other cost
+    is copied.
     """
     pts = grid.nodes()
     lead = () if env is None else env.batch_shape
-    c = np.broadcast_to(gh.cost(pts / eps, env), lead + (len(pts), gh.n_a, gh.n_b))
+    shape = lead + (len(pts), gh.n_a, gh.n_b)
+    c = gh.cost(pts / eps, env)
+    if c.shape != shape:
+        c = np.broadcast_to(c, shape)           # read-only, so copied below
     c = np.moveaxis(c.reshape(lead + (len(pts), -1)), (-1, -2), (0, 1))
-    return c.reshape((-1,) + grid.shape + lead)
+    return np.require(c.reshape((-1,) + grid.shape + lead), requirements="CW")
 
 
 def _steps_and_records(cfg: SolveConfig) -> tuple[int, dict[int, float]]:
@@ -361,24 +374,33 @@ def _plan_window(cfg: SolveConfig, scheme: str, below, above, substeps: int = 1,
                    substeps=substeps, still=still)
 
 
-def _march(win: _Window, v: np.ndarray, step, read, per_node: int = 1, probes: int = 0,
+def _march(win: _Window, marches, read, axis: int = 0, per_node: int = 1, probes: int = 0,
            **telemetry) -> SolveResult:
-    """Run the time steps of win from the datum v on the whole grid.
+    """Run the time steps of win from the datum, held in slabs along axis.
 
-    step(v, k) maps the values on the window after k - 1 steps to those on
-    ``win.active(k)``.  At each record time, and at T, what read(v, active,
-    t) returns is recorded.  Telemetry counts ``per_node`` updates per node
-    of each (sub)step's window (``win.runs``) and ``probes`` values per read,
-    in closed form.
+    ``marches`` holds each slab's (v, step): v the datum on the slab, and
+    step(v, k) maps the slab's values on the window after k - 1 steps to
+    those on ``win.active(k)``.  ``axis`` is still (``_Window.still``)
+    unless there is one slab, so a slab's columns evolve on their own:
+    between two reads (a record time, or T), each slab marches alone.  At
+    each read, what read(v, active, t) returns of the slabs' values stitched
+    along axis is recorded.  Telemetry counts ``per_node`` updates per node
+    of each (sub)step's window (``win.runs``) and ``probes`` values per
+    read, in closed form.
     """
-    records, dt = win.records, win.cfg.dt
+    records, dt, n = win.records, win.cfg.dt, win.n_steps
+    values, steps = (list(x) for x in zip(*marches))
     result = SolveResult(final=None)  # type: ignore[arg-type]
-    for k in range(win.n_steps + 1):
-        v = step(v, k) if k else v
-        if k in records:
-            result.snapshots[records[k]] = read(v, win.active(k), k * dt)
-    n = win.n_steps
-    result.final = result.snapshots[records[n]] if n in records else read(v, win.active(n), n * dt)
+    done = 0
+    for r in sorted({*records, n}):
+        for j, step in enumerate(steps):
+            for k in range(done + 1, r + 1):
+                values[j] = step(values[j], k)
+        done = r
+        v = values[0] if len(values) == 1 else np.concatenate(values, axis=axis)
+        result.final = read(v, win.active(r), r * dt)
+        if r in records:
+            result.snapshots[records[r]] = result.final
     runs = win.runs()[1:]
     windows = np.prod(runs[..., 1] - runs[..., 0], axis=1)
     result.telemetry.append({"scheme": win.scheme, "steps": n, **telemetry,
@@ -391,6 +413,15 @@ def _march(win: _Window, v: np.ndarray, step, read, per_node: int = 1, probes: i
 # ---------------------------------------------------------------------------
 # semi-Lagrangian
 
+#: largest cost table one SL march holds: a campaign solves its realizations
+#: in batches whose stacked table fits, and a march splits a larger table
+#: into slabs along a still axis.  Sized for the cache: on a 2-CPU Intel
+#: Xeon host (2 MiB of L2 per core, Python 3.11, numpy 2.4), 1 MiB was the
+#: fastest of 0.25, 0.5, 1, 2, 4 and 64 MiB, or tied, on every long saddle
+#: campaign tried (1-D and 2-D, M = 128-256, t <= 32-512); 64 MiB took about
+#: twice as long
+BATCH_COST_BYTES = 2**20
+
 
 @dataclass(frozen=True)
 class SLPlan(_Window):
@@ -398,7 +429,8 @@ class SLPlan(_Window):
 
     Foot-point offsets, and so the cells the active box sheds per step,
     depend only on (f, dt, dx) (the scheme's domain of dependence); the
-    realizations of a campaign differ only in their cost tables.
+    realizations of a campaign differ only in their cost tables.  An axis
+    that sheds no cells is ``still``: every corner offset is 0 along it.
     """
 
     n_a: int
@@ -424,7 +456,9 @@ def sl_plan(gh: GameHamiltonian, cfg: SolveConfig) -> SLPlan:
     """
     cfg.validate()
     weights, live, nodes = _stencil(cfg.dt * gh.f_pairs / cfg.dx)    # per pair, its foot point
-    win = _plan_window(cfg, "semi-lagrangian", *_sl_shed(nodes))
+    below, above = _sl_shed(nodes)
+    win = _plan_window(cfg, "semi-lagrangian", below, above,
+                       still=tuple(i for i in range(gh.dim) if below[i] + above[i] == 0))
     # per pair, its corners' weights (np.float64: a march multiplies by it faster), live, offsets
     pairs = zip(weights.T, live.T.tolist(), (nodes + win.shed_lo).swapaxes(0, 1).tolist())
     index: dict[tuple, int] = {}
@@ -440,12 +474,12 @@ def sl_step_cost(gh: GameHamiltonian, env, plan: SLPlan) -> np.ndarray:
     """Cost one SL step accrues at each node, dt * cost.
 
     (pairs, *shape) for one realization, (pairs, *shape, M) for a batched
-    environment: the stacked table ``solve_sl_batch`` takes, one C-ordered
-    copy with the realizations innermost, so that every window the march
-    reads of a pair's plane is contiguous.
+    environment: the stacked table ``solve_sl_batch`` takes, C-ordered with
+    the realizations innermost, so that every window the march reads of a
+    pair's plane is contiguous.  ``_precompute_cost``'s table, scaled in place.
     """
-    return np.multiply(_precompute_cost(gh, env, plan.grid, plan.cfg.epsilon), plan.cfg.dt,
-                       order="C")
+    cost = _precompute_cost(gh, env, plan.grid, plan.cfg.epsilon)
+    return np.multiply(cost, plan.cfg.dt, out=cost)
 
 
 def solve_sl_batch(plan: SLPlan, step_cost: np.ndarray,
@@ -472,6 +506,12 @@ def solve_sl_batch(plan: SLPlan, step_cost: np.ndarray,
     bits, signed zeros included, are those of the reductions, without the
     (pairs, *window) candidate table.  Each ufunc allocates its own output
     or writes onto an array the same step allocated.
+
+    A table over ``BATCH_COST_BYTES`` is cut into ceil(bytes / budget)
+    slabs (at most one a column) along the plan's first still axis, if it
+    has one: C-contiguous copies, each marched alone between two reads
+    (``_march``), which keeps a step's planes in the cache.  The datum's
+    values come from the whole grid.
     """
     grid = plan.grid
     lead = step_cost.shape[1 + grid.dim:]
@@ -484,34 +524,45 @@ def solve_sl_batch(plan: SLPlan, step_cost: np.ndarray,
     columns = [(range(b, len(plan.stencil), plan.n_b), plan.stencil[b::plan.n_b])
                for b in range(plan.n_b)]
 
-    def step(v: np.ndarray, k: int) -> np.ndarray:
-        nonlocal step_cost
-        step_cost = step_cost[trim]
-        interp = []
-        for terms in stencils:
-            # the corners summed in order; a weighted corner is a new array,
-            # which takes the sum
-            total = None
-            for weight, read in terms:
-                x = v[read] if weight == 1.0 else np.multiply(v[read], weight)
-                total = x if total is None else np.add(total, x,
-                                                       out=None if weight == 1.0 else x)
-            interp.append(total)
-        new = None
-        for pairs, stencil in columns:
-            col = None
-            for j, s in zip(pairs, stencil):
-                cand = np.add(step_cost[j], interp[s])
-                col = cand if col is None else np.maximum(col, cand, out=col)
-            new = col if new is None else np.minimum(new, col, out=new)
-        return new
+    def slab_step(step_cost: np.ndarray):
+        """The step of a slab whose table is step_cost."""
+        def step(v: np.ndarray, k: int) -> np.ndarray:
+            nonlocal step_cost
+            step_cost = step_cost[trim]
+            interp = []
+            for terms in stencils:
+                # the corners summed in order; a weighted corner is a new
+                # array, which takes the sum
+                total = None
+                for weight, read in terms:
+                    x = v[read] if weight == 1.0 else np.multiply(v[read], weight)
+                    total = x if total is None else np.add(total, x,
+                                                           out=None if weight == 1.0 else x)
+                interp.append(total)
+            new = None
+            for pairs, stencil in columns:
+                col = None
+                for j, s in zip(pairs, stencil):
+                    cand = np.add(step_cost[j], interp[s])
+                    col = cand if col is None else np.maximum(col, cand, out=col)
+                new = col if new is None else np.minimum(new, col, out=new)
+            return new
+        return step
 
     datum = np.asarray(g(grid.nodes()), dtype=np.float64)
     v = np.broadcast_to(datum.reshape(grid.shape + (1,) * len(lead)), grid.shape + lead)
+    axis = plan.still[0] if plan.still else 0
+    width = grid.shape[axis]
+    count = min(width, max(1, -(-step_cost.nbytes // BATCH_COST_BYTES))) if plan.still else 1
+    edges = [width * j // count for j in range(count + 1)]
+    cuts = [(slice(None),) * axis + (slice(lo, hi),) for lo, hi in zip(edges, edges[1:])]
+    slabs = [(v[cut], slab_step(np.ascontiguousarray(step_cost[(slice(None),) + cut])))
+             for cut in cuts]
+    del step_cost                           # the whole table, once the slabs are cut
     M = math.prod(lead)
     read, n = (grid.window_field, 0) if probes is None else (probes.read, len(probes.pts) * M)
-    return _march(plan, v, step, read, per_node=len(plan.stencil) * M, probes=n,
-                  stencils=len(plan.corners))
+    return _march(plan, slabs, read, axis, per_node=len(plan.stencil) * M, probes=n,
+                  stencils=len(plan.corners), slabs=len(slabs))
 
 
 def solve_sl(gh: GameHamiltonian, env, cfg: SolveConfig,
@@ -650,7 +701,7 @@ def solve_lf(gh: GameHamiltonian, env, cfg: SolveConfig,
         return v
 
     v = np.asarray(g(grid.nodes()), dtype=np.float64).reshape(grid.shape)
-    return _march(win, v, step, grid.window_field, substeps_per_step=n_sub)
+    return _march(win, [(v, step)], grid.window_field, substeps_per_step=n_sub)
 
 
 def solve(gh: GameHamiltonian, env, cfg: SolveConfig,

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from hjhomog import homog
+from hjhomog import homog, pde
 from hjhomog.env import (DomainError, EnvSpec, replace_on_strip, sample_environment,
                          with_seed)
 from hjhomog.families import bind_env_constants, build
@@ -116,7 +116,7 @@ def test_batched_campaign_equals_per_realization_solves(c, split):
     cap = split * sl_plan(c["game"], cfg).cost_bytes
     seeds = derive_seeds(c["base_seed"], np.arange(c["M"]))
     game = c["family_desc"] if c["workers"] > 1 else c["game"]
-    with mock.patch.object(homog, "BATCH_COST_BYTES", cap):
+    with mock.patch.object(pde, "BATCH_COST_BYTES", cap):
         table = batched(c, c["workers"])
         got = homog._solve_batches(game, c["spec"], seeds, np.asarray(c["theta"]), cfg,
                                    c["probes"], c["workers"])
@@ -155,7 +155,7 @@ def test_batch_environment_is_freed_before_its_march():
         alive.append([ref() is not None for ref in envs])
         return march(*a, **k)
 
-    with mock.patch.object(homog, "BATCH_COST_BYTES", cap):
+    with mock.patch.object(pde, "BATCH_COST_BYTES", cap):
         with mock.patch.object(homog, "sample_environment", sampling), \
                 mock.patch.object(homog, "solve_sl_batch", marching):
             got = homog._solve_batches(*args)

@@ -475,6 +475,32 @@ def test_every_float_field_refuses_a_non_finite_number(tmp_path, capsys, path, w
     assert not out.exists()
 
 
+LOCALIZED_1D = ('hamiltonian.params={"beta": 1.5, "v": [0.75], "pi": [[0.0]], "n_a": 3, '
+                '"n_b": 3, "R": %s}')
+
+
+@pytest.mark.parametrize("command, overrides, named", [
+    ("estimate", ["hamiltonian.family=saddle-game", "hamiltonian.params.coupling=NaN"],
+     "coupling: must be a finite number, got nan"),
+    ("estimate", ["hamiltonian.family=two-speed-control", "hamiltonian.params.speeds=[0.5,NaN]"],
+     "speeds[1]: must be a finite number, got nan"),
+    ("solve", ["hamiltonian.params.speed=Infinity"], "speed: must be a finite number, got inf"),
+    ("estimate", ["hamiltonian.family=localized", LOCALIZED_1D % "-Infinity"],
+     "R: must be a finite number, got -inf"),
+])
+def test_hamiltonian_params_refuse_a_non_finite_number(tmp_path, capsys, command, overrides,
+                                                       named):
+    # these used to run into an orientation or domain error that named no key,
+    # or into a broadcast error after three RuntimeWarnings
+    out = tmp_path / "o"
+    args = [command, "--out", str(out)]
+    for item in overrides:
+        args += ["--set", item]
+    assert main(args) == 1
+    assert capsys.readouterr().err == f"config error: hamiltonian.params: {named}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("value", ["2.5", "true", '"16"', "07"])
 def test_int_fields_take_only_integral_numbers(tmp_path, capsys, value):
     # these used to run on int(value): M = 2, 1, 16 and 7.  An integral

@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -167,6 +168,29 @@ def test_domain_error_outside_box():
         env.values(np.array([[6.0 + 2 * 0.5]]))
     # inflated-by-r boundary itself is fine
     env.values(np.array([[6.4]]))
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("among", [False, True])
+def test_non_finite_points_are_refused(dim, bad, among):
+    # a NaN point used to read NaN alone, and raise an OverflowError after a
+    # RuntimeWarning among good points
+    box = (-6.0,) * dim, (6.0,) * dim
+    env = sample_environment(EnvSpec(dimension=dim, rho=1.0, bump_radius=0.5, amp_lo=0.0,
+                                     amp_hi=1.0, channels=1, box_lo=box[0], box_hi=box[1],
+                                     seed=3))
+    point = np.zeros(dim)
+    point[-1] = bad                  # a good coordinate beside it in 2-D
+    pts = np.vstack([np.full((2, dim), 0.5), point, -point]) if among else point[None]
+    with pytest.raises(DomainError,
+                       match=f"^probe {re.escape(str(point[None]))} outside environment box"):
+        env.values(pts)                 # named: the first bad point
+    for i in range(dim):                        # on any axis, not finite alone
+        alone = np.zeros((1, dim))
+        alone[0, i] = bad
+        with pytest.raises(DomainError):
+            env.values(alone)
 
 
 def test_eval_cost_channels():

@@ -1,5 +1,6 @@
 """The game layer's single paths: the field-game constructor, the momentum
 shift and the certificate step."""
+import re
 from dataclasses import fields, replace
 
 import numpy as np
@@ -151,3 +152,36 @@ def test_every_family_refuses_a_key_it_does_not_read(name):
 def test_a_missing_key_is_named():
     with pytest.raises(ValueError, match=r"missing key 'v' for localized \(requires: beta, v, pi\)"):
         build("localized", {"beta": 1.0, "pi": [[0.0]]}, 1)
+
+
+#: per family, params it builds from and, per numeric key, how a number goes
+#: into the value it reads and the path of that number in the value
+NUMERIC_KEYS = {
+    "transport": ({}, {"speed": (lambda x: x, "")}),
+    "two-speed-control": ({}, {"speeds": (lambda x: [0.5, x], "[1]")}),
+    "saddle-game": ({}, {"base_speed": (lambda x: x, ""), "coupling": (lambda x: x, "")}),
+    "localized": ({"beta": 1.5, "v": [0.75], "pi": [[0.0]], "n_a": 3, "n_b": 3},
+                  {"beta": (lambda x: x, ""), "v": (lambda x: [x], "[0]"),
+                   "pi": (lambda x: [[x]], "[0][0]"), "R": (lambda x: x, ""),
+                   "n_a": (lambda x: x, ""), "n_b": (lambda x: x, ""),
+                   "slope": (lambda x: [x], "[0]"), "offset": (lambda x: x, ""),
+                   "scale": (lambda x: x, "")}),
+}
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("name, key", [(name, key) for name, (_, keys) in NUMERIC_KEYS.items()
+                                       for key in keys])
+def test_every_numeric_param_refuses_a_non_finite_number(name, key, bad):
+    # these used to end in an orientation or domain error that named no key,
+    # or in a broadcast error after RuntimeWarnings
+    base, keys = NUMERIC_KEYS[name]
+    assert set(keys) == set(FAMILIES[name].accepts) - {"g0"}     # every numeric key
+    build(name, base, 1)
+    value, where = keys[key]
+    message = f"{key}{where}: must be a finite number, got {bad!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build(name, {**base, key: value(bad)}, 1)
+    # an int beyond the float range, as the config's float fields refuse it
+    with pytest.raises(ValueError, match=f"^{re.escape(key + where)}: must be a finite number"):
+        build(name, {**base, key: value(10**400)}, 1)

@@ -86,7 +86,7 @@ def ref_solve_sl_batch(plan, step_cost, g):
     v = np.broadcast_to(
         np.asarray(g(grid.nodes()), dtype=np.float64).reshape(grid.shape),
         (M,) + grid.shape)
-    return _march(plan, v, step, lambda v, active, t: grid.window_field(
+    return _march(plan, [(v, step)], lambda v, active, t: grid.window_field(
         np.moveaxis(v, 0, -1), active, t))
 
 
@@ -128,7 +128,7 @@ def ref_solve_lf(gh, env, cfg, g):
         return v
 
     v = np.asarray(g(grid.nodes()), dtype=np.float64).reshape(grid.shape)
-    return _march(win, v, step, grid.window_field, substeps_per_step=n_sub)
+    return _march(win, [(v, step)], grid.window_field, substeps_per_step=n_sub)
 
 
 def ref_rate_experiment(gh, env_spec, theta, eps_list, R, T, M, H_bar, dx, dt, base_seed,
@@ -361,6 +361,11 @@ def test_batched_cost_table_equals_per_realization_build(game, M, dt, seed):
     # one realization: the table without the realization axis
     single = sample_environment(with_seed(spec, seeds[0]))
     assert same_bits(sl_step_cost(gh, single, plan), ref_sl_step_cost(gh, single, plan))
+    # the table is the caller's, scaled in place: never a view of the memo
+    memo = single.values(plan.grid.nodes())
+    kept = memo.copy()
+    assert not np.shares_memory(sl_step_cost(gh, single, plan), memo)
+    assert same_bits(single.values(plan.grid.nodes()), kept)
 
 
 # ---------------------------------------------------------------------------
@@ -556,7 +561,7 @@ def test_campaign_reads_equal_field_reads(dim, M):
         got = _solve_batches(gh, spec, seeds, theta, cfg, probes)
         assert same_bits(got, want)
         # in batches of two
-        with mock.patch.object(homog, "BATCH_COST_BYTES", 2 * plan.cost_bytes):
+        with mock.patch.object(pde, "BATCH_COST_BYTES", 2 * plan.cost_bytes):
             got = _solve_batches(gh, spec, seeds, theta, cfg, probes)
         assert same_bits(got, want)
 
@@ -590,6 +595,99 @@ def test_campaign_march_allocates_no_grid_per_record_time():
     stencil = pde.probe_stencil(plan.grid, np.array([[0.0], [0.3]]))
     assert march_peak(plan, cost) > 2 * march_bound(plan, M)
     assert march_peak(plan, cost, probes=stencil) < march_bound(plan, M)
+
+
+# ---------------------------------------------------------------------------
+# slabs along a still axis
+
+#: 2-D field games that move along axis 0 only, so that axis 1 is still
+SLAB_GAMES = {
+    "saddle-game": {"base_speed": 1.0, "coupling": 0.25},
+    "two-speed-control": {"speeds": (0.5, 1.25)},
+    "transport": {"speed": -0.75},
+}
+
+
+def slab_case(name, steps, record_steps, dt=0.25, dx=0.25):
+    """A SLAB_GAMES game in 2-D, its plan recording at record_steps, and a field law covering it."""
+    gh = build(name, SLAB_GAMES[name], 2)
+    box = solve_box_for(gh.f_pairs, "semi-lagrangian", steps * dt, dt, dx, report_radius=0.75)
+    plan = sl_plan(gh, SolveConfig(scheme="semi-lagrangian", dt=dt, dx=dx, T=steps * dt,
+                                   box_lo=box[0], box_hi=box[1],
+                                   record_times=tuple(k * dt for k in sorted(record_steps))))
+    spec = EnvSpec(dimension=2, rho=1.0, bump_radius=0.5, amp_lo=0.0, amp_hi=1.0,
+                   channels=gh.n_a * gh.n_b, box_lo=tuple(v - 1.0 for v in box[0]),
+                   box_hi=tuple(v + 1.0 for v in box[1]), seed=2026)
+    return gh, plan, spec
+
+
+def slab_budget(table: np.ndarray, slabs: int) -> int:
+    """A budget that cuts table into ``slabs`` slabs."""
+    return -(-table.nbytes // slabs)
+
+
+@settings(max_examples=40, deadline=None)
+@given(name=st.sampled_from(sorted(SLAB_GAMES)), M=st.integers(1, 2), steps=st.integers(1, 4),
+       record_steps=st.sets(st.integers(0, 4)), slabs=st.integers(1, 40),
+       theta=st.one_of(st.none(), st.floats(-1.0, 1.0)))
+@example(name="saddle-game", M=1, steps=3, record_steps=set(), slabs=3, theta=0.5)
+@example(name="two-speed-control", M=2, steps=2, record_steps={0, 1}, slabs=40, theta=None)
+def test_slab_march_equals_the_one_slab_march(name, M, steps, record_steps, slabs, theta):
+    # record layouts: none, t = 0, several, and T left out; slabs past the
+    # still axis's width are one column each
+    gh, plan, spec = slab_case(name, steps, {k for k in record_steps if k <= steps})
+    assert plan.still == (1,)
+    count = min(slabs, plan.grid.shape[1])
+    g = pde.zero_datum if theta is None else linear_datum([theta, -0.5 * theta])
+    cost = sl_step_cost(gh, sample_environment(spec, derive_seeds(5, np.arange(M))), plan)
+    whole = solve_sl_batch(plan, cost, g)
+    with mock.patch.object(pde, "BATCH_COST_BYTES", slab_budget(cost, count)):
+        got = solve_sl_batch(plan, cost, g)
+    tel, want = got.telemetry[-1], whole.telemetry[-1]
+    assert (tel["slabs"], want["slabs"]) == (count, 1)
+    for key in ("steps", "active_cells", "node_updates"):
+        assert tel[key] == want[key]
+    assert list(got.snapshots) == list(whole.snapshots)
+    for a, b in zip([got.final, *got.snapshots.values()], [whole.final, *whole.snapshots.values()]):
+        assert a.active == b.active and a.t == b.t
+        assert same_bits(a.values, b.values)
+
+
+@pytest.mark.parametrize("name", sorted(SLAB_GAMES))
+def test_campaign_over_the_budget_reads_the_same_probes_in_slabs(name):
+    gh, plan, spec = slab_case(name, 3, (1, 3))
+    seeds = derive_seeds(8, np.arange(3))
+    probes = np.array([[0.0, 0.0], [0.25, -0.5], [0.1, 0.3], [-0.4, 0.7]])
+    theta = np.array([0.3, -0.2])
+    marched = []
+
+    def spy(*args, **kwargs):
+        marched.append(solve_sl_batch(*args, **kwargs))
+        return marched[-1]
+
+    with mock.patch.object(homog, "solve_sl_batch", side_effect=spy):
+        want = _solve_batches(gh, spec, seeds, theta, plan.cfg, probes)
+        # one realization is over the budget: a batch each, in 3 slabs
+        with mock.patch.object(pde, "BATCH_COST_BYTES", plan.cost_bytes // 3 + 1):
+            got = _solve_batches(gh, spec, seeds, theta, plan.cfg, probes)
+    assert [r.telemetry[-1]["slabs"] for r in marched] == [1] + [3] * len(seeds)
+    assert same_bits(got, want)
+
+
+@pytest.mark.parametrize("game", [
+    LOCALIZED_2D_CASE[0],
+    build("saddle-game", {}, 1), build("two-speed-control", {}, 1),
+    build("transport", {"speed": -1.0}, 1), build("localized", {"beta": 1.5, "v": [0.75],
+                                                               "pi": [[0.0]]}, 1)])
+def test_a_plan_without_a_still_axis_marches_one_slab(game):
+    dt = dx = 0.25
+    box = solve_box_for(game.f_pairs, "semi-lagrangian", 2 * dt, dt, dx, report_radius=0.5)
+    plan = sl_plan(game, SolveConfig(scheme="semi-lagrangian", dt=dt, dx=dx, T=2 * dt,
+                                     box_lo=box[0], box_hi=box[1]))
+    assert plan.still == ()
+    cost = np.zeros((len(plan.stencil),) + plan.grid.shape)
+    with mock.patch.object(pde, "BATCH_COST_BYTES", 8):
+        assert solve_sl_batch(plan, cost).telemetry[-1]["slabs"] == 1
 
 
 def test_saddle_game_pairs_share_two_stencils():

@@ -290,3 +290,13 @@ def test_grid_from_box():
     assert np.allclose(g.axis(0), [-1.0, -0.5, 0.0, 0.5, 1.0])
     with pytest.raises(ValueError, match="degenerate"):
         Grid.from_box([0.0], [0.1], 1.0)
+
+
+@pytest.mark.parametrize("lo, hi, dx", [([-1.0], [1.0], 0.5), ([-3.25, 0.5], [2.0, 4.0], 0.25),
+                                        ([0.1, -0.3, 2.0], [0.7, 0.6, 2.3], 0.1)])
+def test_grid_nodes_are_the_meshgrid_in_c_order(lo, hi, dx):
+    g = Grid.from_box(lo, hi, dx)
+    mesh = np.meshgrid(*map(g.axis, range(g.dim)), indexing="ij")
+    want = np.stack([m.ravel() for m in mesh], axis=1)
+    got = g.nodes()
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()

@@ -21,7 +21,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from hjhomog import homog
+from hjhomog import homog, pde
 from hjhomog.env import DomainError, Environment, EnvSpec, sample_environment
 from hjhomog.families import build
 from hjhomog.pde import SolveConfig, sl_plan
@@ -176,7 +176,7 @@ def test_pooled_chunks_split_into_batches_under_the_cap():
 
     with mock.patch.object(homog, "_pool", return_value=[InProcessWorker()]), \
             mock.patch.object(homog, "sample_environment", side_effect=sample), \
-            mock.patch.object(homog, "BATCH_COST_BYTES", cap):
+            mock.patch.object(pde, "BATCH_COST_BYTES", cap):
         got = campaign(2)
     assert batches == [2, 2, 2, 1]          # the caller's 4 seeds, then the worker's 3
     assert got.tobytes() == campaign(1).tobytes()
@@ -186,7 +186,7 @@ def test_pooled_chunks_split_into_batches_under_the_cap():
     wide = replace(CFG, box_lo=(-1600.0,), box_hi=(1600.0,))
     spec = replace(SPEC, box_lo=wide.box_lo, box_hi=wide.box_hi)
     cost = sl_plan(build(*GAME, 1), wide).cost_bytes
-    assert 3 * cost > homog.BATCH_COST_BYTES
+    assert 3 * cost > pde.BATCH_COST_BYTES
     hashed = []
     values = Environment.values
 
@@ -201,9 +201,9 @@ def test_pooled_chunks_split_into_batches_under_the_cap():
             mock.patch.object(Environment, "values", spy):
         got = solve(2)
     assert sum(hashed) == len(SEEDS) and len(hashed) > 2
-    assert max(hashed) <= homog.BATCH_COST_BYTES // cost
+    assert max(hashed) <= pde.BATCH_COST_BYTES // cost
     # the same bits as one serial batch, under a cap patched up
-    with mock.patch.object(homog, "BATCH_COST_BYTES", len(SEEDS) * cost), \
+    with mock.patch.object(pde, "BATCH_COST_BYTES", len(SEEDS) * cost), \
             mock.patch.object(Environment, "values", spy):
         hashed.clear()
         assert solve(1).tobytes() == got.tobytes()
