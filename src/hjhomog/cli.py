@@ -360,6 +360,7 @@ def cmd_estimate(run: Run, out: Path, workers: int) -> int:
 
 
 def cmd_effective(run: Run, out: Path, workers: int) -> int:
+    homog.require_rate_schedule(run.blocks["campaign"]["times"])   # before any campaign
     estimates = []
     for theta in run.blocks["campaign"]["thetas"]:
         table = _campaign_table(run, theta, workers)
@@ -378,9 +379,11 @@ def cmd_effective(run: Run, out: Path, workers: int) -> int:
 def cmd_rate(run: Run, out: Path, workers: int) -> int:
     camp = run.blocks["campaign"]
     theta = camp["thetas"][0]
-    # the smallest eps has the widest box: refuse it before the H-bar campaign
+    # the smallest eps has the widest box: refuse it, and a schedule that the
+    # H-bar fit cannot read, before the H-bar campaign
     homog.rate_config(run.game, run.spec, min(camp["eps_list"]), camp["rate_R"],
                       camp["rate_T"], camp["rate_dx"], camp["rate_dt"])
+    homog.require_rate_schedule(camp["times"])
     est = homog.extract_effective_H(_campaign_table(run, theta, workers))
     report = homog.rate_experiment(
         run.game, run.spec, theta, camp["eps_list"], R=camp["rate_R"],
@@ -517,8 +520,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--set", dest="overrides", action="append", default=[],
                         metavar="KEY=VALUE", help="dotted-path override")
     parser.add_argument("--workers", default=None,
-                        help="processes that solve a Monte-Carlo campaign: this one "
-                             "and WORKERS-1 pool processes (default $HJHOMOG_WORKERS, then "
+                        help="at most this many processes solve a Monte-Carlo campaign: "
+                             "this one and up to WORKERS-1 pool processes, no more in all "
+                             "than it has realizations (default $HJHOMOG_WORKERS, then "
                              "campaign.workers)")
     parser.add_argument("--out", default=None, help="output directory")
     return parser

@@ -123,33 +123,29 @@ def build(name: str, params: dict, dim: int) -> GameHamiltonian:
     return family.build(params, dim)
 
 
-def _build_localized(params: dict, dim: int) -> GameHamiltonian:
-    kind = params.get("g0", "affine")
-    beta = float(params["beta"])
-    if kind == "affine":
-        q = np.asarray(params.get("slope", [0.0] * dim), dtype=np.float64)
-        c = float(params.get("offset", 0.0))
+def localized(beta, v, pi, R=1.0, n_a: int = 16, n_b: int = 16, g0: str = "affine",
+              slope=None, offset=0.0, scale=None, dim: int = 1) -> GameHamiltonian:
+    """The max-min localization of a Lipschitz G that has none of its own:
+    g0 = "affine", G = offset + <slope, Q> (slope zeros by default), or
+    g0 = "norm", G = scale |Q| (scale beta by default)."""
+    beta = float(beta)
+    if g0 == "affine":
+        q = np.asarray([0.0] * dim if slope is None else slope, dtype=np.float64)
+        c = float(offset)
 
         def G(pts, Q):
             return c + Q @ q
 
-    elif kind == "norm":
-        scale = float(params.get("scale", beta))
+    elif g0 == "norm":
+        scale = float(beta if scale is None else scale)
 
         def G(pts, Q):
             return scale * np.linalg.norm(Q, axis=1)
 
     else:
-        raise ValueError(f"unknown localized base hamiltonian {kind!r}")
-    return localize(
-        G,
-        beta=beta,
-        R=float(params.get("R", 1.0)),
-        v=np.asarray(params["v"], dtype=np.float64),
-        pi=np.asarray(params["pi"], dtype=np.float64),
-        n_a=int(params.get("n_a", 16)),
-        n_b=int(params.get("n_b", 16)),
-    )
+        raise ValueError(f"unknown localized base hamiltonian {g0!r}")
+    return localize(G, beta=beta, R=float(R), v=np.asarray(v, dtype=np.float64),
+                    pi=np.asarray(pi, dtype=np.float64), n_a=int(n_a), n_b=int(n_b))
 
 
 @dataclass(frozen=True)
@@ -161,19 +157,15 @@ class Family:
     requires: tuple[str, ...] = ()
 
 
-#: config name -> family
+#: config name -> family; a family's params are its constructor's keywords but dim
 FAMILIES = {
-    "transport": Family(
-        lambda params, dim: transport(speed=params.get("speed", 1.0), dim=dim), ("speed",)),
-    "two-speed-control": Family(
-        lambda params, dim: two_speed_control(speeds=params.get("speeds", (0.5, 1.5)), dim=dim),
-        ("speeds",)),
-    "saddle-game": Family(
-        lambda params, dim: saddle_game(base_speed=params.get("base_speed", 1.0),
-                                        coupling=params.get("coupling", 0.25), dim=dim),
-        ("base_speed", "coupling")),
+    "transport": Family(lambda params, dim: transport(dim=dim, **params), ("speed",)),
+    "two-speed-control": Family(lambda params, dim: two_speed_control(dim=dim, **params),
+                                ("speeds",)),
+    "saddle-game": Family(lambda params, dim: saddle_game(dim=dim, **params),
+                          ("base_speed", "coupling")),
     "localized": Family(
-        _build_localized,
+        lambda params, dim: localized(dim=dim, **params),
         ("beta", "v", "pi", "R", "n_a", "n_b", "g0", "slope", "offset", "scale"),
         requires=("beta", "v", "pi")),
 }

@@ -109,9 +109,27 @@ def solve_box_for(f: np.ndarray, scheme: str, T: float, dt: float, dx: float,
             tuple(float(report_radius + steps * a * dx + 4 * dx) for a in above))
 
 
-#: the process's campaign pool, (worker count N, its N - 1 processes, the
+def _campaign_config(gh: GameHamiltonian, env_spec, times, dt: float, dx: float,
+                     report_radius: float = 0.0, box=None) -> SolveConfig:
+    """A campaign's SL solve: to the last of the ascending record times, on
+    ``box``, or else on the ``solve_box_for`` box that still covers
+    B(report_radius) then; refuses (DomainError) a field box that misses it."""
+    if box is None:
+        box = solve_box_for(gh.f_pairs, "semi-lagrangian", times[-1], dt, dx, report_radius)
+    lo, hi = (tuple(float(v) for v in b) for b in box)
+    if (np.any(np.subtract(env_spec.box_lo, lo) > 1e-9)
+            or np.any(np.subtract(hi, env_spec.box_hi) > 1e-9)):
+        raise DomainError(
+            f"environment box [{env_spec.box_lo}, {env_spec.box_hi}] does not cover the "
+            f"required solve box [{lo}, {hi}]; enlarge it"
+        )
+    return SolveConfig(scheme="semi-lagrangian", dt=dt, dx=dx, T=times[-1],
+                       box_lo=box[0], box_hi=box[1], record_times=tuple(times))
+
+
+#: the process's campaign pool, (chunk count N, its N - 1 processes, the
 #: caller's end of each one's pipe).  The first pooled call starts it, a call
-#: at another worker count replaces it, and a call that a dead worker or any
+#: with another chunk count replaces it, and a call that a dead worker or any
 #: exception ends between its sends and its last receive drops it; its
 #: daemon processes end with the interpreter.  A pooled call holds _POOL_LOCK
 #: from look-up to result, so that no other thread replaces the pool under
@@ -120,23 +138,23 @@ _POOL: tuple[int, list[BaseProcess], list[Connection]] | None = None
 _POOL_LOCK = threading.Lock()
 
 
-def _pool(workers: int) -> list[Connection]:
-    """The caller's pipe ends to the campaign pool's `workers` - 1 processes;
+def _pool(n_chunks: int) -> list[Connection]:
+    """The caller's pipe ends to the campaign pool's `n_chunks` - 1 processes;
     call it holding _POOL_LOCK."""
     import multiprocessing
 
     global _POOL
-    if _POOL is None or _POOL[0] != workers:
+    if _POOL is None or _POOL[0] != n_chunks:
         _shutdown_pool()
         procs, conns = [], []
-        for _ in range(workers - 1):
+        for _ in range(n_chunks - 1):
             mine, theirs = multiprocessing.Pipe()
             proc = multiprocessing.Process(target=_serve, args=(theirs, mine), daemon=True)
             proc.start()
             theirs.close()
             procs.append(proc)
             conns.append(mine)
-        _POOL = (workers, procs, conns)
+        _POOL = (n_chunks, procs, conns)
     return _POOL[2]
 
 
@@ -177,9 +195,10 @@ def _solve_batches(game, env_spec, seeds, theta, cfg: SolveConfig, probes,
     Returns (n_times, n, len(seeds)); column m is realization seeds[m]'s own
     number.  ``game`` is a GameHamiltonian, or (family, params) to rebuild it
     by name; with workers > 1 it must be the latter, and the seeds split into
-    `workers` contiguous chunks: the caller solves the first, and each of the
-    others goes to one process of the campaign pool over its pipe.  A refusal
-    in any chunk is raised once every reply is in, the first chunk's first.
+    min(workers, len(seeds)) contiguous chunks: the caller solves the first,
+    and each of the others goes to one process of a campaign pool sized to
+    them, over its pipe; a single chunk needs no pool.  A refusal in any
+    chunk is raised once every reply is in, the first chunk's first.
     The realizations share the stencil, so they are solved together, in
     batches whose stacked cost table fits ``pde.BATCH_COST_BYTES``, the one
     bound on a pass; each batch is one seed-batched environment, hashed in
@@ -187,10 +206,11 @@ def _solve_batches(game, env_spec, seeds, theta, cfg: SolveConfig, probes,
     before the march, which reads the probes (one ``probe_stencil`` per
     call) and builds no Field.
     """
-    if workers > 1:
-        first, *rest = [c for c in np.array_split(seeds, workers) if len(c)]
+    n_chunks = min(workers, len(seeds))
+    if n_chunks > 1:
+        first, *rest = np.array_split(seeds, n_chunks)
         with _POOL_LOCK:
-            conns = _pool(workers)[:len(rest)]
+            conns = _pool(n_chunks)
             try:
                 for conn, chunk in zip(conns, rest):
                     conn.send((game, env_spec, chunk, theta, cfg, probes))
@@ -245,10 +265,11 @@ def estimate_U(gh: GameHamiltonian, env_spec, theta, times, M: int,
     """Monte-Carlo table of u_theta(t, 0, .) over M independent realizations.
 
     Sample i uses the derived seed mix(base_seed, i).  The realizations are
-    solved as batches; with workers > 1 the caller and each of the
-    workers - 1 pool processes take one contiguous chunk and rebuild the game
-    from ``family_desc`` = (family, params), which must rebuild ``gh`` itself.  Every sample is its own
-    realization's number, so the table does not depend on the worker count.
+    solved as batches; with workers > 1 they split into at most `workers`
+    contiguous chunks, one for the caller and one for each pool process, and
+    the game is rebuilt from ``family_desc`` = (family, params), which must
+    rebuild ``gh`` itself.  Every sample is its own realization's number, so
+    the table does not depend on the worker count.
     """
     if workers > 1 and family_desc is None:
         raise ValueError(
@@ -260,11 +281,7 @@ def estimate_U(gh: GameHamiltonian, env_spec, theta, times, M: int,
     seeds = derive_seeds(base_seed, np.arange(M))
     probe_env = sample_environment(with_seed(env_spec, int(seeds[0])))
     gh_b, consts = _certified(gh, probe_env)
-    if box is None:
-        box = solve_box_for(gh_b.f_pairs, "semi-lagrangian", max(times), dt, dx)
-    _check_env_covers(env_spec, box)
-    cfg = SolveConfig(scheme="semi-lagrangian", dt=dt, dx=dx, T=max(times),
-                      box_lo=box[0], box_hi=box[1], record_times=tuple(times))
+    cfg = _campaign_config(gh_b, env_spec, times, dt, dx, box=box)
     game = gh
     if workers > 1:
         _check_rebuilds(gh, family_desc, probe_env)
@@ -301,15 +318,6 @@ def _check_rebuilds(gh: GameHamiltonian, family_desc, env) -> None:
         )
 
 
-def _check_env_covers(spec, box) -> None:
-    lo, hi = (tuple(float(v) for v in b) for b in box)
-    if np.any(np.subtract(spec.box_lo, lo) > 1e-9) or np.any(np.subtract(hi, spec.box_hi) > 1e-9):
-        raise DomainError(
-            f"environment box [{spec.box_lo}, {spec.box_hi}] does not cover the "
-            f"required solve box [{lo}, {hi}]; enlarge it"
-        )
-
-
 def _covariances(x, Y) -> np.ndarray:
     """np.cov(x, y, bias=1) for every row y of Y (R, n), written out: (R, 2, 2).
 
@@ -329,28 +337,12 @@ def _covariances(x, Y) -> np.ndarray:
     return c
 
 
-def _ols(x, y) -> tuple[float, float, float]:
-    """Least-squares line through (x, y): (slope, its standard error, r^2).
-
-    The arithmetic is that of scipy.stats.linregress, so the results match
-    it to the bit.
-    """
-    ssxm, ssxym, _, ssym = _covariances(x, [y])[0].flat
-    if ssxm == 0.0 or ssym == 0.0:
-        r = np.float64(np.nan if ssxym == 0 else 0.0)
-    else:
-        r = ssxym / np.sqrt(ssxm * ssym)
-        if r > 1.0:
-            r = 1.0
-        elif r < -1.0:
-            r = -1.0
-    df = len(x) - 2
-    stderr = 0.0 if df == 0 else np.sqrt((1 - r**2) * ssym / ssxm / df)
-    return float(ssxym / ssxm), float(stderr), float(r**2)
-
-
 def _slopes(x, Y) -> np.ndarray:
-    """``_ols(x, y)[0]`` for every row y of Y (R, n), bit for bit, in one fit."""
+    """The least-squares slope of every row y of Y (R, n) against x, in one fit.
+
+    Each is cov(x, y) / var(x), the arithmetic of scipy.stats.linregress's
+    slope, so it matches that to the bit.
+    """
     c = _covariances(x, Y)
     return c[:, 0, 1] / c[:, 0, 0]
 
@@ -381,7 +373,7 @@ def check_concentration(table: UTable, t: float, M_grid) -> dict:
     M_grid, freqs, xs, ys = _tail_fit(np.abs(u - mu), t, M_grid)
     n = len(u)
     under_powered = n * freqs[-1] < 10 if freqs else True
-    c_hat = -_ols(xs, ys)[0] if len(xs) >= 2 else None
+    c_hat = -float(_slopes(xs, [ys])[0]) if len(xs) >= 2 else None
 
     monotone = all(f1 >= f2 - 1e-12 for f1, f2 in zip(freqs, freqs[1:]))
     logs = [math.log(f) for f in freqs if f > 0]
@@ -455,29 +447,47 @@ def strip_experiment(gh: GameHamiltonian, env, lo: float, hi: float, shift,
 # effective Hamiltonian extraction
 
 
-def subadditivity_defects(table: UTable) -> list[dict]:
-    """Defects D(m,n) = U(m) + U(n) - U(m+n), normalized by sqrt(n ln n).
-
-    Per-sample defects are used for the Monte-Carlo error so that the
-    correlation between times of the same realization is accounted for.
-    m + n is found on the schedule within the time grid's tolerance,
-    1e-9 max(1, m + n): on a dt = 0.1 grid, 0.1 + 0.2 is not 0.3.
-    """
-    times = table.times
-    rows = []
+def _summable_pairs(times) -> list[tuple[int, int, int]]:
+    """Indices (i, j, k), i <= j, of the schedule's times with m + n on it:
+    times[i] + times[j] = times[k] within the time grid's tolerance,
+    1e-9 max(1, m + n); on a dt = 0.1 grid, 0.1 + 0.2 is not 0.3."""
+    triples = []
     for i, m in enumerate(times):
         for j, n in enumerate(times[i:], start=i):
             tot = m + n
             at = [k for k, t in enumerate(times) if abs(t - tot) <= 1e-9 * max(1.0, tot)]
-            if not at:
-                continue
-            d_i = table.samples[i] + table.samples[j] - table.samples[at[0]]
-            n_err = min(m, n)
-            norm = math.sqrt(n_err * max(math.log(n_err), math.log(2.0)))
-            mean = float(np.mean(d_i))
-            se = float(np.std(d_i, ddof=1) / math.sqrt(len(d_i))) if len(d_i) > 1 else 0.0
-            rows.append({"m": m, "n": n, "defect": mean, "defect_se": se,
-                         "normalized": mean / norm, "normalized_se": se / norm})
+            if at:
+                triples.append((i, j, at[0]))
+    return triples
+
+
+def require_rate_schedule(times) -> None:
+    """Refuses (ValueError) an ascending schedule that ``extract_effective_H``
+    cannot fit: fewer than 3 times, or no pair of them with m + n on it."""
+    if len(times) < 3:
+        raise ValueError("need at least 3 schedule points to fit a rate")
+    if not _summable_pairs(times):
+        raise ValueError("schedule has no pairwise-summable times")
+
+
+def subadditivity_defects(table: UTable) -> list[dict]:
+    """Defects D(m,n) = U(m) + U(n) - U(m+n), normalized by sqrt(n ln n),
+    for each ``_summable_pairs`` pair of the schedule.
+
+    Per-sample defects are used for the Monte-Carlo error so that the
+    correlation between times of the same realization is accounted for.
+    """
+    times = table.times
+    rows = []
+    for i, j, k in _summable_pairs(times):
+        m, n = times[i], times[j]
+        d_i = table.samples[i] + table.samples[j] - table.samples[k]
+        n_err = min(m, n)
+        norm = math.sqrt(n_err * max(math.log(n_err), math.log(2.0)))
+        mean = float(np.mean(d_i))
+        se = float(np.std(d_i, ddof=1) / math.sqrt(len(d_i))) if len(d_i) > 1 else 0.0
+        rows.append({"m": m, "n": n, "defect": mean, "defect_se": se,
+                     "normalized": mean / norm, "normalized_se": se / norm})
     return rows
 
 
@@ -507,8 +517,7 @@ def extract_effective_H(table: UTable) -> EffectiveEstimate:
     from the doubling defects (A = K_hat * sum 2^{-k/2} sqrt(k+1)), and the
     Monte-Carlo standard error is added on top.
     """
-    if len(table.times) < 3:
-        raise ValueError("need at least 3 schedule points to fit a rate")
+    require_rate_schedule(table.times)
     mu = table.means()
     se = table.stderr()
     t_max = table.times[-1]
@@ -526,7 +535,7 @@ def extract_effective_H(table: UTable) -> EffectiveEstimate:
     pos = [(t, e) for t, e in zip(ts, errs) if e > 0]
     slope = None
     if len(pos) >= 2:
-        slope = _ols(np.log([t for t, _ in pos]), np.log([e for _, e in pos]))[0]
+        slope = float(_slopes(np.log([t for t, _ in pos]), [np.log([e for _, e in pos])])[0])
     return EffectiveEstimate(
         theta=table.theta,
         H_hat=H_hat,
@@ -584,11 +593,7 @@ def rate_config(gh: GameHamiltonian, env_spec, eps: float, R: float, T: float, d
                 dt: float) -> SolveConfig:
     """The eps rate solve: to T/eps, recorded at the ``rate_times``, on a box whose
     window still covers B(R/eps); refuses (DomainError) a field box that misses it."""
-    t_top, times = rate_times(T, eps)
-    box = solve_box_for(gh.f_pairs, "semi-lagrangian", t_top, dt, dx, report_radius=R / eps)
-    _check_env_covers(env_spec, box)
-    return SolveConfig(scheme="semi-lagrangian", dt=dt, dx=dx, T=t_top,
-                       box_lo=box[0], box_hi=box[1], record_times=times)
+    return _campaign_config(gh, env_spec, rate_times(T, eps)[1], dt, dx, report_radius=R / eps)
 
 
 def _sup_errors(gh: GameHamiltonian, env_spec, seeds, theta, eps: float, R: float,
@@ -650,7 +655,7 @@ def rate_experiment(gh: GameHamiltonian, env_spec, theta, eps_list, R: float,
     if not degenerate and all(medians[eps] > 0 for eps in eps_list):
         xs = np.log(eps_list)
         ys = np.log([medians[e] for e in eps_list])
-        slope = _ols(xs, ys)[0]
+        slope = float(_slopes(xs, [ys])[0])
         # bootstrap the medians for an honest slope uncertainty; one
         # integers() call draws the indices, in the same order, of 200 rounds
         # of one choice(test[eps], M, replace=True) call per epsilon

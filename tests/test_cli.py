@@ -538,3 +538,18 @@ def test_rate_refuses_a_field_box_that_misses_its_widest_solve(tmp_path, capsys)
     assert err.startswith("domain error: environment box")
     assert "does not cover the required solve box [(-16.25,), (48.25,)]" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["effective", "rate"])
+@pytest.mark.parametrize("times, message", [
+    ("[4.0, 8.0]", "need at least 3 schedule points to fit a rate"),
+    ("[3.0, 5.0, 7.0]", "schedule has no pairwise-summable times"),
+])
+def test_an_unfittable_schedule_is_refused_before_any_campaign(tmp_path, capsys, command,
+                                                               times, message):
+    # each refusal used to come only after a whole campaign
+    out = tmp_path / "o"
+    with mock.patch.object(homog, "estimate_U", side_effect=AssertionError("a campaign ran")):
+        assert main([command, "--set", f"campaign.times={times}", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not out.exists()

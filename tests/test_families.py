@@ -1,5 +1,6 @@
 """The game layer's single paths: the field-game constructor, the momentum
 shift and the certificate step."""
+import inspect
 import re
 from dataclasses import fields, replace
 
@@ -10,8 +11,8 @@ from hypothesis import strategies as st
 
 from conftest import drawn_games
 from hjhomog.env import EnvSpec, sample_environment
-from hjhomog.families import (FAMILIES, _env_cost, bind_env_constants, build, saddle_game,
-                              transport, two_speed_control)
+from hjhomog.families import (FAMILIES, _env_cost, bind_env_constants, build, localized,
+                              saddle_game, transport, two_speed_control)
 from hjhomog.game import GameHamiltonian, certify_constants, shift_momentum
 
 
@@ -141,6 +142,21 @@ def test_certify_refuses_a_game_without_a_direction():
     with pytest.raises(ValueError, match="set the game's orientation_hint"):
         certify_constants(gh)
     assert certify_constants(replace(gh, orientation_hint=[-2.0])).delta == 1.0
+
+
+CONSTRUCTORS = {"transport": transport, "two-speed-control": two_speed_control,
+                "saddle-game": saddle_game, "localized": localized}
+
+
+@pytest.mark.parametrize("name", sorted(FAMILIES))
+def test_every_family_reads_its_constructors_keywords(name):
+    # a family's params are declared once, as its constructor's keywords
+    assert sorted(CONSTRUCTORS) == sorted(FAMILIES)
+    params = [p for p in inspect.signature(CONSTRUCTORS[name]).parameters.values()
+              if p.name != "dim"]
+    assert FAMILIES[name].accepts == tuple(p.name for p in params)
+    assert FAMILIES[name].requires == tuple(p.name for p in params
+                                            if p.default is inspect.Parameter.empty)
 
 
 @pytest.mark.parametrize("name", sorted(FAMILIES))

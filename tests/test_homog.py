@@ -89,6 +89,12 @@ def test_env_box_must_cover_solve_box():
                    times=[8.0], M=2, base_seed=0, dx=DX, dt=DT)
 
 
+def test_env_box_must_cover_a_given_solve_box():
+    with pytest.raises(DomainError, match=r"required solve box \[\(-1.0,\), \(6.0,\)\]"):
+        estimate_U(transport(1.0), spec(lo=-1.0, hi=4.0), theta=[0.0],
+                   times=[2.0], M=2, base_seed=0, dx=DX, dt=DT, box=((-1.0,), (6.0,)))
+
+
 def test_ci_halfwidth_covers_the_exact_transport_H_bar():
     # 1-D transport homogenizes exactly: H_bar(theta) = -E[c] - f theta.  The
     # base seeds are fixed up front; the times are the CLI's default schedule
@@ -310,13 +316,11 @@ def regression_points(draw):
 @example(points=([0.0, 1.0], [2.0, 2.0]))
 @example(points=([0.0, 1.0, 2.0], [5.0, 5.0, 5.0]))
 @example(points=([0.0, 1.0, 2.0, 3.0], [1.0, 3.0, 5.0, 7.0]))
-def test_ols_is_linregress_to_the_bit(points):
+def test_slope_is_linregress_to_the_bit(points):
     x, y = points
-    want = stats.linregress(x, y)
-    got = homog._ols(x, y)
-    # slope, its standard error and r^2, NaN (constant y) included
-    for g, w in zip(got, (want.slope, want.stderr, want.rvalue**2)):
-        assert np.float64(g).tobytes() == np.float64(w).tobytes(), (got, want)
+    want = stats.linregress(x, y).slope
+    got = homog._slopes(x, [y])[0]
+    assert np.float64(got).tobytes() == np.float64(want).tobytes(), (got, want)
 
 
 @settings(max_examples=150, deadline=None)
@@ -335,7 +339,7 @@ def test_slopes_are_each_rows_ols_slope_to_the_bit(n, R, seed, x, constant):
     flat = rng.uniform(size=R) < constant
     Y[flat] = Y[flat, :1]
     got = homog._slopes(x, Y)
-    want = np.array([homog._ols(x, y)[0] for y in Y])
+    want = np.array([homog._slopes(x, [y])[0] for y in Y])
     assert got.shape == (R,)
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
 

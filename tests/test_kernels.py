@@ -28,7 +28,7 @@ from hjhomog.env import DomainError, EnvSpec, sample_environment, with_seed
 from hjhomog.families import build
 from hjhomog.game import (GameHamiltonian, _aligned_planes, eval_H_nodes, shift_momentum,
                           velocities)
-from hjhomog.homog import _ols, _solve_batches, _sup_errors, rate_experiment, solve_box_for
+from hjhomog.homog import _slopes, _solve_batches, _sup_errors, rate_experiment, solve_box_for
 from hjhomog.pde import (SolveConfig, _march, _plan_window, _precompute_cost, linear_datum,
                          sl_plan, sl_step_cost, solve_lf, solve_sl_batch)
 from hjhomog.rng import derive_seed, derive_seeds
@@ -165,8 +165,7 @@ def ref_rate_experiment(gh, env_spec, theta, eps_list, R, T, M, H_bar, dx, dt, b
     if not degenerate and all(medians[eps] > 0 for eps in eps_list):
         xs = np.log(eps_list)
         ys = np.log([medians[e] for e in eps_list])
-        slope, stderr, _ = _ols(xs, ys)
-        slope_se = stderr if not math.isnan(stderr) else None
+        slope = float(_slopes(xs, [ys])[0])
         # bootstrap the medians for an honest slope uncertainty
         rng = np.random.default_rng(base_seed)
         boots = []
@@ -176,7 +175,7 @@ def ref_rate_experiment(gh, env_spec, theta, eps_list, R, T, M, H_bar, dx, dt, b
                 samp = rng.choice(test[eps], size=len(test[eps]), replace=True)
                 med = np.median(samp)
                 ys_b.append(math.log(max(med, 1e-300)))
-            boots.append(_ols(xs, ys_b)[0])
+            boots.append(float(_slopes(xs, [ys_b])[0]))
         slope_se = float(np.std(boots))
         in_band = slope_band[0] <= slope <= slope_band[1]
         conclusive = in_band or slope_se < 0.1

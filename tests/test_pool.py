@@ -1,9 +1,9 @@
-"""The process's campaign pool: `workers` - 1 processes beside the caller,
-which solves the first chunk itself.  The pool is reused across calls,
-replaced for another worker count, dropped after a worker dies or an
-interrupt, kept in step with its pipes after a refusal, handed chunks that
-each split into batches under the cap, and gone when the interpreter exits,
-with serial bits throughout.
+"""The process's campaign pool: one process per chunk beyond the caller's,
+at most `workers` - 1, while the caller solves the first chunk itself.  The
+pool is reused across calls, replaced for another chunk count, dropped after
+a worker dies or an interrupt, kept in step with its pipes after a refusal,
+handed chunks that each split into batches under the cap, and gone when the
+interpreter exits, with serial bits throughout.
 
 Each test runs at most two pool processes."""
 import multiprocessing
@@ -116,6 +116,19 @@ def test_an_interrupt_in_the_callers_chunk_drops_the_pool():
 def test_fewer_seeds_than_workers_give_the_serial_bits():
     seeds = SEEDS[:2]
     assert campaign(3, seeds=seeds).tobytes() == campaign(1, seeds=seeds).tobytes()
+
+
+def test_the_pool_holds_one_process_per_chunk_beyond_the_callers():
+    # two seeds make two chunks at 3 workers: one pool process, not two
+    homog._shutdown_pool()
+    seeds = SEEDS[:2]
+    assert campaign(3, seeds=seeds).tobytes() == campaign(1, seeds=seeds).tobytes()
+    assert len(worker_pids()) == 1
+    # one seed makes one chunk, which the caller solves with no pool at all
+    homog._shutdown_pool()
+    seed = SEEDS[:1]
+    assert campaign(2, seeds=seed).tobytes() == campaign(1, seeds=seed).tobytes()
+    assert homog._POOL is None and worker_pids() == []
 
 
 def test_the_workers_exit_when_the_callers_ends_of_their_pipes_close():
