@@ -379,8 +379,7 @@ def cmd_effective(run: Run, out: Path, workers: int) -> int:
 def cmd_rate(run: Run, out: Path, workers: int) -> int:
     camp = run.blocks["campaign"]
     theta = camp["thetas"][0]
-    # the smallest eps has the widest box: refuse it, and a schedule that the
-    # H-bar fit cannot read, before the H-bar campaign
+    # before the H-bar campaign, refuse the widest (smallest eps) box and an unfittable schedule
     homog.rate_config(run.game, run.spec, min(camp["eps_list"]), camp["rate_R"],
                       camp["rate_T"], camp["rate_dx"], camp["rate_dt"])
     homog.require_rate_schedule(camp["times"])
@@ -521,9 +520,8 @@ def build_parser() -> argparse.ArgumentParser:
                         metavar="KEY=VALUE", help="dotted-path override")
     parser.add_argument("--workers", default=None,
                         help="at most this many processes solve a Monte-Carlo campaign: "
-                             "this one and up to WORKERS-1 pool processes, no more in all "
-                             "than it has realizations (default $HJHOMOG_WORKERS, then "
-                             "campaign.workers)")
+                             "this one and up to WORKERS-1 pool processes (default "
+                             "$HJHOMOG_WORKERS, then campaign.workers)")
     parser.add_argument("--out", default=None, help="output directory")
     return parser
 
