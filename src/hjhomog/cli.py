@@ -243,6 +243,11 @@ def validate_config(cfg: dict) -> Run:
     if len(set(camp["eps_list"])) < 2:
         raise ConfigError("campaign.eps_list: needs at least two distinct epsilons "
                           "to fit a rate")
+    if camp["rate_R"] < 0:
+        raise ConfigError(f"campaign.rate_R: must be >= 0, got {camp['rate_R']}")
+    for key in ("rate_dx", "rate_dt"):
+        if camp[key] <= 0:
+            raise ConfigError(f"campaign.{key}: must be positive, got {camp[key]}")
     for eps in camp["eps_list"]:
         t_top, recs = homog.rate_times(camp["rate_T"], eps)
         try:    # each eps's rate solve, on the rate study's own grid

@@ -290,18 +290,6 @@ class EnvironmentView:
         self.slab = slab
 
     @property
-    def dimension(self):
-        return self.base.dimension
-
-    @property
-    def sup_bound(self):
-        return self.base.sup_bound
-
-    @property
-    def lip_bound(self):
-        return self.base.lip_bound
-
-    @property
     def batch_shape(self):
         return self.base.batch_shape
 

@@ -30,7 +30,7 @@ def _env_cost(n_a: int, n_b: int):
     return cost
 
 
-def _axis_game(speeds, actions_a, actions_b, dim: int, sign: float = 1.0) -> GameHamiltonian:
+def _axis_game(speeds, dim: int, sign: float = 1.0) -> GameHamiltonian:
     """A field game driven along axis 0 at ``speeds[a, b]`` (n_a, n_b), oriented by ``sign``.
 
     Its cost certificates are NaN until ``bind_env_constants`` fills them
@@ -45,9 +45,8 @@ def _axis_game(speeds, actions_a, actions_b, dim: int, sign: float = 1.0) -> Gam
     hint = np.zeros(dim)
     hint[0] = sign
     return GameHamiltonian(
-        actions_a=actions_a,
-        actions_b=actions_b,
         f_table=f,
+        n_b=speeds.shape[1],
         base_cost=_env_cost(*speeds.shape),
         lip_l=np.nan,
         l_inf=np.nan,
@@ -57,24 +56,21 @@ def _axis_game(speeds, actions_a, actions_b, dim: int, sign: float = 1.0) -> Gam
 
 def transport(speed: float = 1.0, dim: int = 1) -> GameHamiltonian:
     """Singleton actions: pure transport at constant velocity over the field."""
-    return _axis_game([[speed]], np.zeros((1, 1)), np.zeros((1, 1)), dim,
-                      np.sign(speed) or 1.0)
+    return _axis_game([[speed]], dim, np.sign(speed) or 1.0)
 
 
 def two_speed_control(speeds=(0.5, 1.5), dim: int = 1) -> GameHamiltonian:
     """One controller (player 1) choosing among forward speeds; no adversary."""
-    return _axis_game(np.reshape(speeds, (-1, 1)), np.array([[s] for s in speeds]),
-                      np.zeros((1, 1)), dim)
+    return _axis_game(np.reshape(speeds, (-1, 1)), dim)
 
 
 def saddle_game(base_speed: float = 1.0, coupling: float = 0.25,
                 dim: int = 1) -> GameHamiltonian:
-    """Two-action saddle: f(a,b) = base + coupling * a * b along axis 1.
+    """Two-action saddle: f(a,b) = base + coupling * a * b along axis 1, a, b = -1, 1.
 
     Oriented as long as |coupling| < base_speed.
     """
-    acts = np.array([[-1.0], [1.0]])
-    return _axis_game(base_speed + (coupling * acts) * acts.T, acts, acts, dim)
+    return _axis_game(base_speed + coupling * np.array([[1.0, -1.0], [-1.0, 1.0]]), dim)
 
 
 def bind_env_constants(gh: GameHamiltonian, env) -> GameHamiltonian:

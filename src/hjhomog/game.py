@@ -41,22 +41,21 @@ class HamiltonianConstants:
 
 @dataclass(frozen=True)
 class GameHamiltonian:
-    """Finite-action game data.
+    """Finite-action game data: the velocities, the cost and its certificates.
 
     ``base_cost(points, env) -> (N, n_a, n_b)`` returns the running cost at
     each point for every action pair (broadcastable shapes allowed): a
-    fresh array, which the solvers may overwrite, or a read-only one.  The
-    momentum shift <f, theta> is folded into a single additive table so the
-    solver inner loop sees one accessor call.
+    fresh array, which the solvers may overwrite, or a read-only one.  A
+    static pair table, such as a folded momentum shift <f, theta>, is
+    ``shift_table``, added to it so the solver inner loop sees one accessor
+    call.  The actions are their indices: row a of ``f_table`` is action a.
     """
 
-    actions_a: np.ndarray           # (n_a, m)
-    actions_b: np.ndarray           # (n_b, m)
     f_table: np.ndarray             # (n_a, n_b, d), broadcastable over b
+    n_b: int
     base_cost: Callable[[np.ndarray, object], np.ndarray]
     lip_l: float
-    l_inf: float                    # bound for the *unshifted* cost
-    theta: np.ndarray | None = None
+    l_inf: float                    # bound for base_cost, without shift_table
     orientation_hint: np.ndarray | None = None
     shift_table: np.ndarray | None = None   # (n_a, n_b) or broadcastable
 
@@ -66,11 +65,7 @@ class GameHamiltonian:
 
     @property
     def n_a(self) -> int:
-        return self.actions_a.shape[0]
-
-    @property
-    def n_b(self) -> int:
-        return self.actions_b.shape[0]
+        return self.f_table.shape[0]
 
     @property
     def f_pairs(self) -> np.ndarray:
@@ -81,19 +76,8 @@ class GameHamiltonian:
     def f_inf(self) -> float:
         return float(np.max(np.linalg.norm(self.f_table, axis=-1)))
 
-    @property
-    def theta_vec(self) -> np.ndarray:
-        if self.theta is None:
-            return np.zeros(self.dim)
-        return self.theta
-
-    @property
-    def l_inf_shifted(self) -> float:
-        """Bound on the cost including the folded momentum shift."""
-        return self.l_inf + self.f_inf * float(np.linalg.norm(self.theta_vec))
-
     def cost(self, pts: np.ndarray, env) -> np.ndarray:
-        """Running cost table (N, n_a, n_b), momentum shift included."""
+        """Running cost table (N, n_a, n_b), shift table included."""
         c = self.base_cost(np.atleast_2d(pts), env)
         if self.shift_table is not None:
             c = c + self.shift_table
@@ -224,10 +208,8 @@ def shift_momentum(gh: GameHamiltonian, theta: np.ndarray) -> GameHamiltonian:
 
     Satisfies eval_H(shifted, x, p) == eval_H(original, x, theta + p).
     """
-    theta = np.asarray(theta, dtype=np.float64)
-    add = gh.f_table @ theta                       # (n_a, n_b) or (n_a, 1)
-    table = add if gh.shift_table is None else gh.shift_table + add
-    return replace(gh, theta=gh.theta_vec + theta, shift_table=table)
+    add = gh.f_table @ np.asarray(theta, dtype=np.float64)     # (n_a, n_b) or (n_a, 1)
+    return replace(gh, shift_table=add if gh.shift_table is None else gh.shift_table + add)
 
 
 def certify_constants(gh: GameHamiltonian) -> HamiltonianConstants:
@@ -235,7 +217,9 @@ def certify_constants(gh: GameHamiltonian) -> HamiltonianConstants:
 
     The direction e is the game's ``orientation_hint``; the cost
     certificates are the game's own, so a field game must first have them
-    bound from its environment.  ``delta`` is the achieved margin
+    bound from its environment.  The cost bound ``l_inf`` is the game's
+    bound on ``base_cost`` plus max|shift_table| when a shift table is set:
+    sound for any static table.  ``delta`` is the achieved margin
     min <f(a,b), e>, reported as-is; a nonpositive value marks the game as
     not oriented (callers that need orientation must refuse to run).
     """
@@ -247,7 +231,9 @@ def certify_constants(gh: GameHamiltonian) -> HamiltonianConstants:
     e = np.asarray(gh.orientation_hint, dtype=np.float64)
     e = e / np.linalg.norm(e)
     delta = float(np.min(gh.f_pairs @ e))
-    f_inf, l_inf = gh.f_inf, gh.l_inf_shifted
+    f_inf, l_inf = gh.f_inf, gh.l_inf
+    if gh.shift_table is not None:
+        l_inf += float(np.max(np.abs(gh.shift_table)))
     return HamiltonianConstants(
         beta=max(l_inf, f_inf, gh.lip_l), delta=delta, e=e, f_inf=f_inf, lip_l=gh.lip_l,
         l_inf=l_inf,
@@ -310,9 +296,8 @@ def localize(
 
     e = -v / np.linalg.norm(v)
     return GameHamiltonian(
-        actions_a=A,
-        actions_b=B,
         f_table=f_table,
+        n_b=len(B),
         base_cost=cost,
         lip_l=beta,
         l_inf=beta * (1.0 + R) + beta * R,     # sup|G| <= beta (1 + R) by (H1)

@@ -307,13 +307,13 @@ def _check_rebuilds(gh: GameHamiltonian, family_desc, env) -> None:
     origin = np.zeros((1, gh.dim))
 
     def bits(g):
-        arrays = (g.f_table, g.actions_a, g.actions_b, g.shift_table, g.cost(origin, env))
+        arrays = (g.f_table, g.n_b, g.shift_table, g.cost(origin, env))
         return [None if a is None else (np.shape(a), np.asarray(a).tobytes()) for a in arrays]
 
     if bits(game) != bits(gh):
         raise ValueError(
             f"family_desc={family_desc!r} does not rebuild the given game (dynamics, "
-            f"actions, momentum shift or cost at the origin differ), so pool workers "
+            f"action counts, momentum shift or cost at the origin differ), so pool workers "
             f"would solve another game; pass the matching family_desc, or use workers=1"
         )
 

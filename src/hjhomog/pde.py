@@ -57,13 +57,19 @@ class Grid:
     def nodes(self) -> np.ndarray:
         """All node coordinates, flattened to (N, d) in C order.
 
-        Each axis's coordinates are written into one array: no meshgrid
-        copies to stack.
+        Built on the first call, each axis's coordinates written into one
+        array (no meshgrid copies to stack), and kept: every call returns
+        the same read-only array.
         """
-        out = np.empty(self.shape + (self.dim,))
-        for i in range(self.dim):
-            out[..., i] = self.axis(i).reshape((-1,) + (1,) * (self.dim - 1 - i))
-        return out.reshape(-1, self.dim)
+        out = self.__dict__.get("_nodes")
+        if out is None:
+            out = np.empty(self.shape + (self.dim,))
+            for i in range(self.dim):
+                out[..., i] = self.axis(i).reshape((-1,) + (1,) * (self.dim - 1 - i))
+            out = out.reshape(-1, self.dim)
+            out.flags.writeable = False
+            object.__setattr__(self, "_nodes", out)     # a cache, not a field
+        return out
 
     @classmethod
     def from_box(cls, lo, hi, dx: float) -> "Grid":
@@ -267,7 +273,7 @@ def _precompute_cost(gh: GameHamiltonian, env, grid: Grid, eps: float) -> np.nda
     pts = grid.nodes()
     lead = () if env is None else env.batch_shape
     shape = lead + (len(pts), gh.n_a, gh.n_b)
-    c = gh.cost(pts / eps, env)
+    c = gh.cost(pts if eps == 1.0 else pts / eps, env)     # x / 1.0 is x, bit for bit
     if c.shape != shape:
         c = np.broadcast_to(c, shape)           # read-only, so copied below
     c = np.moveaxis(c.reshape(lead + (len(pts), -1)), (-1, -2), (0, 1))

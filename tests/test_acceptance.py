@@ -48,8 +48,7 @@ def test_criterion_01_closed_form_transport():
     def cost(pts, env):
         return np.sin(np.atleast_2d(pts)[:, 0])[:, None, None]
 
-    gh = GameHamiltonian(actions_a=np.zeros((1, 1)), actions_b=np.zeros((1, 1)),
-                         f_table=np.ones((1, 1, 1)), base_cost=cost,
+    gh = GameHamiltonian(f_table=np.ones((1, 1, 1)), n_b=1, base_cost=cost,
                          lip_l=1.0, l_inf=1.0, orientation_hint=np.array([1.0]))
     h = 1e-3
     want = 1.0 - math.cos(2.0)

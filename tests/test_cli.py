@@ -226,6 +226,20 @@ def test_rate_time_grid_is_refused_before_the_campaign(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("override, path", [("campaign.rate_R=-1.0", "campaign.rate_R"),
+                                            ("campaign.rate_dx=-0.0625", "campaign.rate_dx"),
+                                            ("campaign.rate_dt=0.0", "campaign.rate_dt")])
+def test_rate_grid_fields_are_refused_under_their_own_path(tmp_path, capsys, override, path):
+    # a negative R used to fail only after the H-bar campaign, as a degenerate
+    # grid naming no field; a bad dx or dt was labelled campaign.rate_T
+    out = tmp_path / "o"
+    with mock.patch.object(homog, "estimate_U") as campaign:
+        assert main(["rate", "--set", override, "--out", str(out)]) == 1
+    campaign.assert_not_called()
+    assert capsys.readouterr().err.startswith(f"config error: {path}: ")
+    assert not out.exists()
+
+
 def test_rate_small_run(tmp_path):
     out = tmp_path / "o"
     code = main(["rate", "--out", str(out),

@@ -26,7 +26,7 @@ def const_cost_game(c, f, dim=1):
     ft = np.zeros((1, 1, dim))
     ft[0, 0, 0] = f
     return GameHamiltonian(
-        actions_a=np.zeros((1, 1)), actions_b=np.zeros((1, 1)), f_table=ft,
+        f_table=ft, n_b=1,
         base_cost=lambda pts, env: np.full((np.atleast_2d(pts).shape[0], 1, 1), c),
         lip_l=0.0, l_inf=abs(c), orientation_hint=np.eye(dim)[0] * np.sign(f))
 
@@ -45,8 +45,7 @@ def test_eval_H_saddle_enumeration():
         ab = acts[:, 0][:, None] * acts[:, 0][None, :]
         return np.broadcast_to(ab, (n, 2, 2))
 
-    gh = GameHamiltonian(actions_a=acts, actions_b=acts,
-                         f_table=np.ones((2, 2, 1)), base_cost=cost,
+    gh = GameHamiltonian(f_table=np.ones((2, 2, 1)), n_b=2, base_cost=cost,
                          lip_l=0.0, l_inf=1.0, orientation_hint=np.array([1.0]))
     assert eval_H(gh, [0.0], [0.7]) == pytest.approx(-1.7, abs=1e-15)
 
@@ -142,8 +141,7 @@ def test_certify_examples():
     assert c.delta == 1.0
 
     f = np.array([[[1.0, 0.5]], [[1.0, -0.5]]])
-    gh2 = GameHamiltonian(actions_a=np.zeros((2, 1)), actions_b=np.zeros((1, 1)),
-                          f_table=f, base_cost=lambda pts, env: np.zeros(
+    gh2 = GameHamiltonian(f_table=f, n_b=1, base_cost=lambda pts, env: np.zeros(
                               (np.atleast_2d(pts).shape[0], 2, 1)),
                           lip_l=0.0, l_inf=0.0, orientation_hint=[1.0, 0.0])
     c2 = certify_constants(gh2)
@@ -194,13 +192,30 @@ def test_shift_folds_not_wraps():
     g1 = shift_momentum(shift_momentum(gh, [0.5]), [0.25])
     g2 = shift_momentum(gh, [0.75])
     assert np.allclose(g1.shift_table, g2.shift_table)
-    assert np.allclose(g1.theta_vec, [0.75])
 
 
 def test_l_inf_shifted():
     gh = const_cost_game(0.3, 2.0)
     gs = shift_momentum(gh, [1.5])
-    assert gs.l_inf_shifted == pytest.approx(0.3 + 2.0 * 1.5)
+    assert certify_constants(gs).l_inf == pytest.approx(0.3 + 2.0 * 1.5)
+
+
+def test_l_inf_counts_a_static_shift_table():
+    # a pair table set directly, not by shift_momentum, is part of the cost too
+    env = sample_environment(random_field_spec(4))
+    gh = replace(bind_env_constants(transport(1.0), env), shift_table=np.array([[2.0]]))
+    pts = np.linspace(-8.0, 8.0, 4001)[:, None]
+    sampled = float(np.max(np.abs(gh.cost(pts, env))))
+    assert sampled > gh.l_inf                   # the base bound alone does not cover it
+    assert sampled <= certify_constants(gh).l_inf == gh.l_inf + 2.0
+
+
+def test_l_inf_of_a_2d_shift_is_the_pair_table_bound():
+    gh = replace(saddle_game(1.0, 0.25, dim=2), lip_l=0.5, l_inf=1.0)
+    theta = np.array([0.5, -1.0])
+    c = certify_constants(shift_momentum(gh, theta))
+    assert c.l_inf == gh.l_inf + float(np.max(np.abs(gh.f_pairs @ theta))) == 1.0 + 1.25 * 0.5
+    assert c.l_inf < gh.l_inf + gh.f_inf * float(np.linalg.norm(theta))
 
 
 def test_structural_inequalities_random_probes():

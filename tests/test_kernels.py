@@ -728,8 +728,7 @@ def stencil_bits(corners):
          dt=0.25, dx=0.25)                                                  # 4 pairs, 2 stencils
 def test_sl_plan_and_reach_equal_the_per_pair_construction(f, dt, dx):
     n_a, n_b, d = f.shape
-    gh = GameHamiltonian(actions_a=np.zeros((n_a, 1)), actions_b=np.zeros((n_b, 1)), f_table=f,
-                         base_cost=None, lip_l=0.0, l_inf=0.0)
+    gh = GameHamiltonian(f_table=f, n_b=n_b, base_cost=None, lip_l=0.0, l_inf=0.0)
     plan = sl_plan(gh, SolveConfig(scheme="semi-lagrangian", dt=dt, dx=dx, T=dt,
                                    box_lo=(0.0,) * d, box_hi=(16 * dx,) * d))
     below, above = ref_sl_reach(gh.f_pairs, dt, dx)

@@ -7,6 +7,7 @@ from conftest import ORIENTED, ConstantEnvironment
 from hjhomog.env import DomainError, EnvSpec, sample_environment
 from hjhomog.game import GameHamiltonian
 from hjhomog.families import bind_env_constants, build, saddle_game, transport
+from hjhomog import pde
 from hjhomog.homog import solve_box_for
 from hjhomog.pde import (Grid, SolveConfig, check_comparison,
                          check_lipschitz, check_scaling, linear_datum, solve,
@@ -22,8 +23,7 @@ def field_spec(seed=0, lo=-8.0, hi=8.0):
 def singleton_game(cost_fn, speed=1.0):
     f = np.zeros((1, 1, 1))
     f[0, 0, 0] = speed
-    return GameHamiltonian(actions_a=np.zeros((1, 1)),
-                           actions_b=np.zeros((1, 1)), f_table=f,
+    return GameHamiltonian(f_table=f, n_b=1,
                            base_cost=cost_fn, lip_l=1.0, l_inf=1.0,
                            orientation_hint=np.array([1.0]))
 
@@ -72,8 +72,7 @@ def test_sl_matches_brute_force_dp():
 
     f = np.zeros((2, 1, 1))
     f[0, 0, 0], f[1, 0, 0] = -1.0, 1.0
-    gh = GameHamiltonian(actions_a=np.array([[-1.0], [1.0]]),
-                         actions_b=np.zeros((1, 1)), f_table=f,
+    gh = GameHamiltonian(f_table=f, n_b=1,
                          base_cost=cost, lip_l=1.0, l_inf=3.0)
     dt = dx = 0.25
     res = solve_sl(gh, None, cfg("semi-lagrangian", dt, dx, 1.0, -3.0, 3.0))
@@ -300,3 +299,24 @@ def test_grid_nodes_are_the_meshgrid_in_c_order(lo, hi, dx):
     want = np.stack([m.ravel() for m in mesh], axis=1)
     got = g.nodes()
     assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def test_grid_nodes_are_built_once_and_read_only():
+    g = Grid.from_box([-1.0, 0.0], [1.0, 2.0], 0.5)
+    first = g.nodes()
+    assert g.nodes() is first and not first.flags.writeable
+    assert g == Grid.from_box([-1.0, 0.0], [1.0, 2.0], 0.5)     # the cache is not a field
+
+
+def test_cost_at_eps_one_reads_the_nodes_themselves():
+    seen = []
+
+    def cost(pts, env):
+        seen.append(pts)
+        return np.sin(pts[:, 0])[:, None, None]
+
+    grid = Grid.from_box([-2.0], [2.0], 0.125)
+    table = pde._precompute_cost(singleton_game(cost), None, grid, 1.0)
+    assert len(seen) == 1 and seen[0] is grid.nodes()
+    want = np.sin(grid.nodes()[:, 0] / 1.0)
+    assert table.shape == (1,) + grid.shape and table[0].tobytes() == want.tobytes()
