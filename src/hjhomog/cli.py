@@ -9,11 +9,13 @@ DEFAULTS and checked before a command runs, and is echoed to config.echo.json
 refusal writes nothing.
 
 Exit codes: 0 all assertions passed, 1 configuration error or library
-refusal (domain or orientation error), 2 assertion failure.
+refusal (domain or orientation error), 2 assertion failure; any other
+exception is a bug and propagates with its traceback.
 """
 from __future__ import annotations
 
 import argparse
+import contextlib
 import copy
 import csv
 import dataclasses
@@ -29,8 +31,8 @@ from . import __version__, families, homog
 from .env import DomainError, EnvSpec, sample_environment
 from .game import (GameHamiltonian, OrientationError, certify_constants, eval_H, localize,
                    shift_momentum, verify_localization)
-from .pde import (SolveConfig, check_comparison, check_lipschitz, check_scaling, linear_datum,
-                  solve, zero_datum)
+from .pde import (Grid, SolveConfig, check_comparison, check_lipschitz, check_scaling,
+                  linear_datum, solve, zero_datum)
 
 
 class ConfigError(ValueError):
@@ -174,6 +176,15 @@ def _typed(value, default, path: str):
     raise ConfigError(f"{path}: must be {kind}, got {value!r}")
 
 
+@contextlib.contextmanager
+def _refused_as(path: str, errors=ValueError):
+    """Reraises what the block raises of errors as a ConfigError on path."""
+    try:
+        yield
+    except errors as exc:
+        raise ConfigError(f"{path}: {exc}")
+
+
 @dataclasses.dataclass(frozen=True)
 class Run:
     """A checked config and what every command builds from it, built once."""
@@ -189,10 +200,8 @@ def validate_config(cfg: dict) -> Run:
     """cfg read, checked and built; refuses with a ConfigError naming the field."""
     blocks = _typed(cfg, DEFAULTS, "")
     spec = EnvSpec(**blocks["environment"])
-    try:
+    with _refused_as("environment"):
         spec.validate()
-    except ValueError as exc:
-        raise ConfigError(f"environment: {exc}")
     fam, params = blocks["hamiltonian"]["family"], blocks["hamiltonian"]["params"]
     if fam not in families.FAMILIES:
         raise ConfigError(f"hamiltonian.family: unknown family {fam!r}")
@@ -202,20 +211,17 @@ def validate_config(cfg: dict) -> Run:
     params = {k: v for k, v in params.items()
               if k in families.FAMILIES[fam].accepts or k not in default or v != default[k]}
     blocks["hamiltonian"]["params"] = params
-    try:
+    with _refused_as("hamiltonian.params", (ValueError, TypeError, KeyError)):
         gh = families.build(fam, params, spec.dimension)
-    except (ValueError, TypeError, KeyError) as exc:
-        raise ConfigError(f"hamiltonian.params: {exc}")
     pairs = gh.n_a * gh.n_b
     if spec.channels not in (1, pairs):
         raise ConfigError(
             f"environment.channels: the {fam} game reads 1 channel shared by its action "
             f"pairs or n_a*n_b = {pairs}, one per pair; got {spec.channels}")
     solver = SolveConfig(**blocks["solver"])
-    try:
+    with _refused_as("solver"):     # its time grid, and at least 2 nodes per axis
         solver.validate()
-    except ValueError as exc:
-        raise ConfigError(f"solver: {exc}")
+        Grid.from_box(solver.box_lo, solver.box_hi, solver.dx)
     camp = blocks["campaign"]
     if not camp["thetas"]:
         raise ConfigError("campaign.thetas: must hold at least one theta")
@@ -231,18 +237,13 @@ def validate_config(cfg: dict) -> Run:
     times = camp["times"]
     if not times or any(t <= 0 for t in times) or sorted(times) != list(times):
         raise ConfigError("campaign.times: must be nonempty, positive and increasing")
-    try:    # the campaign's solve: to the last time, on the solver's time step
+    with _refused_as("campaign.times"):   # the campaign's solve, on the solver's time step
         dataclasses.replace(solver, T=times[-1], record_times=times).validate()
-    except ValueError as exc:
-        raise ConfigError(f"campaign.times: {exc}")
     if camp["M"] < 1:
         raise ConfigError(f"campaign.M: must be >= 1, got {camp['M']}")
     _worker_count(camp["workers"], "campaign.workers")
-    if any(e <= 0 or e > 0.5 for e in camp["eps_list"]):
-        raise ConfigError("campaign.eps_list: entries must lie in (0, 1/2]")
-    if len(set(camp["eps_list"])) < 2:
-        raise ConfigError("campaign.eps_list: needs at least two distinct epsilons "
-                          "to fit a rate")
+    with _refused_as("campaign.eps_list"):
+        homog.require_eps_list(camp["eps_list"])
     if camp["rate_R"] < 0:
         raise ConfigError(f"campaign.rate_R: must be >= 0, got {camp['rate_R']}")
     for key in ("rate_dx", "rate_dt"):
@@ -250,11 +251,9 @@ def validate_config(cfg: dict) -> Run:
             raise ConfigError(f"campaign.{key}: must be positive, got {camp[key]}")
     for eps in camp["eps_list"]:
         t_top, recs = homog.rate_times(camp["rate_T"], eps)
-        try:    # each eps's rate solve, on the rate study's own grid
+        with _refused_as(f"campaign.rate_T: the rate solve at eps={eps}"):   # on its own grid
             dataclasses.replace(solver, dt=camp["rate_dt"], dx=camp["rate_dx"], T=t_top,
                                 record_times=recs).validate()
-        except ValueError as exc:
-            raise ConfigError(f"campaign.rate_T: the rate solve at eps={eps}: {exc}")
     return Run(cfg=cfg, blocks=blocks, spec=spec, game=gh, solver=solver)
 
 
@@ -365,7 +364,8 @@ def cmd_estimate(run: Run, out: Path, workers: int) -> int:
 
 
 def cmd_effective(run: Run, out: Path, workers: int) -> int:
-    homog.require_rate_schedule(run.blocks["campaign"]["times"])   # before any campaign
+    with _refused_as("campaign.times"):     # before any campaign
+        homog.require_rate_schedule(run.blocks["campaign"]["times"])
     estimates = []
     for theta in run.blocks["campaign"]["thetas"]:
         table = _campaign_table(run, theta, workers)
@@ -387,7 +387,8 @@ def cmd_rate(run: Run, out: Path, workers: int) -> int:
     # before the H-bar campaign, refuse the widest (smallest eps) box and an unfittable schedule
     homog.rate_config(run.game, run.spec, min(camp["eps_list"]), camp["rate_R"],
                       camp["rate_T"], camp["rate_dx"], camp["rate_dt"])
-    homog.require_rate_schedule(camp["times"])
+    with _refused_as("campaign.times"):
+        homog.require_rate_schedule(camp["times"])
     est = homog.extract_effective_H(_campaign_table(run, theta, workers))
     report = homog.rate_experiment(
         run.game, run.spec, theta, camp["eps_list"], R=camp["rate_R"],
@@ -544,18 +545,14 @@ def main(argv: list[str] | None = None) -> int:
             workers = _worker_count(os.environ["HJHOMOG_WORKERS"], "$HJHOMOG_WORKERS")
         else:
             workers = run.blocks["campaign"]["workers"]
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
-    out = Path(args.out if args.out is not None else run.blocks["output"]["directory"])
-    try:
+        out = Path(args.out if args.out is not None else run.blocks["output"]["directory"])
         code = COMMANDS[args.command](run, out, workers)
     except AssertionError as exc:
         print(f"assertion failure: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, KeyError) as exc:
-        label = {DomainError: "domain", OrientationError: "orientation"}
-        print(f"{label.get(type(exc), 'config')} error: {exc}", file=sys.stderr)
+    except (ConfigError, DomainError, OrientationError) as exc:    # any other error is a bug
+        label = {ConfigError: "config", DomainError: "domain", OrientationError: "orientation"}
+        print(f"{label[type(exc)]} error: {exc}", file=sys.stderr)
         return 1
     _write_json(out, "config.echo.json", _stamp(run.cfg, {"config": run.cfg}))
     return code

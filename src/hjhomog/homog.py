@@ -607,6 +607,15 @@ def _sup_errors(gh: GameHamiltonian, env_spec, seeds, theta, eps: float, R: floa
     return np.abs(eps * u + tj[:, None, None] * H_bar).max(axis=(0, 1))
 
 
+def require_eps_list(eps_list) -> None:
+    """Refuses (ValueError) an eps_list that ``rate_experiment`` cannot run: an
+    epsilon outside (0, 1/2], or fewer than two distinct epsilons to fit a rate."""
+    if any(not 0 < e <= 0.5 for e in eps_list):
+        raise ValueError(f"every epsilon must lie in (0, 1/2], got {list(eps_list)}")
+    if len(set(eps_list)) < 2:
+        raise ValueError(f"needs two distinct epsilons to fit a rate, got eps_list {list(eps_list)}")
+
+
 def rate_experiment(gh: GameHamiltonian, env_spec, theta, eps_list, R: float,
                     T: float, M: int, H_bar: float, dx: float, dt: float,
                     base_seed: int) -> dict:
@@ -618,12 +627,8 @@ def rate_experiment(gh: GameHamiltonian, env_spec, theta, eps_list, R: float,
     the exceedance of the threshold K_hat sqrt(-eps ln eps), with K_hat
     calibrated on a separate bank of max(4, M) seeds per epsilon.
     """
+    require_eps_list(eps_list)
     eps_list = sorted(float(e) for e in eps_list)
-    if any(e > 0.5 for e in eps_list):
-        raise ValueError("epsilon must be <= 1/2 (outside the valid range)")
-    if len(set(eps_list)) < 2:
-        raise ValueError(f"eps_list needs at least two distinct epsilons to fit a rate, "
-                         f"got {eps_list}")
     theta = np.atleast_1d(np.asarray(theta, dtype=np.float64))
     _certified(gh, sample_environment(env_spec))
 
@@ -658,8 +663,9 @@ def rate_experiment(gh: GameHamiltonian, env_spec, theta, eps_list, R: float,
         slope = float(_slopes(xs, [ys])[0])
         # bootstrap the medians for an honest slope uncertainty; one
         # integers() call draws the indices, in the same order, of 200 rounds
-        # of one choice(test[eps], M, replace=True) call per epsilon
-        rng = np.random.default_rng(base_seed)
+        # of one choice(test[eps], M, replace=True) call per epsilon; a negative
+        # seed is read as its two's complement, as rng.mix reads it
+        rng = np.random.default_rng(base_seed % 2**64)
         banks = np.stack([test[eps] for eps in eps_list])
         idx = rng.integers(0, M, size=(200,) + banks.shape)
         meds = np.median(np.take_along_axis(banks[None], idx, axis=-1), axis=-1)

@@ -57,19 +57,13 @@ class Grid:
     def nodes(self) -> np.ndarray:
         """All node coordinates, flattened to (N, d) in C order.
 
-        Built on the first call, each axis's coordinates written into one
-        array (no meshgrid copies to stack), and kept: every call returns
-        the same read-only array.
+        Each axis's coordinates are written into one array: no meshgrid
+        copies to stack.
         """
-        out = self.__dict__.get("_nodes")
-        if out is None:
-            out = np.empty(self.shape + (self.dim,))
-            for i in range(self.dim):
-                out[..., i] = self.axis(i).reshape((-1,) + (1,) * (self.dim - 1 - i))
-            out = out.reshape(-1, self.dim)
-            out.flags.writeable = False
-            object.__setattr__(self, "_nodes", out)     # a cache, not a field
-        return out
+        out = np.empty(self.shape + (self.dim,))
+        for i in range(self.dim):
+            out[..., i] = self.axis(i).reshape((-1,) + (1,) * (self.dim - 1 - i))
+        return out.reshape(-1, self.dim)
 
     @classmethod
     def from_box(cls, lo, hi, dx: float) -> "Grid":

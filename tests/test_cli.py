@@ -240,6 +240,15 @@ def test_rate_grid_fields_are_refused_under_their_own_path(tmp_path, capsys, ove
     assert not out.exists()
 
 
+def test_rate_bootstraps_a_negative_base_seed(tmp_path):
+    # numpy's generator refuses a negative seed, which used to escape the
+    # bootstrap as a ValueError labelled a config error with no field
+    out = tmp_path / "o"
+    assert main(["rate", "--set", "campaign.base_seed=-1", "--out", str(out)]) == 0
+    report = json.loads((out / "rate.summary.json").read_text())["report"]
+    assert report["slope_se"] > 0
+
+
 def test_rate_small_run(tmp_path):
     out = tmp_path / "o"
     code = main(["rate", "--out", str(out),
@@ -565,5 +574,22 @@ def test_an_unfittable_schedule_is_refused_before_any_campaign(tmp_path, capsys,
     out = tmp_path / "o"
     with mock.patch.object(homog, "estimate_U", side_effect=AssertionError("a campaign ran")):
         assert main([command, "--set", f"campaign.times={times}", "--out", str(out)]) == 1
-    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert capsys.readouterr().err == f"config error: campaign.times: {message}\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["solve", "verify"])
+def test_a_solver_box_of_one_node_is_refused_under_solver(tmp_path, capsys, command):
+    # it used to reach the solve as a grid error naming no field
+    out = tmp_path / "o"
+    assert main([command, "--set", "solver.box_lo=[0.0]", "--set", "solver.box_hi=[0.1]",
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "config error: solver: degenerate grid: shape (1,)\n"
+    assert not out.exists()
+
+
+def test_an_error_inside_a_command_escapes_main(tmp_path):
+    # a ValueError from library code is a bug, not the user's config error
+    with mock.patch.object(homog, "estimate_U", side_effect=ValueError("a library bug")):
+        with pytest.raises(ValueError, match="a library bug"):
+            main(["estimate", "--out", str(tmp_path / "o")])

@@ -361,6 +361,17 @@ def test_rate_rejects_large_epsilon():
                         base_seed=0)
 
 
+@pytest.mark.parametrize("eps_list", [[0.0, 0.25], [-0.25, 0.25]])
+def test_rate_refuses_an_epsilon_outside_the_half_interval(eps_list):
+    # 0 used to divide by zero, and -0.25 to fail as a negative solve horizon
+    with mock.patch.object(homog, "_solve_batches") as run:
+        with pytest.raises(ValueError, match=r"every epsilon must lie in \(0, 1/2\]"):
+            rate_experiment(transport(1.0), spec(), theta=[0.0], eps_list=eps_list,
+                            R=1.0, T=2.0, M=2, H_bar=-0.5, dx=DX, dt=DT,
+                            base_seed=0)
+    run.assert_not_called()
+
+
 @pytest.mark.parametrize("eps_list", [[], [0.25], [0.25, 0.25]])
 def test_rate_needs_two_distinct_epsilons(eps_list):
     with pytest.raises(ValueError, match="eps_list"):

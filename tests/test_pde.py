@@ -299,24 +299,20 @@ def test_grid_nodes_are_the_meshgrid_in_c_order(lo, hi, dx):
     want = np.stack([m.ravel() for m in mesh], axis=1)
     got = g.nodes()
     assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    assert got.flags.writeable and g.nodes() is not got     # a fresh table per call
 
 
-def test_grid_nodes_are_built_once_and_read_only():
-    g = Grid.from_box([-1.0, 0.0], [1.0, 2.0], 0.5)
-    first = g.nodes()
-    assert g.nodes() is first and not first.flags.writeable
-    assert g == Grid.from_box([-1.0, 0.0], [1.0, 2.0], 0.5)     # the cache is not a field
-
-
-def test_cost_at_eps_one_reads_the_nodes_themselves():
+def test_cost_at_eps_one_reads_the_nodes_themselves(monkeypatch):
+    grid = Grid.from_box([-2.0], [2.0], 0.125)
+    nodes = Grid.nodes(grid)
+    monkeypatch.setattr(Grid, "nodes", lambda self: nodes)
     seen = []
 
     def cost(pts, env):
         seen.append(pts)
         return np.sin(pts[:, 0])[:, None, None]
 
-    grid = Grid.from_box([-2.0], [2.0], 0.125)
     table = pde._precompute_cost(singleton_game(cost), None, grid, 1.0)
-    assert len(seen) == 1 and seen[0] is grid.nodes()
-    want = np.sin(grid.nodes()[:, 0] / 1.0)
+    assert len(seen) == 1 and seen[0] is nodes
+    want = np.sin(nodes[:, 0] / 1.0)
     assert table.shape == (1,) + grid.shape and table[0].tobytes() == want.tobytes()

@@ -1,30 +1,45 @@
-"""Alternating parent/change pairs of the benchmark, written as a BENCH_*.json.
+"""Alternating parent/change/control runs of the benchmark, written as a BENCH_*.json.
 
     python3 tools/ab_pairs.py --parent HEAD --out BENCH_name.json \
         [--workload W ...] [--pairs 10] [--seed 2026] [--seconds 15] [--what TEXT]
 
-The parent revision's committed files are exported (`git archive`) into a
-temporary directory, as the benchmark itself is run on a commit.  Each pair
-runs `python3 bench/run.py --workload W --seed S --seconds T` once in that
-tree and once in the working tree; the side that goes first alternates from
-pair to pair, the parent first in the first pair.  The last JSON line of
-each run is parsed, and the file written holds, per workload,
+The parent revision's committed files are exported (`git archive`) twice
+into temporary directories, as the benchmark itself is run on a commit.
+The second export is the null control: the parent with only its layout
+changed, a padding string appended to `src/hjhomog/__init__.py` and a
+padding variable in its run's environment, of a length that cycles
+through PAD_LENGTHS from pair to pair (Mytkowicz et al., "Producing wrong
+data without doing anything obviously wrong!", ASPLOS 2009).  Each pair
+runs `python3 bench/run.py --workload W --seed S --seconds T` once in the
+parent, once in the working tree (the change) and once in the control, in
+the order ORDERS gives it, the parent first in the first pair.  The last
+JSON line of each run is parsed, and the file written holds, per workload,
 
-    runs[].{workload, seed, pairs, all_correct, failed, first_in_pair,
-            metrics.<m>.{parent, change, parent_q1_median_q3,
-                         change_q1_median_q3, change_won}}
+    runs[].{workload, seed, pairs, all_correct, failed, first_in_pair, order_in_pair,
+            metrics.<m>.{parent, change, control, parent_q1_median_q3,
+                         change_q1_median_q3, control_q1_median_q3,
+                         change_won, control_won}}
 
 for every end-to-end metric of BENCHMARK.json, where `failed` counts the
-failed iterations of every run on both sides and `change_won` the pairs in
-which the change reads better by the metric's own direction.  Values are
-rounded to 6 decimals; quartiles are linearly interpolated (numpy's
-default).  The temporary tree is removed when done.  Stdlib only.
+failed iterations of every run of every arm, `first_in_pair` is whichever
+of the parent and the change ran first, and `change_won` (`control_won`)
+the pairs in which the change (the control) reads better than the parent
+by the metric's own direction.  Values are rounded to 6 decimals;
+quartiles are linearly interpolated (numpy's default).  The temporary
+trees are removed when done.  Stdlib only.
+
+The rule: a control differs from its parent by layout alone, so its gap
+is what layout and the host make of no change.  A gain (or a loss) counts
+only when it beats the control in the same run: the change's median gap
+from the parent is larger than the control's, and it wins more pairs
+than the control does.
 """
 from __future__ import annotations
 
 import argparse
 import io
 import json
+import os
 import subprocess
 import sys
 import tarfile
@@ -33,6 +48,15 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 SPEC = json.loads((ROOT / "BENCHMARK.json").read_text())
+ARMS = ("parent", "change", "control")
+#: the run order of each pair, cycled: each order is followed by its reverse,
+#: so over every even number of pairs each arm runs before each other as often
+#: as after it
+ORDERS = [("parent", "change", "control"), ("control", "change", "parent"),
+          ("change", "control", "parent"), ("parent", "control", "change"),
+          ("control", "parent", "change"), ("change", "parent", "control")]
+#: the control's padding, in characters, cycled one length a pair
+PAD_LENGTHS = (1024, 2048, 3584)
 
 
 def export(rev: str, dest: Path) -> None:
@@ -46,11 +70,20 @@ def export(rev: str, dest: Path) -> None:
             tar.extractall(dest)
 
 
-def bench_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
+def pad(tree: Path, init: str, length: int) -> dict:
+    """The control's layout change: tree's package __init__ (whose parent text is
+    init) padded by length characters, and the run environment to pass it."""
+    (tree / "src" / "hjhomog" / "__init__.py").write_text(
+        f'{init}\n_LAYOUT_PAD = "{"x" * length}"\n')
+    return {**os.environ, "AB_PAIRS_PAD": "x" * length}
+
+
+def bench_once(tree: Path, workload: str, seed: int, seconds: float,
+               env: dict | None = None) -> dict:
     """The last JSON line that one benchmark run in tree prints."""
     proc = subprocess.run([sys.executable, "bench/run.py", "--workload", workload,
                            "--seed", str(seed), "--seconds", str(seconds)],
-                          cwd=tree, capture_output=True, text=True)
+                          cwd=tree, capture_output=True, text=True, env=env)
     for line in reversed(proc.stdout.splitlines()):
         if line.startswith("{"):
             return json.loads(line)
@@ -71,29 +104,33 @@ def quartiles(values: list[float]) -> list[float]:
     return [round(at(q), 6) for q in (0.25, 0.5, 0.75)]
 
 
-def summarize(workload: str, seed: int, order: list[str], results: dict) -> dict:
-    """One workload's runs entry from its results per side, in pair order."""
+def summarize(workload: str, seed: int, orders: list[tuple[str, ...]], results: dict) -> dict:
+    """One workload's runs entry from its results per arm, in pair order."""
     metrics = {}
     for m in SPEC["end_to_end"]:
         name = m["name"]
-        side = {s: [r["metrics"][name]["value"] for r in results[s]] for s in results}
+        side = {s: [r["metrics"][name]["value"] for r in results[s]] for s in ARMS}
         lower = m["better"] == "lower"
-        won = sum((c < p) if lower else (c > p) for p, c in zip(side["parent"], side["change"]))
+
+        def won(arm: str) -> str:
+            n = sum((a < p) if lower else (a > p) for p, a in zip(side["parent"], side[arm]))
+            return f"{n}/{len(orders)}"
+
         metrics[name] = {
-            "parent": [round(v, 6) for v in side["parent"]],
-            "change": [round(v, 6) for v in side["change"]],
-            "parent_q1_median_q3": quartiles(side["parent"]),
-            "change_q1_median_q3": quartiles(side["change"]),
-            "change_won": f"{won}/{len(order)}",
+            **{s: [round(v, 6) for v in side[s]] for s in ARMS},
+            **{f"{s}_q1_median_q3": quartiles(side[s]) for s in ARMS},
+            "change_won": won("change"),
+            "control_won": won("control"),
         }
-    runs = results["parent"] + results["change"]
+    runs = [r for s in ARMS for r in results[s]]
     return {
         "workload": workload,
         "seed": seed,
-        "pairs": len(order),
+        "pairs": len(orders),
         "all_correct": all(r["correct"] for r in runs),
         "failed": sum(r["failed"] for r in runs),
-        "first_in_pair": order,
+        "first_in_pair": [min(("parent", "change"), key=order.index) for order in orders],
+        "order_in_pair": [list(order) for order in orders],
         "metrics": metrics,
     }
 
@@ -123,25 +160,29 @@ def main(argv: list[str] | None = None) -> int:
     parent = subprocess.run(["git", "rev-parse", "--short", args.parent], cwd=ROOT,
                             capture_output=True, text=True, check=True).stdout.strip()
     trees = {"change": ROOT}
-    out = {"what": (f"Alternating parent/change pairs of `python3 bench/run.py --workload "
-                    f"<w> --seed {args.seed} --seconds {args.seconds:g}`, the order within a "
-                    f"pair alternating, parent {parent} against the working tree. "
+    out = {"what": (f"Alternating pairs of `python3 bench/run.py --workload <w> --seed "
+                    f"{args.seed} --seconds {args.seconds:g}`, parent {parent} against the "
+                    f"working tree and against a layout-padded control export of the parent, "
+                    f"the order within a pair cycling through tools/ab_pairs.py's ORDERS. "
                     f"{args.what}").strip(),
            "machine": None, "runs": []}
     with tempfile.TemporaryDirectory(prefix="ab_pairs-") as tmp:
-        trees["parent"] = Path(tmp)
-        export(parent, trees["parent"])
+        trees["parent"], trees["control"] = Path(tmp, "parent"), Path(tmp, "control")
+        for s in ("parent", "control"):
+            export(parent, trees[s])
+        init = (trees["control"] / "src" / "hjhomog" / "__init__.py").read_text()
         for workload in args.workload or names:
-            order, results = [], {"parent": [], "change": []}
+            orders, results = [], {s: [] for s in ARMS}
             for i in range(args.pairs):
-                sides = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-                order.append(sides[0])
-                for s in sides:
-                    results[s].append(bench_once(trees[s], workload, args.seed, args.seconds))
+                orders.append(ORDERS[i % len(ORDERS)])
+                env = {"control": pad(trees["control"], init, PAD_LENGTHS[i % len(PAD_LENGTHS)])}
+                for s in orders[-1]:
+                    results[s].append(bench_once(trees[s], workload, args.seed, args.seconds,
+                                                 env.get(s)))
                     print(f"{workload} pair {i + 1}/{args.pairs} {s}: wall_s "
                           f"{results[s][-1]['metrics']['wall_s']['value']:.6f}",
                           file=sys.stderr)
-            out["runs"].append(summarize(workload, args.seed, order, results))
+            out["runs"].append(summarize(workload, args.seed, orders, results))
             out["machine"] = out["machine"] or machine(workload, args.seed)
     Path(args.out).write_text(json.dumps(out, indent=1) + "\n")
     return 0
