@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, families, homog
-from .env import DomainError, EnvSpec, sample_environment
+from .env import DomainError, EnvSpec, TensorGrid, sample_environment
 from .game import (GameHamiltonian, OrientationError, certify_constants, eval_H, localize,
                    shift_momentum, verify_localization)
 from .pde import (Grid, SolveConfig, check_comparison, check_lipschitz, check_scaling,
@@ -199,6 +199,11 @@ class Run:
 def validate_config(cfg: dict) -> Run:
     """cfg read, checked and built; refuses with a ConfigError naming the field."""
     blocks = _typed(cfg, DEFAULTS, "")
+    # every seed is hashed as an int64 word
+    for path, seed in (("environment.seed", blocks["environment"]["seed"]),
+                       ("campaign.base_seed", blocks["campaign"]["base_seed"])):
+        if not -2**63 <= seed < 2**63:
+            raise ConfigError(f"{path}: must lie in [-2^63, 2^63), got {seed}")
     spec = EnvSpec(**blocks["environment"])
     with _refused_as("environment"):
         spec.validate()
@@ -302,11 +307,9 @@ def _write_csv(out: Path, name: str, cfg: dict, header: list, rows) -> None:
 def cmd_sample_env(run: Run, out: Path, workers: int) -> int:
     spec, env = run.spec, sample_environment(run.spec)
     d = spec.dimension
-    axes = [np.arange(spec.box_lo[i], spec.box_hi[i] + 1e-12, spec.rho / 8)
-            for i in range(d)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([m.ravel() for m in mesh], axis=1)
-    vals = env.values(pts)
+    grid = TensorGrid(np.arange(spec.box_lo[i], spec.box_hi[i] + 1e-12, spec.rho / 8)
+                      for i in range(d))
+    pts, vals = grid.nodes(), env.values(grid)
     pairs = [divmod(ch, run.game.n_b) if vals.shape[1] > 1 else (0, 0)
              for ch in range(vals.shape[1])]
     _write_csv(out, "env.csv", run.cfg, [f"x{i}" for i in range(d)] + ["a", "b", "value"],

@@ -74,6 +74,46 @@ class EnvSpec:
         return 2 ** self.dimension
 
 
+class TensorGrid:
+    """The nodes of a tensor grid, given by the coordinates along each axis.
+
+    Node (j_0, ..., j_{d-1}) is (axes[0][j_0], ..., axes[d-1][j_{d-1}]),
+    and the nodes are listed in C order, the last axis fastest; ``len`` is
+    their number.  ``Environment.values`` works a grid's lattice geometry
+    out on its axes.
+    """
+
+    def __init__(self, axes):
+        self.axes = tuple(np.asarray(a, dtype=np.float64) for a in axes)
+
+    @property
+    def shape(self) -> tuple[int, ...]:
+        return tuple(len(a) for a in self.axes)
+
+    def __len__(self) -> int:
+        return math.prod(self.shape)
+
+    def nodes(self) -> np.ndarray:
+        """All node coordinates, flattened to (N, d) in C order.
+
+        Each axis's coordinates are written into one array: no meshgrid
+        copies to stack.
+        """
+        shape = self.shape
+        d = len(shape)
+        out = np.empty(shape + (d,))
+        for i, a in enumerate(self.axes):
+            out[..., i] = a.reshape((-1,) + (1,) * (d - 1 - i))
+        return out.reshape(-1, d)
+
+
+def as_points(where) -> np.ndarray:
+    """The points (N, d) of ``where``: a TensorGrid's nodes, or points as given."""
+    if isinstance(where, TensorGrid):
+        return where.nodes()
+    return np.atleast_2d(np.asarray(where, dtype=np.float64))
+
+
 class Environment:
     """Fixed realizations of the cost field; immutable after construction.
 
@@ -86,9 +126,10 @@ class Environment:
     held as a batch of one.
 
     ``values`` stays a pure function of its points.  The only mutable state
-    is a single realization's memo: the last point set asked for and its
-    read-only table, so that two solves of one realization on one grid hash
-    the field once.  A campaign asks for a batch's points once: it keeps none.
+    is a single realization's memo: the last point set or grid asked for
+    and its read-only table, so that two solves of one realization on one
+    grid hash the field once.  A campaign asks for a batch's grid once: it
+    keeps none.
     """
 
     def __init__(self, spec: EnvSpec, seeds=None):
@@ -100,8 +141,9 @@ class Environment:
         # cell; the leading tag word keeps this stream disjoint from cell amplitudes
         axes = np.arange(spec.dimension, dtype=np.int64)
         self.offset = uniform01(self.seeds[:, None], 1, axes) * spec.bump_radius
-        # (bits of the last points (N, d) as int64, their read-only values)
-        self._memo: tuple[np.ndarray, np.ndarray] | None = None
+        # (the bits as int64 of the last points (N, d), or of the last grid's
+        # axes, their read-only values)
+        self._memo: tuple[tuple[np.ndarray, ...], np.ndarray] | None = None
 
     # -- certified constants ------------------------------------------------
 
@@ -130,138 +172,191 @@ class Environment:
 
     # -- evaluation ---------------------------------------------------------
 
-    def check_inside(self, pts: np.ndarray) -> None:
-        """Refuses points (N, d) outside the box inflated by r, or not finite.
+    def check_inside(self, where) -> None:
+        """Refuses points (N, d), or a TensorGrid's nodes, outside the box
+        inflated by r, or not finite.
 
-        Each axis's min and max are compared with the box: a NaN among the
-        points makes them NaN, which compares false.  One column at a time:
-        numpy reduces an (N, d) table along axis 0 several times slower.
+        Each axis's min and max are compared with the box, a grid's on its
+        axes: a NaN among them makes them NaN, which compares false.  One
+        column at a time: numpy reduces an (N, d) table along axis 0 several
+        times slower.
         """
         s = self.spec
         r = s.bump_radius
         lo = np.asarray(s.box_lo) - r
         hi = np.asarray(s.box_hi) + r
-        if len(pts) and not all(lo[i] <= pts[:, i].min() and pts[:, i].max() <= hi[i]
-                                for i in range(len(lo))):
+        cols = where.axes if isinstance(where, TensorGrid) else where.T
+        if all(len(c) for c in cols) and not all(lo[i] <= c.min() and c.max() <= hi[i]
+                                                 for i, c in enumerate(cols)):
+            pts = as_points(where)
             bad = pts[~np.all((pts >= lo) & (pts <= hi), axis=-1)][:1]
             raise DomainError(
                 f"probe {bad} outside environment box [{s.box_lo}, {s.box_hi}] "
                 f"(inflated by r={r})"
             )
 
-    def values(self, pts: np.ndarray) -> np.ndarray:
-        """Field values at points ``pts`` (N, d) for all channels.
+    def values(self, where) -> np.ndarray:
+        """Field values for all channels at points ``where`` (N, d), or at
+        the nodes of a ``TensorGrid`` in its ``nodes()`` order.
 
-        (N, C) for a single realization, (M, N, C) for a batch.  The
-        table is read-only, and its memory is channel-major: each channel's
-        (M, N) values are one C-ordered block.  Asked again for points with
-        the same shape and bits, a single realization returns the table it
-        gave last.
+        (N, C) for a single realization, (M, N, C) for a batch.  A grid and
+        its node table give the same bits.  The table is read-only, and its
+        memory is channel-major: each channel's (M, N) values are one
+        C-ordered block.  Asked again for points with the same shape and
+        bits, or for a grid with the same axes, a single realization returns
+        the table it gave last.
         """
-        pts = np.atleast_2d(np.asarray(pts, dtype=np.float64))
-        bits = pts.view(np.int64)
+        if isinstance(where, TensorGrid):
+            key = tuple(a.view(np.int64) for a in where.axes)
+        else:
+            where = np.atleast_2d(np.asarray(where, dtype=np.float64))
+            key = (where.view(np.int64),)
         memo = self._memo               # read once: another thread may replace it
-        if memo is not None and np.array_equal(memo[0], bits):
+        if (memo is not None and len(memo[0]) == len(key)
+                and all(map(np.array_equal, memo[0], key))):
             return memo[1]
-        self.check_inside(pts)
-        out = self._raw_values(pts)
+        self.check_inside(where)
+        out = self._raw_values(where)
         out.flags.writeable = False
         if not self.batch_shape:
             out = out[0]
-            self._memo = (bits.copy(), out)
+            self._memo = (tuple(k.copy() for k in key), out)
         return out
 
-    def _corners(self, pts: np.ndarray):
-        """The 2^d bumps covering each point, one lattice corner at a time.
-
-        For the M realizations, returns the base cells (d, M, N), the
-        lattice cell each point lies in, and per corner, in order, (corner,
-        live (M, N), weights (M, N)): the corner's cell is the base cell +
-        corner, ``live`` says whether its bump reaches the point, and the
-        weight is the bump profile there (zero where it does not).  The
-        geometry is worked out once per axis: the base cell, and the
-        squared distance to the centre of the bit-0 and of the bit-1 cell
-        along that axis.  A corner sums its bits' terms axis by axis, from
-        the first, as .sum(axis=-1) would.
-        """
-        r = self.spec.bump_radius
-        off = self.offset[:, None, :]
-        d = pts.shape[1]
-        base = np.empty((d, off.shape[0], len(pts)), dtype=np.int64)
-        sq_axis = []
-        for i in range(d):
-            cell = np.floor((pts[:, i] - off[..., i]) / r)
-            base[i] = cell
-            # an integral float: (cell + bit) * r has the bits of the int cell's
-            sq_axis.append([np.square(pts[:, i] - ((cell + bit) * r + off[..., i]))
-                            for bit in (0, 1)])
-        bumps = []
-        for corner in itertools.product((0, 1), repeat=d):
-            sq = sq_axis[0][corner[0]]
-            for i in range(1, d):
-                sq = sq + sq_axis[i][corner[i]]
-            s2 = sq / r**2
-            # (1 - min(s2, 1))^2 is +0.0 where the bump does not reach
-            w = np.square(np.subtract(1.0, np.minimum(s2, 1.0, out=s2), out=s2), out=s2)
-            bumps.append((corner, w > 0.0, w))
-        return base, bumps
-
-    def _raw_values(self, pts: np.ndarray) -> np.ndarray:
+    def _raw_values(self, where) -> np.ndarray:
         """(M, N, C) values, every realization hashed in one pass: a view of
         the channel-major (C, M, N) table they are summed into.
 
         A campaign bounds the pass: its batches hold as many realizations
         as ``pde.BATCH_COST_BYTES`` allows.
         """
-        M = len(self.seeds)
-        out = np.empty((self.spec.channels, M, len(pts)))
+        out = np.empty((self.spec.channels, len(self.seeds), len(where)))
         if out.size:
-            self._add_bumps(pts, out)
+            self._add_bumps(where, out)
         return np.moveaxis(out, 0, -1)
 
-    def _add_bumps(self, pts: np.ndarray, out: np.ndarray) -> None:
+    def _lattice(self, where):
+        """Where each point lies on the M realizations' lattices, axis by axis.
+
+        Returns the points' layout, (N,) for points or a grid's shape, and
+        per axis the base cell (the lattice cell a point lies in, int64)
+        and the squared distances to the centres of the bit-0 and the bit-1
+        cell along that axis.  Each is an array that broadcasts to
+        (M, *layout): a grid's are worked out on its d axes alone.
+        """
+        if isinstance(where, TensorGrid):
+            shape = where.shape
+            coords = [a.reshape((-1,) + (1,) * (len(shape) - 1 - i))
+                      for i, a in enumerate(where.axes)]
+        else:
+            shape = where.shape[:1]
+            coords = list(where.T)
+        r = self.spec.bump_radius
+        cells, near = [], []
+        for i, x in enumerate(coords):
+            off = self.offset[:, i].reshape((-1,) + (1,) * len(shape))
+            cell = np.floor((x - off) / r)
+            # an integral float: (cell + bit) * r has the bits of the int cell's
+            near.append([np.square(x - ((cell + bit) * r + off)) for bit in (0, 1)])
+            cells.append(cell.astype(np.int64))
+        return shape, cells, near
+
+    @staticmethod
+    def _sq(near, corner, out: np.ndarray) -> np.ndarray:
+        """One corner's squared distance from every point to its centre: its
+        bits' squared distances summed axis by axis, from the first, as
+        .sum(axis=-1) would, in out when there is more than one axis."""
+        sq = near[0][corner[0]]
+        for i in range(1, len(corner)):
+            sq = np.add(sq, near[i][corner[i]], out=out)
+        return sq
+
+    def _add_bumps(self, where, out: np.ndarray) -> None:
         """Write the field of every realization into out (C, M, N), channel by channel.
 
-        The corners' live (realization, cell) pairs are marked over the
-        cell bounding box of the points, stacked per realization, and
-        hashed in one call, each once; their amplitudes go into a table
-        over the box, zero at the cells no point reaches.  Every point then
-        takes ``w * amp`` for every corner, in corner order: a bump that
-        does not reach the point has w = 0 and adds +0.0.  The first
-        corner's term is written, not added to zeros: amplitudes are finite
-        and nonnegative, so every term is >= +0 and 0.0 + term has the
-        term's bits.  So each value is the sum over its live bumps, and
-        out's prior contents are never read.
+        The live (realization, cell) pairs, those whose bump reaches a
+        point, are marked over the cell bounding box of the points, stacked
+        per realization, and hashed in one call, each once; their
+        amplitudes go into a table over the box, zero at the cells no point
+        reaches.  A bump reaches a point, (1 - min(s^2, 1))^2 > 0, where
+        s^2 = |x - centre|^2 / r^2 < 1, that is where |x - centre|^2 < r^2:
+        the division rounds the double below r^2 to 1 - 2^-53 or less, and
+        it is monotone.  Points, and a grid of one axis, mark each corner's
+        cells where it reaches.  On a grid of more axes a cell is live when
+        the least squared distance from a node to its centre is below r^2,
+        and that least distance is the sum of the per-axis least ones: the
+        (node, corner) pairs whose corner is the cell are a product over the
+        axes, and fl-addition is monotone.
+
+        Then the 2^d corners are streamed one at a time through one weight
+        buffer: every point takes ``w * amp`` for every corner, in corner
+        order, where w = (1 - min(s^2, 1))^2 is the bump profile; a bump
+        that does not reach the point has w = +0.0.  The first corner's term
+        is written, not added to zeros: amplitudes are finite and
+        nonnegative, so every term is >= +0 and 0.0 + term has the term's
+        bits.  So each value is the sum over its live bumps, and out's
+        prior contents are never read.
         """
-        base, bumps = self._corners(pts)
-        d, M = base.shape[:2]
+        shape, cells, near = self._lattice(where)
+        d, M = len(cells), len(self.seeds)
+        r = self.spec.bump_radius
         # the box runs from the least base cell to one past the greatest
-        lo = [int(c.min()) for c in base]
-        shape = (M,) + tuple(int(c.max()) - c_lo + 2 for c, c_lo in zip(base, lo))
+        lo = [int(c.min()) for c in cells]
+        box = (M,) + tuple(int(c.max()) - c_lo + 2 for c, c_lo in zip(cells, lo))
+        index = [c - c_lo for c, c_lo in zip(cells, lo)]
         # a (realization, cell)'s row-major index in the box is linear in the
         # cell, so a corner's cells are the base cells' indices moved by k:
         # entry flat of table[k:]
-        stride = [math.prod(shape[i + 1:]) for i in range(d + 1)]
-        flat = np.arange(M)[:, None] * stride[0]
-        for i in range(d):
-            flat = flat + (base[i] - lo[i]) * stride[i + 1]
-        shift = [int(np.dot(corner, stride[1:])) for corner, _, _ in bumps]
-        marked = np.zeros(math.prod(shape), dtype=bool)
-        for k, (_, live, _) in zip(shift, bumps):
-            marked[k:][flat[live]] = True
+        stride = [math.prod(box[i + 1:]) for i in range(d + 1)]
+        rows = np.arange(M).reshape((M,) + (1,) * len(shape))
+        corners = list(itertools.product((0, 1), repeat=d))
+        shift = [int(np.dot(corner, stride[1:])) for corner in corners]
+
+        def base_index():
+            flat = rows * stride[0]
+            for i in range(d):
+                flat = flat + index[i] * stride[i + 1]
+            return flat.reshape(M, -1), np.empty((M,) + shape)
+
+        if len(shape) > 1:
+            # per axis, the least squared distance from a node to the centre
+            # of each cell, over the (realization, cell) rows of the box
+            flat, least = None, []
+            for i in range(d):
+                q = np.full(M * box[i + 1], np.inf)
+                at = (index[i] + rows * box[i + 1]).ravel()
+                for bit in (0, 1):
+                    np.minimum.at(q[bit:], at, near[i][bit].ravel())
+                least.append(q.reshape((M,) + (1,) * i + (-1,) + (1,) * (d - 1 - i)))
+            sq = least[0]
+            for q in least[1:]:
+                sq = sq + q
+            marked = (sq < r**2).ravel()
+        else:
+            flat, w = base_index()
+            marked = np.zeros(math.prod(box), dtype=bool)
+            for k, corner in zip(shift, corners):
+                marked[k:][flat[self._sq(near, corner, w) < r**2]] = True
         # never empty: a point's nearest corner lies within r sqrt(d) / 2 < r
-        cells = np.flatnonzero(marked)
-        m, *z = np.unravel_index(cells, shape)
+        live = np.flatnonzero(marked)
+        m, *z = np.unravel_index(live, box)
         table = np.zeros((self.spec.channels, len(marked)))
-        table[:, cells] = self._cell_amplitudes(
+        table[:, live] = self._cell_amplitudes(
             self.seeds[m], np.stack(z, axis=1) + lo,
             np.arange(self.spec.channels, dtype=np.int64)).T
+        if flat is None:            # a grid's, built after the hashing's temporaries
+            flat, w = base_index()
         term = np.empty(flat.shape)
-        for amp, acc in zip(table, out):
-            for j, (k, (_, _, w)) in enumerate(zip(shift, bumps)):
+        weights = w.reshape(flat.shape)
+        for j, (k, corner) in enumerate(zip(shift, corners)):
+            s2 = np.divide(self._sq(near, corner, w), r**2, out=w)
+            np.square(np.subtract(1.0, np.minimum(s2, 1.0, out=s2), out=s2), out=s2)
+            for amp, acc in zip(table, out):
                 dst = term if j else acc
-                np.take(amp[k:], flat, out=dst)
-                np.multiply(dst, w, out=dst)
+                # every index is in the box: "clip" reads as "raise" would,
+                # without buffering dst
+                np.take(amp[k:], flat, out=dst, mode="clip")
+                np.multiply(dst, weights, out=dst)
                 if j:
                     np.add(acc, term, out=acc)
 
@@ -293,8 +388,8 @@ class EnvironmentView:
     def batch_shape(self):
         return self.base.batch_shape
 
-    def values(self, pts: np.ndarray) -> np.ndarray:
-        pts = np.atleast_2d(np.asarray(pts, dtype=np.float64))
+    def values(self, where) -> np.ndarray:
+        pts = as_points(where)
         lo, hi, e = self.slab
         proj = pts @ e
         inside = (proj >= lo) & (proj <= hi)

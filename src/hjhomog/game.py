@@ -14,6 +14,8 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
+from .env import as_points
+
 
 class OrientationError(ValueError):
     """The dynamics is not oriented (delta <= 0); experiments refuse to run."""
@@ -44,7 +46,8 @@ class GameHamiltonian:
     """Finite-action game data: the velocities, the cost and its certificates.
 
     ``base_cost(points, env) -> (N, n_a, n_b)`` returns the running cost at
-    each point for every action pair (broadcastable shapes allowed): a
+    each point, points (N, d) or an ``env.TensorGrid``'s nodes, for every
+    action pair (broadcastable shapes allowed): a
     fresh array, which the solvers may overwrite, or a read-only one.  A
     static pair table, such as a folded momentum shift <f, theta>, is
     ``shift_table``, added to it so the solver inner loop sees one accessor
@@ -76,9 +79,10 @@ class GameHamiltonian:
     def f_inf(self) -> float:
         return float(np.max(np.linalg.norm(self.f_table, axis=-1)))
 
-    def cost(self, pts: np.ndarray, env) -> np.ndarray:
-        """Running cost table (N, n_a, n_b), shift table included."""
-        c = self.base_cost(np.atleast_2d(pts), env)
+    def cost(self, pts, env) -> np.ndarray:
+        """Running cost table (N, n_a, n_b), shift table included, at points
+        (N, d) or at the nodes of an ``env.TensorGrid``."""
+        c = self.base_cost(pts, env)
         if self.shift_table is not None:
             c = c + self.shift_table
         return c
@@ -289,8 +293,8 @@ def localize(
     f_table = f[:, None, :]             # independent of b
     inner = beta * (A @ B.T)            # (n_a, n_b)
 
-    def cost(pts: np.ndarray, env) -> np.ndarray:
-        pts = np.atleast_2d(pts)
+    def cost(pts, env) -> np.ndarray:
+        pts = as_points(pts)
         gb = np.broadcast_to(np.asarray(G(pts, B), dtype=np.float64), (len(pts), len(B)))
         return -gb[:, None, :] + inner[None, :, :]
 

@@ -32,7 +32,7 @@ from typing import Callable, ClassVar, NamedTuple
 
 import numpy as np
 
-from .env import DomainError
+from .env import DomainError, TensorGrid
 from .game import GameHamiltonian, _aligned_planes, eval_H_nodes, shift_momentum, velocities
 
 
@@ -55,15 +55,8 @@ class Grid:
         return self.lo[i] + self.dx * np.arange(self.shape[i])
 
     def nodes(self) -> np.ndarray:
-        """All node coordinates, flattened to (N, d) in C order.
-
-        Each axis's coordinates are written into one array: no meshgrid
-        copies to stack.
-        """
-        out = np.empty(self.shape + (self.dim,))
-        for i in range(self.dim):
-            out[..., i] = self.axis(i).reshape((-1,) + (1,) * (self.dim - 1 - i))
-        return out.reshape(-1, self.dim)
+        """All node coordinates, flattened to (N, d) in C order."""
+        return TensorGrid(self.axis(i) for i in range(self.dim)).nodes()
 
     @classmethod
     def from_box(cls, lo, hi, dx: float) -> "Grid":
@@ -263,14 +256,18 @@ def _precompute_cost(gh: GameHamiltonian, env, grid: Grid, eps: float) -> np.nda
     single realization it is channel-major, as the environment's values
     are, so pair-major already, and it is taken as it is.  Any other cost
     is copied.
+
+    The nodes are handed over as a TensorGrid of the axes divided by eps,
+    which has the bits of ``grid.nodes() / eps``.
     """
-    pts = grid.nodes()
+    nodes = TensorGrid(grid.axis(i) / eps for i in range(grid.dim))
+    n = len(nodes)
     lead = () if env is None else env.batch_shape
-    shape = lead + (len(pts), gh.n_a, gh.n_b)
-    c = gh.cost(pts if eps == 1.0 else pts / eps, env)     # x / 1.0 is x, bit for bit
+    shape = lead + (n, gh.n_a, gh.n_b)
+    c = gh.cost(nodes, env)
     if c.shape != shape:
         c = np.broadcast_to(c, shape)           # read-only, so copied below
-    c = np.moveaxis(c.reshape(lead + (len(pts), -1)), (-1, -2), (0, 1))
+    c = np.moveaxis(c.reshape(lead + (n, -1)), (-1, -2), (0, 1))
     return np.require(c.reshape((-1,) + grid.shape + lead), requirements="CW")
 
 

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from hjhomog import homog
-from hjhomog.env import EnvSpec, sample_environment
+from hjhomog.env import EnvSpec, as_points, sample_environment
 from hjhomog.families import FAMILIES, build
 from hjhomog.game import shift_momentum
 
@@ -94,32 +94,49 @@ class ConstantEnvironment:
         self.lip_bound = 0.0
         self.batch_shape = ()
 
-    def values(self, pts: np.ndarray) -> np.ndarray:
-        pts = np.atleast_2d(np.asarray(pts, dtype=np.float64))
-        return np.full((pts.shape[0], self.channels), self.value)
+    def values(self, where) -> np.ndarray:
+        return np.full((len(as_points(where)), self.channels), self.value)
 
 
 def env_bumps(env, pts):
-    """The 2^d bumps of ``env._corners`` covering each point, one lattice corner
-    at a time: yields (cells (M, N, d), live (M, N), weights (M, N))."""
-    base, bumps = env._corners(pts)
-    for corner, live, w in bumps:
-        yield np.moveaxis(base + np.array(corner)[:, None, None], 0, -1), live, w
+    """The 2^d bumps covering each point, walked point by point from the field's law.
+
+    Realization m centres the bump of lattice cell z at z r + offset[m]; a
+    point x lies in the cell floor((x - offset[m]) / r), and the cells
+    covering it are that cell + corner, corner in {0, 1}^d in
+    ``itertools.product`` order.  A bump weighs (1 - min(s^2, 1))^2 at x,
+    s^2 the squared distance to its centre summed axis by axis from the
+    first, over r^2.  Yields (m, n, cell, weight) for every realization m,
+    point n and corner, in that order; plain floats, none of the library's
+    evaluation code.
+    """
+    r = env.spec.bump_radius
+    for m, off in enumerate(env.offset.tolist()):
+        for n, x in enumerate(np.atleast_2d(pts).tolist()):
+            base = [math.floor((xi - oi) / r) for xi, oi in zip(x, off)]
+            for corner in itertools.product((0, 1), repeat=len(x)):
+                cell = tuple(b + c for b, c in zip(base, corner))
+                sq = 0.0
+                for xi, oi, zi in zip(x, off, cell):
+                    gap = xi - (float(zi) * r + oi)
+                    sq = sq + gap * gap
+                t = 1.0 - min(sq / r**2, 1.0)
+                yield m, n, cell, t * t
 
 
 def cells_touched(env, pts):
     """Lattice cells whose amplitude keys the probes pts consume.
 
     The dependence-range certificate: probe sets at Hausdorff distance >
-    rho must give disjoint cell sets.  It walks the same bumps as
-    ``env.values``, so it names exactly the cells that hashes.  A set of
-    cells per realization: one set, or a list of M sets for a batch.
+    rho must give disjoint cell sets.  It walks the covering bumps point by
+    point (``env_bumps``), apart from the evaluation, so that the tests can
+    check that ``values`` hashes exactly these cells.  A set of cells per
+    realization: one set, or a list of M sets for a batch.
     """
-    pts = np.atleast_2d(np.asarray(pts, dtype=np.float64))
     touched = [set() for _ in env.seeds]
-    for z, live, _ in env_bumps(env, pts):
-        for cells, zm, lm in zip(touched, z, live):
-            cells.update(map(tuple, zm[lm].tolist()))
+    for m, _, cell, w in env_bumps(env, pts):
+        if w > 0.0:
+            touched[m].add(cell)
     return touched if env.batch_shape else touched[0]
 
 
@@ -161,7 +178,7 @@ def shift_view(env, y) -> SimpleNamespace:
     """The translated view of env: its values at x are env's at x + y."""
     y = np.asarray(y, dtype=np.float64)
     return SimpleNamespace(
-        values=lambda pts: env.values(np.atleast_2d(np.asarray(pts, dtype=np.float64)) + y))
+        values=lambda where: env.values(as_points(where) + y))
 
 
 def azuma_bound(increments, M: float) -> float:

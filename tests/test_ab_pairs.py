@@ -1,6 +1,7 @@
 """tools/ab_pairs.py summarizes its parent, change and control arms as documented."""
 import importlib.util
 import itertools
+import math
 import sys
 from pathlib import Path
 
@@ -45,5 +46,49 @@ def test_summarize_writes_the_control_beside_the_parent_and_the_change():
         lower = m["better"] == "lower"
         assert got["change_won"] == ("3/4" if lower else "1/4")
         assert got["control_won"] == ("1/4" if lower else "2/4")
+        # and the change against the control
+        assert got["change_beat_control"] == ("3/4" if lower else "1/4")
     results["control"][2] = _result(3.0, correct=False)
     assert not ab_pairs.summarize("w", 7, orders, results)["all_correct"]
+
+
+def test_sign_test_k_is_the_least_count_a_one_sided_test_passes_at_five_percent():
+    assert [ab_pairs.sign_test_k(n) for n in (1, 4, 5, 6, 10, 16)] == [2, 5, 5, 6, 9, 12]
+    for n in range(1, 21):
+        k = ab_pairs.sign_test_k(n)
+        tail = sum(math.comb(n, j) for j in range(k, n + 1)) / 2**n
+        above = sum(math.comb(n, j) for j in range(k - 1, n + 1)) / 2**n
+        assert tail <= 0.05 < above
+
+
+def test_a_change_counts_only_when_it_beats_a_control_that_wins_every_round():
+    # lower is better for wall_s: the control beats the parent in every round
+    orders = [ab_pairs.ORDERS[i % len(ab_pairs.ORDERS)] for i in range(10)]
+    parent = [1.0 + 0.01 * i for i in range(10)]
+
+    def entry(change, control):
+        results = {"parent": [_result(v) for v in parent],
+                   "change": [_result(v) for v in change],
+                   "control": [_result(v) for v in control]}
+        return ab_pairs.summarize("w", 7, orders, results)["metrics"]
+
+    control = [p - 0.05 for p in parent]
+    # the change beats the parent every round, but the control by less
+    behind = entry([p - 0.03 for p in parent], control)
+    # the change beats the control in 9 rounds of 10, by more than its gap
+    ahead = entry([c - (0.02 if i else -0.01) for i, c in enumerate(control)], control)
+    # and in 8 of 10: not enough for the sign test
+    eight = entry([c - (0.02 if i > 1 else -0.01) for i, c in enumerate(control)], control)
+    for m in ab_pairs.SPEC["end_to_end"]:
+        name, lower = m["name"], m["better"] == "lower"
+        assert behind[name]["control_won"] == ("10/10" if lower else "0/10")
+        assert behind[name]["change_beat_control"] == ("0/10" if lower else "10/10")
+        assert ahead[name]["change_beat_control"] == ("9/10" if lower else "1/10")
+        assert eight[name]["change_beat_control"] == ("8/10" if lower else "2/10")
+        assert not ab_pairs.gain_counts(behind[name], lower)
+        assert ab_pairs.gain_counts(ahead[name], lower) == lower
+        assert not ab_pairs.gain_counts(eight[name], lower)
+    # a change that wins every round against a control that loses every round
+    # does not count when its median gap is no gain
+    worse = entry([p + 0.01 for p in parent], [p + 0.05 for p in parent])["wall_s"]
+    assert worse["change_beat_control"] == "10/10" and not ab_pairs.gain_counts(worse, True)

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from conftest import additive_surrogate_tails, synthetic_table
-from hjhomog.env import EnvSpec, sample_environment, with_seed
+from hjhomog.env import EnvSpec, as_points, sample_environment, with_seed
 from hjhomog.families import bind_env_constants, saddle_game, transport, two_speed_control
 from hjhomog.game import GameHamiltonian, certify_constants, localize, verify_localization
 from hjhomog.homog import (check_concentration, check_subadditivity, effective_H_properties,
@@ -46,7 +46,7 @@ def campaign_table():
 
 def test_criterion_01_closed_form_transport():
     def cost(pts, env):
-        return np.sin(np.atleast_2d(pts)[:, 0])[:, None, None]
+        return np.sin(as_points(pts)[:, 0])[:, None, None]
 
     gh = GameHamiltonian(f_table=np.ones((1, 1, 1)), n_b=1, base_cost=cost,
                          lip_l=1.0, l_inf=1.0, orientation_hint=np.array([1.0]))

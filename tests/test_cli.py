@@ -129,17 +129,36 @@ PINNED_ARTIFACTS = {
     ("rate", "rate.csv"): "5bf96965b9769c552865d7499166ebf16b0620560cb3ec5ab7150d6abae4fa0f",
     ("verify", "verify.report.json"):
         "6864f362615b5bb40202d855515ab70f1725cbf40594e494dab3e0a8ac25643c",
+    ("sample-env", "env.csv"): "204b712bbfa5912543b7937997d9820d47916dc4132b1e4a525ecf952b1ffeb2",
+    ("sample-env-2d", "env.csv"):
+        "6be915c7d0010e9e3f9958f42b32a82156ed89e6356a1f6b1998c9d9bf1ebf82",
+}
+#: the run of each pinned artifact: estimate and effective at M=8, rate,
+#: verify and sample-env at the defaults, and a small 2-D saddle sample-env
+#: with a channel per action pair
+PINNED_RUNS = {
+    "estimate": ["estimate", "--set", "campaign.M=8"],
+    "effective": ["effective", "--set", "campaign.M=8"],
+    "rate": ["rate"],
+    "verify": ["verify"],
+    "sample-env": ["sample-env"],
+    "sample-env-2d": ["sample-env", "--set", "environment.dimension=2",
+                      "--set", "environment.box_lo=[-2.0, -2.0]",
+                      "--set", "environment.box_hi=[2.0, 2.0]",
+                      "--set", "hamiltonian.family=saddle-game",
+                      "--set", 'hamiltonian.params={"base_speed": 1.0, "coupling": 0.25}',
+                      "--set", "environment.channels=4",
+                      "--set", "solver.box_lo=[-1.0, -1.0]", "--set", "solver.box_hi=[10.0, 10.0]",
+                      "--set", "campaign.thetas=[[0.0, 0.0]]"],
 }
 
 
 def test_artifact_bytes_are_pinned(tmp_path):
-    # estimate and effective at M=8, rate and verify at the defaults
-    args = {"estimate": ["--set", "campaign.M=8"], "effective": ["--set", "campaign.M=8"],
-            "rate": [], "verify": []}
-    for command, extra in args.items():
-        assert main([command, "--out", str(tmp_path / command)] + extra) == 0
-    got = {(command, name): hashlib.sha256((tmp_path / command / name).read_bytes()).hexdigest()
-           for command, name in PINNED_ARTIFACTS}
+    assert sorted(PINNED_RUNS) == sorted({run for run, _ in PINNED_ARTIFACTS})
+    for run, argv in PINNED_RUNS.items():
+        assert main(argv + ["--out", str(tmp_path / run)]) == 0
+    got = {(run, name): hashlib.sha256((tmp_path / run / name).read_bytes()).hexdigest()
+           for run, name in PINNED_ARTIFACTS}
     assert got == PINNED_ARTIFACTS
 
 
@@ -586,6 +605,33 @@ def test_a_solver_box_of_one_node_is_refused_under_solver(tmp_path, capsys, comm
                  "--out", str(out)]) == 1
     assert capsys.readouterr().err == "config error: solver: degenerate grid: shape (1,)\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["solve", "sample-env"])
+@pytest.mark.parametrize("seed", [2**63, -2**63 - 1, 2**64])
+def test_an_environment_seed_beyond_int64_is_refused_by_name(tmp_path, capsys, command, seed):
+    # it used to end in an OverflowError traceback from rng.mix
+    out = tmp_path / "o"
+    assert main([command, "--set", f"environment.seed={seed}", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (f"config error: environment.seed: must lie in "
+                                       f"[-2^63, 2^63), got {seed}\n")
+    assert not out.exists()
+    for edge in (-2**63, 2**63 - 1):
+        assert load_config(None, [f"environment.seed={edge}"])["environment"]["seed"] == edge
+
+
+@pytest.mark.parametrize("seed", [-2**63 - 1, 2**63, 2**64])
+def test_a_base_seed_beyond_int64_is_refused_by_name(tmp_path, capsys, seed):
+    # it used to end in an OverflowError traceback from rng.mix, after the
+    # config was echoed
+    out = tmp_path / "o"
+    with mock.patch.object(homog, "estimate_U", side_effect=AssertionError("a campaign ran")):
+        assert main(["estimate", "--set", f"campaign.base_seed={seed}", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (f"config error: campaign.base_seed: must lie in "
+                                       f"[-2^63, 2^63), got {seed}\n")
+    assert not out.exists()
+    for edge in (-2**63, 2**63 - 1):
+        assert load_config(None, [f"campaign.base_seed={edge}"])["campaign"]["base_seed"] == edge
 
 
 def test_an_error_inside_a_command_escapes_main(tmp_path):

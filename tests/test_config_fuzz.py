@@ -30,6 +30,9 @@ CAPS = {"campaign.M": 8, "campaign.times": 8.0, "solver.T": 8.0, "solver.record_
 PER_AXIS = ("environment.box_lo", "environment.box_hi", "solver.box_lo", "solver.box_hi")
 # campaign.workers stays 1 (and --workers and $HJHOMOG_WORKERS unset): no pool starts
 FIXED = ("campaign.workers",)
+#: the seeds are hashed as int64 words: the least one, and two past the greatest
+BOUNDARY_SEEDS = {"environment.seed": [-2**63, 2**63, 2**64],
+                  "campaign.base_seed": [-2**63, 2**63, 2**64]}
 NAMES = {"hamiltonian.family": sorted(families.FAMILIES) + ["no-such-family"],
          "solver.scheme": ["semi-lagrangian", "lax-friedrichs", "upwind"]}
 # each family's keywords at or near their defaults, the ones localized requires included
@@ -77,15 +80,16 @@ def _allowed(value, cap) -> bool:
 
 
 def _near(default, cap=None, name=None):
-    """A typed value near default: zero, negative, halved or doubled numbers, empty,
-    shortened, doubled or one-entry-moved lists, and the known names."""
+    """A typed value near default: zero, negative, halved or doubled numbers, the
+    seeds' int64 bounds, empty, shortened, doubled or one-entry-moved lists, and
+    the known names."""
     if name in NAMES:
         return st.sampled_from(NAMES[name])
     if isinstance(default, str):
         return st.sampled_from(["", "other"])
     if isinstance(default, int):
-        return st.sampled_from([v for v in sorted({0, -1, default // 2, default + 1, 2 * default})
-                                if v != default and _allowed(v, cap)])
+        near = {0, -1, default // 2, default + 1, 2 * default, *BOUNDARY_SEEDS.get(name, [])}
+        return st.sampled_from([v for v in sorted(near) if v != default and _allowed(v, cap)])
     if isinstance(default, float):
         moved = {0.0, -1.0, 0.5, 1.0} if default == 0 else {0.0, -default, default / 2, 2 * default}
         return st.sampled_from([v for v in sorted(moved) if v != default and _allowed(v, cap)])

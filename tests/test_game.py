@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import drawn_games
-from hjhomog.env import EnvSpec, sample_environment
+from hjhomog.env import EnvSpec, as_points, sample_environment
 from hjhomog.game import (GameHamiltonian, OrientationError, ball_grid,
                           certify_constants, eval_H, eval_H_nodes, localize,
                           shift_momentum, velocities, verify_localization)
@@ -27,7 +27,7 @@ def const_cost_game(c, f, dim=1):
     ft[0, 0, 0] = f
     return GameHamiltonian(
         f_table=ft, n_b=1,
-        base_cost=lambda pts, env: np.full((np.atleast_2d(pts).shape[0], 1, 1), c),
+        base_cost=lambda pts, env: np.full((len(as_points(pts)), 1, 1), c),
         lip_l=0.0, l_inf=abs(c), orientation_hint=np.eye(dim)[0] * np.sign(f))
 
 
@@ -41,7 +41,7 @@ def test_eval_H_saddle_enumeration():
     acts = np.array([[-1.0], [1.0]])
 
     def cost(pts, env):
-        n = np.atleast_2d(pts).shape[0]
+        n = len(as_points(pts))
         ab = acts[:, 0][:, None] * acts[:, 0][None, :]
         return np.broadcast_to(ab, (n, 2, 2))
 
@@ -142,7 +142,7 @@ def test_certify_examples():
 
     f = np.array([[[1.0, 0.5]], [[1.0, -0.5]]])
     gh2 = GameHamiltonian(f_table=f, n_b=1, base_cost=lambda pts, env: np.zeros(
-                              (np.atleast_2d(pts).shape[0], 2, 1)),
+                              (len(as_points(pts)), 2, 1)),
                           lip_l=0.0, l_inf=0.0, orientation_hint=[1.0, 0.0])
     c2 = certify_constants(gh2)
     assert c2.delta == 1.0

@@ -1,7 +1,7 @@
 """The per-realization kernels equal their straightforward forms, bit for bit.
 
 Each reference below is the plain form of a kernel: field values summed
-through boolean masks with one hash call per lattice corner, an SL step
+point by point over the covering bumps (conftest's ``env_bumps``), an SL step
 that interpolates every action pair's stencil itself, an LF substep and a
 max-min evaluator built from whole-window temporaries, and a rate
 experiment that solves each sample bank on its own and bootstraps with one
@@ -24,28 +24,34 @@ from conftest import (ORIENTED, PARAMS, ConstantEnvironment, cells_touched, draw
                       ref_sl_reach, ref_sl_stencils)
 from hjhomog import game as game_module
 from hjhomog import homog, pde
-from hjhomog.env import DomainError, EnvSpec, sample_environment, with_seed
+from hjhomog.env import DomainError, EnvSpec, TensorGrid, sample_environment, with_seed
 from hjhomog.families import build
 from hjhomog.game import (GameHamiltonian, _aligned_planes, eval_H_nodes, shift_momentum,
                           velocities)
 from hjhomog.homog import _slopes, _solve_batches, _sup_errors, rate_experiment, solve_box_for
 from hjhomog.pde import (SolveConfig, _march, _plan_window, _precompute_cost, linear_datum,
                          sl_plan, sl_step_cost, solve_lf, solve_sl_batch)
-from hjhomog.rng import derive_seed, derive_seeds
+from hjhomog.rng import derive_seed, derive_seeds, uniform01
 
 # ---------------------------------------------------------------------------
 # reference kernels
 
 
 def ref_raw_values(env, pts):
-    out = np.zeros((len(env.seeds), pts.shape[0], env.spec.channels))
-    chans = np.arange(env.spec.channels, dtype=np.int64)
-    for z, live, w in env_bumps(env, pts):
-        for m, seed in enumerate(env.seeds):
-            if not np.any(live[m]):
-                continue
-            amp = env._cell_amplitudes(np.full(live[m].sum(), seed), z[m][live[m]], chans)
-            out[m][live[m]] += w[m][live[m], None] * amp
+    """(M, N, C) values summed point by point over ``env_bumps``, in corner
+    order, each live cell's amplitude drawn from the documented law:
+    uniform01(seed, 0, cell..., channel) rescaled to [amp_lo, amp_hi]."""
+    s = env.spec
+    out = np.zeros((len(env.seeds), len(pts), s.channels))
+    bumps = [(m, n, cell, w) for m, n, cell, w in env_bumps(env, pts) if w > 0.0]
+    keys = sorted({(m, cell) for m, _, cell, _ in bumps})
+    seeds = env.seeds[[m for m, _ in keys]]
+    z = np.array([cell for _, cell in keys], dtype=np.int64).reshape(len(keys), -1)
+    u = uniform01(seeds[:, None], 0, *(z[:, i, None] for i in range(z.shape[1])),
+                  np.arange(s.channels, dtype=np.int64)[None, :])
+    amp = dict(zip(keys, s.amp_lo + (s.amp_hi - s.amp_lo) * u))
+    for m, n, cell, w in bumps:
+        out[m, n] += w * amp[m, cell]
     return out
 
 
@@ -334,6 +340,126 @@ def test_seed_axis_environment_equals_per_realization_fields(case):
     touched = cells_touched(env, pts)
     for m, (seed, one) in enumerate(zip(seeds, singles)):
         assert {z for s, z in hashed if s == seed} == cells_touched(one, pts) == touched[m]
+
+
+@st.composite
+def grid_cases(draw):
+    """A field law, a single realization or a seed batch, and a tensor grid's axes.
+
+    An axis is a solve grid's divided by eps, as ``_precompute_cost`` hands
+    it over, or coordinates anywhere in the box inflated by r: its edges,
+    lattice nodes of the first realization and bump edges among them, in
+    any order and with repeats.
+    """
+    d = draw(st.sampled_from([1, 2]))
+    r = draw(st.sampled_from([0.5, 1 / 3]))
+    eps = draw(st.sampled_from([1.0, 0.25, 1 / 3]))
+    seeds = draw(st.one_of(st.none(), st.lists(st.integers(-2**63, 2**63 - 1), min_size=1,
+                                                max_size=4, unique=True)))
+    spec = EnvSpec(dimension=d, rho=2 * r, bump_radius=r, amp_lo=0.0, amp_hi=1.0,
+                   channels=draw(st.sampled_from([1, 4])), box_lo=(-4.0,) * d,
+                   box_hi=(4.0,) * d, seed=draw(st.integers(-2**63, 2**63 - 1)))
+    env = sample_environment(spec, seeds)
+    # the inflated box's edges as check_inside computes them
+    lo, hi = np.asarray(spec.box_lo) - r, np.asarray(spec.box_hi) + r
+    axes = []
+    for i in range(d):
+        if draw(st.booleans()):
+            start = draw(st.sampled_from([-4.0, -3.0, -1.25, 0.0])) * eps
+            grid = pde.Grid.from_box([start], [start + draw(st.sampled_from([0.5, 1.0, 3.0])) * eps],
+                                     draw(st.sampled_from([0.125, 0.25])) * eps)
+            axes.append(grid.axis(0) / eps)
+            continue
+        inside = st.one_of(
+            st.sampled_from([lo[i], hi[i]]), st.floats(lo[i], hi[i]),
+            st.builds(lambda z, edge: z * r + env.offset[0, i] + edge * r,
+                      st.integers(-7, 7), st.sampled_from([0.0, 1.0, -1.0])
+                      ).filter(lambda x: lo[i] <= x <= hi[i]))
+        axes.append(np.array(draw(st.lists(inside, min_size=1, max_size=12))))
+    return spec, seeds, eps, axes
+
+
+def recorded(env) -> list:
+    """The (seed, cell) pairs of each of env's hashing calls, as they are made."""
+    calls = []
+    amplitudes = env._cell_amplitudes
+
+    def recording(seeds, z, chans):
+        calls.append(list(zip(seeds.tolist(), map(tuple, z.tolist()))))
+        return amplitudes(seeds, z, chans)
+
+    env._cell_amplitudes = recording
+    return calls
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=grid_cases())
+def test_a_grid_gives_the_bits_and_cells_of_its_node_table(case):
+    spec, seeds, eps, axes = case
+    grid = TensorGrid(axes)
+    pts = grid.nodes()
+    assert pts.shape == (math.prod(len(a) for a in axes), spec.dimension)
+    by_grid, by_points = sample_environment(spec, seeds), sample_environment(spec, seeds)
+    grid_calls, point_calls = recorded(by_grid), recorded(by_points)
+    got = by_grid.values(grid)
+    assert same_bits(got, by_points.values(pts))
+    assert same_bits(got, ref_raw_values(by_grid, pts)[0 if seeds is None else slice(None)])
+    # one hashing call each, every live (seed, cell) pair once, the same pairs
+    assert len(grid_calls) == len(point_calls) == 1
+    hashed = grid_calls[0]
+    assert len(hashed) == len(set(hashed)) and set(hashed) == set(point_calls[0])
+    touched = cells_touched(by_grid, pts)
+    for m, seed in enumerate(by_grid.seeds.tolist()):
+        assert {z for s, z in hashed if s == seed} == (touched if seeds is None else touched[m])
+    # a single realization answers an equal grid from its memo; a batch keeps none
+    again = by_grid.values(TensorGrid([a.copy() for a in axes]))
+    assert (again is got) == (seeds is None) and same_bits(again, got)
+    assert len(grid_calls) == (1 if seeds is None else 2)
+
+
+@pytest.mark.parametrize("seeds", [None, [11, -4]])
+def test_a_node_on_a_lattice_node_hashes_only_its_own_cell(seeds):
+    # the bumps one radius away have s^2 = 1 exactly and weigh +0.0: a least
+    # squared distance of r^2 is not live, on a grid as among points.  Node
+    # (2, 2) of the first realization and its neighbours' centres lie in one
+    # binade, [1, 2), so their distances are exact
+    spec = EnvSpec(dimension=2, rho=1.0, bump_radius=0.5, amp_lo=0.0, amp_hi=1.0, channels=1,
+                   box_lo=(-4.0, -4.0), box_hi=(4.0, 4.0), seed=11)
+    env = sample_environment(spec, seeds)
+    grid = TensorGrid([2 * 0.5 + env.offset[0, i]] for i in range(2))
+    calls = recorded(env)
+    got = env.values(grid)
+    assert [pair for pair in calls[0] if pair[0] == 11] == [(11, (2, 2))]
+    assert same_bits(got, sample_environment(spec, seeds).values(grid.nodes()))
+
+
+def test_a_squared_distance_below_r_squared_divides_below_one():
+    # values marks a cell live where |x - centre|^2 < r^2 and weighs it by
+    # s^2 = |x - centre|^2 / r^2: the two agree because the double below r^2
+    # divides to below 1 and the division is monotone
+    for r in (0.5, 1 / 3, 0.3, 0.7, 1e-3, 2.0, 2**0.5):
+        r2 = r**2
+        assert math.nextafter(r2, 0.0) / r2 < 1.0 == r2 / r2
+
+
+def test_values_on_the_field2d_grid_hold_less_than_three_tables():
+    # at 225^2 nodes and 4 channels the (N, C) table is 1.6 MB; the grid's
+    # geometry is worked out on its axes and its corners streamed through one
+    # weight and one term buffer, so no node-sized temporary outlives its corner
+    spec = EnvSpec(dimension=2, rho=1.0, bump_radius=0.5, amp_lo=0.0, amp_hi=1.0, channels=4,
+                   box_lo=(-28.0, -28.0), box_hi=(28.0, 28.0), seed=5)
+    grid = pde.Grid.from_box((-28.0, -28.0), (28.0, 28.0), 0.25)
+    axes = TensorGrid(grid.axis(i) for i in range(2))
+    sample_environment(spec).values(axes)           # first-call allocations aside
+    env = sample_environment(spec)
+    tracemalloc.start()
+    try:
+        table = env.values(axes)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert table.shape == (225 * 225, 4)
+    assert peak < 3 * table.nbytes
 
 
 # ---------------------------------------------------------------------------

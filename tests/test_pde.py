@@ -4,7 +4,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import ORIENTED, ConstantEnvironment
-from hjhomog.env import DomainError, EnvSpec, sample_environment
+from hjhomog.env import DomainError, EnvSpec, TensorGrid, as_points, sample_environment
 from hjhomog.game import GameHamiltonian
 from hjhomog.families import bind_env_constants, build, saddle_game, transport
 from hjhomog import pde
@@ -67,7 +67,7 @@ def test_sl_matches_brute_force_dp():
     # A = {-1, +1}, f(a) = a, cost = |x|: with dt = dx the feet are exact
     # lattice nodes, so the scheme must reproduce the raw DP recursion
     def cost(pts, env):
-        ax = np.abs(np.atleast_2d(pts)[:, 0])
+        ax = np.abs(as_points(pts)[:, 0])
         return np.broadcast_to(ax[:, None, None], (ax.shape[0], 2, 1))
 
     f = np.zeros((2, 1, 1))
@@ -95,7 +95,7 @@ def test_sin_cost_consistency():
     # transport at speed 1 over cost sin(x): u(t, x) = cos(x) - cos(x + t);
     # first-order scheme, so error halves (roughly) with the mesh
     def cost(pts, env):
-        return np.sin(np.atleast_2d(pts)[:, 0])[:, None, None]
+        return np.sin(as_points(pts)[:, 0])[:, None, None]
 
     gh = singleton_game(cost)
     errs = []
@@ -302,17 +302,22 @@ def test_grid_nodes_are_the_meshgrid_in_c_order(lo, hi, dx):
     assert got.flags.writeable and g.nodes() is not got     # a fresh table per call
 
 
-def test_cost_at_eps_one_reads_the_nodes_themselves(monkeypatch):
+def test_cost_at_eps_one_reads_the_nodes_themselves():
+    # the accessor gets the grid as its axes over eps: at eps = 1 the grid's
+    # own axes, and at any eps the bits of nodes() / eps
     grid = Grid.from_box([-2.0], [2.0], 0.125)
-    nodes = Grid.nodes(grid)
-    monkeypatch.setattr(Grid, "nodes", lambda self: nodes)
-    seen = []
+    for eps in (1.0, 0.25, 1 / 3):
+        seen = []
 
-    def cost(pts, env):
-        seen.append(pts)
-        return np.sin(pts[:, 0])[:, None, None]
+        def cost(pts, env):
+            seen.append(pts)
+            return np.sin(pts.nodes()[:, 0])[:, None, None]
 
-    table = pde._precompute_cost(singleton_game(cost), None, grid, 1.0)
-    assert len(seen) == 1 and seen[0] is nodes
-    want = np.sin(nodes[:, 0] / 1.0)
-    assert table.shape == (1,) + grid.shape and table[0].tobytes() == want.tobytes()
+        table = pde._precompute_cost(singleton_game(cost), None, grid, eps)
+        (got,) = seen
+        assert isinstance(got, TensorGrid)
+        assert got.nodes().tobytes() == (grid.nodes() / eps).tobytes()
+        if eps == 1.0:
+            assert got.axes[0].tobytes() == grid.axis(0).tobytes()
+        want = np.sin(grid.nodes()[:, 0] / eps)
+        assert table.shape == (1,) + grid.shape and table[0].tobytes() == want.tobytes()

@@ -18,27 +18,33 @@ JSON line of each run is parsed, and the file written holds, per workload,
     runs[].{workload, seed, pairs, all_correct, failed, first_in_pair, order_in_pair,
             metrics.<m>.{parent, change, control, parent_q1_median_q3,
                          change_q1_median_q3, control_q1_median_q3,
-                         change_won, control_won}}
+                         change_won, control_won, change_beat_control}}
 
 for every end-to-end metric of BENCHMARK.json, where `failed` counts the
 failed iterations of every run of every arm, `first_in_pair` is whichever
-of the parent and the change ran first, and `change_won` (`control_won`)
-the pairs in which the change (the control) reads better than the parent
-by the metric's own direction.  Values are rounded to 6 decimals;
-quartiles are linearly interpolated (numpy's default).  The temporary
-trees are removed when done.  Stdlib only.
+of the parent and the change ran first, `change_won` (`control_won`) the
+pairs in which the change (the control) reads better than the parent, and
+`change_beat_control` the pairs in which the change reads better than the
+control, each by the metric's own direction.  Values are rounded to 6
+decimals; quartiles are linearly interpolated (numpy's default).  The
+temporary trees are removed when done.  Stdlib only.
 
 The rule: a control differs from its parent by layout alone, so its gap
-is what layout and the host make of no change.  A gain (or a loss) counts
-only when it beats the control in the same run: the change's median gap
-from the parent is larger than the control's, and it wins more pairs
-than the control does.
+is what layout and the host make of no change.  A gain counts only when
+it beats the control in the same run: the change's median gap from the
+parent is a gain, by the metric's own direction, larger than the
+control's, and the change beats the control in at least k of the n
+pairs, k the least count that a one-sided sign test passes at 5 %
+(`sign_test_k`: 9 of 10, 6 of 6, 12 of 16).  A loss is read the same
+way with the direction turned round.  Each workload's verdict per metric
+is printed to stderr (`gain_counts`).
 """
 from __future__ import annotations
 
 import argparse
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -91,6 +97,26 @@ def bench_once(tree: Path, workload: str, seed: int, seconds: float,
                        f"{proc.stderr[-2000:]}")
 
 
+def sign_test_k(n: int) -> int:
+    """The least k with P(at least k wins in n fair coin flips) <= 5 %, or n + 1."""
+    tail = 0
+    for k in range(n, 0, -1):
+        tail += math.comb(n, k)
+        if tail > 0.05 * 2**n:
+            return k + 1
+    return 1
+
+
+def gain_counts(metric: dict, lower: bool) -> bool:
+    """Whether one metric's entry of a runs[] item shows a gain under the rule."""
+    sign = 1.0 if lower else -1.0
+    parent = metric["parent_q1_median_q3"][1]
+    change, control = (sign * (parent - metric[f"{s}_q1_median_q3"][1])
+                       for s in ("change", "control"))
+    wins, n = map(int, metric["change_beat_control"].split("/"))
+    return change > max(control, 0.0) and wins >= sign_test_k(n)
+
+
 def quartiles(values: list[float]) -> list[float]:
     """Q1, median and Q3, linearly interpolated between order statistics."""
     xs = sorted(values)
@@ -112,8 +138,8 @@ def summarize(workload: str, seed: int, orders: list[tuple[str, ...]], results: 
         side = {s: [r["metrics"][name]["value"] for r in results[s]] for s in ARMS}
         lower = m["better"] == "lower"
 
-        def won(arm: str) -> str:
-            n = sum((a < p) if lower else (a > p) for p, a in zip(side["parent"], side[arm]))
+        def won(arm: str, over: str = "parent") -> str:
+            n = sum((a < b) if lower else (a > b) for b, a in zip(side[over], side[arm]))
             return f"{n}/{len(orders)}"
 
         metrics[name] = {
@@ -121,6 +147,7 @@ def summarize(workload: str, seed: int, orders: list[tuple[str, ...]], results: 
             **{f"{s}_q1_median_q3": quartiles(side[s]) for s in ARMS},
             "change_won": won("change"),
             "control_won": won("control"),
+            "change_beat_control": won("change", "control"),
         }
     runs = [r for s in ARMS for r in results[s]]
     return {
@@ -183,6 +210,12 @@ def main(argv: list[str] | None = None) -> int:
                           f"{results[s][-1]['metrics']['wall_s']['value']:.6f}",
                           file=sys.stderr)
             out["runs"].append(summarize(workload, args.seed, orders, results))
+            for m in SPEC["end_to_end"]:
+                got = out["runs"][-1]["metrics"][m["name"]]
+                print(f"{workload} {m['name']}: change beat the control in "
+                      f"{got['change_beat_control']}, gain "
+                      f"{'counts' if gain_counts(got, m['better'] == 'lower') else 'does not count'}",
+                      file=sys.stderr)
             out["machine"] = out["machine"] or machine(workload, args.seed)
     Path(args.out).write_text(json.dumps(out, indent=1) + "\n")
     return 0
