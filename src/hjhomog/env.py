@@ -389,12 +389,18 @@ class EnvironmentView:
         return self.base.batch_shape
 
     def values(self, where) -> np.ndarray:
-        pts = as_points(where)
+        """The base's values at ``where``'s points, those in the slab moved.
+
+        A grid's node table is this call's own and is moved in place; the
+        caller's points are copied first.
+        """
+        if isinstance(where, TensorGrid):
+            moved = where.nodes()
+        else:
+            moved = np.array(where, dtype=np.float64, ndmin=2)
         lo, hi, e = self.slab
-        proj = pts @ e
-        inside = (proj >= lo) & (proj <= hi)
-        moved = pts.copy()
-        moved[inside] -= self.shift
+        proj = moved @ e
+        moved[(proj >= lo) & (proj <= hi)] -= self.shift
         return self.base.values(moved)
 
 

@@ -104,8 +104,11 @@ def eval_H(gh: GameHamiltonian, x: np.ndarray, p: np.ndarray, env=None) -> float
     f = gh.f_table
     # the negated table is this call's own, so it also takes the difference
     neg = np.negative(np.broadcast_to(gh.cost(x, env)[0], (gh.n_a, gh.n_b)))
-    drift = _drift(f, p, velocities(gh).axes, np.empty(f.shape[:2] + (1,)))
-    np.subtract(neg, drift[..., 0], out=neg)
+    # one node and many velocities: the gradient is _drift's one row and the
+    # velocities its nodes, as a product's bits do not depend on its order
+    rows = f.reshape(-1, gh.dim)
+    drift = _drift(p, rows, velocities(gh).axes, np.empty((1, len(rows))), np.empty(len(rows)))
+    np.subtract(neg, drift.reshape(f.shape[:2]), out=neg)
     return float(neg.min(axis=0).max(axis=0))
 
 
@@ -132,22 +135,25 @@ def velocities(gh: GameHamiltonian) -> Velocities:
     return Velocities(sigma, tuple(np.flatnonzero(sigma).tolist()), f[first], row_of)
 
 
-def _drift(f: np.ndarray, P: np.ndarray, axes: tuple[int, ...], out: np.ndarray) -> np.ndarray:
-    """<f, p> of velocities f (..., d) at gradients P (N, d), into out (..., N).
+def _drift(f: np.ndarray, P: np.ndarray, axes: tuple[int, ...], out: np.ndarray,
+           scratch: np.ndarray) -> np.ndarray:
+    """<f, p> of velocities f (R, d) at gradients P (N, d), into out (R, N).
 
     f_i p_i summed over the moving ``axes`` in axis order, then + 0.0.  For
     finite P that is exactly 0 + the sum over every axis, signed zeros
     included: a zero-speed axis adds 0 * p_i = +-0, which changes no
     nonzero sum, and the +0.0 start turns a drift of -0 into +0, as a BLAS
     product does.  So a node's drift has the same bits however the nodes
-    are grouped into calls.
+    are grouped into calls.  The products of a later axis go through
+    scratch (N,), one row at a time, so the call allocates nothing.
     """
     if not axes:
         out.fill(0.0)
         return out
-    np.multiply(f[..., axes[0], None], P[:, axes[0]], out=out)
+    np.multiply(f[:, axes[0], None], P[:, axes[0]], out=out)
     for i in axes[1:]:
-        np.add(out, np.multiply(f[..., i, None], P[:, i]), out=out)
+        for row, f_i in zip(out, f[:, i]):
+            np.add(row, np.multiply(f_i, P[:, i], out=scratch), out=row)
     return np.add(out, 0.0, out=out)
 
 
@@ -169,7 +175,7 @@ def _aligned_planes(k: int, n: int) -> np.ndarray:
 
 
 def eval_H_nodes(gh: GameHamiltonian, neg_cost: np.ndarray, P: np.ndarray,
-                 vel: Velocities) -> np.ndarray:
+                 vel: Velocities, planes: np.ndarray) -> np.ndarray:
     """H at N nodes: max over b of min over a of { -cost - <f, p> }.
 
     neg_cost: the negated cost -cost, (n_a, n_b, *nodes), its trailing axes
@@ -178,7 +184,7 @@ def eval_H_nodes(gh: GameHamiltonian, neg_cost: np.ndarray, P: np.ndarray,
     axis 0 alone) runs as one 1-D loop per ufunc, a strided window as one
     short loop per row.  P: (N, d) gradients, of which only the columns of
     the moving axes are read (a transposed (d, N) array of per-axis planes
-    makes each column contiguous).  Returns (N,).
+    makes each column contiguous).  Returns (N,), a view of planes.
 
     ``vel`` is ``velocities(gh)``.  One drift plane is computed per distinct
     velocity (see ``_drift``).  Then H is folded pair by pair: for each b in
@@ -188,14 +194,20 @@ def eval_H_nodes(gh: GameHamiltonian, neg_cost: np.ndarray, P: np.ndarray,
     over the (n_a, n_b, N) table, and numpy breaks a tie of +-0 toward the
     second operand in the fold and in the reductions alike, so the bits,
     signed zeros included, are those of the reductions, without the table.
-    The drift planes, the fold's two scratch planes and H are this call's
-    own, and each starts on a 64-byte boundary (``_aligned_planes``), which
-    the fold's ufuncs run fastest into.
+
+    ``planes`` is the caller's (R + 3, >= N) array from ``_aligned_planes``,
+    R = len(vel.rows): the R drift planes, then H, the fold's column and
+    its scratch, each starting on a 64-byte boundary, which the fold's
+    ufuncs run fastest into.  What it holds on entry is never read; the
+    call overwrites it and allocates nothing, so ``solve_lf`` allocates the
+    planes once per solve, for its first and largest substep.
     """
     nodes = neg_cost.shape[2:]
     R = len(vel.rows)
-    drift = _drift(vel.rows, P, vel.axes, _aligned_planes(R, len(P))).reshape((R,) + nodes)
-    H, column, tmp = (plane.reshape(nodes) for plane in _aligned_planes(3, len(P)))
+    planes = planes[:, :len(P)]
+    # the fold's scratch is free until the fold: the drift's scratch too
+    drift = _drift(vel.rows, P, vel.axes, planes[:R], planes[R + 2]).reshape((R,) + nodes)
+    H, column, tmp = (plane.reshape(nodes) for plane in planes[R:R + 3])
     for b in range(gh.n_b):
         col = column if b else H
         for a in range(gh.n_a):

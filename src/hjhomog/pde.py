@@ -622,10 +622,11 @@ def solve_lf(gh: GameHamiltonian, env, cfg: SolveConfig,
     handed over as an (N, d) view; 2 v is computed once per substep.  Each
     substep writes P, the viscosity term and the new values into buffers
     sized for the first substep, whose leading parts shrink with the
-    window; every buffer, and each row of P, starts on a 64-byte boundary
-    (``_aligned_planes``), as do the planes ``eval_H_nodes`` allocates for
-    itself.  The divisions by 2 dx and dx^2 are multiplications by the
-    reciprocal when that is exact (``_divide_by``).
+    window, and so do the drift and fold planes it hands ``eval_H_nodes``:
+    no substep allocates a plane.  Every buffer, and each row of P, starts
+    on a 64-byte boundary (``_aligned_planes``).  The divisions by 2 dx and
+    dx^2 are multiplications by the reciprocal when that is exact
+    (``_divide_by``).
     """
     cfg.validate()
     vel = velocities(gh)
@@ -661,6 +662,8 @@ def solve_lf(gh: GameHamiltonian, env, cfg: SolveConfig,
     # the viscosity, 2 v, the values a substep reads and writes, and the later axes' terms
     visc_buf, two_v_buf, *v_bufs = _aligned_planes(4 + (len(axes) > 1), n_max)
     term_buf = v_bufs.pop() if len(axes) > 1 else None
+    # eval_H_nodes's drift planes, H and its fold's column and scratch
+    fold_planes = _aligned_planes(len(vel.rows) + 3, n_max)
 
     def step(v: np.ndarray, k: int) -> np.ndarray:
         for s in range((k - 1) * n_sub + 1, k * n_sub + 1):
@@ -687,7 +690,7 @@ def solve_lf(gh: GameHamiltonian, env, cfg: SolveConfig,
                 np.multiply(term, nu[i], out=term)
                 visc_op(term, visc_by, out=term)
                 np.add(visc, 0.0 if i == axes[0] else term, out=visc)
-            H = eval_H_nodes(gh, cost_windows[s], P.T, vel).reshape(shape)
+            H = eval_H_nodes(gh, cost_windows[s], P.T, vel, fold_planes).reshape(shape)
             new = v_bufs[0][:size].reshape(shape)
             np.multiply(H, dt_sub, out=new)
             np.subtract(v[inner], new, out=new)

@@ -46,8 +46,9 @@ def test_summarize_writes_the_control_beside_the_parent_and_the_change():
         lower = m["better"] == "lower"
         assert got["change_won"] == ("3/4" if lower else "1/4")
         assert got["control_won"] == ("1/4" if lower else "2/4")
-        # and the change against the control
+        # and the change against the control, either way
         assert got["change_beat_control"] == ("3/4" if lower else "1/4")
+        assert got["control_beat_change"] == ("1/4" if lower else "3/4")
     results["control"][2] = _result(3.0, correct=False)
     assert not ab_pairs.summarize("w", 7, orders, results)["all_correct"]
 
@@ -92,3 +93,30 @@ def test_a_change_counts_only_when_it_beats_a_control_that_wins_every_round():
     # does not count when its median gap is no gain
     worse = entry([p + 0.01 for p in parent], [p + 0.05 for p in parent])["wall_s"]
     assert worse["change_beat_control"] == "10/10" and not ab_pairs.gain_counts(worse, True)
+
+
+def test_a_change_that_loses_every_round_to_the_parent_and_the_control_counts_as_a_loss():
+    orders = [ab_pairs.ORDERS[i % len(ab_pairs.ORDERS)] for i in range(10)]
+    parent = [1.0 + 0.01 * i for i in range(10)]
+    results = {"parent": [_result(v) for v in parent],
+               "change": [_result(v + 0.05) for v in parent],
+               "control": [_result(v + (0.01 if i % 2 else -0.01)) for i, v in enumerate(parent)]}
+    entry = ab_pairs.summarize("w", 7, orders, results)["metrics"]
+    for m in ab_pairs.SPEC["end_to_end"]:
+        got, lower = entry[m["name"]], m["better"] == "lower"
+        # higher is better for realizations_per_s: there the change wins every round
+        assert got["change_won"] == ("0/10" if lower else "10/10")
+        assert got["control_beat_change"] == ("10/10" if lower else "0/10")
+        assert ab_pairs.loss_counts(got, lower) == lower
+        assert ab_pairs.gain_counts(got, lower) != lower
+        assert ab_pairs.verdict(got, lower) == ("loss counts" if lower else "gain counts")
+    # a loss in 8 rounds of 10 is not enough for the sign test, and a change
+    # that loses to the control every round without a median loss is none
+    eight = dict(results, change=[_result(v + (0.05 if i > 1 else -0.05))
+                                  for i, v in enumerate(parent)])
+    level = dict(results, change=[_result(v) for v in parent],
+                 control=[_result(v - 0.001) for v in parent])
+    for case in (eight, level):
+        got = ab_pairs.summarize("w", 7, orders, case)["metrics"]["wall_s"]
+        assert not ab_pairs.loss_counts(got, True) and not ab_pairs.gain_counts(got, True)
+        assert ab_pairs.verdict(got, True) == "neither"

@@ -1,5 +1,7 @@
 import itertools
 import re
+import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -8,7 +10,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from conftest import cells_touched, shift_view
-from hjhomog.env import (BUMP_LIP, BUMP_MASS_1D, DomainError, EnvSpec,
+from hjhomog.env import (BUMP_LIP, BUMP_MASS_1D, DomainError, EnvSpec, TensorGrid,
                          replace_on_strip, sample_environment, with_seed)
 from hjhomog.families import saddle_game
 from hjhomog.game import shift_momentum
@@ -253,6 +255,49 @@ def test_strip_reads_each_point_once():
     assert np.array_equal(got, base_values(np.array([[-2.0], [5.2], [5.8]])))
     with pytest.raises(DomainError):
         replace_on_strip(env, 6.0, 7.0, e=[1.0], shift=[-0.4]).values([[6.2]])
+
+
+def test_strip_leaves_the_callers_points_as_they_were():
+    env = sample_environment(spec1d(seed=13))
+    patched = replace_on_strip(env, -1.0, 1.0, e=[1.0], shift=[0.8])
+    pts = np.linspace(-3.0, 3.0, 41).reshape(-1, 1)
+    before = pts.copy()
+    got = patched.values(pts)
+    assert np.array_equal(pts, before)
+    moved = np.where(np.abs(before) <= 1.0, before - 0.8, before)
+    assert got.tobytes() == env.values(moved).tobytes()
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_strip_on_a_grid_gives_the_bits_of_its_node_table(dim):
+    spec = spec1d(seed=13, dimension=dim, box_lo=(-6.0,) * dim, box_hi=(6.0,) * dim, channels=2)
+    e, shift = np.ones(dim) / np.sqrt(dim), np.full(dim, 0.3)
+    grid = TensorGrid([np.linspace(-4.0, 4.0, 17 + i) for i in range(dim)])
+    nodes = grid.nodes()
+    inside = np.abs(nodes @ e) <= 1.5
+    moved = np.where(inside[:, None], nodes - shift, nodes)
+    want = sample_environment(spec).values(moved)
+    patched = replace_on_strip(sample_environment(spec), -1.5, 1.5, e=e, shift=shift)
+    assert patched.values(grid).tobytes() == want.tobytes()
+    assert patched.values(nodes).tobytes() == want.tobytes()
+
+
+def test_strip_on_a_grid_holds_one_node_table():
+    # the grid's node table is the call's own, moved in place: a copy of it
+    # would hold a second table beside the one the base reads and its result
+    grid = TensorGrid([np.linspace(-4.0, 4.0, 301)] * 2)
+    base = SimpleNamespace(batch_shape=(), values=np.negative)
+    patched = replace_on_strip(base, -1.0, 1.0, e=[1.0, 0.0], shift=[0.5, 0.0])
+    patched.values(grid)                             # first-call allocations aside
+    tracemalloc.start()
+    try:
+        got = patched.values(grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    table = grid.nodes()
+    assert got.shape == table.shape
+    assert peak < 2 * table.nbytes + got.nbytes
 
 
 def test_mean_value_1d():

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import drawn_games
 from hjhomog.env import EnvSpec, as_points, sample_environment
-from hjhomog.game import (GameHamiltonian, OrientationError, ball_grid,
+from hjhomog.game import (GameHamiltonian, OrientationError, _aligned_planes, ball_grid,
                           certify_constants, eval_H, eval_H_nodes, localize,
                           shift_momentum, velocities, verify_localization)
 from hjhomog.families import (bind_env_constants, build, saddle_game, transport,
@@ -86,7 +86,9 @@ SIGNED_ZERO_CASE = (
 def test_eval_H_nodes_is_eval_H_at_each_node(case):
     gh, env, X, P = case
     cost = np.broadcast_to(gh.cost(X, env), (len(X), gh.n_a, gh.n_b))
-    nodes = eval_H_nodes(gh, np.moveaxis(-cost, 0, -1), P, velocities(gh))
+    vel = velocities(gh)
+    nodes = eval_H_nodes(gh, np.moveaxis(-cost, 0, -1), P, vel,
+                         _aligned_planes(len(vel.rows) + 3, len(X)))
     single = np.array([eval_H(gh, x, p, env) for x, p in zip(X, P)])
     brute = np.array([brute_force_H(gh, x, p, env) for x, p in zip(X, P)])
     assert nodes.shape == (len(X),)

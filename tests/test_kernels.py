@@ -931,16 +931,31 @@ def test_eval_H_nodes_equals_whole_table_form(game, data):
     table = np.moveaxis(np.broadcast_to(gh.cost(X, env), (len(X), gh.n_a, gh.n_b)), 0, -1)
     vel = velocities(gh)
     # eval_H_nodes reads the whole negated table, or a strided grid window
-    assert same_bits(eval_H_nodes(gh, -table, P, vel), ref_eval_H_nodes(gh, table, P))
+    assert same_bits(eval_H_nodes(gh, -table, P, vel, planes_for(vel, len(P))),
+                     ref_eval_H_nodes(gh, table, P))
     grid = np.zeros((gh.n_a, gh.n_b) + tuple(n + 2 for n in shape))
     window = (slice(None), slice(None)) + (slice(1, -1),) * len(shape)
     grid[window] = table.reshape((gh.n_a, gh.n_b) + shape)
     want = ref_eval_H_nodes(gh, grid[window].reshape(gh.n_a, gh.n_b, -1), P)
     neg_grid = -grid
-    assert same_bits(eval_H_nodes(gh, neg_grid[window], P, vel), want)
+    assert same_bits(eval_H_nodes(gh, neg_grid[window], P, vel, planes_for(vel, len(P))), want)
     # one node at a time
     one = table[..., :1]
-    assert same_bits(eval_H_nodes(gh, -one, P[:1], vel), ref_eval_H_nodes(gh, one, P[:1]))
+    assert same_bits(eval_H_nodes(gh, -one, P[:1], vel, planes_for(vel, 1)),
+                     ref_eval_H_nodes(gh, one, P[:1]))
+    # the planes' contents on entry are never read: planes of NaN, planes
+    # holding another call's values and planes wider than the nodes give
+    # the same bits, and H is a view of them
+    want = ref_eval_H_nodes(gh, table, P)
+    nan = planes_for(vel, len(P))
+    nan.fill(np.nan)
+    used = planes_for(vel, len(P))
+    eval_H_nodes(gh, -table[..., ::-1], P[::-1] + 1.0, vel, used)
+    wide = planes_for(vel, len(P) + 5)
+    wide.fill(np.nan)
+    for planes in (nan, used, wide):
+        got = eval_H_nodes(gh, -table, P, vel, planes)
+        assert same_bits(got, want) and np.shares_memory(got, planes)
 
 
 def test_aligned_planes_start_every_row_on_a_cache_line():
@@ -955,11 +970,14 @@ def test_aligned_planes_start_every_row_on_a_cache_line():
             assert np.array_equal(planes, np.broadcast_to(np.arange(k)[:, None], (k, n)))
 
 
-def misaligned_planes(shift):
-    """``_aligned_planes``'s layout with every row ``shift`` doubles past a cache line."""
-    def planes(k, n):
-        return _aligned_planes(k, n + shift)[:, shift:]
-    return planes
+def planes_for(vel, n):
+    """Fresh planes for ``eval_H_nodes`` at n nodes, as ``solve_lf`` allocates them."""
+    return _aligned_planes(len(vel.rows) + 3, n)
+
+
+def misaligned_planes(vel, n, shift):
+    """``planes_for``'s layout with every row ``shift`` doubles past a cache line."""
+    return planes_for(vel, n + shift)[:, shift:]
 
 
 @settings(max_examples=40, deadline=None)
@@ -986,12 +1004,11 @@ def test_eval_H_nodes_bits_do_not_depend_on_layout(game, data):
     want = ref_eval_H_nodes(gh, -window.reshape(gh.n_a, gh.n_b, -1), P)
     copy = np.ascontiguousarray(window)
     vel = velocities(gh)
-    assert same_bits(eval_H_nodes(gh, window, P, vel), want)
-    assert same_bits(eval_H_nodes(gh, copy, P, vel), want)
-    assert misaligned_planes(shift)(2, rows * cols)[1].ctypes.data % 64 == 8 * shift
-    with mock.patch.object(game_module, "_aligned_planes", misaligned_planes(shift)):
-        assert same_bits(eval_H_nodes(gh, window, P, vel), want)
-        assert same_bits(eval_H_nodes(gh, copy, P, vel), want)
+    misaligned = misaligned_planes(vel, len(P), shift)
+    assert misaligned[1].ctypes.data % 64 == 8 * shift
+    for planes in (planes_for(vel, len(P)), misaligned):
+        assert same_bits(eval_H_nodes(gh, window, P, vel, planes), want)
+        assert same_bits(eval_H_nodes(gh, copy, P, vel, planes), want)
 
 
 #: a float that is often a signed zero
@@ -1006,7 +1023,8 @@ def test_eval_H_nodes_breaks_signed_zero_ties_as_the_reductions():
     field = SimpleNamespace(values=lambda pts: np.where(bits == 1, -0.0, 0.0))
     cost = np.moveaxis(gh.cost(np.zeros((16, 1)), field), 0, -1)
     P = np.zeros((16, 1))
-    got = eval_H_nodes(gh, np.negative(cost), P, velocities(gh))
+    vel = velocities(gh)
+    got = eval_H_nodes(gh, np.negative(cost), P, vel, planes_for(vel, len(P)))
     assert same_bits(got, ref_eval_H_nodes(gh, cost, P))
     assert np.all(got == 0.0) and 0 < np.signbit(got).sum() < 16
 
@@ -1029,8 +1047,9 @@ def test_eval_H_nodes_keeps_the_blas_bits_of_axis_aligned_games(name, dim, shift
     neg = np.negative(np.moveaxis(cost, 0, -1))
     blas = (neg - gh.f_table @ P.T).min(axis=0).max(axis=0)
     vel = velocities(gh)
-    assert same_bits(eval_H_nodes(gh, neg, P, vel), blas)
-    assert same_bits(eval_H_nodes(gh, neg, np.ascontiguousarray(P.T).T, vel), blas)
+    assert same_bits(eval_H_nodes(gh, neg, P, vel, planes_for(vel, n)), blas)
+    assert same_bits(eval_H_nodes(gh, neg, np.ascontiguousarray(P.T).T, vel, planes_for(vel, n)),
+                     blas)
 
 
 def signed_zeros_and_a_subnormal(x):
@@ -1098,6 +1117,62 @@ def test_lf_evaluates_H_once_per_substep_at_every_updated_node():
     assert subs == 6 and len(calls) == subs
     assert all(len(s) == 2 and s[1] == 2 for s in calls)
     assert sum(s[0] for s in calls) == node_updates == tel["node_updates"] == 1782
+
+
+def test_an_lf_solve_allocates_its_planes_up_front_and_a_substep_none():
+    # the same game solved to T = 2 and to T = 8 allocates the same planes,
+    # and eval_H_nodes allocates none of them
+    gh, env = FIELD2D_CASE
+    real = game_module._aligned_planes
+    calls, inside = [], []
+
+    def counted(k, n):
+        calls.append((k, n))
+        return real(k, n)
+
+    def evaluated(gh, neg_cost, P, *args):
+        before = len(calls)
+        H = eval_H_nodes(gh, neg_cost, P, *args)
+        inside.append(len(calls) - before)
+        return H
+
+    per_solve = []
+    for T in (2.0, 8.0):
+        box = solve_box_for(gh.f_pairs, "lax-friedrichs", T, 0.5, 0.5, report_radius=0.5)
+        cfg = SolveConfig(scheme="lax-friedrichs", dt=0.5, dx=0.5, T=T,
+                          box_lo=box[0], box_hi=box[1])
+        calls.clear()
+        with mock.patch.object(game_module, "_aligned_planes", counted), \
+                mock.patch.object(pde, "_aligned_planes", counted), \
+                mock.patch.object(pde, "eval_H_nodes", evaluated):
+            res = solve_lf(gh, covering_env(env, box), cfg)
+        per_solve.append(len(calls))
+    assert res.telemetry[-1]["steps"] == 16 and len(inside) > 16
+    assert per_solve[0] == per_solve[1] > 0
+    assert not any(inside)
+
+
+def test_eval_H_nodes_allocates_no_array_on_a_game_moving_along_both_axes():
+    # the products of the second axis go through the fold's scratch plane:
+    # a temporary (R, N) product would hold R planes
+    gh, env = LOCALIZED_2D_CASE
+    vel = velocities(gh)
+    assert vel.axes == (0, 1) and len(vel.rows) > 1
+    n = 4096
+    rng = np.random.default_rng(1)
+    P = rng.uniform(-3.0, 3.0, size=(n, 2))
+    cost = np.moveaxis(np.broadcast_to(
+        gh.cost(rng.uniform(-6.0, 6.0, size=(n, 2)), env), (n, gh.n_a, gh.n_b)), 0, -1)
+    neg, planes = np.negative(cost), planes_for(vel, n)
+    want = ref_eval_H_nodes(gh, cost, P)
+    tracemalloc.start()
+    try:
+        got = eval_H_nodes(gh, neg, P, vel, planes)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert same_bits(got, want)
+    assert peak < 8 * n
 
 
 # ---------------------------------------------------------------------------

@@ -18,14 +18,16 @@ JSON line of each run is parsed, and the file written holds, per workload,
     runs[].{workload, seed, pairs, all_correct, failed, first_in_pair, order_in_pair,
             metrics.<m>.{parent, change, control, parent_q1_median_q3,
                          change_q1_median_q3, control_q1_median_q3,
-                         change_won, control_won, change_beat_control}}
+                         change_won, control_won, change_beat_control,
+                         control_beat_change}}
 
 for every end-to-end metric of BENCHMARK.json, where `failed` counts the
 failed iterations of every run of every arm, `first_in_pair` is whichever
 of the parent and the change ran first, `change_won` (`control_won`) the
-pairs in which the change (the control) reads better than the parent, and
+pairs in which the change (the control) reads better than the parent,
 `change_beat_control` the pairs in which the change reads better than the
-control, each by the metric's own direction.  Values are rounded to 6
+control and `control_beat_change` those in which it reads worse, each by
+the metric's own direction.  Values are rounded to 6
 decimals; quartiles are linearly interpolated (numpy's default).  The
 temporary trees are removed when done.  Stdlib only.
 
@@ -36,8 +38,10 @@ parent is a gain, by the metric's own direction, larger than the
 control's, and the change beats the control in at least k of the n
 pairs, k the least count that a one-sided sign test passes at 5 %
 (`sign_test_k`: 9 of 10, 6 of 6, 12 of 16).  A loss is read the same
-way with the direction turned round.  Each workload's verdict per metric
-is printed to stderr (`gain_counts`).
+way with the direction turned round: the change's median gap is a loss
+larger than the control's, and the control beats the change in at least
+k of the n pairs.  Each workload's verdict per metric, "gain counts",
+"loss counts" or "neither", is printed to stderr (`verdict`).
 """
 from __future__ import annotations
 
@@ -107,14 +111,34 @@ def sign_test_k(n: int) -> int:
     return 1
 
 
-def gain_counts(metric: dict, lower: bool) -> bool:
-    """Whether one metric's entry of a runs[] item shows a gain under the rule."""
+def _beats_control(metric: dict, lower: bool, wins: str) -> bool:
+    """Whether the change's median gap from the parent, read with lower (or
+    higher) as better, is a gain larger than the control's, with the change
+    ahead of the control in ``wins`` ("k/n") pairs, enough for the sign test."""
     sign = 1.0 if lower else -1.0
     parent = metric["parent_q1_median_q3"][1]
     change, control = (sign * (parent - metric[f"{s}_q1_median_q3"][1])
                        for s in ("change", "control"))
-    wins, n = map(int, metric["change_beat_control"].split("/"))
-    return change > max(control, 0.0) and wins >= sign_test_k(n)
+    won, n = map(int, wins.split("/"))
+    return change > max(control, 0.0) and won >= sign_test_k(n)
+
+
+def gain_counts(metric: dict, lower: bool) -> bool:
+    """Whether one metric's entry of a runs[] item shows a gain under the rule."""
+    return _beats_control(metric, lower, metric["change_beat_control"])
+
+
+def loss_counts(metric: dict, lower: bool) -> bool:
+    """Whether one metric's entry of a runs[] item shows a loss: the rule
+    with the direction turned round."""
+    return _beats_control(metric, not lower, metric["control_beat_change"])
+
+
+def verdict(metric: dict, lower: bool) -> str:
+    """The verdict on one metric's entry: "gain counts", "loss counts" or "neither"."""
+    if gain_counts(metric, lower):
+        return "gain counts"
+    return "loss counts" if loss_counts(metric, lower) else "neither"
 
 
 def quartiles(values: list[float]) -> list[float]:
@@ -148,6 +172,7 @@ def summarize(workload: str, seed: int, orders: list[tuple[str, ...]], results: 
             "change_won": won("change"),
             "control_won": won("control"),
             "change_beat_control": won("change", "control"),
+            "control_beat_change": won("control", "change"),
         }
     runs = [r for s in ARMS for r in results[s]]
     return {
@@ -213,8 +238,8 @@ def main(argv: list[str] | None = None) -> int:
             for m in SPEC["end_to_end"]:
                 got = out["runs"][-1]["metrics"][m["name"]]
                 print(f"{workload} {m['name']}: change beat the control in "
-                      f"{got['change_beat_control']}, gain "
-                      f"{'counts' if gain_counts(got, m['better'] == 'lower') else 'does not count'}",
+                      f"{got['change_beat_control']}, lost to it in "
+                      f"{got['control_beat_change']}: {verdict(got, m['better'] == 'lower')}",
                       file=sys.stderr)
             out["machine"] = out["machine"] or machine(workload, args.seed)
     Path(args.out).write_text(json.dumps(out, indent=1) + "\n")
