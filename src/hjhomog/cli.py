@@ -486,14 +486,9 @@ def cmd_verify(run: Run, out: Path, workers: int) -> int:
 
     # localization of a reference Lipschitz Hamiltonian
     beta_loc = 0.02
-    if d == 1:
-        v = np.array([0.75])
-        pi = np.zeros((1, 1))
-    else:
-        v = np.zeros(d)
-        v[0] = 0.75
-        pi = np.zeros((d, d))
-        pi[1, 1] = 1.0
+    v = np.zeros(d)
+    v[0] = 0.75
+    pi = np.diag([0.0] + [1.0] * (d - 1))
 
     def G(pts, Q):
         return beta_loc * np.linalg.norm(Q, axis=1)

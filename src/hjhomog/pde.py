@@ -74,9 +74,8 @@ class Grid:
 
     def window_field(self, v: np.ndarray, active, t: float) -> "Field":
         """v on the index window ``active``, realization axes last, as a NaN-padded Field."""
-        values = np.full(v.shape[self.dim:] + self.shape, np.nan)
-        values[(Ellipsis,) + tuple(slice(lo, hi) for lo, hi in active)] = np.moveaxis(
-            v, range(self.dim), range(-self.dim, 0))
+        values = np.full(self.shape + v.shape[self.dim:], np.nan)
+        values[tuple(slice(lo, hi) for lo, hi in active)] = v
         return Field(grid=self, t=t, values=values, active=active)
 
 
@@ -84,7 +83,7 @@ class Grid:
 class Field:
     """Grid function at one time, valid only on the active index window.
 
-    ``values`` is (*grid.shape) for one realization, or (M, *grid.shape)
+    ``values`` is (*grid.shape) for one realization, or (*grid.shape, M)
     for a batch of realizations solved together.
     """
 
@@ -102,22 +101,20 @@ class Field:
                      for a, b in zip(self.active, other.active))
 
     def active_values(self) -> np.ndarray:
-        return self.values[(Ellipsis,) + self.active_slices()]
+        return self.values[self.active_slices()]
 
     def value_at(self, x):
         """Multilinear interpolation; refuses to read outside the active box.
 
         ``x`` is one point (d,), giving a float, or points (n, d), giving
-        (n,); a batched field puts its realization axis first.  Each value
-        is accumulated from 0.0 over the cell corners in order.
+        (n,); a batched field gives (M,) and (n, M).  Each value is
+        accumulated from 0.0 over the cell corners in order.
         """
         x = np.asarray(x, dtype=np.float64)
-        lead = range(self.values.ndim - self.grid.dim)
-        window = np.moveaxis(self.active_values(), lead, range(-len(lead), 0))
-        out = np.moveaxis(probe_stencil(self.grid, x).read(window, self.active, self.t), 0, -1)
+        out = probe_stencil(self.grid, x).read(self.active_values(), self.active, self.t)
         if x.ndim > 1:
             return out
-        return float(out[0]) if out.ndim == 1 else out[..., 0]
+        return float(out[0]) if out.ndim == 1 else out[0]
 
 
 class ProbeStencil(NamedTuple):
@@ -310,12 +307,13 @@ class _Window:
     """The time grid of a solve and how its active window shrinks.
 
     A step is ``substeps`` substeps, each shedding 1/substeps of a step's
-    cells on each axis that moves.  A ``still`` axis reads no neighbour, so
-    a substep need only write there what the next read reports.
+    cells on each axis that moves.  An axis along which no velocity moves
+    is ``still``: neither scheme reads a neighbour along it, so a substep
+    need only write there what the next read reports, and an SL march may
+    cut its table into slabs there.
     """
 
     cfg: SolveConfig
-    scheme: str
     grid: Grid
     n_steps: int
     records: dict[int, float]
@@ -351,9 +349,10 @@ class _Window:
         return out
 
 
-def _plan_window(cfg: SolveConfig, scheme: str, below, above, substeps: int = 1,
-                 still: tuple[int, ...] = ()) -> _Window:
-    """The window of cfg shedding (below, above) cells a step; refuses a box spent before T."""
+def _plan_window(cfg: SolveConfig, f: np.ndarray, below, above, substeps: int = 1) -> _Window:
+    """The window of cfg shedding (below, above) cells a step, whose still
+    axes are those no velocity of f (pairs, d) moves along; refuses a box
+    spent before T."""
     grid = Grid.from_box(cfg.box_lo, cfg.box_hi, cfg.dx)
     n_steps, records = _steps_and_records(cfg)
     for i in range(grid.dim):
@@ -366,9 +365,9 @@ def _plan_window(cfg: SolveConfig, scheme: str, below, above, substeps: int = 1,
                 f"box span {span:.4g} < required {need:.4g} ({below[i]} + {above[i]} "
                 f"cells shed per step); add margin >= {need - span:.4g}"
             )
-    return _Window(cfg=cfg, scheme=scheme, grid=grid, n_steps=n_steps, records=records,
+    return _Window(cfg=cfg, grid=grid, n_steps=n_steps, records=records,
                    shed_lo=tuple(int(v) for v in below), shed_hi=tuple(int(v) for v in above),
-                   substeps=substeps, still=still)
+                   substeps=substeps, still=tuple(i for i in range(grid.dim) if not f[:, i].any()))
 
 
 def _march(win: _Window, marches, read, axis: int = 0, per_node: int = 1, probes: int = 0,
@@ -383,7 +382,7 @@ def _march(win: _Window, marches, read, axis: int = 0, per_node: int = 1, probes
     each read, what read(v, active, t) returns of the slabs' values stitched
     along axis is recorded.  Telemetry counts ``per_node`` updates per node
     of each (sub)step's window (``win.runs``) and ``probes`` values per
-    read, in closed form.
+    read, in closed form, after the solver's own ``telemetry``.
     """
     records, dt, n = win.records, win.cfg.dt, win.n_steps
     values, steps = (list(x) for x in zip(*marches))
@@ -400,7 +399,7 @@ def _march(win: _Window, marches, read, axis: int = 0, per_node: int = 1, probes
             result.snapshots[records[r]] = result.final
     runs = win.runs()[1:]
     windows = np.prod(runs[..., 1] - runs[..., 0], axis=1)
-    result.telemetry.append({"scheme": win.scheme, "steps": n, **telemetry,
+    result.telemetry.append({**telemetry, "steps": n,
                              "active_cells": [list(a) for a in win.active(n)],
                              "node_updates": per_node * int(windows.sum()),
                              "probes_read": probes * (len(records) + (n not in records))})
@@ -426,8 +425,8 @@ class SLPlan(_Window):
 
     Foot-point offsets, and so the cells the active box sheds per step,
     depend only on (f, dt, dx) (the scheme's domain of dependence); the
-    realizations of a campaign differ only in their cost tables.  An axis
-    that sheds no cells is ``still``: every corner offset is 0 along it.
+    realizations of a campaign differ only in their cost tables.  Every
+    corner offset is 0 along a ``still`` axis.
     """
 
     n_a: int
@@ -453,9 +452,7 @@ def sl_plan(gh: GameHamiltonian, cfg: SolveConfig) -> SLPlan:
     """
     cfg.validate()
     weights, live, nodes = _stencil(cfg.dt * gh.f_pairs / cfg.dx)    # per pair, its foot point
-    below, above = _sl_shed(nodes)
-    win = _plan_window(cfg, "semi-lagrangian", below, above,
-                       still=tuple(i for i in range(gh.dim) if below[i] + above[i] == 0))
+    win = _plan_window(cfg, gh.f_pairs, *_sl_shed(nodes))
     # per pair, its corners' weights (np.float64: a march multiplies by it faster), live, offsets
     pairs = zip(weights.T, live.T.tolist(), (nodes + win.shed_lo).swapaxes(0, 1).tolist())
     index: dict[tuple, int] = {}
@@ -486,7 +483,7 @@ def solve_sl_batch(plan: SLPlan, step_cost: np.ndarray,
 
     ``step_cost`` is (pairs, *shape) for one realization or (pairs, *shape,
     M) for a batched environment; all realizations start from the datum g.
-    A record time holds a Field with the table's realization axes first
+    A record time holds a Field with the table's realization axes last
     or, given a ``probes`` stencil, the probes' (n, *M) values read from
     the window.  Each realization's numbers are those of its own solve:
     the recursion is elementwise along M.
@@ -559,7 +556,7 @@ def solve_sl_batch(plan: SLPlan, step_cost: np.ndarray,
     M = math.prod(lead)
     read, n = (grid.window_field, 0) if probes is None else (probes.read, len(probes.pts) * M)
     return _march(plan, slabs, read, axis, per_node=len(plan.stencil) * M, probes=n,
-                  stencils=len(plan.corners), slabs=len(slabs))
+                  scheme="semi-lagrangian", stencils=len(plan.corners), slabs=len(slabs))
 
 
 def solve_sl(gh: GameHamiltonian, env, cfg: SolveConfig,
@@ -632,8 +629,8 @@ def solve_lf(gh: GameHamiltonian, env, cfg: SolveConfig,
     vel = velocities(gh)
     axes = vel.axes
     n_sub = lf_substeps(vel.sigma, cfg.dt, cfg.dx)
-    win = _plan_window(cfg, "lax-friedrichs", *reach(gh.f_pairs, "lax-friedrichs", cfg.dt, cfg.dx),
-                       substeps=n_sub, still=tuple(i for i in range(gh.dim) if i not in axes))
+    win = _plan_window(cfg, gh.f_pairs, *reach(gh.f_pairs, "lax-friedrichs", cfg.dt, cfg.dx),
+                       substeps=n_sub)
     grid = win.grid
     d = grid.dim
     runs = win.runs().tolist()
@@ -644,12 +641,12 @@ def solve_lf(gh: GameHamiltonian, env, cfg: SolveConfig,
     segments: dict[tuple, np.ndarray] = {}
     cost_windows = [None]
     for run in runs[1:]:
-        cut = tuple((0, n) if i in axes else tuple(r)
+        cut = tuple(tuple(r) if i in win.still else (0, n)
                     for i, (n, r) in enumerate(zip(grid.shape, run)))
         if cut not in segments:
             segments[cut] = np.negative(cost[pairs + tuple(slice(*c) for c in cut)], order="C")
         cost_windows.append(segments[cut][pairs + tuple(
-            slice(*r) if i in axes else slice(None) for i, r in enumerate(run))])
+            slice(None) if i in win.still else slice(*r) for i, r in enumerate(run))])
     del cost                                # the full-grid table
     dt_sub = cfg.dt / n_sub
     nu = vel.sigma * grid.dx / 2.0    # artificial viscosity coefficient per axis
@@ -701,7 +698,8 @@ def solve_lf(gh: GameHamiltonian, env, cfg: SolveConfig,
         return v
 
     v = np.asarray(g(grid.nodes()), dtype=np.float64).reshape(grid.shape)
-    return _march(win, [(v, step)], grid.window_field, substeps_per_step=n_sub)
+    return _march(win, [(v, step)], grid.window_field, scheme="lax-friedrichs",
+                  substeps_per_step=n_sub)
 
 
 def solve(gh: GameHamiltonian, env, cfg: SolveConfig,

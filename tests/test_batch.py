@@ -312,13 +312,13 @@ def test_vectorized_value_at_equals_scalar_reads(fp):
 def test_batched_field_reads_each_realization(fp):
     fld, pts = fp
     other = Field(grid=fld.grid, t=fld.t, values=2.0 * fld.values - 1.0, active=fld.active)
-    both = Field(grid=fld.grid, t=fld.t, values=np.stack([fld.values, other.values]),
+    both = Field(grid=fld.grid, t=fld.t, values=np.stack([fld.values, other.values], axis=-1),
                  active=fld.active)
     got = both.value_at(pts)
-    assert got.shape == (2, len(pts))
-    assert got[0].tobytes() == fld.value_at(pts).tobytes()
-    assert got[1].tobytes() == other.value_at(pts).tobytes()
-    assert both.value_at(pts[0]).tobytes() == got[:, 0].tobytes()
+    assert got.shape == (len(pts), 2)
+    assert got[:, 0].tobytes() == fld.value_at(pts).tobytes()
+    assert got[:, 1].tobytes() == other.value_at(pts).tobytes()
+    assert both.value_at(pts[0]).tobytes() == got[0].tobytes()
 
 
 @settings(max_examples=20, deadline=None)
@@ -363,7 +363,7 @@ def test_one_stencil_reads_every_record_time(dim, M, seed, unit):
         want, refusal = [], None
         for t in times:
             try:
-                want.append(res.at_time(t).value_at(pts).T)
+                want.append(res.at_time(t).value_at(pts))
             except DomainError as plain:
                 refusal = str(plain)
                 break
