@@ -278,16 +278,11 @@ def config_hash(cfg: dict) -> str:
     return hashlib.sha256(blob).hexdigest()
 
 
-def _stamp(cfg: dict, payload: dict) -> dict:
-    payload["config_hash"] = config_hash(cfg)
-    payload["version"] = __version__
-    return payload
-
-
-def _write_json(out: Path, name: str, payload: dict) -> None:
+def _write_json(out: Path, name: str, cfg: dict, payload: dict) -> None:
     out.mkdir(parents=True, exist_ok=True)
     with open(out / name, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True, default=float)
+        json.dump({**payload, "config_hash": config_hash(cfg), "version": __version__}, fh,
+                  indent=2, sort_keys=True, default=float)
         fh.write("\n")
 
 
@@ -315,12 +310,12 @@ def cmd_sample_env(run: Run, out: Path, workers: int) -> int:
     _write_csv(out, "env.csv", run.cfg, [f"x{i}" for i in range(d)] + ["a", "b", "value"],
                (list(row) + [a, b, v[ch]]
                 for row, v in zip(pts, vals) for ch, (a, b) in enumerate(pairs)))
-    _write_json(out, "env.summary.json", _stamp(run.cfg, {
+    _write_json(out, "env.summary.json", run.cfg, {
         "sup_bound": env.sup_bound,
         "lip_bound": env.lip_bound,
         "mean_value": env.mean_value,
         "n_points": int(len(pts)),
-    }))
+    })
     return 0
 
 
@@ -340,10 +335,10 @@ def cmd_solve(run: Run, out: Path, workers: int) -> int:
                 yield [t] + list(x) + [u]
 
     _write_csv(out, "solution.csv", run.cfg, ["t"] + [f"x{i}" for i in range(d)] + ["u"], rows())
-    _write_json(out, "solve.summary.json", _stamp(run.cfg, {
+    _write_json(out, "solve.summary.json", run.cfg, {
         "telemetry": res.telemetry,
         "t_final": res.final.t,
-    }))
+    })
     return 0
 
 
@@ -358,7 +353,7 @@ def _campaign_table(run: Run, theta, workers: int) -> homog.UTable:
 
 def cmd_estimate(run: Run, out: Path, workers: int) -> int:
     table = _campaign_table(run, run.blocks["campaign"]["thetas"][0], workers)
-    _write_json(out, "utable.json", _stamp(run.cfg, {"utable": table.to_dict()}))
+    _write_json(out, "utable.json", run.cfg, {"utable": table.to_dict()})
     if "csv" in run.blocks["output"]["formats"]:
         _write_csv(out, "utable.csv", run.cfg, ["t", "sample_index", "value"],
                    ([t, i, v] for t, row in zip(table.times, table.samples)
@@ -375,11 +370,11 @@ def cmd_effective(run: Run, out: Path, workers: int) -> int:
         estimates.append(homog.extract_effective_H(table))
     beta = table.beta          # certified for the unshifted game, so the same for every theta
     props = homog.effective_H_properties(estimates, beta)
-    _write_json(out, "effective.json", _stamp(run.cfg, {
+    _write_json(out, "effective.json", run.cfg, {
         "estimates": [e.to_dict() for e in estimates],
         "properties": props,
         "beta": beta,
-    }))
+    })
     ok = props["growth_ok"] and props["lipschitz_ok"]
     return 0 if ok else 2
 
@@ -401,11 +396,11 @@ def cmd_rate(run: Run, out: Path, workers: int) -> int:
     _write_csv(out, "rate.csv", run.cfg, ["eps", "q10", "median", "q90", "exceedance"],
                ([eps, *report["quantiles"][eps], report["exceedance"][eps]]
                 for eps in report["eps_list"]))
-    _write_json(out, "rate.summary.json", _stamp(run.cfg, {
+    _write_json(out, "rate.summary.json", run.cfg, {
         "report": {k: v for k, v in report.items()
                    if k not in ("quantiles", "medians", "exceedance")},
         "H_bar_used": est.H_hat,
-    }))
+    })
     if report["degenerate"] or not report["conclusive"]:
         return 0          # explicitly inconclusive, not a failure
     return 0 if (report["in_band"] and report["exceedance_ok"]) else 2
@@ -500,7 +495,7 @@ def cmd_verify(run: Run, out: Path, workers: int) -> int:
            rep["max_error"] <= 5e-3 and delta_exact,
            {**rep, "delta_equals_v_norm": delta_exact})
 
-    _write_json(out, "verify.report.json", _stamp(run.cfg, report))
+    _write_json(out, "verify.report.json", run.cfg, report)
     return 0 if ok else 2
 
 
@@ -552,7 +547,7 @@ def main(argv: list[str] | None = None) -> int:
         label = {ConfigError: "config", DomainError: "domain", OrientationError: "orientation"}
         print(f"{label[type(exc)]} error: {exc}", file=sys.stderr)
         return 1
-    _write_json(out, "config.echo.json", _stamp(run.cfg, {"config": run.cfg}))
+    _write_json(out, "config.echo.json", run.cfg, {"config": run.cfg})
     return code
 
 

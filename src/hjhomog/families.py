@@ -119,14 +119,42 @@ def build(name: str, params: dict, dim: int) -> GameHamiltonian:
     return family.build(params, dim)
 
 
+def _shaped(key: str, value, shape: tuple[int, ...]) -> np.ndarray:
+    """value as a float array of shape; refuses another shape, naming key."""
+    try:
+        arr = np.asarray(value, dtype=np.float64)
+    except (TypeError, ValueError):         # ragged, or not numbers
+        arr = None
+    if arr is None or arr.shape != shape:
+        raise ValueError(f"{key}: must have shape {list(shape)} in dimension {shape[0]}, "
+                         f"got {value!r}")
+    return arr
+
+
+def _count(key: str, value) -> int:
+    """value as an int; refuses anything but an integral number, naming key."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not float(value).is_integer()):
+        raise ValueError(f"{key}: must be an integer, got {value!r}")
+    return int(value)
+
+
 def localized(beta, v, pi, R=1.0, n_a: int = 16, n_b: int = 16, g0: str = "affine",
               slope=None, offset=0.0, scale=None, dim: int = 1) -> GameHamiltonian:
     """The max-min localization of a Lipschitz G that has none of its own:
     g0 = "affine", G = offset + <slope, Q> (slope zeros by default), or
-    g0 = "norm", G = scale |Q| (scale beta by default)."""
-    beta = float(beta)
+    g0 = "norm", G = scale |Q| (scale beta by default).
+
+    Refuses, naming its key, a v, slope (dim,) or pi (dim, dim) of another
+    shape, a negative beta or R, and an n_a or n_b that is not an integer.
+    """
+    beta, R = float(beta), float(R)
+    for key, value in (("beta", beta), ("R", R)):
+        if value < 0.0:
+            raise ValueError(f"{key}: must be >= 0, got {value!r}")
+    v, pi = _shaped("v", v, (dim,)), _shaped("pi", pi, (dim, dim))
     if g0 == "affine":
-        q = np.asarray([0.0] * dim if slope is None else slope, dtype=np.float64)
+        q = _shaped("slope", [0.0] * dim if slope is None else slope, (dim,))
         c = float(offset)
 
         def G(pts, Q):
@@ -140,8 +168,7 @@ def localized(beta, v, pi, R=1.0, n_a: int = 16, n_b: int = 16, g0: str = "affin
 
     else:
         raise ValueError(f"unknown localized base hamiltonian {g0!r}")
-    return localize(G, beta=beta, R=float(R), v=np.asarray(v, dtype=np.float64),
-                    pi=np.asarray(pi, dtype=np.float64), n_a=int(n_a), n_b=int(n_b))
+    return localize(G, beta=beta, R=R, v=v, pi=pi, n_a=_count("n_a", n_a), n_b=_count("n_b", n_b))
 
 
 @dataclass(frozen=True)

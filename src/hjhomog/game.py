@@ -126,13 +126,17 @@ def velocities(gh: GameHamiltonian) -> Velocities:
 
     Pairs with the same velocity share one drift plane: the saddle game's
     four pairs have two velocities, a localized game's do not depend on b.
+    The rows are the distinct bit patterns (+0.0 and -0.0 are two) sorted as
+    int64, found with a set (np.unique(axis=0) took about 60 us a call).
     """
     f = gh.f_table.reshape(-1, gh.dim)
     sigma = np.abs(f).max(axis=0)
-    _, first, inverse = np.unique(f.view(np.int64), axis=0, return_index=True,
-                                  return_inverse=True)
-    row_of = np.broadcast_to(inverse.reshape(gh.f_table.shape[:2]), (gh.n_a, gh.n_b))
-    return Velocities(sigma, tuple(np.flatnonzero(sigma).tolist()), f[first], row_of)
+    bits = [tuple(row) for row in f.view(np.int64).tolist()]
+    index = {row: i for i, row in enumerate(sorted(set(bits)))}
+    row_of = np.reshape([index[row] for row in bits], gh.f_table.shape[:2])
+    return Velocities(sigma, tuple(np.flatnonzero(sigma).tolist()),
+                      np.array(list(index), dtype=np.int64).view(np.float64),
+                      np.broadcast_to(row_of, (gh.n_a, gh.n_b)))
 
 
 def _drift(f: np.ndarray, P: np.ndarray, axes: tuple[int, ...], out: np.ndarray,

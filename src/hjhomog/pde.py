@@ -33,7 +33,8 @@ from typing import Callable, ClassVar, NamedTuple
 import numpy as np
 
 from .env import DomainError, TensorGrid
-from .game import GameHamiltonian, _aligned_planes, eval_H_nodes, shift_momentum, velocities
+from .game import (GameHamiltonian, Velocities, _aligned_planes, eval_H_nodes, shift_momentum,
+                   velocities)
 
 
 class CFLError(ValueError):
@@ -349,10 +350,10 @@ class _Window:
         return out
 
 
-def _plan_window(cfg: SolveConfig, f: np.ndarray, below, above, substeps: int = 1) -> _Window:
+def _plan_window(cfg: SolveConfig, vel: Velocities, below, above, substeps: int = 1) -> _Window:
     """The window of cfg shedding (below, above) cells a step, whose still
-    axes are those no velocity of f (pairs, d) moves along; refuses a box
-    spent before T."""
+    axes are those the game's motion ``vel`` (``velocities``) does not move
+    along; refuses a box spent before T."""
     grid = Grid.from_box(cfg.box_lo, cfg.box_hi, cfg.dx)
     n_steps, records = _steps_and_records(cfg)
     for i in range(grid.dim):
@@ -367,7 +368,7 @@ def _plan_window(cfg: SolveConfig, f: np.ndarray, below, above, substeps: int = 
             )
     return _Window(cfg=cfg, grid=grid, n_steps=n_steps, records=records,
                    shed_lo=tuple(int(v) for v in below), shed_hi=tuple(int(v) for v in above),
-                   substeps=substeps, still=tuple(i for i in range(grid.dim) if not f[:, i].any()))
+                   substeps=substeps, still=tuple(i for i in range(grid.dim) if i not in vel.axes))
 
 
 def _march(win: _Window, marches, read, axis: int = 0, per_node: int = 1, probes: int = 0,
@@ -447,21 +448,20 @@ class SLPlan(_Window):
 def sl_plan(gh: GameHamiltonian, cfg: SolveConfig) -> SLPlan:
     """The stencil for cfg; refuses a box the active window would exhaust.
 
-    Pairs with equal velocities share one stencil (saddle games repeat
-    velocities, a localized game's do not depend on b).
+    A foot point is worked out per distinct velocity (``velocities``), and
+    velocities whose corners are equal share a stencil, numbered in the order
+    of the pairs (C order over (a, b)) first using it.
     """
     cfg.validate()
-    weights, live, nodes = _stencil(cfg.dt * gh.f_pairs / cfg.dx)    # per pair, its foot point
-    win = _plan_window(cfg, gh.f_pairs, *_sl_shed(nodes))
-    # per pair, its corners' weights (np.float64: a march multiplies by it faster), live, offsets
-    pairs = zip(weights.T, live.T.tolist(), (nodes + win.shed_lo).swapaxes(0, 1).tolist())
+    vel = velocities(gh)
+    weights, live, nodes = _stencil(cfg.dt * vel.rows / cfg.dx)    # per velocity, its foot point
+    win = _plan_window(cfg, vel, *_sl_shed(nodes))
+    # per velocity, its corners' weights (a march multiplies by np.float64 faster), live, offsets
+    rows = zip(weights.T, live.T.tolist(), (nodes + win.shed_lo).swapaxes(0, 1).tolist())
+    terms = [tuple((w, tuple(off)) for w, on, off in zip(*row) if on) for row in rows]
     index: dict[tuple, int] = {}
-    stencil = []
-    for pair in pairs:
-        terms = tuple((w, tuple(off)) for w, on, off in zip(*pair) if on)
-        stencil.append(index.setdefault(terms, len(index)))
-    return SLPlan(**vars(win), n_a=gh.n_a, n_b=gh.n_b, corners=tuple(index),
-                  stencil=tuple(stencil))
+    stencil = tuple(index.setdefault(terms[r], len(index)) for r in vel.row_of.ravel().tolist())
+    return SLPlan(**vars(win), n_a=gh.n_a, n_b=gh.n_b, corners=tuple(index), stencil=stencil)
 
 
 def sl_step_cost(gh: GameHamiltonian, env, plan: SLPlan) -> np.ndarray:
@@ -629,7 +629,7 @@ def solve_lf(gh: GameHamiltonian, env, cfg: SolveConfig,
     vel = velocities(gh)
     axes = vel.axes
     n_sub = lf_substeps(vel.sigma, cfg.dt, cfg.dx)
-    win = _plan_window(cfg, gh.f_pairs, *reach(gh.f_pairs, "lax-friedrichs", cfg.dt, cfg.dx),
+    win = _plan_window(cfg, vel, *reach(gh.f_pairs, "lax-friedrichs", cfg.dt, cfg.dx),
                        substeps=n_sub)
     grid = win.grid
     d = grid.dim

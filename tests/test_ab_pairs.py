@@ -1,15 +1,22 @@
 """tools/ab_pairs.py summarizes its parent, change and control arms as documented."""
 import importlib.util
 import itertools
+import json
 import math
 import sys
 from pathlib import Path
+
+import pytest
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "ab_pairs.py"
 
 _spec = importlib.util.spec_from_file_location("ab_pairs", TOOL)
 ab_pairs = sys.modules[_spec.name] = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(ab_pairs)
+
+
+#: per end-to-end metric, whether lower reads better
+LOWER = {m["name"]: m["better"] == "lower" for m in ab_pairs.SPEC["end_to_end"]}
 
 
 def _result(value: float, correct: bool = True, failed: int = 0) -> dict:
@@ -120,3 +127,44 @@ def test_a_change_that_loses_every_round_to_the_parent_and_the_control_counts_as
         got = ab_pairs.summarize("w", 7, orders, case)["metrics"]["wall_s"]
         assert not ab_pairs.loss_counts(got, True) and not ab_pairs.gain_counts(got, True)
         assert ab_pairs.verdict(got, True) == "neither"
+
+
+@pytest.mark.parametrize("path", sorted(TOOL.parents[1].glob("BENCH_*.json")),
+                         ids=lambda path: path.name)
+def test_every_committed_record_reads_a_verdict(path):
+    # most records hold no control arm, or lack a count the rule reads
+    for run in json.loads(path.read_text())["runs"]:
+        for name, metric in run["metrics"].items():
+            got = ab_pairs.verdict(metric, LOWER[name])
+            assert got in ("gain counts", "loss counts", "neither", "no control")
+            assert (got == "no control") == ("control" not in metric)
+
+
+@pytest.mark.parametrize("path, counted", [
+    ("BENCH_lf_planes.json", {("field2d-saddle", "wall_s"): "gain counts",
+                              ("field2d-saddle", "wall_s_tail"): "gain counts",
+                              ("field2d-saddle", "realizations_per_s"): "gain counts",
+                              ("field2d-saddle", "peak_rss_mib"): "loss counts"}),
+    ("BENCH_pde_once.json", {("mc1d-saddle", "wall_s"): "gain counts",
+                             ("mc1d-saddle", "realizations_per_s"): "gain counts"})])
+def test_records_that_store_every_count_read_as_written(path, counted):
+    for run in json.loads((TOOL.parents[1] / path).read_text())["runs"]:
+        for name, metric in run["metrics"].items():
+            assert ab_pairs.verdict(metric, LOWER[name]) == counted.get(
+                (run["workload"], name), "neither")
+
+
+def test_a_record_without_a_count_or_a_control_still_reads_a_verdict():
+    orders = [ab_pairs.ORDERS[i % len(ab_pairs.ORDERS)] for i in range(10)]
+    parent = [1.0 + 0.01 * i for i in range(10)]
+    results = {"parent": [_result(v) for v in parent],
+               "change": [_result(v + 0.05) for v in parent],
+               "control": [_result(v) for v in parent]}
+    for name, metric in ab_pairs.summarize("w", 7, orders, results)["metrics"].items():
+        want = "loss counts" if LOWER[name] else "gain counts"
+        assert ab_pairs.verdict(metric, LOWER[name]) == want
+        # the counts are those of the per-pair lists
+        uncounted = {k: v for k, v in metric.items() if "_beat_" not in k}
+        assert ab_pairs.verdict(uncounted, LOWER[name]) == want
+        plain = {k: v for k, v in metric.items() if "control" not in k}
+        assert ab_pairs.verdict(plain, LOWER[name]) == "no control"

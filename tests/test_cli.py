@@ -443,10 +443,14 @@ def test_misspelt_hamiltonian_override_is_refused(tmp_path, capsys):
     # default values: a speed the saddle game would ignore is refused
     (["hamiltonian.family=saddle-game", "hamiltonian.params.speed=2.0"],
      "unknown key 'speed' for saddle-game (accepts: base_speed, coupling)"),
-], ids=["misspelt", "missing", "foreign"])
+    (["hamiltonian.family=localized", 'hamiltonian.params={"beta": 0.5, "v": [0.75], '
+      '"pi": [[0.0]], "n_a": 4, "n_b": 4, "slope": [1.0, 2.0]}'],
+     "slope: must have shape [1] in dimension 1, got [1.0, 2.0]"),
+], ids=["misspelt", "missing", "foreign", "misshapen"])
 def test_family_params_are_read_by_key(tmp_path, capsys, overrides, message):
-    # a misspelt key used to be ignored (transport ran at speed 1.0), and a
-    # missing one was named only as "'beta'"
+    # a misspelt key used to be ignored (transport ran at speed 1.0), a
+    # missing one was named only as "'beta'", and a slope of the wrong
+    # length escaped from the cost's matmul as a numpy traceback
     out = tmp_path / "o"
     args = ["verify"] + [a for o in overrides for a in ("--set", o)] + ["--out", str(out)]
     assert main(args) == 1

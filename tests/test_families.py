@@ -196,3 +196,35 @@ def test_every_numeric_param_refuses_a_non_finite_number(name, key, bad):
     # an int beyond the float range, as the config's float fields refuse it
     with pytest.raises(ValueError, match=f"^{re.escape(key + where)}: must be a finite number"):
         build(name, {**base, key: value(10**400)}, 1)
+
+
+LOCALIZED_1D = {"beta": 0.5, "v": [0.75], "pi": [[0.0]], "n_a": 4, "n_b": 4}
+
+
+@pytest.mark.parametrize("key, value, dim, message", [
+    ("slope", [1.0, 2.0], 1, "slope: must have shape [1] in dimension 1, got [1.0, 2.0]"),
+    ("v", [[0.75]], 1, "v: must have shape [1] in dimension 1, got [[0.75]]"),
+    ("v", [0.75, [0.0]], 1, "v: must have shape [1] in dimension 1, got [0.75, [0.0]]"),
+    ("pi", [[0.0, 0.0]], 1, "pi: must have shape [1, 1] in dimension 1, got [[0.0, 0.0]]"),
+    ("pi", [[0.0]], 2, "pi: must have shape [2, 2] in dimension 2, got [[0.0]]"),
+    ("R", -1.0, 1, "R: must be >= 0, got -1.0"),
+    ("beta", -0.5, 1, "beta: must be >= 0, got -0.5"),
+    ("n_a", 4.5, 1, "n_a: must be an integer, got 4.5"),
+    ("n_b", True, 1, "n_b: must be an integer, got True"),
+    ("n_b", "4", 1, "n_b: must be an integer, got '4'"),
+], ids=["long-slope", "nested-v", "ragged-v", "wide-pi", "small-pi", "negative-R",
+        "negative-beta", "fractional-n_a", "bool-n_b", "string-n_b"])
+def test_localized_refuses_a_misfit_param_by_name(key, value, dim, message):
+    # these used to escape as a numpy ValueError or TypeError, run with a
+    # negative certified cost bound, truncate n_a to 4, or fail their checks
+    params = {**LOCALIZED_1D, "v": [0.75] + [0.0] * (dim - 1), "pi": np.zeros((dim, dim)).tolist()}
+    build("localized", params, dim)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build("localized", {**params, key: value}, dim)
+
+
+def test_localized_takes_an_integral_float_count():
+    whole = build("localized", LOCALIZED_1D, 1)
+    got = build("localized", {**LOCALIZED_1D, "n_a": 4.0, "n_b": 4.0}, 1)
+    assert (got.n_a, got.n_b) == (whole.n_a, whole.n_b) == (4, 4)
+    assert np.array_equal(got.f_table, whole.f_table)

@@ -106,7 +106,7 @@ def ref_eval_H_nodes(gh, cost, P):
 def ref_solve_lf(gh, env, cfg, g):
     sigma = np.abs(gh.f_pairs).max(axis=0)
     shed = pde.reach(gh.f_pairs, "lax-friedrichs", cfg.dt, cfg.dx)
-    win = _plan_window(cfg, gh.f_pairs, *shed)
+    win = _plan_window(cfg, velocities(gh), *shed)
     cost = np.ascontiguousarray(_precompute_cost(gh, env, win.grid, cfg.epsilon))
 
     def ham(window, P):
@@ -888,6 +888,9 @@ def stencil_bits(corners):
 @example(f=np.array([[[0.5, 0.0], [-1.25, 0.0]]]), dt=0.25, dx=0.25)        # a still axis
 @example(f=build("saddle-game", {"base_speed": 1.0, "coupling": 0.25}, 1).f_pairs.reshape(2, 2, 1),
          dt=0.25, dx=0.25)                                                  # 4 pairs, 2 stencils
+@example(f=np.array([[[0.5], [1.25], [0.5]], [[1.25], [0.5], [0.5]], [[0.5], [0.5], [1.25]]]),
+         dt=0.25, dx=0.25)                                                  # 9 pairs, 2 velocities
+@example(f=np.array([[[0.5, 0.0], [0.5, -0.0]]]), dt=0.25, dx=0.25)         # 2 velocities, 1 stencil
 def test_sl_plan_and_reach_equal_the_per_pair_construction(f, dt, dx):
     n_a, n_b, d = f.shape
     gh = GameHamiltonian(f_table=f, n_b=n_b, base_cost=None, lip_l=0.0, l_inf=0.0)
@@ -898,6 +901,22 @@ def test_sl_plan_and_reach_equal_the_per_pair_construction(f, dt, dx):
         assert got.dtype == want.dtype and np.array_equal(got, want)
     assert (plan.shed_lo, plan.shed_hi) == (tuple(below.tolist()), tuple(above.tolist()))
     corners, stencil = ref_sl_stencils(gh.f_pairs, dt, dx, below)
+    assert plan.stencil == stencil
+    assert stencil_bits(plan.corners) == stencil_bits(corners)
+
+
+def test_sl_plan_works_out_one_foot_point_per_distinct_velocity():
+    # the localized game's velocities do not depend on b, and its actions share two
+    gh = LOCALIZED_2D_CASE[0]
+    dt = dx = 0.25
+    rows = len(velocities(gh).rows)
+    assert rows < gh.n_a * gh.n_b
+    box = solve_box_for(gh.f_pairs, "semi-lagrangian", dt, dt, dx, report_radius=0.5)
+    with mock.patch.object(pde, "_stencil", wraps=pde._stencil) as spy:
+        plan = sl_plan(gh, SolveConfig(scheme="semi-lagrangian", dt=dt, dx=dx, T=dt,
+                                       box_lo=box[0], box_hi=box[1]))
+    assert [call.args[0].shape for call in spy.call_args_list] == [(rows, gh.dim)]
+    corners, stencil = ref_sl_stencils(gh.f_pairs, dt, dx, ref_sl_reach(gh.f_pairs, dt, dx)[0])
     assert plan.stencil == stencil
     assert stencil_bits(plan.corners) == stencil_bits(corners)
 

@@ -41,7 +41,10 @@ pairs, k the least count that a one-sided sign test passes at 5 %
 way with the direction turned round: the change's median gap is a loss
 larger than the control's, and the control beats the change in at least
 k of the n pairs.  Each workload's verdict per metric, "gain counts",
-"loss counts" or "neither", is printed to stderr (`verdict`).
+"loss counts" or "neither", is printed to stderr (`verdict`).  `verdict`
+reads every committed record: a count an older record lacks is counted
+from its per-pair lists, and a record run without a control reads "no
+control".
 """
 from __future__ import annotations
 
@@ -111,31 +114,47 @@ def sign_test_k(n: int) -> int:
     return 1
 
 
-def _beats_control(metric: dict, lower: bool, wins: str) -> bool:
+def wins(side: dict, arm: str, over: str, lower: bool) -> str:
+    """The pairs, "k/n", in which arm's value in side (each arm's per-pair
+    list) reads better than over's, lower (or higher) being better."""
+    n = sum((a < b) if lower else (a > b) for b, a in zip(side[over], side[arm]))
+    return f"{n}/{len(side[arm])}"
+
+
+def _beats(metric: dict, arm: str, over: str, lower: bool) -> str:
+    """metric's stored count of the pairs in which arm beat over, or, in a
+    record written before it was stored, that count from the per-pair lists."""
+    return metric.get(f"{arm}_beat_{over}") or wins(metric, arm, over, lower)
+
+
+def _beats_control(metric: dict, lower: bool, count: str) -> bool:
     """Whether the change's median gap from the parent, read with lower (or
     higher) as better, is a gain larger than the control's, with the change
-    ahead of the control in ``wins`` ("k/n") pairs, enough for the sign test."""
+    ahead of the control in ``count`` ("k/n") pairs, enough for the sign test."""
     sign = 1.0 if lower else -1.0
     parent = metric["parent_q1_median_q3"][1]
     change, control = (sign * (parent - metric[f"{s}_q1_median_q3"][1])
                        for s in ("change", "control"))
-    won, n = map(int, wins.split("/"))
+    won, n = map(int, count.split("/"))
     return change > max(control, 0.0) and won >= sign_test_k(n)
 
 
 def gain_counts(metric: dict, lower: bool) -> bool:
     """Whether one metric's entry of a runs[] item shows a gain under the rule."""
-    return _beats_control(metric, lower, metric["change_beat_control"])
+    return _beats_control(metric, lower, _beats(metric, "change", "control", lower))
 
 
 def loss_counts(metric: dict, lower: bool) -> bool:
     """Whether one metric's entry of a runs[] item shows a loss: the rule
     with the direction turned round."""
-    return _beats_control(metric, not lower, metric["control_beat_change"])
+    return _beats_control(metric, not lower, _beats(metric, "control", "change", lower))
 
 
 def verdict(metric: dict, lower: bool) -> str:
-    """The verdict on one metric's entry: "gain counts", "loss counts" or "neither"."""
+    """The verdict on one metric's entry: "gain counts", "loss counts" or
+    "neither", or "no control" for a record run without a control arm."""
+    if "control" not in metric:
+        return "no control"
     if gain_counts(metric, lower):
         return "gain counts"
     return "loss counts" if loss_counts(metric, lower) else "neither"
@@ -161,18 +180,13 @@ def summarize(workload: str, seed: int, orders: list[tuple[str, ...]], results: 
         name = m["name"]
         side = {s: [r["metrics"][name]["value"] for r in results[s]] for s in ARMS}
         lower = m["better"] == "lower"
-
-        def won(arm: str, over: str = "parent") -> str:
-            n = sum((a < b) if lower else (a > b) for b, a in zip(side[over], side[arm]))
-            return f"{n}/{len(orders)}"
-
         metrics[name] = {
             **{s: [round(v, 6) for v in side[s]] for s in ARMS},
             **{f"{s}_q1_median_q3": quartiles(side[s]) for s in ARMS},
-            "change_won": won("change"),
-            "control_won": won("control"),
-            "change_beat_control": won("change", "control"),
-            "control_beat_change": won("control", "change"),
+            "change_won": wins(side, "change", "parent", lower),
+            "control_won": wins(side, "control", "parent", lower),
+            "change_beat_control": wins(side, "change", "control", lower),
+            "control_beat_change": wins(side, "control", "change", lower),
         }
     runs = [r for s in ARMS for r in results[s]]
     return {
