@@ -31,8 +31,8 @@ from . import __version__, families, homog
 from .env import DomainError, EnvSpec, TensorGrid, sample_environment
 from .game import (GameHamiltonian, OrientationError, certify_constants, eval_H, localize,
                    shift_momentum, verify_localization)
-from .pde import (Grid, SolveConfig, check_comparison, check_lipschitz, check_scaling,
-                  linear_datum, solve, zero_datum)
+from .pde import (SolveConfig, check_comparison, check_lipschitz, check_scaling, linear_datum,
+                  solve, zero_datum)
 
 
 class ConfigError(ValueError):
@@ -223,10 +223,6 @@ def validate_config(cfg: dict) -> Run:
         raise ConfigError(
             f"environment.channels: the {fam} game reads 1 channel shared by its action "
             f"pairs or n_a*n_b = {pairs}, one per pair; got {spec.channels}")
-    solver = SolveConfig(**blocks["solver"])
-    with _refused_as("solver"):     # its time grid, and at least 2 nodes per axis
-        solver.validate()
-        Grid.from_box(solver.box_lo, solver.box_hi, solver.dx)
     camp = blocks["campaign"]
     if not camp["thetas"]:
         raise ConfigError("campaign.thetas: must hold at least one theta")
@@ -236,14 +232,16 @@ def validate_config(cfg: dict) -> Run:
             raise ConfigError(f"campaign.thetas: entry {list(theta)} needs "
                               f"environment.dimension = {dim} components")
     for key in ("box_lo", "box_hi"):
-        if len(getattr(solver, key)) != dim:
+        if len(blocks["solver"][key]) != dim:
             raise ConfigError(f"solver.{key}: needs environment.dimension = {dim} "
-                              f"components, got {list(getattr(solver, key))}")
+                              f"components, got {list(blocks['solver'][key])}")
+    with _refused_as("solver"):     # its time grid, and at least 2 nodes per axis
+        solver = SolveConfig(**blocks["solver"])
     times = camp["times"]
     if not times or any(t <= 0 for t in times) or sorted(times) != list(times):
         raise ConfigError("campaign.times: must be nonempty, positive and increasing")
     with _refused_as("campaign.times"):   # the campaign's solve, on the solver's time step
-        dataclasses.replace(solver, T=times[-1], record_times=times).validate()
+        dataclasses.replace(solver, T=times[-1], record_times=times)
     if camp["M"] < 1:
         raise ConfigError(f"campaign.M: must be >= 1, got {camp['M']}")
     _worker_count(camp["workers"], "campaign.workers")
@@ -258,7 +256,7 @@ def validate_config(cfg: dict) -> Run:
         t_top, recs = homog.rate_times(camp["rate_T"], eps)
         with _refused_as(f"campaign.rate_T: the rate solve at eps={eps}"):   # on its own grid
             dataclasses.replace(solver, dt=camp["rate_dt"], dx=camp["rate_dx"], T=t_top,
-                                record_times=recs).validate()
+                                record_times=recs)
     return Run(cfg=cfg, blocks=blocks, spec=spec, game=gh, solver=solver)
 
 
@@ -446,7 +444,7 @@ def cmd_verify(run: Run, out: Path, workers: int) -> int:
            {k: float(v) for k, v in worst.items()})
 
     # the time step nearest each quarter of T
-    steps = round(run.solver.T / run.solver.dt)
+    steps = run.solver.n_steps
     recs = tuple(round(steps * k / 4) * run.solver.dt for k in range(1, 5))
     scfg = dataclasses.replace(run.solver, record_times=recs)
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import families, pde
 from .env import DomainError, replace_on_strip, sample_environment, with_seed
-from .game import GameHamiltonian, ball_grid, certify_constants, shift_momentum
+from .game import GameHamiltonian, ball_grid, certify_constants, shift_momentum, velocities
 from .pde import (SolveConfig, probe_stencil, reach, sl_plan, sl_step_cost, solve_sl,
                   solve_sl_batch)
 from .rng import derive_seeds
@@ -96,15 +96,15 @@ class EffectiveEstimate:
 # ---------------------------------------------------------------------------
 # sampling
 
-def solve_box_for(f: np.ndarray, scheme: str, T: float, dt: float, dx: float,
+def solve_box_for(gh: GameHamiltonian, scheme: str, T: float, dt: float, dx: float,
                   report_radius: float = 0.0):
     """Box whose active window still covers B(report_radius) at time T.
 
-    The window sheds ``pde.reach`` cells per step for the velocities f
-    (pairs, d); the box keeps 4 dx to spare on each side.
+    The window sheds ``pde.reach`` cells per step for the game's motion
+    (``velocities``); the box keeps 4 dx to spare on each side.
     """
     steps = round(T / dt)
-    below, above = reach(f, scheme, dt, dx)
+    below, above = reach(velocities(gh), scheme, dt, dx)
     return (tuple(float(-report_radius - steps * b * dx - 4 * dx) for b in below),
             tuple(float(report_radius + steps * a * dx + 4 * dx) for a in above))
 
@@ -115,7 +115,7 @@ def _campaign_config(gh: GameHamiltonian, env_spec, times, dt: float, dx: float,
     ``box``, or else on the ``solve_box_for`` box that still covers
     B(report_radius) then; refuses (DomainError) a field box that misses it."""
     if box is None:
-        box = solve_box_for(gh.f_pairs, "semi-lagrangian", times[-1], dt, dx, report_radius)
+        box = solve_box_for(gh, "semi-lagrangian", times[-1], dt, dx, report_radius)
     lo, hi = (tuple(float(v) for v in b) for b in box)
     if (np.any(np.subtract(env_spec.box_lo, lo) > 1e-9)
             or np.any(np.subtract(hi, env_spec.box_hi) > 1e-9)):
@@ -237,7 +237,7 @@ def _solve_batches(game, env_spec, seeds, theta, cfg: SolveConfig, probes,
     plan = sl_plan(game, cfg)
     shifted = shift_momentum(game, theta)
     per = max(1, pde.BATCH_COST_BYTES // plan.cost_bytes)
-    stencil = probe_stencil(plan.grid, probes)
+    stencil = probe_stencil(cfg.grid, probes)
     parts = []
     for lo in range(0, len(seeds), per):
         step_cost = sl_step_cost(shifted, sample_environment(env_spec, seeds[lo:lo + per]), plan)
@@ -289,8 +289,13 @@ def estimate_U(gh: GameHamiltonian, env_spec, theta, times, M: int,
     samples = _solve_batches(game, env_spec, seeds, theta, cfg, np.zeros((1, gh.dim)),
                              workers)[:, 0]
 
-    bound = consts.beta * (1.0 + np.linalg.norm(theta))
+    bound = consts.beta * (1.0 + math.hypot(*theta))
     for k, t in enumerate(times):
+        if not (math.isfinite(bound * t) and np.isfinite(samples[k]).all()):
+            raise AssertionError(
+                f"a-priori bound check needs finite numbers at t={t}: beta(1+|theta|)t="
+                f"{bound * t}, samples in [{samples[k].min()}, {samples[k].max()}]"
+            )
         bad = np.abs(samples[k]) > bound * t + 1e-9
         if np.any(bad):
             raise AssertionError(

@@ -63,6 +63,8 @@ class Grid:
     def from_box(cls, lo, hi, dx: float) -> "Grid":
         lo = tuple(float(v) for v in np.atleast_1d(lo))
         hi = tuple(float(v) for v in np.atleast_1d(hi))
+        if len(lo) != len(hi):
+            raise ValueError(f"box corners of different lengths: lo {lo}, hi {hi}")
         shape = tuple(int(round((h - l) / dx)) + 1 for l, h in zip(lo, hi))
         if any(n < 2 for n in shape):
             raise ValueError(f"degenerate grid: shape {shape}")
@@ -207,6 +209,11 @@ def zero_datum(pts: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SolveConfig:
+    """A solve's scheme, time step, grid step, horizon, box and record times,
+    checked when it is built (``dataclasses.replace`` builds and checks anew).
+    It holds what they fix: its ``grid``, its ``n_steps`` steps to T and its
+    ``records``, each record time by its step."""
+
     scheme: str                       # "semi-lagrangian" | "lax-friedrichs"
     dt: float
     dx: float
@@ -216,15 +223,29 @@ class SolveConfig:
     epsilon: float = 1.0
     record_times: tuple[float, ...] = ()
     cfl_limit: ClassVar[float] = 0.9  # Courant number that keeps LF monotone
+    grid: Grid = field(init=False, compare=False, repr=False)
+    n_steps: int = field(init=False, compare=False, repr=False)
+    records: dict[int, float] = field(init=False, compare=False, repr=False)
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.scheme not in ("semi-lagrangian", "lax-friedrichs"):
             raise ValueError(f"unknown scheme {self.scheme!r}")
         for name, val in (("dt", self.dt), ("dx", self.dx), ("T", self.T),
                           ("epsilon", self.epsilon)):
             if val <= 0:
                 raise ValueError(f"{name} must be positive, got {val}")
-        _steps_and_records(self)
+        n_steps = int(round(self.T / self.dt))
+        if abs(n_steps * self.dt - self.T) > 1e-9 * max(1.0, self.T):
+            raise ValueError(f"T={self.T} is not an integer multiple of dt={self.dt}")
+        records: dict[int, float] = {}
+        for rt in self.record_times:
+            k = int(round(rt / self.dt))
+            if abs(k * self.dt - rt) > 1e-9 * max(1.0, self.T) or not 0 <= k <= n_steps:
+                raise ValueError(f"record time {rt} not on the time grid (dt={self.dt})")
+            records[k] = rt
+        object.__setattr__(self, "grid", Grid.from_box(self.box_lo, self.box_hi, self.dx))
+        object.__setattr__(self, "n_steps", n_steps)
+        object.__setattr__(self, "records", records)
 
 
 @dataclass
@@ -269,31 +290,19 @@ def _precompute_cost(gh: GameHamiltonian, env, grid: Grid, eps: float) -> np.nda
     return np.require(c.reshape((-1,) + grid.shape + lead), requirements="CW")
 
 
-def _steps_and_records(cfg: SolveConfig) -> tuple[int, dict[int, float]]:
-    n_steps = int(round(cfg.T / cfg.dt))
-    if abs(n_steps * cfg.dt - cfg.T) > 1e-9 * max(1.0, cfg.T):
-        raise ValueError(f"T={cfg.T} is not an integer multiple of dt={cfg.dt}")
-    records: dict[int, float] = {}
-    for rt in cfg.record_times:
-        k = int(round(rt / cfg.dt))
-        if abs(k * cfg.dt - rt) > 1e-9 * max(1.0, cfg.T) or not 0 <= k <= n_steps:
-            raise ValueError(f"record time {rt} not on the time grid (dt={cfg.dt})")
-        records[k] = rt
-    return n_steps, records
+def reach(vel: Velocities, scheme: str, dt: float, dx: float) -> tuple[np.ndarray, np.ndarray]:
+    """Cells the active window sheds per step, (below, above) on each axis,
+    for a game that moves as ``vel`` (``velocities``) says.
 
-
-def reach(f: np.ndarray, scheme: str, dt: float, dx: float) -> tuple[np.ndarray, np.ndarray]:
-    """Cells the active window sheds per step, (below, above) on each axis.
-
-    For SL this is the discrete domain of dependence of the velocities
-    f (pairs, d): a step reads the nodes of its foot points' stencils, up
+    For SL this is the discrete domain of dependence of the distinct
+    velocities f: a step reads the nodes of its foot points' stencils, up
     to ceil(dt f / dx) cells away.  An LF window sheds one stencil ring per
     substep on every axis, which is the domain of dependence on the moving
     axes only: a still axis reads no neighbour (``_Window.runs``).
     """
     if scheme == "semi-lagrangian":
-        return _sl_shed(_stencil(dt * f / dx)[2])
-    rings = np.full(f.shape[1], lf_substeps(np.abs(f).max(axis=0), dt, dx))
+        return _sl_shed(_stencil(dt * vel.rows / dx)[2])
+    rings = np.full(len(vel.sigma), lf_substeps(vel.sigma, dt, dx))
     return rings, rings
 
 
@@ -305,7 +314,7 @@ def _sl_shed(nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class _Window:
-    """The time grid of a solve and how its active window shrinks.
+    """How a solve's active window shrinks on its config's grid and time grid.
 
     A step is ``substeps`` substeps, each shedding 1/substeps of a step's
     cells on each axis that moves.  An axis along which no velocity moves
@@ -315,9 +324,6 @@ class _Window:
     """
 
     cfg: SolveConfig
-    grid: Grid
-    n_steps: int
-    records: dict[int, float]
     shed_lo: tuple[int, ...]
     shed_hi: tuple[int, ...]
     substeps: int
@@ -326,7 +332,7 @@ class _Window:
     def active(self, k: int) -> tuple[tuple[int, int], ...]:
         """The per-axis [lo, hi) index bounds of the window after k steps."""
         return tuple((k * lo, n - k * hi)
-                     for n, lo, hi in zip(self.grid.shape, self.shed_lo, self.shed_hi))
+                     for n, lo, hi in zip(self.cfg.grid.shape, self.shed_lo, self.shed_hi))
 
     def runs(self) -> np.ndarray:
         """The window each substep writes, (n_steps * substeps + 1, d, 2) [lo, hi)
@@ -337,16 +343,16 @@ class _Window:
         range in ``active(r)``, r the first read step >= k (a record step or
         n_steps).  So at every read the window is ``active`` of its step.
         """
-        subs = self.substeps
-        s = np.arange(self.n_steps * subs + 1)
-        t = np.repeat(s[:, None], self.grid.dim, axis=1)     # substeps' worth of cells shed
+        cfg, subs = self.cfg, self.substeps
+        s = np.arange(cfg.n_steps * subs + 1)
+        t = np.repeat(s[:, None], cfg.grid.dim, axis=1)     # substeps' worth of cells shed
         if self.still:
-            reads = np.array(sorted({*self.records, self.n_steps}))
+            reads = np.array(sorted({*cfg.records, cfg.n_steps}))
             r = reads[np.searchsorted(reads, -(-s[1:] // subs))]   # each substep's next read
             t[1:, list(self.still)] = r[:, None] * subs
         out = np.empty(t.shape + (2,), dtype=t.dtype)
         np.multiply(t, np.floor_divide(self.shed_lo, subs), out=out[..., 0])
-        np.subtract(self.grid.shape, t * np.floor_divide(self.shed_hi, subs), out=out[..., 1])
+        np.subtract(cfg.grid.shape, t * np.floor_divide(self.shed_hi, subs), out=out[..., 1])
         return out
 
 
@@ -354,10 +360,9 @@ def _plan_window(cfg: SolveConfig, vel: Velocities, below, above, substeps: int 
     """The window of cfg shedding (below, above) cells a step, whose still
     axes are those the game's motion ``vel`` (``velocities``) does not move
     along; refuses a box spent before T."""
-    grid = Grid.from_box(cfg.box_lo, cfg.box_hi, cfg.dx)
-    n_steps, records = _steps_and_records(cfg)
+    grid = cfg.grid
     for i in range(grid.dim):
-        total = n_steps * int(below[i] + above[i])
+        total = cfg.n_steps * int(below[i] + above[i])
         if total >= grid.shape[i] - 1:
             need = (total + 2) * cfg.dx
             span = (grid.shape[i] - 1) * cfg.dx
@@ -366,8 +371,8 @@ def _plan_window(cfg: SolveConfig, vel: Velocities, below, above, substeps: int 
                 f"box span {span:.4g} < required {need:.4g} ({below[i]} + {above[i]} "
                 f"cells shed per step); add margin >= {need - span:.4g}"
             )
-    return _Window(cfg=cfg, grid=grid, n_steps=n_steps, records=records,
-                   shed_lo=tuple(int(v) for v in below), shed_hi=tuple(int(v) for v in above),
+    return _Window(cfg=cfg, shed_lo=tuple(int(v) for v in below),
+                   shed_hi=tuple(int(v) for v in above),
                    substeps=substeps, still=tuple(i for i in range(grid.dim) if i not in vel.axes))
 
 
@@ -385,7 +390,7 @@ def _march(win: _Window, marches, read, axis: int = 0, per_node: int = 1, probes
     of each (sub)step's window (``win.runs``) and ``probes`` values per
     read, in closed form, after the solver's own ``telemetry``.
     """
-    records, dt, n = win.records, win.cfg.dt, win.n_steps
+    records, dt, n = win.cfg.records, win.cfg.dt, win.cfg.n_steps
     values, steps = (list(x) for x in zip(*marches))
     result = SolveResult(final=None)  # type: ignore[arg-type]
     done = 0
@@ -442,7 +447,7 @@ class SLPlan(_Window):
     @property
     def cost_bytes(self) -> int:
         """Bytes of one realization's cost table."""
-        return 8 * len(self.stencil) * math.prod(self.grid.shape)
+        return 8 * len(self.stencil) * math.prod(self.cfg.grid.shape)
 
 
 def sl_plan(gh: GameHamiltonian, cfg: SolveConfig) -> SLPlan:
@@ -452,7 +457,6 @@ def sl_plan(gh: GameHamiltonian, cfg: SolveConfig) -> SLPlan:
     velocities whose corners are equal share a stencil, numbered in the order
     of the pairs (C order over (a, b)) first using it.
     """
-    cfg.validate()
     vel = velocities(gh)
     weights, live, nodes = _stencil(cfg.dt * vel.rows / cfg.dx)    # per velocity, its foot point
     win = _plan_window(cfg, vel, *_sl_shed(nodes))
@@ -472,7 +476,7 @@ def sl_step_cost(gh: GameHamiltonian, env, plan: SLPlan) -> np.ndarray:
     the realizations innermost, so that every window the march reads of a
     pair's plane is contiguous.  ``_precompute_cost``'s table, scaled in place.
     """
-    cost = _precompute_cost(gh, env, plan.grid, plan.cfg.epsilon)
+    cost = _precompute_cost(gh, env, plan.cfg.grid, plan.cfg.epsilon)
     return np.multiply(cost, plan.cfg.dt, out=cost)
 
 
@@ -507,7 +511,7 @@ def solve_sl_batch(plan: SLPlan, step_cost: np.ndarray,
     (``_march``), which keeps a step's planes in the cache.  The datum's
     values come from the whole grid.
     """
-    grid = plan.grid
+    grid = plan.cfg.grid
     lead = step_cost.shape[1 + grid.dim:]
     trim = (slice(None),) + tuple(slice(lo, -hi or None)
                                   for lo, hi in zip(plan.shed_lo, plan.shed_hi))
@@ -625,13 +629,11 @@ def solve_lf(gh: GameHamiltonian, env, cfg: SolveConfig,
     dx^2 are multiplications by the reciprocal when that is exact
     (``_divide_by``).
     """
-    cfg.validate()
     vel = velocities(gh)
     axes = vel.axes
     n_sub = lf_substeps(vel.sigma, cfg.dt, cfg.dx)
-    win = _plan_window(cfg, vel, *reach(gh.f_pairs, "lax-friedrichs", cfg.dt, cfg.dx),
-                       substeps=n_sub)
-    grid = win.grid
+    win = _plan_window(cfg, vel, *reach(vel, "lax-friedrichs", cfg.dt, cfg.dx), substeps=n_sub)
+    grid = cfg.grid
     d = grid.dim
     runs = win.runs().tolist()
     # per substep s >= 1, its window of the negated cost, read from one table

@@ -140,6 +140,32 @@ def cells_touched(env, pts):
     return touched if env.batch_shape else touched[0]
 
 
+def ref_steps_and_records(cfg):
+    """A config's step count to T and its record times by step, as the solvers
+    first worked them out; refuses (ValueError) a time off the dt grid."""
+    n_steps = int(round(cfg.T / cfg.dt))
+    if abs(n_steps * cfg.dt - cfg.T) > 1e-9 * max(1.0, cfg.T):
+        raise ValueError(f"T={cfg.T} is not an integer multiple of dt={cfg.dt}")
+    records = {}
+    for rt in cfg.record_times:
+        k = int(round(rt / cfg.dt))
+        if abs(k * cfg.dt - rt) > 1e-9 * max(1.0, cfg.T) or not 0 <= k <= n_steps:
+            raise ValueError(f"record time {rt} not on the time grid (dt={cfg.dt})")
+        records[k] = rt
+    return n_steps, records
+
+
+def ref_grid_from_box(lo, hi, dx):
+    """The (lo, dx, shape) of the grid from corner lo to hi at step dx, node
+    counts rounded; refuses (ValueError) an axis of fewer than 2 nodes."""
+    lo = tuple(float(v) for v in np.atleast_1d(lo))
+    hi = tuple(float(v) for v in np.atleast_1d(hi))
+    shape = tuple(int(round((h - l) / dx)) + 1 for l, h in zip(lo, hi))
+    if any(n < 2 for n in shape):
+        raise ValueError(f"degenerate grid: shape {shape}")
+    return lo, float(dx), shape
+
+
 def ref_cell_and_weight(s: np.ndarray):
     """Cell index and in-cell weight of positions s given in cells; positions
     within 1e-12 of a node snap onto it (weight 0)."""

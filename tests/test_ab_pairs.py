@@ -129,6 +129,23 @@ def test_a_change_that_loses_every_round_to_the_parent_and_the_control_counts_as
         assert ab_pairs.verdict(got, True) == "neither"
 
 
+def test_a_change_inside_the_controls_layout_shift_reads_neither():
+    # mc1d-saddle's peak_rss_mib in BENCH_motion_summary.json: the change is
+    # 0.04 MiB over the parent while the control, the parent relaid out, is
+    # 0.17 MiB under it, ahead of the change in every round
+    orders = [ab_pairs.ORDERS[i % len(ab_pairs.ORDERS)] for i in range(10)]
+    results = {"parent": [_result(37.93)] * 10, "change": [_result(37.97)] * 10,
+               "control": [_result(37.76)] * 10}
+    got = ab_pairs.summarize("w", 7, orders, results)["metrics"]["peak_rss_mib"]
+    assert got["control_beat_change"] == "10/10"
+    assert ab_pairs.verdict(got, True) == "neither"
+    # a loss beyond the control's shift, either way, still counts
+    for control in (37.76, 38.10):
+        results.update(change=[_result(38.20)] * 10, control=[_result(control)] * 10)
+        got = ab_pairs.summarize("w", 7, orders, results)["metrics"]["peak_rss_mib"]
+        assert ab_pairs.verdict(got, True) == "loss counts"
+
+
 @pytest.mark.parametrize("path", sorted(TOOL.parents[1].glob("BENCH_*.json")),
                          ids=lambda path: path.name)
 def test_every_committed_record_reads_a_verdict(path):

@@ -224,7 +224,7 @@ def test_rate_sup_errors_match_pointwise_probes(speed, eps, dt, count, seed):
     got = homog._sup_errors(game, spec, seeds, np.zeros(1), eps, R, T, H_bar, dx, dt)
 
     t_top = T / eps
-    box = homog.solve_box_for(game.f_pairs, "semi-lagrangian", t_top, dt, dx, R / eps)
+    box = homog.solve_box_for(game, "semi-lagrangian", t_top, dt, dx, R / eps)
     times = [t_top * j / 8 for j in range(1, 9)]
     cfg = SolveConfig(scheme="semi-lagrangian", dt=dt, dx=dx, T=t_top,
                       box_lo=box[0], box_hi=box[1], record_times=tuple(times))
@@ -368,12 +368,12 @@ def test_one_stencil_reads_every_record_time(dim, M, seed, unit):
                 refusal = str(plain)
                 break
         if refusal is None:
-            got = solve_sl_batch(plan, cost, probes=probe_stencil(plan.grid, pts))
+            got = solve_sl_batch(plan, cost, probes=probe_stencil(plan.cfg.grid, pts))
             assert np.stack([got.at_time(t) for t in times]).tobytes() \
                 == np.stack(want).tobytes()
         else:
             with pytest.raises(DomainError) as stenciled:
-                solve_sl_batch(plan, cost, probes=probe_stencil(plan.grid, pts))
+                solve_sl_batch(plan, cost, probes=probe_stencil(plan.cfg.grid, pts))
             assert str(stenciled.value) == refusal
     with pytest.raises(DomainError):
         res.final.value_at(wide)

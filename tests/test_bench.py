@@ -115,5 +115,5 @@ def test_field2d_telemetry_counts_the_node_updates(monkeypatch):
     gh, cfg, res = results["semi-lagrangian"]
     plan = pde.sl_plan(gh, cfg)
     windows = sum(math.prod(hi - lo for lo, hi in plan.active(k))
-                  for k in range(1, plan.n_steps + 1))
+                  for k in range(1, plan.cfg.n_steps + 1))
     assert res.telemetry[-1]["node_updates"] == gh.n_a * gh.n_b * windows == 5_529_600

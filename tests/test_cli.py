@@ -232,6 +232,19 @@ def test_verify_on_an_unoriented_game_fails_only_its_orientation_checks(tmp_path
                if name not in ("orientation", "strip_bound"))
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                            "ignore:invalid value encountered:RuntimeWarning")
+def test_an_overflowing_theta_fails_the_a_priori_bound_check(tmp_path, capsys):
+    # the solve overflows at theta = 1e308, so the bound and the samples are
+    # not finite: a failed check, not a table of inf and nan
+    out = tmp_path / "o"
+    assert main(["estimate", "--set", "campaign.thetas=[[1e308]]", "--set", "campaign.M=2",
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("assertion failure: a-priori bound") and "t=4.0" in err
+    assert not out.exists()
+
+
 def test_rate_time_grid_is_refused_before_the_campaign(tmp_path, capsys):
     # T/eps = 1.2 is off the rate_dt = 0.0625 grid; the refusal used to come
     # after the whole H-bar campaign, naming no field

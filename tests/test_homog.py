@@ -1,4 +1,5 @@
 import math
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -54,6 +55,28 @@ def test_momentum_shift_is_additive_per_sample():
                     M=8, base_seed=33, dx=DX, dt=DT)
     for k, t in enumerate(t0.times):
         assert np.max(np.abs(t1.samples[k] - t0.samples[k] - t * theta)) < 1e-12
+
+
+def test_a_priori_bound_check_refuses_a_non_finite_sample(monkeypatch):
+    # NaN compares False with the bound, so it must not pass the check unseen
+    def nan_batches(*args):
+        out = np.zeros((2, 1, 4))
+        out[1, 0, 2] = np.nan
+        return out
+
+    monkeypatch.setattr(homog, "_solve_batches", nan_batches)
+    with pytest.raises(AssertionError, match=r"a-priori bound .* at t=4\.0"):
+        estimate_U(transport(1.0), spec(), theta=[0.0], times=[2.0, 4.0], M=4,
+                   base_seed=3, dx=DX, dt=DT)
+
+
+def test_a_huge_theta_keeps_a_finite_bound():
+    # |theta|^2 overflows at 1e200, |theta| does not: the check still runs
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        t = estimate_U(transport(1.0), spec(lo=-8.0, hi=48.0), theta=[1e200],
+                       times=[4.0, 32.0], M=2, base_seed=5, dx=DX, dt=DT)
+    assert np.isfinite(t.samples).all() and np.all(t.samples[1] > 3e201)
 
 
 def test_worker_pool_matches_serial_bitwise():
@@ -114,7 +137,7 @@ def test_ci_halfwidth_covers_the_exact_transport_H_bar():
 
 def test_solve_box_for_covers_drift():
     # an SL step at dt f / dx = 1.5 sheds 2 cells, so 16 steps shed 8.0
-    lo, hi = solve_box_for(transport(1.5).f_pairs, "semi-lagrangian",
+    lo, hi = solve_box_for(transport(1.5), "semi-lagrangian",
                            T=4.0, dt=0.25, dx=0.25, report_radius=1.0)
     assert lo[0] <= -1.0
     assert hi[0] >= 1.0 + 16 * 2 * 0.25
@@ -129,7 +152,7 @@ def test_reach_box_never_runs_out_and_covers_radius(family, dim, scheme, dt, dx,
     env = ConstantEnvironment(0.5)
     game = bind_env_constants(build(*family, dim), env)
     T = steps * dt
-    box = solve_box_for(game.f_pairs, scheme, T, dt, dx, R)
+    box = solve_box_for(game, scheme, T, dt, dx, R)
     res = solve(game, env, SolveConfig(scheme=scheme, dt=dt, dx=dx, T=T,
                                        box_lo=box[0], box_hi=box[1]))
     lo, hi = res.final.grid.box(res.final.active)
@@ -434,7 +457,7 @@ def test_general_datum_distance_shrinks():
     dists = []
     for eps in (0.25, 0.0625):
         dx = dt = DX * eps
-        box = solve_box_for(game.f_pairs, "semi-lagrangian", T, dt, dx, R)
+        box = solve_box_for(game, "semi-lagrangian", T, dt, dx, R)
         cfg = SolveConfig(scheme="semi-lagrangian", dt=dt, dx=dx, T=T, box_lo=box[0],
                           box_hi=box[1], epsilon=eps)
         u = solve_sl(game, env, cfg, g).final.value_at(xs)

@@ -56,21 +56,21 @@ def ref_raw_values(env, pts):
 
 
 def ref_sl_step_cost(gh, env, plan, out=None):
-    pts = plan.grid.nodes()
+    pts = plan.cfg.grid.nodes()
     c = np.broadcast_to(gh.cost(pts / plan.cfg.epsilon, env), (len(pts), gh.n_a, gh.n_b))
-    cost = c.reshape(len(pts), -1).T.reshape(-1, *plan.grid.shape)
+    cost = c.reshape(len(pts), -1).T.reshape(-1, *plan.cfg.grid.shape)
     return np.multiply(cost, plan.cfg.dt, out=out, order="C")
 
 
 def ref_step_costs(gh, spec, seeds, plan):
-    cost = np.empty((len(plan.stencil),) + plan.grid.shape + (len(seeds),))
+    cost = np.empty((len(plan.stencil),) + plan.cfg.grid.shape + (len(seeds),))
     for m, seed in enumerate(seeds):
         ref_sl_step_cost(gh, sample_environment(with_seed(spec, seed)), plan, out=cost[..., m])
     return cost
 
 
 def ref_solve_sl_batch(plan, step_cost, g):
-    grid = plan.grid
+    grid = plan.cfg.grid
     M = step_cost.shape[-1]
     step_cost = np.moveaxis(step_cost, -1, 1)
     corners = [plan.corners[s] for s in plan.stencil]    # one stencil per pair
@@ -105,14 +105,15 @@ def ref_eval_H_nodes(gh, cost, P):
 
 def ref_solve_lf(gh, env, cfg, g):
     sigma = np.abs(gh.f_pairs).max(axis=0)
-    shed = pde.reach(gh.f_pairs, "lax-friedrichs", cfg.dt, cfg.dx)
-    win = _plan_window(cfg, velocities(gh), *shed)
-    cost = np.ascontiguousarray(_precompute_cost(gh, env, win.grid, cfg.epsilon))
+    vel = velocities(gh)
+    shed = pde.reach(vel, "lax-friedrichs", cfg.dt, cfg.dx)
+    win = _plan_window(cfg, vel, *shed)
+    cost = np.ascontiguousarray(_precompute_cost(gh, env, win.cfg.grid, cfg.epsilon))
 
     def ham(window, P):
         return ref_eval_H_nodes(gh, cost[(slice(None),) + window].reshape(gh.n_a, gh.n_b, -1), P)
 
-    grid = win.grid
+    grid = win.cfg.grid
     d = grid.dim
     n_sub = win.shed_lo[0]
     dt_sub = win.cfg.dt / n_sub
@@ -474,23 +475,23 @@ def test_values_on_the_field2d_grid_hold_less_than_three_tables():
 def test_batched_cost_table_equals_per_realization_build(game, M, dt, seed):
     gh, env = game
     dx = 0.25
-    box = solve_box_for(gh.f_pairs, "semi-lagrangian", 2 * dt, dt, dx, report_radius=0.5)
+    box = solve_box_for(gh, "semi-lagrangian", 2 * dt, dt, dx, report_radius=0.5)
     plan = sl_plan(gh, SolveConfig(scheme="semi-lagrangian", dt=dt, dx=dx, T=2 * dt,
                                    box_lo=box[0], box_hi=box[1]))
     spec = covering_env(env, box).spec
     seeds = [seed + 3 * m for m in range(M)]
     got = sl_step_cost(gh, sample_environment(spec, seeds), plan)
     # one C-ordered copy, realizations innermost
-    assert got.shape == (len(plan.stencil),) + plan.grid.shape + (M,) and got.flags.c_contiguous
+    assert got.shape == (len(plan.stencil),) + plan.cfg.grid.shape + (M,) and got.flags.c_contiguous
     assert same_bits(got, ref_step_costs(gh, spec, seeds, plan))
     # one realization: the table without the realization axis
     single = sample_environment(with_seed(spec, seeds[0]))
     assert same_bits(sl_step_cost(gh, single, plan), ref_sl_step_cost(gh, single, plan))
     # the table is the caller's, scaled in place: never a view of the memo
-    memo = single.values(plan.grid.nodes())
+    memo = single.values(plan.cfg.grid.nodes())
     kept = memo.copy()
     assert not np.shares_memory(sl_step_cost(gh, single, plan), memo)
-    assert same_bits(single.values(plan.grid.nodes()), kept)
+    assert same_bits(single.values(plan.cfg.grid.nodes()), kept)
 
 
 # ---------------------------------------------------------------------------
@@ -512,7 +513,7 @@ def test_batched_cost_table_equals_per_realization_build(game, M, dt, seed):
 def test_sl_step_equals_pair_by_pair_step(game, M, dt, steps, theta):
     gh, env = game
     dx = 0.25
-    box = solve_box_for(gh.f_pairs, "semi-lagrangian", steps * dt, dt, dx, report_radius=0.5)
+    box = solve_box_for(gh, "semi-lagrangian", steps * dt, dt, dx, report_radius=0.5)
     cfg = SolveConfig(scheme="semi-lagrangian", dt=dt, dx=dx, T=steps * dt,
                       box_lo=box[0], box_hi=box[1], record_times=(dt,))
     plan = sl_plan(gh, cfg)
@@ -552,11 +553,11 @@ def test_sl_step_breaks_signed_zero_ties_as_the_reductions(game, M, dt, steps, s
     # elementwise comparisons decides
     gh, _ = game
     dx = 0.25
-    box = solve_box_for(gh.f_pairs, "semi-lagrangian", steps * dt, dt, dx, report_radius=0.5)
+    box = solve_box_for(gh, "semi-lagrangian", steps * dt, dt, dx, report_radius=0.5)
     plan = sl_plan(gh, SolveConfig(scheme="semi-lagrangian", dt=dt, dx=dx, T=steps * dt,
                                    box_lo=box[0], box_hi=box[1], record_times=(dt,)))
     rng = np.random.default_rng(seed)
-    cost = np.where(rng.integers(0, 2, size=(len(plan.stencil),) + plan.grid.shape + (M,)) == 0,
+    cost = np.where(rng.integers(0, 2, size=(len(plan.stencil),) + plan.cfg.grid.shape + (M,)) == 0,
                     0.0, -0.0)
     got, want = solve_sl_batch(plan, cost, g), ref_solve_sl_batch(plan, cost, g)
     assert same_bits(got.final.values, want.final.values)
@@ -579,7 +580,7 @@ def march_peak(plan, cost, **kwargs) -> int:
 def march_bound(plan, M) -> int:
     """v and the new values, the column, the scratch, one per stencil, the
     final snapshot and the datum, in realization-batched grids."""
-    return (6 + len(plan.corners)) * 8 * M * math.prod(plan.grid.shape)
+    return (6 + len(plan.corners)) * 8 * M * math.prod(plan.cfg.grid.shape)
 
 
 @pytest.mark.parametrize("n_b", [9, 13])
@@ -596,7 +597,7 @@ def test_sl_march_holds_no_per_pair_table(n_b):
     cost = sl_step_cost(gh, sample_environment(spec, seeds), plan)
     bound = march_bound(plan, M)
     first = math.prod(n - lo - hi
-                      for n, lo, hi in zip(plan.grid.shape, plan.shed_lo, plan.shed_hi))
+                      for n, lo, hi in zip(plan.cfg.grid.shape, plan.shed_lo, plan.shed_hi))
     assert len(plan.stencil) * 8 * M * first > 2 * bound     # a candidate table would not fit
     assert march_peak(plan, cost) < bound
 
@@ -632,7 +633,7 @@ def read_case(dim, steps=3, dt=0.25):
     """A READ_CASES game, its config recorded at 0, dt and T, a field law
     covering the box, and the probes."""
     gh, env, probes = READ_CASES[dim]
-    box = solve_box_for(gh.f_pairs, "semi-lagrangian", steps * dt, dt, 0.25, report_radius=0.5)
+    box = solve_box_for(gh, "semi-lagrangian", steps * dt, dt, 0.25, report_radius=0.5)
     cfg = SolveConfig(scheme="semi-lagrangian", dt=dt, dx=0.25, T=steps * dt,
                       box_lo=box[0], box_hi=box[1], record_times=(0.0, dt, steps * dt))
     return gh, cfg, covering_env(env, box).spec, probes
@@ -651,7 +652,7 @@ def test_probe_reads_equal_field_reads(dim, M, g):
     gh, cfg, spec, probes = read_case(dim)
     plan = sl_plan(gh, cfg)
     g = linear_datum(np.linspace(0.5, -0.25, dim)) if g == "linear" else g
-    stencil = pde.probe_stencil(plan.grid, probes)
+    stencil = pde.probe_stencil(plan.cfg.grid, probes)
     field_cost = sl_step_cost(gh, sample_environment(spec, spec.seed + np.arange(M)), plan)
     zero_cost = np.where(np.random.default_rng(M).integers(0, 2, size=field_cost.shape) == 0,
                          0.0, -0.0)
@@ -717,7 +718,7 @@ def test_campaign_march_allocates_no_grid_per_record_time():
     spec = EnvSpec(dimension=1, rho=1.0, bump_radius=0.5, amp_lo=0.0, amp_hi=1.0, channels=4,
                    box_lo=box[0], box_hi=box[1], seed=2026)
     cost = sl_step_cost(gh, sample_environment(spec, list(range(M))), plan)
-    stencil = pde.probe_stencil(plan.grid, np.array([[0.0], [0.3]]))
+    stencil = pde.probe_stencil(plan.cfg.grid, np.array([[0.0], [0.3]]))
     assert march_peak(plan, cost) > 2 * march_bound(plan, M)
     assert march_peak(plan, cost, probes=stencil) < march_bound(plan, M)
 
@@ -736,7 +737,7 @@ SLAB_GAMES = {
 def slab_case(name, steps, record_steps, dt=0.25, dx=0.25):
     """A SLAB_GAMES game in 2-D, its plan recording at record_steps, and a field law covering it."""
     gh = build(name, SLAB_GAMES[name], 2)
-    box = solve_box_for(gh.f_pairs, "semi-lagrangian", steps * dt, dt, dx, report_radius=0.75)
+    box = solve_box_for(gh, "semi-lagrangian", steps * dt, dt, dx, report_radius=0.75)
     plan = sl_plan(gh, SolveConfig(scheme="semi-lagrangian", dt=dt, dx=dx, T=steps * dt,
                                    box_lo=box[0], box_hi=box[1],
                                    record_times=tuple(k * dt for k in sorted(record_steps))))
@@ -762,7 +763,7 @@ def test_slab_march_equals_the_one_slab_march(name, M, steps, record_steps, slab
     # still axis's width are one column each
     gh, plan, spec = slab_case(name, steps, {k for k in record_steps if k <= steps})
     assert plan.still == (1,)
-    count = min(slabs, plan.grid.shape[1])
+    count = min(slabs, plan.cfg.grid.shape[1])
     g = pde.zero_datum if theta is None else linear_datum([theta, -0.5 * theta])
     cost = sl_step_cost(gh, sample_environment(spec, derive_seeds(5, np.arange(M))), plan)
     whole = solve_sl_batch(plan, cost, g)
@@ -812,11 +813,11 @@ CREEP_2D = replace(SADDLE_CASE[0], f_table=SADDLE_CASE[0].f_table + [0.0, 1e-13]
     CREEP_2D])
 def test_a_plan_without_a_still_axis_marches_one_slab(game):
     dt = dx = 0.25
-    box = solve_box_for(game.f_pairs, "semi-lagrangian", 2 * dt, dt, dx, report_radius=0.5)
+    box = solve_box_for(game, "semi-lagrangian", 2 * dt, dt, dx, report_radius=0.5)
     plan = sl_plan(game, SolveConfig(scheme="semi-lagrangian", dt=dt, dx=dx, T=2 * dt,
                                      box_lo=box[0], box_hi=box[1]))
     assert plan.still == ()
-    cost = np.random.default_rng(0).random((len(plan.stencil),) + plan.grid.shape)
+    cost = np.random.default_rng(0).random((len(plan.stencil),) + plan.cfg.grid.shape)
     whole = solve_sl_batch(plan, cost)
     with mock.patch.object(pde, "BATCH_COST_BYTES", 8):
         got = solve_sl_batch(plan, cost)
@@ -835,7 +836,7 @@ def test_both_schemes_plan_the_same_still_axes(game, still):
     # a still axis is one no velocity moves along, for SL's slabs and LF's
     # segments alike
     dt = dx = 0.25
-    box = solve_box_for(game.f_pairs, "lax-friedrichs", 2 * dt, dt, dx, report_radius=0.5)
+    box = solve_box_for(game, "lax-friedrichs", 2 * dt, dt, dx, report_radius=0.5)
     cfg = SolveConfig(scheme="lax-friedrichs", dt=dt, dx=dx, T=2 * dt,
                       box_lo=box[0], box_hi=box[1])
     windows = []
@@ -897,9 +898,13 @@ def test_sl_plan_and_reach_equal_the_per_pair_construction(f, dt, dx):
     plan = sl_plan(gh, SolveConfig(scheme="semi-lagrangian", dt=dt, dx=dx, T=dt,
                                    box_lo=(0.0,) * d, box_hi=(16 * dx,) * d))
     below, above = ref_sl_reach(gh.f_pairs, dt, dx)
-    for got, want in zip(pde.reach(gh.f_pairs, "semi-lagrangian", dt, dx), (below, above)):
+    for got, want in zip(pde.reach(velocities(gh), "semi-lagrangian", dt, dx), (below, above)):
         assert got.dtype == want.dtype and np.array_equal(got, want)
     assert (plan.shed_lo, plan.shed_hi) == (tuple(below.tolist()), tuple(above.tolist()))
+    # an LF window sheds, on every axis, one ring per substep the pairs' top speeds need
+    rings = pde.lf_substeps(np.abs(gh.f_pairs).max(axis=0), dt, dx)
+    for got in pde.reach(velocities(gh), "lax-friedrichs", dt, dx):
+        assert got.dtype == below.dtype and got.tolist() == [rings] * d
     corners, stencil = ref_sl_stencils(gh.f_pairs, dt, dx, below)
     assert plan.stencil == stencil
     assert stencil_bits(plan.corners) == stencil_bits(corners)
@@ -911,7 +916,7 @@ def test_sl_plan_works_out_one_foot_point_per_distinct_velocity():
     dt = dx = 0.25
     rows = len(velocities(gh).rows)
     assert rows < gh.n_a * gh.n_b
-    box = solve_box_for(gh.f_pairs, "semi-lagrangian", dt, dt, dx, report_radius=0.5)
+    box = solve_box_for(gh, "semi-lagrangian", dt, dt, dx, report_radius=0.5)
     with mock.patch.object(pde, "_stencil", wraps=pde._stencil) as spy:
         plan = sl_plan(gh, SolveConfig(scheme="semi-lagrangian", dt=dt, dx=dx, T=dt,
                                        box_lo=box[0], box_hi=box[1]))
@@ -919,6 +924,19 @@ def test_sl_plan_works_out_one_foot_point_per_distinct_velocity():
     corners, stencil = ref_sl_stencils(gh.f_pairs, dt, dx, ref_sl_reach(gh.f_pairs, dt, dx)[0])
     assert plan.stencil == stencil
     assert stencil_bits(plan.corners) == stencil_bits(corners)
+
+
+def test_solve_box_for_reads_one_foot_point_per_distinct_velocity():
+    # boxes are sized from the motion summary, not from the 16 pairs
+    gh = LOCALIZED_2D_CASE[0]
+    dt = dx = 0.25
+    rows = len(velocities(gh).rows)
+    with mock.patch.object(pde, "_stencil", wraps=pde._stencil) as spy:
+        lo, hi = solve_box_for(gh, "semi-lagrangian", 4 * dt, dt, dx, report_radius=0.5)
+    assert [call.args[0].shape for call in spy.call_args_list] == [(rows, gh.dim)]
+    below, above = ref_sl_reach(gh.f_pairs, dt, dx)
+    assert lo == tuple(-0.5 - 4 * b * dx - 4 * dx for b in below.tolist())
+    assert hi == tuple(0.5 + 4 * a * dx + 4 * dx for a in above.tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -943,7 +961,7 @@ def test_lf_step_equals_whole_window_step(game, dt, dx, steps, theta, records):
     # record reads, from one negated cost table per still-axis range; the
     # reference updates the whole shrinking window from one full-grid table
     gh, env = game
-    box = solve_box_for(gh.f_pairs, "lax-friedrichs", steps * dt, dt, dx, report_radius=0.5)
+    box = solve_box_for(gh, "lax-friedrichs", steps * dt, dt, dx, report_radius=0.5)
     cfg = SolveConfig(scheme="lax-friedrichs", dt=dt, dx=dx, T=steps * dt,
                       box_lo=box[0], box_hi=box[1],
                       record_times=tuple(k * dt for k in sorted(records) if k <= steps))
@@ -1127,7 +1145,7 @@ def signed_zeros_and_a_subnormal(x):
 ], ids=["transport-negative-speed", "saddle-signed-zero-datum"])
 def test_lf_keeps_signed_zeros_on_the_moving_axes(gh, g):
     env = ConstantEnvironment(0.0, dimension=2)
-    box = solve_box_for(gh.f_pairs, "lax-friedrichs", 0.5, 0.25, 0.25, report_radius=0.5)
+    box = solve_box_for(gh, "lax-friedrichs", 0.5, 0.25, 0.25, report_radius=0.5)
     cfg = SolveConfig(scheme="lax-friedrichs", dt=0.25, dx=0.25, T=0.5,
                       box_lo=box[0], box_hi=box[1], record_times=(0.25,))
     Hs = []
@@ -1151,7 +1169,7 @@ def test_lf_keeps_signed_zeros_on_the_moving_axes(gh, g):
 
 def test_lf_evaluates_H_once_per_substep_at_every_updated_node():
     gh, env = FIELD2D_CASE
-    box = solve_box_for(gh.f_pairs, "lax-friedrichs", 0.5, 0.25, 0.25, report_radius=0.5)
+    box = solve_box_for(gh, "lax-friedrichs", 0.5, 0.25, 0.25, report_radius=0.5)
     cfg = SolveConfig(scheme="lax-friedrichs", dt=0.25, dx=0.25, T=0.5,
                       box_lo=box[0], box_hi=box[1], record_times=(0.25,))
     env = covering_env(env, box)
@@ -1193,7 +1211,7 @@ def test_an_lf_solve_allocates_its_planes_up_front_and_a_substep_none():
 
     per_solve = []
     for T in (2.0, 8.0):
-        box = solve_box_for(gh.f_pairs, "lax-friedrichs", T, 0.5, 0.5, report_radius=0.5)
+        box = solve_box_for(gh, "lax-friedrichs", T, 0.5, 0.5, report_radius=0.5)
         cfg = SolveConfig(scheme="lax-friedrichs", dt=0.5, dx=0.5, T=T,
                           box_lo=box[0], box_hi=box[1])
         calls.clear()

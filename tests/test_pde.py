@@ -1,9 +1,13 @@
+import re
+from dataclasses import replace
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import ORIENTED, ConstantEnvironment
+from conftest import ORIENTED, ConstantEnvironment, ref_grid_from_box, ref_steps_and_records
 from hjhomog.env import DomainError, EnvSpec, TensorGrid, as_points, sample_environment
 from hjhomog.game import GameHamiltonian
 from hjhomog.families import bind_env_constants, build, saddle_game, transport
@@ -138,7 +142,7 @@ def scheme_case(scheme, family, dim, dt, dx, steps, seed):
     """A drawn oriented game on a field, and a config whose box covers B(1) at T."""
     game = build(*family, dim)
     T = steps * dt
-    lo, hi = solve_box_for(game.f_pairs, scheme, T, dt, dx, report_radius=1.0)
+    lo, hi = solve_box_for(game, scheme, T, dt, dx, report_radius=1.0)
     env = sample_environment(EnvSpec(
         dimension=dim, rho=1.0, bump_radius=0.5, amp_lo=0.0, amp_hi=1.0, channels=1,
         box_lo=tuple(v - 1.0 for v in lo), box_hi=tuple(v + 1.0 for v in hi), seed=seed))
@@ -245,15 +249,80 @@ def test_time_grid_validation():
     with pytest.raises(ValueError, match="record time"):
         solve_sl(gh, env, cfg("semi-lagrangian", 0.1, 0.1, 1.0, -4.0, 6.0,
                               record_times=(0.15,)))
-    # validate() applies the same rule, so a config can be refused before a solve
+    # the config applies the same rule when it is built, before any solve
     with pytest.raises(ValueError, match="integer multiple"):
-        cfg("semi-lagrangian", 0.3, 0.1, 1.0, -4.0, 6.0).validate()
+        cfg("semi-lagrangian", 0.3, 0.1, 1.0, -4.0, 6.0)
     with pytest.raises(ValueError, match="record time"):
-        cfg("semi-lagrangian", 0.1, 0.1, 1.0, -4.0, 6.0, record_times=(0.15,)).validate()
+        cfg("semi-lagrangian", 0.1, 0.1, 1.0, -4.0, 6.0, record_times=(0.15,))
     with pytest.raises(ValueError):
-        cfg("semi-lagrangian", -0.1, 0.1, 1.0, 0.0, 1.0).validate()
+        cfg("semi-lagrangian", -0.1, 0.1, 1.0, 0.0, 1.0)
     with pytest.raises(ValueError):
-        cfg("upwind", 0.1, 0.1, 1.0, 0.0, 1.0).validate()
+        cfg("upwind", 0.1, 0.1, 1.0, 0.0, 1.0)
+
+
+@pytest.mark.parametrize("changes, message", [
+    ({"scheme": "upwind"}, "unknown scheme 'upwind'"),
+    ({"dt": 0.0}, "dt must be positive, got 0.0"),
+    ({"dx": -0.1}, "dx must be positive, got -0.1"),
+    ({"T": -1.0}, "T must be positive, got -1.0"),
+    ({"epsilon": 0.0}, "epsilon must be positive, got 0.0"),
+    ({"T": 1.05}, "T=1.05 is not an integer multiple of dt=0.1"),
+    ({"record_times": (0.5, 0.15)}, "record time 0.15 not on the time grid (dt=0.1)"),
+    ({"record_times": (1.1,)}, "record time 1.1 not on the time grid (dt=0.1)"),
+    ({"box_hi": (-3.95,)}, "degenerate grid: shape (1,)"),
+    ({"box_hi": (6.0, 6.0)}, "box corners of different lengths: lo (-4.0,), hi (6.0, 6.0)"),
+])
+def test_a_config_refuses_itself_when_built(changes, message):
+    good = dict(scheme="semi-lagrangian", dt=0.1, dx=0.1, T=1.0, box_lo=(-4.0,), box_hi=(6.0,))
+    with pytest.raises(ValueError) as built:
+        SolveConfig(**{**good, **changes})
+    with pytest.raises(ValueError) as replaced:       # replace() checks anew
+        replace(SolveConfig(**good), **changes)
+    assert str(built.value) == str(replaced.value) == message
+
+
+def test_a_config_holds_its_grid_and_time_grid():
+    c = cfg("lax-friedrichs", 0.1, 0.25, 1.0, -1.0, 1.0, record_times=(0.5, 0.0))
+    assert (c.grid, c.n_steps, c.records) == (Grid((-1.0,), 0.25, (9,)), 10, {5: 0.5, 0: 0.0})
+    moved = replace(c, T=2.0, box_hi=(2.0,))
+    assert (moved.grid.shape, moved.n_steps, moved.records) == ((13,), 20, c.records)
+    # derived, so left out of the hash (a dict has none), the repr and the arguments
+    assert hash(moved) == hash(replace(c, T=2.0, box_hi=(2.0,))) and "grid" not in repr(c)
+    with pytest.raises(TypeError):
+        SolveConfig(scheme="semi-lagrangian", dt=0.1, dx=0.1, T=1.0, box_lo=(0.0,),
+                    box_hi=(1.0,), n_steps=10)
+
+
+@settings(max_examples=300, deadline=None)
+@given(dt=st.sampled_from([0.1, 0.25, 0.0625, 1 / 3, 0.2, 0.3]), steps=st.integers(1, 40),
+       off=st.sampled_from([0.0, 0.0, 0.0, 1e-12, 1e-7, 0.5]),
+       recs=st.lists(st.tuples(st.integers(-1, 41), st.sampled_from([0.0, 0.0, 1e-12, 1e-3])),
+                     max_size=3),
+       dx=st.sampled_from([0.1, 0.25, 0.2, 1 / 3]),
+       lo=st.lists(st.floats(-5.0, 5.0), min_size=1, max_size=3),
+       span=st.lists(st.floats(0.1, 4.0), min_size=1, max_size=3))
+@example(dt=0.1, steps=3, off=0.0, recs=[(1, 0.0), (3, 0.0), (1, 0.0)], dx=0.1, lo=[-0.0],
+         span=[0.3])
+def test_a_config_works_out_the_solvers_time_grid_and_grid(dt, steps, off, recs, dx, lo, span):
+    # bit for bit what the solvers worked out from a config before it held them
+    d = min(len(lo), len(span))
+    lo, hi = tuple(lo[:d]), tuple(l + s for l, s in zip(lo, span))
+    kw = dict(scheme="semi-lagrangian", dt=dt, dx=dx, T=steps * dt + off, box_lo=lo,
+              box_hi=hi, record_times=tuple(k * dt + e for k, e in recs))
+    try:
+        want = ref_steps_and_records(SimpleNamespace(**kw)), ref_grid_from_box(lo, hi, dx)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=re.escape(str(exc))):
+            SolveConfig(**kw)
+        return
+    got = SolveConfig(**kw)
+    (n_steps, records), (g_lo, g_dx, shape) = want
+    assert got.n_steps == n_steps and type(got.n_steps) is int
+    assert list(got.records.items()) == list(records.items())
+    assert all(float(a).hex() == float(b).hex() for a, b in zip(got.records.values(),
+                                                                records.values()))
+    assert [v.hex() for v in got.grid.lo + (got.grid.dx,)] == [v.hex() for v in g_lo + (g_dx,)]
+    assert got.grid.shape == shape
 
 
 def test_value_at_refuses_outside_active_box():
@@ -289,6 +358,9 @@ def test_grid_from_box():
     assert np.allclose(g.axis(0), [-1.0, -0.5, 0.0, 0.5, 1.0])
     with pytest.raises(ValueError, match="degenerate"):
         Grid.from_box([0.0], [0.1], 1.0)
+    # corners of different lengths are refused, not cut to the shorter one
+    with pytest.raises(ValueError, match="different lengths"):
+        Grid.from_box((-1.0,), (10.0, 10.0), 0.25)
 
 
 @pytest.mark.parametrize("lo, hi, dx", [([-1.0], [1.0], 0.5), ([-3.25, 0.5], [2.0, 4.0], 0.25),

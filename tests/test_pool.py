@@ -30,7 +30,7 @@ from hjhomog.rng import derive_seeds
 GAME = ("saddle-game", {"base_speed": 1.0, "coupling": 0.25})
 DT = DX = 0.25
 T = 2.0
-BOX = homog.solve_box_for(build(*GAME, 1).f_pairs, "semi-lagrangian", T, DT, DX)
+BOX = homog.solve_box_for(build(*GAME, 1), "semi-lagrangian", T, DT, DX)
 SPEC = EnvSpec(dimension=1, rho=1.0, bump_radius=0.5, amp_lo=0.0, amp_hi=1.0, channels=4,
                box_lo=BOX[0], box_hi=BOX[1], seed=0)
 CFG = SolveConfig(scheme="semi-lagrangian", dt=DT, dx=DX, T=T, box_lo=BOX[0], box_hi=BOX[1],

@@ -35,12 +35,15 @@ The rule: a control differs from its parent by layout alone, so its gap
 is what layout and the host make of no change.  A gain counts only when
 it beats the control in the same run: the change's median gap from the
 parent is a gain, by the metric's own direction, larger than the
-control's, and the change beats the control in at least k of the n
-pairs, k the least count that a one-sided sign test passes at 5 %
-(`sign_test_k`: 9 of 10, 6 of 6, 12 of 16).  A loss is read the same
-way with the direction turned round: the change's median gap is a loss
-larger than the control's, and the control beats the change in at least
-k of the n pairs.  Each workload's verdict per metric, "gain counts",
+control's gap in either direction, and the change beats the control in
+at least k of the n pairs, k the least count that a one-sided sign test
+passes at 5 % (`sign_test_k`: 9 of 10, 6 of 6, 12 of 16).  A loss is
+read the same way with the direction turned round: the change's median
+gap is a loss larger than the control's gap in either direction, and
+the control beats the change in at least k of the n pairs.  So neither
+a gain nor a loss counts unless it exceeds the shift layout alone made:
+a control that moved 0.17 MiB down does not make a change 0.04 MiB up a
+loss.  Each workload's verdict per metric, "gain counts",
 "loss counts" or "neither", is printed to stderr (`verdict`).  `verdict`
 reads every committed record: a count an older record lacks is counted
 from its per-pair lists, and a record run without a control reads "no
@@ -129,14 +132,15 @@ def _beats(metric: dict, arm: str, over: str, lower: bool) -> str:
 
 def _beats_control(metric: dict, lower: bool, count: str) -> bool:
     """Whether the change's median gap from the parent, read with lower (or
-    higher) as better, is a gain larger than the control's, with the change
-    ahead of the control in ``count`` ("k/n") pairs, enough for the sign test."""
+    higher) as better, is a gain larger than the control's gap either way,
+    with the change ahead of the control in ``count`` ("k/n") pairs, enough
+    for the sign test."""
     sign = 1.0 if lower else -1.0
     parent = metric["parent_q1_median_q3"][1]
     change, control = (sign * (parent - metric[f"{s}_q1_median_q3"][1])
                        for s in ("change", "control"))
     won, n = map(int, count.split("/"))
-    return change > max(control, 0.0) and won >= sign_test_k(n)
+    return change > abs(control) and won >= sign_test_k(n)
 
 
 def gain_counts(metric: dict, lower: bool) -> bool:
